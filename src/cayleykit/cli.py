@@ -787,6 +787,13 @@ def classify_plane(path, cfg, reject=False):
         raise CliInputError(
             EXIT_MALFORMED,
             "need a 2p x 2m frame with 2p <= 2m, got %d x %d" % (k, n))
+    # QR of a rank-deficient frame returns an arbitrary plane, so such a
+    # frame is refused before any repair
+    rank = int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
+    if rank < k:
+        raise CliInputError(
+            EXIT_MALFORMED,
+            "frame rows have rank %d < %d and span no %d-plane" % (rank, k, k))
     checks = []
     res = _orthonormality_residual(rows)
     if res > cfg.tol and reject:

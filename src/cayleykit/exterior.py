@@ -13,12 +13,19 @@ Two backends:
 
 The metric is Euclidean with orthonormal basis e_1..e_n and orientation
 e_1 ^ ... ^ e_n.  All operations return new objects; nothing mutates.
+
+The 4x4 minors of 4-frames in R^8 (``plucker_minors`` batched in numpy,
+``plucker_minors_exact`` on exact scalars) are the one kernel through which
+alternating 4-linear maps on R^8, such as the calibration value and the
+Cayley defect, are evaluated as tables over FOUR_FORM_INDEX.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from . import _ratlinalg
 from .errors import (
@@ -867,6 +874,110 @@ def form_value(a, vectors):
     for key, coeff in a.terms.items():
         total += coeff * _minor_det(vectors, key, a.backend)
     return total
+
+
+# -- 4x4 minors of 4-frames in R^8 -------------------------------------------
+#
+# An alternating 4-linear map on R^8 is a table with one row per increasing
+# 4-subset of the axes, and its value on a frame is the frame's 70 4x4 minors
+# times that table.  The minors come from the Laplace expansion along rows
+# (1, 2) | (3, 4): the minor on columns s0 < s1 < s2 < s3 is a signed sum,
+# over the 6 ways to split those columns into two pairs, of the 2x2 minor of
+# rows 1, 2 on the first pair times the 2x2 minor of rows 3, 4 on the second.
+# The splits are listed by position in the same order for every subset, so
+# each split has one sign.
+
+FOUR_FORM_INDEX = tuple(itertools.combinations(range(1, 9), 4))
+
+_PAIRS = tuple(itertools.combinations(range(8), 2))
+_PAIR_AT = {pair: p for p, pair in enumerate(_PAIRS)}
+_SPLITS = tuple(
+    (a, b) + tuple(x for x in range(4) if x not in (a, b))
+    for a, b in itertools.combinations(range(4), 2)
+)
+# _LAPLACE[c][k] = (lo, hi, sign): the two pairs of split k of the c-th
+# 4-subset, as positions in _PAIRS, and the split's sign
+_LAPLACE = tuple(
+    tuple((_PAIR_AT[(quad[a] - 1, quad[b] - 1)],
+           _PAIR_AT[(quad[c] - 1, quad[d] - 1)],
+           sort_indices((a, b, c, d))[1])
+          for a, b, c, d in _SPLITS)
+    for quad in FOUR_FORM_INDEX
+)
+_LAPLACE_LO, _LAPLACE_HI, _LAPLACE_SIGN = np.array(_LAPLACE).transpose(2, 1, 0)
+_PAIR_I, _PAIR_J = np.array(_PAIRS).T
+
+
+def plucker_minors(frames):
+    """The 70 4x4 minors of a batch of 4-frames in R^8.
+
+    ``frames`` is a (P, 4, 8) float or complex array of frame rows.  Returns
+    a (P, 70) array whose column c is the minor on the columns of
+    FOUR_FORM_INDEX[c].  The 6 Laplace terms are summed into one (P, 70)
+    accumulator, so memory stays at a few (P, 70) arrays.
+    """
+    frames = np.asarray(frames)
+    if frames.ndim != 3 or frames.shape[1:] != (4, 8):
+        raise DimensionMismatch(
+            "need a (P, 4, 8) array of 4-frames, got shape %s" % (frames.shape,))
+    top = (frames[:, 0, _PAIR_I] * frames[:, 1, _PAIR_J]
+           - frames[:, 0, _PAIR_J] * frames[:, 1, _PAIR_I])
+    bottom = (frames[:, 2, _PAIR_I] * frames[:, 3, _PAIR_J]
+              - frames[:, 2, _PAIR_J] * frames[:, 3, _PAIR_I])
+    out = np.zeros((frames.shape[0], len(FOUR_FORM_INDEX)), top.dtype)
+    term = np.empty_like(out)
+    for lo, hi, sign in zip(_LAPLACE_LO, _LAPLACE_HI, _LAPLACE_SIGN[:, 0]):
+        np.multiply(top[:, lo], bottom[:, hi], out=term)
+        if sign > 0:
+            out += term
+        else:
+            out -= term
+    return out
+
+
+def _pair_minors_exact(x, y):
+    """The nonzero 2x2 minors of rows x, y, keyed by position in _PAIRS."""
+    x_nz = [c != 0 for c in x]
+    y_nz = [c != 0 for c in y]
+    out = {}
+    for p, (i, j) in enumerate(_PAIRS):
+        minor = None
+        if x_nz[i] and y_nz[j]:
+            minor = x[i] * y[j]
+        if x_nz[j] and y_nz[i]:
+            cross = x[j] * y[i]
+            minor = -cross if minor is None else minor - cross
+        if minor is not None and minor != 0:
+            out[p] = minor
+    return out
+
+
+def plucker_minors_exact(rows):
+    """The 70 4x4 minors of one 4-frame in R^8 with exact entries.
+
+    ``rows`` holds 4 sequences of 8 Fractions or ExactComplex numbers (ints
+    mix in).  Returns a list of 70 minors in the entries' own arithmetic,
+    ordered as FOUR_FORM_INDEX; zero factors are skipped, and a vanishing
+    minor comes back as 0 times the first entry.
+    """
+    if len(rows) != 4 or any(len(r) != 8 for r in rows):
+        raise DimensionMismatch("need 4 rows of 8 entries")
+    zero = 0 * rows[0][0]
+    top = _pair_minors_exact(rows[0], rows[1])
+    bottom = _pair_minors_exact(rows[2], rows[3])
+    out = []
+    for splits in _LAPLACE:
+        total = zero
+        for lo, hi, sign in splits:
+            a = top.get(lo)
+            if a is None:
+                continue
+            b = bottom.get(hi)
+            if b is None:
+                continue
+            total = total + a * b if sign > 0 else total - a * b
+        out.append(total)
+    return out
 
 
 def apply_signed_permutation(a, perm, signs):

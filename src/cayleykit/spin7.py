@@ -25,23 +25,24 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _ratlinalg
-from .errors import DimensionMismatch, GradeError, PlaneError
+import numpy as np
+
+from .errors import BackendMismatch, DimensionMismatch, GradeError, PlaneError
 from .exterior import (
     EXACT,
     FLOAT,
+    FOUR_FORM_INDEX,
     ComplexMultivector,
-    ComplexVector,
     Multivector,
     Vector,
-    as_complex_multivector,
     coerce_scalar,
-    form_value,
     hodge_star,
     hook,
     hook_many,
     inner,
     musical_flat,
+    plucker_minors,
+    plucker_minors_exact,
     wedge,
 )
 
@@ -78,6 +79,8 @@ class CayleyForm:
         self._pi7 = None
         self._transform = None
         self._proj7 = None
+        self._phi_row = None
+        self._defect = None
 
     @property
     def backend(self):
@@ -133,6 +136,64 @@ class CayleyForm:
                 for r in range(28)
             ]
         return self._proj7
+
+    def phi_row(self):
+        """phi's 70 coefficients over FOUR_FORM_INDEX, so that phi on a
+        frame is the frame's minors times this row.  A float array on the
+        float backend, a tuple of Fractions on the exact one."""
+        if self._phi_row is None:
+            row = tuple(self.phi.coeff(quad) for quad in FOUR_FORM_INDEX)
+            self._phi_row = self._frozen(row)
+        return self._phi_row
+
+    def defect_table(self):
+        """70x28 table of tau: row c holds the TWO_FORM_INDEX coefficients
+        of tau on the basis frame FOUR_FORM_INDEX[c], so that tau on a frame
+        is the frame's minors times this table.
+
+        Built from phi's coefficients and pi7_matrix() in the form's own
+        arithmetic.  On basis vectors each term of tau_eval is pi7 of
+        phi(e_i, <the other three>) e^i ^ e^s for the slot vector e_s and an
+        axis i outside the frame, so the row of the frame (s_0, .., s_3) is
+
+          (1/4) pi7( sum_k (-1)^k sum_i phi(e_i, s_0..^s_k..s_3) e^i ^ e^s_k ).
+
+        A float array on the float backend, rows of Fractions on the exact
+        one; tau_eval stays the reference the table is tested against.
+        """
+        if self._defect is None:
+            pi7 = self.pi7_matrix()
+            pi7_cols = [
+                [(p, pi7[p][q]) for p in range(28) if pi7[p][q] != 0]
+                for q in range(28)
+            ]
+            quarter = Fraction(1, 4) if self.backend == EXACT else 0.25
+            zero = coerce_scalar(0, self.backend)
+            rows = []
+            for quad in FOUR_FORM_INDEX:
+                acc = [zero] * 28
+                for k, s in enumerate(quad):
+                    rest = quad[:k] + quad[k + 1:]
+                    for i in range(1, 9):
+                        if i in quad:
+                            continue
+                        val = self.phi.coeff((i,) + rest)
+                        if val == 0:
+                            continue
+                        if (k % 2 == 1) != (i > s):
+                            val = -val
+                        for p, entry in pi7_cols[PAIR_POS[(min(i, s), max(i, s))]]:
+                            acc[p] += entry * val
+                rows.append(tuple(quarter * a for a in acc))
+            self._defect = self._frozen(tuple(rows))
+        return self._defect
+
+    def _frozen(self, values):
+        if self.backend == EXACT:
+            return values
+        arr = np.array(values, dtype=float)
+        arr.flags.writeable = False
+        return arr
 
     def _apply_matrix(self, mat, a):
         if isinstance(a, ComplexMultivector):
@@ -268,53 +329,41 @@ class CayleyVerdict:
 def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
     """Classify an oriented 4-plane by the calibration value and the
     alternation norm.  ``plane`` is anything with orthonormal ``rows``
-    (or a plain list of 4 Vectors)."""
+    (or a plain list of 4 Vectors on the form's backend).
+
+    Both numbers come from the frame's 70 minors: times phi_row() for the
+    value, times defect_table() for tau.  On the exact backend the sums are
+    exact and only the two results become floats."""
     rows = list(getattr(plane, "rows", plane))
     if len(rows) != 4:
         raise PlaneError("need exactly 4 frame vectors, got %d" % (len(rows),))
-    val = float(form_value(Phi.phi, rows))
-    tval = tau_eval(Phi, *rows)
-    tn = tau_norm(tval)
+    for v in rows:
+        if not isinstance(v, Vector):
+            raise PlaneError("frame rows must be real Vectors, got %r" % (type(v),))
+        if v.backend != Phi.backend:
+            raise BackendMismatch(
+                "mixed backends: %r vs %r" % (v.backend, Phi.backend))
+        if v.n != 8:
+            raise DimensionMismatch("frame vectors must live in R^8")
+    table = Phi.defect_table()
+    if Phi.backend == EXACT:
+        minors = plucker_minors_exact([v.comps for v in rows])
+        live = [(c, m) for c, m in enumerate(minors) if m != 0]
+        phi_row = Phi.phi_row()
+        val = sum((m * phi_row[c] for c, m in live), Fraction(0))
+        tau = [sum((m * table[c][p] for c, m in live), Fraction(0))
+               for p in range(28)]
+        val, tn = float(val), float(sum(t * t for t in tau)) ** 0.5
+    else:
+        minors = plucker_minors(np.array([[v.comps for v in rows]]))[0]
+        val = float(minors @ Phi.phi_row())
+        tau = minors @ table
+        tn = float(tau @ tau) ** 0.5
     return CayleyVerdict(
         is_cayley=abs(val - 1.0) <= tol_phi and tn <= tol_tau,
         phi_value=val,
         tau_norm=tn,
     )
-
-
-def frame_tensor_crosscheck(Phi, frames):
-    """Compare the alternation against its expanded tensor form.
-
-    Both sides are multilinear and alternating, so agreement on all 70
-    increasing basis 4-tuples proves agreement everywhere.  The expanded
-    form is
-
-      sum_{i=2}^{8} (e^i ^ (e_1 -| phi) - e^1 ^ (e_i -| phi))(x,u,v,w)
-                    * pi7(e^1 ^ e^i)       (no extra normalization),
-
-    ``frames`` is an iterable of 4-tuples of 1-based indices or Vectors.
-    Returns the largest coefficient deviation seen.
-    """
-    worst = coerce_scalar(0, Phi.backend)
-    e = [None] + [Vector.basis(8, i, Phi.backend) for i in range(1, 9)]
-    for frame in frames:
-        x, u, v, w = (e[i] if isinstance(i, int) else i for i in frame)
-        direct = tau_eval(Phi, x, u, v, w)
-        acc = Multivector.zero(8, Phi.backend)
-        for i in range(2, 9):
-            lhs = wedge(
-                Multivector.basis(8, (i,), Phi.backend), hook(e[1], Phi.phi)
-            ) - wedge(
-                Multivector.basis(8, (1,), Phi.backend), hook(e[i], Phi.phi)
-            )
-            coeff = form_value(lhs, [x, u, v, w])
-            if coeff != 0:
-                acc = acc + Phi.pi7_apply(
-                    Multivector.basis(8, (1, i), Phi.backend)
-                ).scale(coeff)
-        diff = direct - acc
-        worst = max(worst, diff.max_abs())
-    return worst
 
 
 def find_equivalence(a, b):

@@ -11,18 +11,20 @@ artifacts.  The module provides:
   complex (holomorphic normal fields, normal-valued (0,1)- and (0,2)-forms),
 * the mode-diagonal matrices of dbar, its formal adjoint, and the combined
   first-order operator, with weighted-adjoint and kernel/gap reports,
-* a geometric evaluation of the full nonlinear defect of a graphed
-  deformation (built from the rank-7 projection machinery of the companion
-  modules), finite-difference slope checks of its linearization, and an
-  exact pointwise certification that the linearization agrees with the
-  assembled first-order operator,
+* a geometric evaluation of the nonlinear defect of a graphed deformation,
+  finite-difference slope checks of its linearization, and an exact
+  pointwise certification that the linearization agrees with the assembled
+  first-order operator.  All three evaluate the defect on a tangent frame
+  the same way: the frame's 70 4x4 minors (``exterior.plucker_minors`` on
+  float grids, ``plucker_minors_exact`` at exact points) times one (70, 4)
+  table, the Cayley form's defect table followed by the normal-valued
+  (0,1)-part, combined in exact arithmetic,
 * the two signed first-order operators characterizing infinitesimal complex
   deformations, and
 * integer index calculators from topological invariants and from Chern
   numbers, with a consistency family generator.
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,10 +37,11 @@ from .exterior import (
     EXACT,
     ExactComplex,
     Multivector,
-    Vector,
+    plucker_minors,
+    plucker_minors_exact,
 )
 from .kahler import build_model, to_complex_frame
-from .spin7 import TWO_FORM_INDEX, phi_from_kahler, tau_eval
+from .spin7 import TWO_FORM_INDEX, phi_from_kahler
 
 # bundle tags and fiber ranks ------------------------------------------------
 #
@@ -79,11 +82,6 @@ BUNDLE_WEIGHTS = {
 }
 
 _DEFAULT_PHASE = (Fraction(1), Fraction(0))
-
-
-@lru_cache(maxsize=8)
-def _exact_surface_model(phase_pair):
-    return build_model(4, backend=EXACT, phase_pair=phase_pair)
 
 
 @dataclass(frozen=True)
@@ -129,10 +127,6 @@ class TorusModel:
         """Flat index of the constant mode."""
         L = 2 * self.K + 1
         return self.K * (L**3 + L**2 + L + 1)
-
-    def surface_model(self):
-        """Exact ambient Kahler model (complex dimension 4)."""
-        return _exact_surface_model(self.phase_pair)
 
     def phase_complex(self):
         c, s = self.phase_pair
@@ -234,25 +228,6 @@ class OperatorMatrix:
         w_cod = np.asarray(BUNDLE_WEIGHTS[self.codomain])
         adj = np.einsum("i,mji,j->mij", 1.0 / w_dom, np.conj(self.blocks), w_cod)
         return OperatorMatrix(adj, domain=self.codomain, codomain=self.domain)
-
-    def stack(self, other):
-        """Vertical concatenation with another operator on the same domain."""
-        if other.domain != self.domain:
-            raise ValidationError("stacked operators must share their domain")
-        if other.codomain != self.codomain:
-            raise ValidationError("stacked operators must share their codomain tag")
-        blocks = np.concatenate([self.blocks, other.blocks], axis=1)
-        # the stacked codomain has doubled rank; reuse the tag machinery by
-        # returning raw blocks, since only kernels of stacks are ever needed
-        return _RawBlocks(blocks)
-
-
-@dataclass(frozen=True, eq=False)
-class _RawBlocks:
-    """Block array without bundle tags, for kernel counts of stacked maps."""
-
-    blocks: np.ndarray
-
 
 def dbar_matrix(model):
     """dbar on holomorphic normal fields, valued in (0,1)-forms.
@@ -436,47 +411,43 @@ _B_NORMAL = np.array(
     dtype=complex,
 )
 
-_COMBOS = tuple(itertools.combinations(range(8), 4))
+# components of a normal-valued (0,1)-form: conj(dz_b) (x) d/dz_a for (b, a)
+_ONE_FORM_ROWS = ((1, 3), (1, 4), (2, 3), (2, 4))
+
+
+def _exact_zero():
+    return ExactComplex(0, 0)
 
 
 @lru_cache(maxsize=8)
-def _defect_tables_exact(phase_pair):
-    """Exact coefficient tables of the pointwise defect map.
+def _defect_table_exact(phase_pair):
+    """Exact (70, 4) table of the pointwise defect map.
 
-    Returns (tau_table, psi_table): tau_table[c] is the 28-vector (over
-    TWO_FORM_INDEX) of Fraction coefficients of the rank-7 defect evaluated
-    on the c-th increasing frame quadruple; psi_table[(row, col)] is the
-    ExactComplex entry sending those two-form coordinates to the four
-    components of a normal-valued (0,1)-form (rows (1,3),(1,4),(2,3),(2,4))."""
-    model = _exact_surface_model(phase_pair)
-    Phi = phi_from_kahler(model)
-    tau_table = []
-    for combo in _COMBOS:
-        vectors = [Vector.basis(8, i + 1, EXACT) for i in combo]
-        value = tau_eval(Phi, *vectors)
-        tau_table.append(tuple(value.coeff(key) for key in TWO_FORM_INDEX))
-    psi = {}
-    rows = ((1, 3), (1, 4), (2, 3), (2, 4))
+    Row c is the normal-valued (0,1)-part, components _ONE_FORM_ROWS, of the
+    rank-7 defect on the basis frame FOUR_FORM_INDEX[c]: the row of the
+    Cayley form's defect_table() followed by psi, the ExactComplex map from
+    two-form coordinates to those components.  The defect on a frame is the
+    frame's 70 minors times this table."""
+    model = build_model(4, backend=EXACT, phase_pair=phase_pair)
+    psi = [[] for _ in _ONE_FORM_ROWS]  # per component: (two-form column, entry)
     for col, key in enumerate(TWO_FORM_INDEX):
         zform = to_complex_frame(model, Multivector.basis(8, key, EXACT))
-        for row, (b, a) in enumerate(rows):
-            c = zform.coeff((4 + b, 4 + a))
-            if not isinstance(c, ExactComplex):
-                c = ExactComplex(Fraction(c), Fraction(0))
-            val = c * 2
-            if val.re != 0 or val.im != 0:
-                psi[(row, col)] = val
-    return tuple(tau_table), psi
+        for row, (b, a) in enumerate(_ONE_FORM_ROWS):
+            val = zform.coeff((4 + b, 4 + a)) * 2
+            if val != 0:
+                psi[row].append((col, val))
+    return tuple(
+        tuple(sum((val * tau_row[col] for col, val in terms if tau_row[col] != 0),
+                  _exact_zero())
+              for terms in psi)
+        for tau_row in phi_from_kahler(model).defect_table()
+    )
 
 
 @lru_cache(maxsize=8)
-def _defect_tables_float(phase_pair):
-    tau_table, psi = _defect_tables_exact(phase_pair)
-    tau = np.array([[float(x) for x in row] for row in tau_table])  # (70, 28)
-    psi_mat = np.zeros((4, 28), complex)
-    for (row, col), val in psi.items():
-        psi_mat[row, col] = complex(val.as_complex())
-    return tau, psi_mat
+def _defect_table_float(phase_pair):
+    return np.array([[c.as_complex() for c in row]
+                     for row in _defect_table_exact(phase_pair)])
 
 
 def _displacement_coefficients(model, v1, w):
@@ -496,25 +467,19 @@ def _displacement_coefficients(model, v1, w):
     return out
 
 
-def _frame_minors(frames):
-    """All 4x4 minors of the frame rows, shape (points, 70)."""
-    sub = frames[:, :, _COMBOS]  # (P, 4, 70, 4)
-    sub = np.moveaxis(sub, 2, 1)  # (P, 70, 4, 4)
-    return np.linalg.det(sub)
-
-
 def nonlinear_F(model, v, t=1.0, grid=None):
     """Grid samples of the geometric defect of the graphed deformation.
 
     v is a (v1, w) pair of Fourier sections (holomorphic normal field and
     normal-valued (0,2)-form).  The displacement t * (v1 + iso^{-1}(w)) is
-    graphed over the base torus; at each grid point the tangent frame of the
-    graph feeds the rank-7 defect four-form, whose normal-valued (0,1)-part
-    is returned, components ordered (1,3), (1,4), (2,3), (2,4).  The result
-    has shape (G^4, 4); the map extends the real geometric defect complex-
-    multilinearly in the frame vectors."""
+    graphed over the base torus; at each grid point the defect is the 70
+    4x4 minors of the graph's tangent frame (``plucker_minors``) times one
+    (70, 4) table: the Cayley form's defect table followed by the
+    normal-valued (0,1)-part, precombined exactly.  The result has shape
+    (G^4, 4), components ordered (1,3), (1,4), (2,3), (2,4); the map extends
+    the real geometric defect complex-multilinearly in the frame vectors."""
     v1, w = v
-    tau_table, psi_mat = _defect_tables_float(model.phase_pair)
+    table = _defect_table_float(model.phase_pair)
     disp = _displacement_coefficients(model, v1, w)  # (M, 4) complex basis
     disp_real = disp @ _B_NORMAL  # (M, 8) real-frame components
     G = int(grid) if grid is not None else 2 * model.K + 2
@@ -523,8 +488,7 @@ def nonlinear_F(model, v, t=1.0, grid=None):
     for j in range(4):
         frames[:, j, j] = 1.0
         frames[:, j, :] += t * grid_values(model, disp_real, grid=G, derivative=j + 1)
-    minors = _frame_minors(frames)  # (P, 70)
-    return minors @ tau_table @ psi_mat.T  # (P, 4)
+    return plucker_minors(frames) @ table  # (P, 4)
 
 
 def linear_image_grid(model, v, grid=None):
@@ -613,45 +577,13 @@ def fd_linearization_check(
 # exact pointwise certification of the linearization ---------------------------
 
 
-def _exact_det4(rows):
-    """Determinant of a 4x4 matrix of ExactComplex entries."""
-    total = ExactComplex(0, 0)
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = ExactComplex(sign, 0)
-        for i in range(4):
-            term = term * rows[i][perm[i]]
-        total = total + term
-    return total
-
-
-def _exact_zero():
-    return ExactComplex(0, 0)
-
-
 def _exact_defect_point(phase_pair, frame_rows):
     """Exact pointwise defect of a complex 4-frame (rows of ExactComplex)."""
-    tau_table, psi = _defect_tables_exact(phase_pair)
-    minors = []
-    for combo in _COMBOS:
-        sub = [[frame_rows[r][c] for c in combo] for r in range(4)]
-        minors.append(_exact_det4(sub))
-    two_form = [_exact_zero() for _ in range(28)]
-    for c, minor in enumerate(minors):
-        if minor.re == 0 and minor.im == 0:
-            continue
-        row = tau_table[c]
-        for p in range(28):
-            if row[p] != 0:
-                two_form[p] = two_form[p] + minor * row[p]
-    out = [_exact_zero() for _ in range(4)]
-    for (row, col), val in psi.items():
-        if two_form[col].re != 0 or two_form[col].im != 0:
-            out[row] = out[row] + val * two_form[col]
+    out = [_exact_zero() for _ in _ONE_FORM_ROWS]
+    for minor, row in zip(plucker_minors_exact(frame_rows),
+                          _defect_table_exact(phase_pair)):
+        if minor != 0:
+            out = [acc + minor * val for acc, val in zip(out, row)]
     return out
 
 
@@ -692,7 +624,8 @@ def pointwise_linearization_check(phase_pair=(Fraction(3, 5), Fraction(4, 5))):
 
     Perturbs one tangent direction of the standard frame at a time by each
     complex normal basis vector, evaluates the defect exactly (it is linear
-    in a single perturbed row), and compares against the symbol formulas:
+    in a single perturbed row) as the exact minors of the frame times the
+    exact defect table, and compares against the symbol formulas:
     the dbar part reads the holomorphic normal components through dz_a and
     the adjoint part reads the antiholomorphic ones through conj(dz_a), with
     the phase-dependent two-form translation in between.  Returns
@@ -703,7 +636,6 @@ def pointwise_linearization_check(phase_pair=(Fraction(3, 5), Fraction(4, 5))):
     i_unit = ExactComplex(0, 1)
     matches = 0
     total = 0
-    rows = ((1, 3), (1, 4), (2, 3), (2, 4))
 
     def f_comp(a_idx, dvec):
         # (0,2)-component translation of the antiholomorphic displacement:
@@ -725,13 +657,13 @@ def pointwise_linearization_check(phase_pair=(Fraction(3, 5), Fraction(4, 5))):
             measured = _exact_defect_point((c, s), frame)
 
             expected = [_exact_zero() for _ in range(4)]
-            for r, (b, a) in enumerate(rows):
+            for r, (b, a) in enumerate(_ONE_FORM_ROWS):
                 d_odd = deltas[2 * b - 2]
                 d_even = deltas[2 * b - 1]
                 expected[r] = expected[r] + (
                     _dz(a, d_odd) + i_unit * _dz(a, d_even)
                 ) * _HALF
-            for r, (b, a) in enumerate(rows):
+            for r, (b, a) in enumerate(_ONE_FORM_ROWS):
                 # adjoint part: 2 d f_a / dz_2 on rows b=1, -2 d f_a / dz_1
                 # on rows b=2, with d/dz_k = (d/dx_odd - i d/dx_even) / 2
                 if b == 1:

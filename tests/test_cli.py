@@ -170,6 +170,31 @@ def test_skewed_frame_is_fixed_and_warned(tmp_path):
     assert by_name["plane:complex"]["details"]["is_complex"] is True
 
 
+def test_rank_deficient_frame_is_malformed(tmp_path, capsys):
+    # two equal rows: QR would hand back an arbitrary plane
+    flat = tmp_path / "flat.txt"
+    flat.write_text(
+        "1 0 0 0 0 0 0 0\n1 0 0 0 0 0 0 0\n"
+        "0 0 1 0 0 0 0 0\n0 0 0 1 0 0 0 0\n")
+    assert main(["classify-plane", str(flat)]) == EXIT_MALFORMED
+    assert "rank 3 < 4" in capsys.readouterr().err
+
+
+def test_full_rank_skewed_frame_is_orthonormalized(tmp_path, capsys):
+    skew = tmp_path / "skew.txt"
+    skew.write_text(
+        "1 1 0 0 0 0 0 0\n0 1 0 0 0 0 0 0\n"
+        "0 0 1 0 0 0 0 0\n0 0 1 3 0 0 0 0\n")
+    out = tmp_path / "report.json"
+    code = main(["classify-plane", str(skew), "--json", str(out), "--quiet"])
+    assert code == EXIT_OK
+    capsys.readouterr()
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert by_name["input:orthonormality"]["details"]["action"] == "orthonormalized"
+    # the rows span the coordinate plane e1..e4
+    assert by_name["plane:calibration"]["details"]["is_cayley"] is True
+
+
 def test_classify_coordinate_complex_plane(tmp_path):
     frame = tmp_path / "c2.txt"
     frame.write_text(

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleykit._ratlinalg import rank as exact_rank
+from cayleykit.errors import BackendMismatch, PlaneError
 from cayleykit.exterior import (
     EXACT,
     FLOAT,
+    FOUR_FORM_INDEX,
     Multivector,
     Vector,
     apply_signed_permutation,
@@ -21,7 +23,8 @@ from cayleykit.exterior import (
     volume_form,
     wedge,
 )
-from cayleykit.graphs import OrientedPlane
+from cayleykit.graphs import OrientedPlane, random_complex_plane, random_plane
+from cayleykit.kahler import build_model
 from cayleykit.spin7 import (
     TWO_FORM_INDEX,
     decompose_two_form,
@@ -29,6 +32,7 @@ from cayleykit.spin7 import (
     is_cayley,
     lambda27_basis,
     phi0,
+    phi_from_kahler,
     pi7_projection_scalar,
     tau_eval,
     tau_norm,
@@ -205,3 +209,85 @@ def test_defect_norm_scale(phi_exact):
     frame = [Vector.basis(8, i, EXACT) for i in (1, 2, 3, 5)]
     t = tau_eval(phi_exact, *frame)
     assert tau_norm(t) == pytest.approx(1.0)
+
+
+# -- the defect table and the minor route of is_cayley -------------------------------
+
+PHASES = ((Fraction(1), Fraction(0)), (Fraction(3, 5), Fraction(4, 5)))
+
+
+def _tables_by_tau_eval(Phi):
+    """The 70 rows of the defect table, one tau_eval per basis frame."""
+    rows = []
+    for quad in FOUR_FORM_INDEX:
+        value = tau_eval(Phi, *[Vector.basis(8, i, Phi.backend) for i in quad])
+        rows.append(tuple(value.coeff(key) for key in TWO_FORM_INDEX))
+    return tuple(rows)
+
+
+def _forms(backend):
+    yield phi0(backend=backend)
+    for phase in PHASES:
+        yield phi_from_kahler(build_model(4, backend=backend, phase_pair=phase))
+
+
+def test_exact_defect_table_equals_tau_eval():
+    for Phi in _forms(EXACT):
+        assert Phi.defect_table() == _tables_by_tau_eval(Phi)
+        assert Phi.phi_row() == tuple(Phi.phi.coeff(q) for q in FOUR_FORM_INDEX)
+
+
+def test_float_defect_table_matches_tau_eval():
+    for Phi in _forms(FLOAT):
+        table = Phi.defect_table()
+        assert table.shape == (70, 28)
+        ref = np.array(_tables_by_tau_eval(Phi))
+        assert np.abs(table - ref).max() <= 1e-15
+
+
+def test_defect_table_is_cached():
+    Phi = phi0(backend=FLOAT)
+    assert Phi.defect_table() is Phi.defect_table()
+    assert Phi.phi_row() is Phi.phi_row()
+
+
+def test_is_cayley_matches_form_value_and_tau_eval(phi_cy_float, float_model):
+    rng = np.random.default_rng(21)
+    planes = [random_plane(8, 4, rng) if i % 2 else
+              random_complex_plane(float_model.J, 2, rng) for i in range(200)]
+    calibrated = 0
+    for plane in planes:
+        rows = list(plane.rows)
+        value = float(form_value(phi_cy_float.phi, rows))
+        norm = tau_norm(tau_eval(phi_cy_float, *rows))
+        verdict = is_cayley(phi_cy_float, plane)
+        assert verdict.is_cayley == (abs(value - 1.0) <= 1e-9 and norm <= 1e-7)
+        assert abs(verdict.phi_value - value) <= 1e-12
+        assert abs(verdict.tau_norm - norm) <= 1e-12
+        calibrated += verdict.is_cayley
+    assert calibrated == 100
+
+
+def test_is_cayley_is_exact_on_exact_forms(phi_cy_exact):
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    standard = OrientedPlane.from_rows(
+        [[int(i == j) for i in range(8)] for j in range(4)], backend=EXACT)
+    rotated = OrientedPlane.from_rows(
+        [[c, 0, s, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+         [-s, 0, c, 0, 0, 0, 0, 0], [0, 0, 0, c, s, 0, 0, 0]],
+        backend=EXACT)
+    for plane in (standard, rotated):
+        rows = list(plane.rows)
+        verdict = is_cayley(phi_cy_exact, plane)
+        assert verdict.phi_value == float(form_value(phi_cy_exact.phi, rows))
+        assert verdict.tau_norm == tau_norm(tau_eval(phi_cy_exact, *rows))
+    assert is_cayley(phi_cy_exact, standard).tau_norm == 0.0
+    assert is_cayley(phi_cy_exact, rotated).tau_norm > 0.1
+
+
+def test_is_cayley_rejects_mixed_frames(phi_exact):
+    rows = [Vector.basis(8, i, FLOAT) for i in (1, 2, 3, 4)]
+    with pytest.raises(BackendMismatch):
+        is_cayley(phi_exact, rows)
+    with pytest.raises(PlaneError):
+        is_cayley(phi_exact, rows[:3])
