@@ -1,9 +1,9 @@
 """Exact linear algebra over Fraction.
 
 Small dense routines used by the exact backend: reduced row echelon form,
-rank, nullspace, determinant and linear solve.  Matrices are lists of lists
-of Fraction (rows).  Nothing here is performance critical -- sizes are at
-most 28x28 -- so clarity wins over cleverness.
+rank and determinant.  Matrices are lists of lists of Fraction (rows).
+Nothing here is performance critical -- sizes are at most 28x28 -- so
+clarity wins over cleverness.
 """
 
 from fractions import Fraction
@@ -51,23 +51,6 @@ def rank(mat):
     return len(pivots)
 
 
-def nullspace(mat):
-    """Basis of the right nullspace, as a list of Fraction column vectors."""
-    rows, pivots = rref(mat)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def det(mat):
     """Determinant by fraction-free-ish Gaussian elimination."""
     rows = _as_fraction_rows(mat)
@@ -94,44 +77,3 @@ def det(mat):
                 f = rows[i][c] / pv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return sign * out
-
-
-def solve(mat, rhs):
-    """Solve A x = b exactly.  Raises ValueError if A is singular."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    rows, pivots = rref(aug)
-    if len(pivots) != n or any(p >= n for p in pivots):
-        raise ValueError("singular system")
-    return [rows[i][n] for i in range(n)]
-
-
-def matmul(a, b):
-    bn = len(b)
-    bm = len(b[0]) if bn else 0
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * bm
-        for k, x in enumerate(row):
-            if x != 0:
-                brow = b[k]
-                for j in range(bm):
-                    if brow[j] != 0:
-                        acc[j] += x * brow[j]
-        out.append(acc)
-    return out
-
-
-def matvec(a, v):
-    out = []
-    for row in a:
-        s = Fraction(0)
-        for x, y in zip(row, v):
-            if x != 0 and y != 0:
-                s += x * y
-        out.append(s)
-    return out
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]

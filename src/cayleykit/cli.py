@@ -32,6 +32,7 @@ from .errors import (
     InputFormatError,
     ValidationError,
 )
+from .frames import as_matrix, orthonormality_residual
 from .kahler import (
     TYPE_01,
     TypedVector,
@@ -751,12 +752,14 @@ def _read_matrix(path, backend):
             continue
         row = []
         for token in line.split():
+            # every entry must fit a float: the checks evaluate in floats
             try:
                 value = Fraction(token)
-            except (ValueError, ZeroDivisionError):
+                as_float = float(value)
+            except (ValueError, ZeroDivisionError, OverflowError):
                 raise CliInputError(
                     EXIT_MALFORMED, "bad number %r in %s" % (token, path))
-            row.append(value if backend == EXACT else float(value))
+            row.append(value if backend == EXACT else as_float)
         rows.append(row)
     if not rows:
         raise CliInputError(EXIT_MALFORMED, "no data rows in %s" % (path,))
@@ -766,15 +769,8 @@ def _read_matrix(path, backend):
     return rows
 
 
-def _orthonormality_residual(rows):
-    mat = np.array([[float(x) for x in r] for r in rows])
-    gram = mat @ mat.T
-    return float(np.max(np.abs(gram - np.eye(len(rows)))))
-
-
 def _orthonormalize(rows):
-    mat = np.array([[float(x) for x in r] for r in rows])
-    q, r = np.linalg.qr(mat.T)
+    q, r = np.linalg.qr(as_matrix(rows).T)
     flips = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q = q * flips[None, :]
     return [list(col) for col in q.T]
@@ -795,7 +791,7 @@ def classify_plane(path, cfg, reject=False):
             EXIT_MALFORMED,
             "frame rows have rank %d < %d and span no %d-plane" % (rank, k, k))
     checks = []
-    res = _orthonormality_residual(rows)
+    res = orthonormality_residual(rows)
     if res > cfg.tol and reject:
         raise CliInputError(
             EXIT_MALFORMED,
@@ -876,10 +872,7 @@ def _graph_report_checks(lam, tol):
                defect <= max(tol, 1e-8) * 10, residual=defect,
                tolerance=max(tol, 1e-8) * 10),
     ]
-    mat = np.array([[float(x) for x in v.comps] for v in frame])
-    q, r = np.linalg.qr(mat.T)
-    q = q * np.sign(np.diag(r))[None, :]
-    plane = OrientedPlane.from_rows([list(col) for col in q.T], backend=FLOAT)
+    plane = OrientedPlane.from_rows(_orthonormalize(frame), backend=FLOAT)
     verdict = is_cayley(Phi, plane)
     consistent = verdict.is_cayley == (max(eqs + quads) <= tol)
     checks.append(_check(

@@ -181,9 +181,6 @@ class Vector:
         return sum((a * b for a, b in zip(self.comps, other.comps)),
                    coerce_scalar(0, self.backend))
 
-    def norm_sq(self):
-        return self.dot(self)
-
     def to_float(self):
         if self.backend == FLOAT:
             return self
@@ -253,15 +250,6 @@ class Multivector:
 
     def grades(self):
         return sorted({len(k) for k in self.terms})
-
-    def grade(self):
-        """Grade of a homogeneous multivector; None when zero."""
-        gs = self.grades()
-        if not gs:
-            return None
-        if len(gs) > 1:
-            raise GradeError("multivector is not homogeneous: grades %s" % (gs,))
-        return gs[0]
 
     def coeff(self, indices):
         key, sign = sort_indices(tuple(indices))
@@ -335,41 +323,6 @@ class Multivector:
             name = "e%s" % ("".join(str(i) for i in k) or "0")
             bits.append("%s*%s" % (v, name))
         return "Multivector(n=%d, %s, %s)" % (self.n, self.backend, " + ".join(bits))
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_obj(self):
-        terms = []
-        for k in sorted(self.terms, key=lambda t: (len(t), t)):
-            v = self.terms[k]
-            coeff = str(v) if self.backend == EXACT else float(v)
-            terms.append({"indices": list(k), "coeff": coeff})
-        return {"n": self.n, "backend": self.backend, "terms": terms}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        try:
-            n = int(obj["n"])
-            backend = obj["backend"]
-            raw = obj["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError("malformed multivector payload") from exc
-        terms = {}
-        for t in raw:
-            try:
-                idx = tuple(int(i) for i in t["indices"])
-                coeff = t["coeff"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputFormatError("malformed multivector term %r" % (t,)) from exc
-            if list(idx) != sorted(set(idx)):
-                raise InputFormatError(
-                    "term indices %r are not strictly increasing" % (list(idx),)
-                )
-            prev = terms.get(idx)
-            if prev is not None:
-                raise InputFormatError("duplicate term indices %r" % (list(idx),))
-            terms[idx] = coeff
-        return cls(n, terms, backend)
 
 
 def volume_form(n, backend=EXACT):
@@ -794,10 +747,6 @@ def inner(a, b):
         raise GradeError("grade mismatch in inner: %s vs %s" % (ga, gb))
     zero = coerce_scalar(0, a.backend)
     return sum((v * b.terms[k] for k, v in a.terms.items() if k in b.terms), zero)
-
-
-def norm_sq(a):
-    return inner(a, a)
 
 
 def _det_float(rows):

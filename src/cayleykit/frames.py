@@ -29,17 +29,13 @@ def random_unitary(m, rng):
     return q * ph
 
 
-def orthonormality_residual(vectors):
-    """max |<v_i, v_j> - delta_ij| over a list of Vectors."""
-    worst = 0.0
-    for i, vi in enumerate(vectors):
-        for j, vj in enumerate(vectors):
-            g = float(vi.dot(vj))
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(g - target))
-    return worst
+def as_matrix(rows):
+    """Stack Vectors or rows of numbers into a (k, n) float numpy array."""
+    rows = [r.comps if isinstance(r, Vector) else r for r in rows]
+    return np.array([[float(c) for c in r] for r in rows])
 
 
-def as_matrix(vectors):
-    """Stack Vectors into a (k, n) float numpy array of rows."""
-    return np.array([[float(c) for c in v.comps] for v in vectors])
+def orthonormality_residual(rows):
+    """max |M M^T - I| over the frame rows M (Vectors or rows of numbers)."""
+    mat = as_matrix(rows)
+    return float(np.max(np.abs(mat @ mat.T - np.eye(len(mat)))))

@@ -58,7 +58,7 @@ from .kahler import (
     typed_vector,
     wedge_many,
 )
-from .spin7 import CayleyForm, phi0, tau_eval
+from .spin7 import phi0, tau_eval
 
 
 # -- oriented planes -------------------------------------------------------
@@ -112,10 +112,6 @@ class OrientedPlane:
         vecs = [r if isinstance(r, Vector) else Vector(r, backend) for r in rows]
         return cls(rows=tuple(vecs))
 
-    @classmethod
-    def from_matrix(cls, mat, backend=FLOAT):
-        return cls.from_rows([list(row) for row in mat], backend)
-
     def matrix(self):
         return as_matrix(self.rows)
 
@@ -130,15 +126,6 @@ class OrientedPlane:
 def random_plane(n, dim, rng):
     """A uniformly random oriented plane (float backend)."""
     return OrientedPlane(rows=tuple(haar_frame(n, dim, rng)))
-
-
-def orthonormalize_rows(rows):
-    """Gram-Schmidt a spanning list of float Vectors into an OrientedPlane."""
-    mat = as_matrix(rows)
-    q, r = np.linalg.qr(mat.T)
-    q = q * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
-    vecs = [Vector(q[:, j].tolist(), FLOAT) for j in range(mat.shape[0])]
-    return OrientedPlane(rows=tuple(vecs))
 
 
 def j_invariance_residual(J, plane):
@@ -517,13 +504,6 @@ def plane_from_angles(model, angles, rng):
 
 
 # -- complex-plane detection ----------------------------------------------
-
-
-def sigma_eval(model, vectors):
-    """Hook p+1 vectors into Re(Omega); vanishing over all frame subsets
-    characterizes complex planes (with an extra Im check when m = p+1)."""
-    acc = hook_many(list(vectors), model.Omega)
-    return acc.re
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .exterior import (
     as_complex_vector,
     coerce_scalar,
     hook,
-    musical_flat,
     wedge,
     wedge_many,
 )
@@ -89,10 +88,6 @@ class CalabiYauModel:
     @property
     def n(self):
         return 2 * self.m
-
-    @property
-    def phase(self):
-        return math.atan2(float(self.phase_sin), float(self.phase_cos))
 
     def phase_scalar(self):
         if self.backend == EXACT:
@@ -193,23 +188,6 @@ def verify_normalization(model):
     if model.backend == EXACT:
         return max(diff.re.max_abs(), diff.im.max_abs())
     return diff.max_abs()
-
-
-def type_project(J, v):
-    """Split a vector into its (1,0) and (0,1) parts.
-
-    Returns (TypedVector, TypedVector).  The (1,0) part is (v - i J v)/2.
-    """
-    cv = as_complex_vector(v)
-    i_unit = imag_unit(cv.backend)
-    jv = J.apply(cv)
-    half = Fraction(1, 2) if cv.backend == EXACT else 0.5
-    v10 = (cv - jv.scale(i_unit)).scale(half)
-    v01 = (cv + jv.scale(i_unit)).scale(half)
-    return (
-        TypedVector(vec=v10, vtype=TYPE_10),
-        TypedVector(vec=v01, vtype=TYPE_01),
-    )
 
 
 @dataclass(frozen=True)
@@ -335,59 +313,3 @@ def to_complex_frame(model, a):
         images[2 * k - 1] = (fz + fzb).scale(half)
         images[2 * k] = (fz - fzb).scale(half).scale(-i_unit)
     return _substitute(model, a, images)
-
-
-def from_complex_frame(model, a):
-    """Inverse of to_complex_frame."""
-    m = model.m
-    images = {}
-    for k in range(1, m + 1):
-        images[k] = dz_form(model, k)
-        images[m + k] = dzbar_form(model, k)
-    return _substitute(model, a, images)
-
-
-def bidegree_parts(model, a):
-    """Split a form into its (p,q) parts, keyed by (p, q), in real coords."""
-    cf = to_complex_frame(model, a)
-    m, n = model.m, model.n
-    buckets = {}
-    keys = set(cf.re.terms) | set(cf.im.terms)
-    for key in keys:
-        p = sum(1 for i in key if i <= m)
-        q = len(key) - p
-        re_t = cf.re.terms.get(key)
-        im_t = cf.im.terms.get(key)
-        b_re, b_im = buckets.setdefault((p, q), ({}, {}))
-        if re_t is not None:
-            b_re[key] = re_t
-        if im_t is not None:
-            b_im[key] = im_t
-    out = {}
-    for (p, q), (b_re, b_im) in buckets.items():
-        part = ComplexMultivector(
-            Multivector(n, b_re, model.backend),
-            Multivector(n, b_im, model.backend),
-        )
-        out[(p, q)] = from_complex_frame(model, part)
-    return out
-
-
-def bidegree_project(model, a, p, q):
-    """The (p,q) part of a form, in real coordinates."""
-    parts = bidegree_parts(model, a)
-    got = parts.get((p, q))
-    if got is None:
-        return ComplexMultivector(Multivector.zero(model.n, model.backend))
-    return got
-
-
-def bidegree_residual(model, a, p, q):
-    """How far a form is from being purely of type (p,q): max stray coeff."""
-    parts = bidegree_parts(model, a)
-    worst = 0.0
-    for key, val in parts.items():
-        if key == (p, q):
-            continue
-        worst = max(worst, float(val.max_abs()))
-    return worst

@@ -8,12 +8,12 @@ The distinguished four-form is
 Two-forms split into a 7-dimensional and a 21-dimensional piece.  Two
 independent routes to the splitting are provided and cross-checked:
 
-* ``pi7``       -- linear extension of the decomposable-pair formula
-                   (x^ ^ y^ + phi(x, y, . , .)) / 2; this is twice the
-                   orthogonal projection.
-* ``proj7``     -- spectral construction (T + 1)/4 from the self-adjoint
-                   map T(a) = *(phi ^ a), which has eigenvalue 3 on the
-                   small piece and -1 on the large one.
+* ``pi7_matrix``   -- linear extension of the decomposable-pair formula
+                    (x^ ^ y^ + phi(x, y, . , .)) / 2; this is twice the
+                    orthogonal projection.
+* ``proj7_matrix`` -- spectral construction (T + 1)/4 from the self-adjoint
+                    map T(a) = *(phi ^ a), which has eigenvalue 3 on the
+                    small piece and -1 on the large one.
 
 Keeping both routes separate is deliberate: their agreement (a fixed factor
 of two) is one of the verified claims, not an assumption.
@@ -229,14 +229,6 @@ def phi_from_kahler(model):
     half = Fraction(1, 2) if model.backend == EXACT else 0.5
     four = wedge(model.omega, model.omega).scale(half) + model.Omega.re
     return CayleyForm(four)
-
-
-def pi7(Phi, a):
-    return Phi.pi7_apply(a)
-
-
-def proj7(Phi, a):
-    return Phi.proj7_apply(a)
 
 
 def pi7_projection_scalar(Phi):

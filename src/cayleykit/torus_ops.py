@@ -723,34 +723,19 @@ def complex_linear_op(model):
 
 def holomorphic_kernel_match(model, tol=1e-8):
     """Largest deviation between the kernel projectors of the holomorphic half
-    of the complex-deformation operator and of dbar, mode by mode."""
-    m1, m2 = model.multipliers()
-    phase = model.phase_complex()
-    worst = 0.0
-    dbar_blocks = dbar_matrix(model).blocks
-    for mode in range(model.mode_count):
-        t1 = np.array(
-            [
-                [0.0, -2.0 * m2[mode] * phase],
-                [2.0 * m2[mode] * phase, 0.0],
-                [0.0, 2.0 * m1[mode] * phase],
-                [-2.0 * m1[mode] * phase, 0.0],
-            ]
-        )
-        p1 = _null_projector(t1, tol)
-        p2 = _null_projector(dbar_blocks[mode], tol)
-        worst = max(worst, float(np.linalg.norm(p1 - p2, 2)))
-    return worst
+    of the complex-deformation operator and of dbar, mode by mode.
 
-
-def _null_projector(block, tol):
-    u, s, vh = np.linalg.svd(block)
-    cutoff = tol * (s.max() if s.size else 0.0)
-    rank = int((s > cutoff).sum())
-    null_basis = vh[rank:].conj().T
-    if null_basis.shape[1] == 0:
-        return np.zeros((block.shape[1], block.shape[1]), complex)
-    return null_basis @ null_basis.conj().T
+    Both halves are (mode_count, 4, 2) block stacks; one batched SVD gives
+    every block's right singular vectors, and a block's null projector is
+    vh^H diag(dropped) vh with dropped the singular values at or below tol
+    times that block's largest."""
+    holo = complex_linear_op(model)[0].blocks[:, :4, :2]
+    blocks = np.concatenate([holo, dbar_matrix(model).blocks])
+    _, s, vh = np.linalg.svd(blocks, full_matrices=False)
+    dropped = s <= tol * s.max(axis=1, keepdims=True)
+    proj = np.einsum("mki,mk,mkj->mij", vh.conj(), dropped, vh)
+    diff = proj[:model.mode_count] - proj[model.mode_count:]
+    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
 
 
 # index calculators -----------------------------------------------------------

@@ -6,7 +6,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+import cayleykit
 from cayleykit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
@@ -121,6 +123,12 @@ def test_module_entry_point_loads_cli_once(tmp_path, cli_env):
     assert "found in sys.modules" not in proc.stderr
 
 
+def test_public_names_resolve():
+    # SuiteConfig and run_suite come through the lazy loader
+    for name in cayleykit.__all__:
+        assert getattr(cayleykit, name) is not None, name
+
+
 def test_unreadable_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert main(["classify-plane", str(missing)]) == EXIT_UNREADABLE
@@ -132,6 +140,29 @@ def test_malformed_number_exit_code(tmp_path, capsys):
     bad.write_text("1 0 zebra 0\n0 1 0 0\n")
     assert main(["classify-plane", str(bad)]) == EXIT_MALFORMED
     capsys.readouterr()
+
+
+_HUGE_FRAME = ("1e400 0 0 0 0 0 0 0\n0 1 0 0 0 0 0 0\n"
+               "0 0 1 0 0 0 0 0\n0 0 0 1 0 0 0 0\n")
+_HUGE_TILT = "1e400 0 0 0\n" + "0 0 0 0\n" * 3
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["classify-plane"], _HUGE_FRAME),
+    (["graph-verify"], _HUGE_TILT),
+    (["graph-verify", "--backend", "exact"], _HUGE_TILT),
+    (["graph-solve"], _HUGE_TILT),
+], ids=["classify-plane", "graph-verify", "graph-verify-exact", "graph-solve"])
+def test_overflowing_number_exit_code(tmp_path, cli_env, argv, text):
+    # an entry too large for a float is malformed input, not a crash
+    bad = tmp_path / "huge.txt"
+    bad.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleykit.cli", *argv, str(bad), "--quiet"],
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=120,
+        env=cli_env)
+    assert proc.returncode == EXIT_MALFORMED, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_ragged_rows_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Spectral model of the deformation operator on the flat four-torus."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -244,7 +245,20 @@ def test_complex_operator_kernels():
     sig = np.linalg.svd(joint, compute_uv=False)
     thresh = 1e-8 * sig.max()
     assert joint.shape[0] * 4 - int(np.sum(sig > thresh)) == 4
-    assert holomorphic_kernel_match(model) < 1e-12
+    assert holomorphic_kernel_match(model) == 0.0
+
+
+def test_kernel_match_reads_the_complex_operator(monkeypatch):
+    # with its holomorphic half zeroed the operator's kernel is everything,
+    # which the match must notice
+    def zeroed(model):
+        A0, A1 = complex_linear_op(model)
+        blocks = A0.blocks.copy()
+        blocks[:, :4, :2] = 0.0
+        return dataclasses.replace(A0, blocks=blocks), A1
+
+    monkeypatch.setattr(torus_ops, "complex_linear_op", zeroed)
+    assert holomorphic_kernel_match(TorusModel(1)) >= 0.5
 
 
 # -- sections and operators: validation ----------------------------------------------
