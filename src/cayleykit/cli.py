@@ -11,6 +11,7 @@ dedicated codes so scripts can tell a failed verification from a bad file.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -141,7 +142,9 @@ def _rng(cfg, salt):
 
 
 def _num(x):
-    """JSON-safe scalar: rationals as strings, numpy scalars unwrapped."""
+    """JSON-safe scalar: rationals as strings, numpy scalars unwrapped, and
+    non-finite floats as "inf", "-inf" or "nan" (strict JSON has no token
+    for them)."""
     if x is None:
         return None
     if isinstance(x, Fraction):
@@ -153,9 +156,10 @@ def _num(x):
     if isinstance(x, (int, np.integer)):
         return int(x)
     if isinstance(x, (float, np.floating)):
-        return float(x)
+        x = float(x)
+        return x if math.isfinite(x) else str(x)
     if isinstance(x, complex):
-        return {"re": float(x.real), "im": float(x.imag)}
+        return {"re": _num(x.real), "im": _num(x.imag)}
     if isinstance(x, (list, tuple)):
         return [_num(v) for v in x]
     if isinstance(x, dict):
@@ -721,11 +725,11 @@ def _assemble(kind, cfg, checks):
     config = {
         "suite": kind,
         "backend": cfg.backend,
-        "tol": cfg.tol,
+        "tol": _num(cfg.tol),
         "seed": cfg.seed,
         "samples": cfg.samples,
         "K": cfg.K,
-        "t_ladder": list(cfg.t_ladder),
+        "t_ladder": _num(list(cfg.t_ladder)),
     }
     return {
         "tool": "cayleykit",
@@ -966,7 +970,7 @@ def index_report(cfg, sign=None, euler=None, self_int=None,
 
 
 def _emit(report, json_path, quiet):
-    doc = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    doc = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if json_path:
         try:
             with open(json_path, "w", encoding="utf-8") as fh:

@@ -1,5 +1,7 @@
 """Random frames and small orthogonality utilities (float backend)."""
 
+import math
+
 import numpy as np
 
 from .errors import PlaneError
@@ -36,6 +38,9 @@ def as_matrix(rows):
 
 
 def orthonormality_residual(rows):
-    """max |M M^T - I| over the frame rows M (Vectors or rows of numbers)."""
+    """max |M M^T - I| over the frame rows M (Vectors or rows of numbers);
+    inf when a product of entries overflows (inf, or inf - inf = nan)."""
     mat = as_matrix(rows)
-    return float(np.max(np.abs(mat @ mat.T - np.eye(len(mat)))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(np.max(np.abs(mat @ mat.T - np.eye(len(mat)))))
+    return res if math.isfinite(res) else math.inf

@@ -18,11 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    BackendMismatch,
     ConvergenceError,
     DimensionMismatch,
     PlaneError,
@@ -515,8 +517,31 @@ class ComplexPlaneVerdict:
     m: int
 
 
+@lru_cache(maxsize=None)
+def _coordinate_minor_index(p, m):
+    """Index arrays gathering every (p+1)x(p+1) submatrix Z[S, K] of a
+    2p x m matrix, S running over the (p+1)-subsets of rows and K over the
+    (p+1)-subsets of columns: shapes (N, p+1, 1) and (N, 1, p+1)."""
+    rows = np.array(list(itertools.combinations(range(2 * p), p + 1)))
+    cols = np.array(list(itertools.combinations(range(m), p + 1)))
+    return (np.repeat(rows, len(cols), axis=0)[:, :, None],
+            np.tile(cols, (len(rows), 1))[:, None, :])
+
+
 def is_complex_plane(model, plane, tol=1e-9):
-    """Decide J-invariance via the holomorphic volume form contractions."""
+    """Decide J-invariance of a 2p-plane from the contractions v_S -| Omega.
+
+    Let Z = rows[:, 0::2] + i rows[:, 1::2] be the plane's 2p x m complex
+    coordinate matrix (z_k = x_{2k-1} + i x_{2k}).  For a set S of p+1 frame
+    rows, each real coefficient of v_S -| Omega is, up to sign, the real
+    part of w i^q for some q, where w = e^{i phase} det Z[S, K] is a phased
+    (p+1)x(p+1) minor.  When m > p+1 both parities of q occur, so
+    ``max_sigma`` is the largest of |Re w| and |Im w| over all minors; when
+    m = p+1 the contraction is the 0-form w itself, ``max_sigma`` is the
+    largest |Re w| and ``max_im`` the largest |Im w|.  Either way the plane
+    is J-complex iff every minor vanishes, i.e. iff rank_C Z = p.  All
+    minors come from one batched determinant, in floats on both backends.
+    """
     if plane.dim % 2 != 0:
         raise PlaneError("complex-plane test needs an even-dimensional plane")
     p = plane.dim // 2
@@ -530,19 +555,22 @@ def is_complex_plane(model, plane, tol=1e-9):
         return ComplexPlaneVerdict(
             is_complex=full, max_sigma=0.0, max_im=None, p=p, m=m
         )
-    worst = 0.0
-    worst_im = 0.0
-    check_im = (m == p + 1)
-    for subset in itertools.combinations(plane.rows, p + 1):
-        hooked = hook_many(list(subset), model.Omega)
-        worst = max(worst, float(hooked.re.max_abs()))
-        if check_im:
-            worst_im = max(worst_im, float(hooked.im.max_abs()))
-    ok = worst <= tol and (not check_im or worst_im <= tol)
+    if plane.backend != model.backend:
+        raise BackendMismatch(
+            "mixed backends: %r vs %r" % (plane.backend, model.backend))
+    rows = plane.matrix()
+    z = rows[:, 0::2] + 1j * rows[:, 1::2]
+    r, c = _coordinate_minor_index(p, m)
+    w = np.linalg.det(z[r, c]) * complex(float(model.phase_cos),
+                                         float(model.phase_sin))
+    worst = float(np.max(np.abs(w.real)))
+    worst_im = float(np.max(np.abs(w.imag)))
+    if m > p + 1:
+        worst, worst_im = max(worst, worst_im), None
     return ComplexPlaneVerdict(
-        is_complex=ok,
+        is_complex=worst <= tol and (worst_im is None or worst_im <= tol),
         max_sigma=worst,
-        max_im=worst_im if check_im else None,
+        max_im=worst_im,
         p=p,
         m=m,
     )

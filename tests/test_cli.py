@@ -111,6 +111,23 @@ def test_same_seed_gives_identical_reports(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _strict_json(text):
+    """Parse JSON, refusing the non-standard NaN/Infinity tokens."""
+    def refuse(token):
+        raise ValueError("non-standard JSON token %s" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_seeded_report_is_strict_json(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    main(["all", "--seed", "42", "--json", str(out), "--quiet"])
+    capsys.readouterr()
+    report = _strict_json(out.read_text())
+    by_name = {c["name"]: c for c in report["checks"]}
+    # the flat torus has no dropped singular value: an infinite gap
+    assert by_name["torus:spectral-gap"]["residual"] == "inf"
+
+
 def test_module_entry_point_loads_cli_once(tmp_path, cli_env):
     # runpy warns when the package import has already loaded cayleykit.cli,
     # which then executes a second time as __main__
@@ -224,6 +241,40 @@ def test_full_rank_skewed_frame_is_orthonormalized(tmp_path, capsys):
     assert by_name["input:orthonormality"]["details"]["action"] == "orthonormalized"
     # the rows span the coordinate plane e1..e4
     assert by_name["plane:calibration"]["details"]["is_cayley"] is True
+
+
+@pytest.mark.parametrize("rows", [
+    # same-sign entries: the Gram products overflow to inf
+    ["1e300 0 0 0 0 0 0 0", "0 1e300 0 0 0 0 0 0",
+     "0 0 1e300 0 0 0 0 0", "0 0 0 1e300 0 0 0 0"],
+    # mixed-sign rows: an off-diagonal Gram entry is inf + (-inf) = nan
+    ["1e300 1e300 0 0 0 0 0 0", "1e300 -1e300 0 0 0 0 0 0",
+     "0 0 0 0 1e300 1e300 0 0", "0 0 0 0 1e300 -1e300 0 0"],
+], ids=["same-sign", "mixed-sign"])
+def test_huge_entry_frame_is_orthonormalized_quietly(rows, tmp_path, cli_env):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleykit.cli", "classify-plane", str(huge),
+         "--json", str(out), "--quiet"],
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=120,
+        env=cli_env)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    by_name = {c["name"]: c for c in _strict_json(out.read_text())["checks"]}
+    ortho = by_name["input:orthonormality"]
+    assert (ortho["residual"], ortho["status"]) == ("inf", "warn")
+    assert ortho["details"]["action"] == "orthonormalized"
+    # both frames span complex coordinate planes
+    assert by_name["plane:complex"]["details"]["is_complex"] is True
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleykit.cli", "classify-plane", str(huge),
+         "--reject", "--quiet"],
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=120,
+        env=cli_env)
+    assert proc.returncode == EXIT_MALFORMED
+    assert "Warning" not in proc.stderr
 
 
 def test_classify_coordinate_complex_plane(tmp_path):

@@ -1,5 +1,6 @@
 """Plane classification, canonical angles, and graph deformations."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleykit.errors import (
+    BackendMismatch,
     PlaneError,
     TypeMismatch,
     ValidationError,
 )
-from cayleykit.exterior import EXACT, FLOAT, ExactComplex, Vector
+from cayleykit.exterior import EXACT, FLOAT, ExactComplex, Vector, hook_many
 from cayleykit.graphs import (
     ComplexGraphCoefficients,
     GraphCoefficients,
@@ -224,6 +226,63 @@ def test_full_space_counts_as_complex():
     whole = OrientedPlane.from_rows(np.eye(4).tolist(), backend=FLOAT)
     verdict = is_complex_plane(small, whole)
     assert verdict.is_complex
+
+
+def _hook_reference(model, plane):
+    """(max_sigma, max_im) by contracting every (p+1)-subset of frame rows
+    into Omega with interior products, one multivector at a time."""
+    p = plane.dim // 2
+    check_im = model.m == p + 1
+    worst = worst_im = 0.0
+    for subset in itertools.combinations(plane.rows, p + 1):
+        hooked = hook_many(list(subset), model.Omega)
+        worst = max(worst, float(hooked.re.max_abs()))
+        if check_im:
+            worst_im = max(worst_im, float(hooked.im.max_abs()))
+    return worst, (worst_im if check_im else None)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.7, np.pi / 2])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_minor_detector_matches_hook_contractions(m, phase):
+    model = build_model(m, phase=phase, backend=FLOAT)
+    rng = np.random.default_rng(100 * m + int(10 * phase))
+    for p in range(1, m):
+        planes = [random_plane(2 * m, 2 * p, rng) for _ in range(6)]
+        planes += [random_complex_plane(model.J, p, rng) for _ in range(3)]
+        for plane in planes:
+            verdict = is_complex_plane(model, plane)
+            sigma, im = _hook_reference(model, plane)
+            assert verdict.is_complex == (
+                sigma <= 1e-9 and (im is None or im <= 1e-9))
+            assert abs(verdict.max_sigma - sigma) <= 1e-14
+            if im is None:
+                assert verdict.max_im is None
+            else:
+                assert abs(verdict.max_im - im) <= 1e-14
+
+
+def test_detector_on_exact_model_and_exact_planes():
+    model = build_model(4, backend=EXACT,
+                        phase_pair=(Fraction(3, 5), Fraction(4, 5)))
+
+    def coordinate_plane(axes):
+        return OrientedPlane.from_rows(
+            [[int(j == i) for j in range(8)] for i in axes], backend=EXACT)
+
+    std = is_complex_plane(model, coordinate_plane((0, 1, 2, 3)))
+    assert (std.is_complex, std.max_sigma) == (True, 0.0)
+    special_lagrangian = is_complex_plane(model, coordinate_plane((0, 2, 4, 6)))
+    assert (special_lagrangian.is_complex, special_lagrangian.max_sigma) == (
+        False, 0.8)
+
+
+def test_detector_rejects_mixed_backends(float_model, exact_model):
+    rows = [[float(j == i) for j in range(8)] for i in range(4)]
+    with pytest.raises(BackendMismatch):
+        is_complex_plane(exact_model, OrientedPlane.from_rows(rows, backend=FLOAT))
+    with pytest.raises(BackendMismatch):
+        is_complex_plane(float_model, OrientedPlane.from_rows(rows, backend=EXACT))
 
 
 # -- the complex-graph linear system -------------------------------------------
