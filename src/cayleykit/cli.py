@@ -131,8 +131,10 @@ class SuiteConfig:
             raise ValidationError("unknown backend %r" % (self.backend,))
         if self.samples < 1:
             raise ValidationError("samples must be positive")
-        if not self.tol > 0.0:
-            raise ValidationError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValidationError("tol must be finite and positive")
+        if not all(0.0 < t < math.inf for t in self.t_ladder):
+            raise ValidationError("t-ladder rungs must be finite and positive")
         if self.K < 0:
             raise ValidationError("K must be nonnegative")
 

@@ -14,14 +14,19 @@ Two backends:
 The metric is Euclidean with orthonormal basis e_1..e_n and orientation
 e_1 ^ ... ^ e_n.  All operations return new objects; nothing mutates.
 
-The 4x4 minors of 4-frames in R^8 (``plucker_minors`` batched in numpy,
-``plucker_minors_exact`` on exact scalars) are the one kernel through which
-alternating 4-linear maps on R^8, such as the calibration value and the
-Cayley defect, are evaluated as tables over FOUR_FORM_INDEX.
+Alternating 4-linear maps on R^8, such as the calibration value and the
+Cayley defect, are tables over FOUR_FORM_INDEX, evaluated on a 4-frame as
+its 70 4x4 minors times the table.  On exact scalars the minors come from
+``plucker_minors_exact``.  On float and complex batches the one kernel is
+the fold: ``fold_table`` scatters a table into the Laplace expansion of the
+minors once, and ``four_form_values`` evaluates a batch of frames against
+it from their 2x2 pair minors, without forming the 70 minors;
+``plucker_minors`` is its identity-table case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -834,7 +839,8 @@ def form_value(a, vectors):
 # over the 6 ways to split those columns into two pairs, of the 2x2 minor of
 # rows 1, 2 on the first pair times the 2x2 minor of rows 3, 4 on the second.
 # The splits are listed by position in the same order for every subset, so
-# each split has one sign.
+# each split has one sign.  fold_table moves the table into this expansion,
+# so that the float kernel sums splits and subsets in one matrix product.
 
 FOUR_FORM_INDEX = tuple(itertools.combinations(range(1, 9), 4))
 
@@ -857,13 +863,40 @@ _LAPLACE_LO, _LAPLACE_HI, _LAPLACE_SIGN = np.array(_LAPLACE).transpose(2, 1, 0)
 _PAIR_I, _PAIR_J = np.array(_PAIRS).T
 
 
-def plucker_minors(frames):
-    """The 70 4x4 minors of a batch of 4-frames in R^8.
+def fold_table(table):
+    """Fold a (70, r) table into the Laplace expansion of the minors.
 
-    ``frames`` is a (P, 4, 8) float or complex array of frame rows.  Returns
-    a (P, 70) array whose column c is the minor on the columns of
-    FOUR_FORM_INDEX[c].  The 6 Laplace terms are summed into one (P, 70)
-    accumulator, so memory stays at a few (P, 70) arrays.
+    Column j of ``table`` is an alternating 4-linear map on R^8, one entry
+    per 4-subset of FOUR_FORM_INDEX.  Each minor is a signed sum over its 6
+    splits of a rows-(1, 2) pair minor l times a rows-(3, 4) pair minor h,
+    so the table becomes one matrix B with B[h, l * r + j] the signed entry
+    table[c, j] of the subset c split as (l, h); each (l, h) belongs to one
+    subset and one split.  Returns B as a read-only (28, 28 * r) array to
+    hand to four_form_values.
+    """
+    table = np.asarray(table)
+    if table.ndim != 2 or table.shape[0] != len(FOUR_FORM_INDEX):
+        raise DimensionMismatch(
+            "need a (70, r) table, got shape %s" % (table.shape,))
+    r = table.shape[1]
+    fold = np.zeros((len(_PAIRS), len(_PAIRS), r),
+                    np.result_type(table.dtype, np.float64))
+    for lo, hi, sign in zip(_LAPLACE_LO, _LAPLACE_HI, _LAPLACE_SIGN[:, 0]):
+        fold[hi, lo] = sign * table
+    fold = fold.reshape(len(_PAIRS), len(_PAIRS) * r)
+    fold.flags.writeable = False
+    return fold
+
+
+def four_form_values(frames, fold):
+    """A batch of 4-frames' 70 4x4 minors times a table, without the minors.
+
+    ``frames`` is a (P, 4, 8) float or complex array of frame rows and
+    ``fold`` is fold_table(table) for a (70, r) table.  Returns the (P, r)
+    array ``minors @ table``: the 28 pair minors of rows 1, 2 (``top``) and
+    of rows 3, 4 (``bottom``) are formed, ``bottom @ fold`` sums every split
+    of every subset at once, and ``top`` contracts the result.  Memory stays
+    at one (P, 28 * r) array.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3 or frames.shape[1:] != (4, 8):
@@ -873,15 +906,25 @@ def plucker_minors(frames):
            - frames[:, 0, _PAIR_J] * frames[:, 1, _PAIR_I])
     bottom = (frames[:, 2, _PAIR_I] * frames[:, 3, _PAIR_J]
               - frames[:, 2, _PAIR_J] * frames[:, 3, _PAIR_I])
-    out = np.zeros((frames.shape[0], len(FOUR_FORM_INDEX)), top.dtype)
-    term = np.empty_like(out)
-    for lo, hi, sign in zip(_LAPLACE_LO, _LAPLACE_HI, _LAPLACE_SIGN[:, 0]):
-        np.multiply(top[:, lo], bottom[:, hi], out=term)
-        if sign > 0:
-            out += term
-        else:
-            out -= term
-    return out
+    P = frames.shape[0]
+    return np.einsum("pl,plk->pk", top,
+                     (bottom @ fold).reshape(P, len(_PAIRS), -1))
+
+
+@functools.lru_cache(maxsize=1)
+def _identity_fold():
+    return fold_table(np.eye(len(FOUR_FORM_INDEX)))
+
+
+def plucker_minors(frames):
+    """The 70 4x4 minors of a batch of 4-frames in R^8.
+
+    ``frames`` is a (P, 4, 8) float or complex array of frame rows.  Returns
+    a (P, 70) array whose column c is the minor on the columns of
+    FOUR_FORM_INDEX[c]: four_form_values with the identity table.  Callers
+    that multiply the minors by a table fold the table instead.
+    """
+    return four_form_values(frames, _identity_fold())
 
 
 def _pair_minors_exact(x, y):

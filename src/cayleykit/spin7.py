@@ -36,12 +36,13 @@ from .exterior import (
     Multivector,
     Vector,
     coerce_scalar,
+    fold_table,
+    four_form_values,
     hodge_star,
     hook,
     hook_many,
     inner,
     musical_flat,
-    plucker_minors,
     plucker_minors_exact,
     wedge,
 )
@@ -81,6 +82,7 @@ class CayleyForm:
         self._proj7 = None
         self._phi_row = None
         self._defect = None
+        self._defect_fold = None
 
     @property
     def backend(self):
@@ -187,6 +189,15 @@ class CayleyForm:
                 rows.append(tuple(quarter * a for a in acc))
             self._defect = self._frozen(tuple(rows))
         return self._defect
+
+    def defect_fold(self):
+        """fold_table of [defect_table() | phi_row()] (70x29) for the float
+        kernel four_form_values: columns 0..27 of its result are tau,
+        column 28 is phi."""
+        if self._defect_fold is None:
+            self._defect_fold = fold_table(
+                np.column_stack([self.defect_table(), self.phi_row()]))
+        return self._defect_fold
 
     def _frozen(self, values):
         if self.backend == EXACT:
@@ -325,7 +336,8 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
 
     Both numbers come from the frame's 70 minors: times phi_row() for the
     value, times defect_table() for tau.  On the exact backend the sums are
-    exact and only the two results become floats."""
+    exact and only the two results become floats; on the float backend one
+    four_form_values call against defect_fold() gives both."""
     rows = list(getattr(plane, "rows", plane))
     if len(rows) != 4:
         raise PlaneError("need exactly 4 frame vectors, got %d" % (len(rows),))
@@ -337,8 +349,8 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
                 "mixed backends: %r vs %r" % (v.backend, Phi.backend))
         if v.n != 8:
             raise DimensionMismatch("frame vectors must live in R^8")
-    table = Phi.defect_table()
     if Phi.backend == EXACT:
+        table = Phi.defect_table()
         minors = plucker_minors_exact([v.comps for v in rows])
         live = [(c, m) for c, m in enumerate(minors) if m != 0]
         phi_row = Phi.phi_row()
@@ -347,10 +359,10 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
                for p in range(28)]
         val, tn = float(val), float(sum(t * t for t in tau)) ** 0.5
     else:
-        minors = plucker_minors(np.array([[v.comps for v in rows]]))[0]
-        val = float(minors @ Phi.phi_row())
-        tau = minors @ table
-        tn = float(tau @ tau) ** 0.5
+        values = four_form_values(
+            np.array([[v.comps for v in rows]]), Phi.defect_fold())[0]
+        tau = values[:28]
+        val, tn = float(values[28]), float(tau @ tau) ** 0.5
     return CayleyVerdict(
         is_cayley=abs(val - 1.0) <= tol_phi and tn <= tol_tau,
         phi_value=val,

@@ -15,10 +15,12 @@ artifacts.  The module provides:
   finite-difference slope checks of its linearization, and an exact
   pointwise certification that the linearization agrees with the assembled
   first-order operator.  All three evaluate the defect on a tangent frame
-  the same way: the frame's 70 4x4 minors (``exterior.plucker_minors`` on
-  float grids, ``plucker_minors_exact`` at exact points) times one (70, 4)
-  table, the Cayley form's defect table followed by the normal-valued
-  (0,1)-part, combined in exact arithmetic,
+  as the frame's 70 4x4 minors times one (70, 4) table, the Cayley form's
+  defect table followed by the normal-valued (0,1)-part, combined in exact
+  arithmetic.  At exact points the minors come from
+  ``plucker_minors_exact``; on float grids the one kernel is the fold
+  (``exterior.fold_table`` of the table, built once per phase, and
+  ``exterior.four_form_values``), which never forms the minors,
 * the two signed first-order operators characterizing infinitesimal complex
   deformations, and
 * integer index calculators from topological invariants and from Chern
@@ -37,7 +39,8 @@ from .exterior import (
     EXACT,
     ExactComplex,
     Multivector,
-    plucker_minors,
+    fold_table,
+    four_form_values,
     plucker_minors_exact,
 )
 from .kahler import build_model, to_complex_frame
@@ -445,9 +448,10 @@ def _defect_table_exact(phase_pair):
 
 
 @lru_cache(maxsize=8)
-def _defect_table_float(phase_pair):
-    return np.array([[c.as_complex() for c in row]
-                     for row in _defect_table_exact(phase_pair)])
+def _defect_fold(phase_pair):
+    """The exact defect table as complex floats, folded for four_form_values."""
+    return fold_table([[c.as_complex() for c in row]
+                       for row in _defect_table_exact(phase_pair)])
 
 
 def _displacement_coefficients(model, v1, w):
@@ -467,28 +471,43 @@ def _displacement_coefficients(model, v1, w):
     return out
 
 
+def _derivative_grids(model, v, grid=None):
+    """(G^4, 4, 8) grid samples of the displacement's derivatives.
+
+    Row j at a grid point is the derivative of the real-frame displacement
+    of the pair v along the j-th base coordinate, so the graph's tangent
+    frame there at scale t is eye(4, 8) + t times these rows."""
+    v1, w = v
+    disp = _displacement_coefficients(model, v1, w)  # (M, 4) complex basis
+    disp_real = disp @ _B_NORMAL  # (M, 8) real-frame components
+    G = int(grid) if grid is not None else 2 * model.K + 2
+    return np.stack(
+        [grid_values(model, disp_real, grid=G, derivative=j + 1) for j in range(4)],
+        axis=1,
+    )
+
+
+def _defect_on_grids(model, derivatives, t):
+    """The defect of the graph at scale t from its derivative grids."""
+    frames = t * derivatives
+    frames[:, np.arange(4), np.arange(4)] += 1.0
+    return four_form_values(frames, _defect_fold(model.phase_pair))
+
+
 def nonlinear_F(model, v, t=1.0, grid=None):
     """Grid samples of the geometric defect of the graphed deformation.
 
     v is a (v1, w) pair of Fourier sections (holomorphic normal field and
     normal-valued (0,2)-form).  The displacement t * (v1 + iso^{-1}(w)) is
-    graphed over the base torus; at each grid point the defect is the 70
-    4x4 minors of the graph's tangent frame (``plucker_minors``) times one
-    (70, 4) table: the Cayley form's defect table followed by the
-    normal-valued (0,1)-part, precombined exactly.  The result has shape
-    (G^4, 4), components ordered (1,3), (1,4), (2,3), (2,4); the map extends
-    the real geometric defect complex-multilinearly in the frame vectors."""
-    v1, w = v
-    table = _defect_table_float(model.phase_pair)
-    disp = _displacement_coefficients(model, v1, w)  # (M, 4) complex basis
-    disp_real = disp @ _B_NORMAL  # (M, 8) real-frame components
-    G = int(grid) if grid is not None else 2 * model.K + 2
-    P = G**4
-    frames = np.zeros((P, 4, 8), complex)
-    for j in range(4):
-        frames[:, j, j] = 1.0
-        frames[:, j, :] += t * grid_values(model, disp_real, grid=G, derivative=j + 1)
-    return plucker_minors(frames) @ table  # (P, 4)
+    graphed over the base torus; at each grid point the defect is the
+    graph's tangent frame evaluated against one (70, 4) table: the Cayley
+    form's defect table followed by the normal-valued (0,1)-part,
+    precombined exactly and folded once (``exterior.fold_table``), so one
+    ``four_form_values`` call gives every grid point without forming the
+    frames' 70 minors.  The result has shape (G^4, 4), components ordered
+    (1,3), (1,4), (2,3), (2,4); the map extends the real geometric defect
+    complex-multilinearly in the frame vectors."""
+    return _defect_on_grids(model, _derivative_grids(model, v, grid), t)
 
 
 def linear_image_grid(model, v, grid=None):
@@ -524,11 +543,16 @@ def fd_linearization_check(
     log ||F(t v) - t L v|| against log t over the ladder.  Quadratic
     remainders give slope 2; rungs below the residual floor are dropped as
     pure roundoff, and a sample with fewer than three surviving rungs is
-    flagged instead of fitted."""
+    flagged instead of fitted.  Each sample's derivative grids are built once
+    and every rung evaluates the same defect as ``nonlinear_F``; rungs run
+    one call at a time, since batching them makes the arrays outgrow the
+    caches."""
     if len(t_ladder) < 3 or any(
         t_ladder[i] <= t_ladder[i + 1] for i in range(len(t_ladder) - 1)
     ):
         raise ValidationError("t ladder must be strictly decreasing with >= 3 rungs")
+    if not all(0.0 < t < np.inf for t in t_ladder):
+        raise ValidationError("t ladder rungs must be finite and positive")
     rng = np.random.default_rng(seed)
     slopes = []
     flagged = []
@@ -539,10 +563,11 @@ def fd_linearization_check(
         v1 = random_section(model, "normal10", rng, scale)
         w = random_section(model, "two_form_normal", rng, scale)
         lin = linear_image_grid(model, (v1, w), grid=grid)
+        derivatives = _derivative_grids(model, (v1, w), grid)
         pts = lin.shape[0]
         residuals = []
         for t in t_ladder:
-            F = nonlinear_F(model, (v1, w), t=t, grid=grid)
+            F = _defect_on_grids(model, derivatives, t)
             r = float(np.sqrt(np.sum(np.abs(F - t * lin) ** 2) / pts))
             residuals.append(r)
         usable = [

@@ -390,6 +390,27 @@ def test_bad_ladder_values(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ladder", [
+    "inf,1e-2,1e-3", "1e-2,1e-3,0", "nan,1,0.5", "1e-2,1e-3,-1",
+])
+def test_non_finite_or_non_positive_ladder_exit_code(ladder, capsys):
+    # such rungs used to pass the slope check as roundoff, or crash in the fit
+    assert main(["torus", "--t-ladder", ladder, "--quiet"]) == EXIT_MALFORMED
+    assert "finite and positive" in capsys.readouterr().err
+
+
+def test_infinite_tol_exit_code(tmp_path, capsys):
+    # with tol inf every tolerance-gated check would pass, this frame's
+    # orthonormality included
+    huge = tmp_path / "huge.txt"
+    huge.write_text("".join(
+        " ".join("1e300" if i == j else "0" for i in range(8)) + "\n"
+        for j in range(4)))
+    argv = ["--tol", "inf", "classify-plane", str(huge), "--quiet"]
+    assert main(argv) == EXIT_MALFORMED
+    assert "finite and positive" in capsys.readouterr().err
+
+
 def test_global_flags_accepted_before_subcommand(capsys):
     assert main(["--seed", "9", "--quiet", "index"]) == EXIT_OK
     capsys.readouterr()
@@ -397,7 +418,9 @@ def test_global_flags_accepted_before_subcommand(capsys):
 
 def test_config_validation_rejects_bad_values():
     for kw in ({"suite": "bogus"}, {"tol": 0.0}, {"samples": 0},
-               {"K": -1}, {"backend": "decimal"}):
+               {"K": -1}, {"backend": "decimal"}, {"tol": float("inf")},
+               {"t_ladder": (float("inf"), 1e-2, 1e-3)},
+               {"t_ladder": (1e-2, 1e-3, 0.0)}):
         try:
             _cfg(**kw)
         except Exception:

@@ -1,5 +1,6 @@
 """Exact-backend algebra laws of the exterior calculus layer."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from cayleykit.exterior import (
     ExactComplex,
     Multivector,
     Vector,
+    fold_table,
+    four_form_values,
     hodge_star,
     hook,
     inner,
@@ -138,23 +141,26 @@ def test_zero_coefficients_are_not_stored():
 # -- the 4x4 minor kernel --------------------------------------------------------
 
 
-def _leibniz_det(rows):
-    """Determinant as the signed sum over all permutations, in the entries'
-    own arithmetic."""
-    n = len(rows)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = -1 if inversions % 2 else 1
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total + term
-    return total
-
-
 def _leibniz_minors(rows):
-    return [_leibniz_det([[r[i - 1] for i in quad] for r in rows])
-            for quad in FOUR_FORM_INDEX]
+    """The 70 4x4 minors as Leibniz sums, in the entries' own arithmetic.
+
+    The sum over permutations is grouped by the columns taken in the first
+    rows (cofactor expansion along rows 1, 2, 3), and each signed partial
+    sum over the last rows on a set of columns is computed once and shared
+    by every minor that contains those columns."""
+
+    @functools.lru_cache(maxsize=None)
+    def det(cols):
+        row = rows[len(rows) - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        total = 0
+        for k, c in enumerate(cols):
+            term = row[c] * det(cols[:k] + cols[k + 1:])
+            total = total - term if k % 2 else total + term
+        return total
+
+    return [det(tuple(i - 1 for i in quad)) for quad in FOUR_FORM_INDEX]
 
 
 def test_plucker_minors_match_numpy_det():
@@ -176,6 +182,42 @@ def test_plucker_minors_of_real_frames_are_real():
     cols = np.array(FOUR_FORM_INDEX) - 1
     ref = np.linalg.det(np.moveaxis(frames[:, :, cols], 2, 1))
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(axis=1, keepdims=True))
+
+
+def _det_minors(frames):
+    cols = np.array(FOUR_FORM_INDEX) - 1
+    return np.linalg.det(np.moveaxis(frames[:, :, cols], 2, 1))  # (P, 70)
+
+
+@pytest.mark.parametrize("r", [1, 4, 29])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_folded_table_matches_det_minors_times_table(r, kind):
+    rng = np.random.default_rng(100 + r)
+    frames = rng.standard_normal((64, 4, 8))
+    table = rng.standard_normal((70, r))
+    if kind == "complex":
+        frames = frames + 1j * rng.standard_normal((64, 4, 8))
+        table = table + 1j * rng.standard_normal((70, r))
+    minors = _det_minors(frames)
+    got = four_form_values(frames, fold_table(table))
+    assert got.shape == (64, r)
+    scale = np.abs(minors) @ np.abs(table)
+    assert np.all(np.abs(got - minors @ table) <= 1e-12 * scale)
+
+
+def test_folded_real_table_on_real_frames_is_real():
+    rng = np.random.default_rng(9)
+    frames = rng.standard_normal((5, 4, 8))
+    fold = fold_table(rng.standard_normal((70, 29)))
+    assert fold.shape == (28, 28 * 29) and not fold.flags.writeable
+    assert four_form_values(frames, fold).dtype == np.float64
+
+
+def test_fold_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatch):
+        fold_table(np.zeros((69, 4)))
+    with pytest.raises(DimensionMismatch):
+        fold_table(np.zeros(70))
 
 
 def test_plucker_minors_reject_bad_shapes():

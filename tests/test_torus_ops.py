@@ -226,6 +226,30 @@ def test_ladder_validation():
         fd_linearization_check(model, samples=2, t_ladder=(1e-2, 1e-2, 1e-3))
     with pytest.raises(ValidationError):
         fd_linearization_check(model, samples=2, t_ladder=(1e-2, 1e-3))
+    inf, nan = float("inf"), float("nan")
+    for ladder in ((inf, 1e-2, 1e-3), (1e-2, 1e-3, 0.0), (nan, 1.0, 0.5),
+                   (1e-2, 1e-3, -1.0)):
+        with pytest.raises(ValidationError):
+            fd_linearization_check(model, samples=2, t_ladder=ladder)
+
+
+def test_fd_slopes_match_nonlinear_F_per_rung():
+    # the check builds each sample's derivative grids once; recomputing every
+    # rung through nonlinear_F with the same draws gives the same slopes
+    model = TorusModel(1)
+    ladder = (1e-2, 3e-3, 1e-3, 3e-4)
+    rep = fd_linearization_check(model, samples=3, t_ladder=ladder, seed=11)
+    rng = np.random.default_rng(11)
+    for slope in rep.slopes:
+        v = _random_pair(model, rng)
+        lin = linear_image_grid(model, v)
+        residuals = [
+            np.sqrt(np.sum(np.abs(nonlinear_F(model, v, t=t) - t * lin) ** 2)
+                    / lin.shape[0])
+            for t in ladder
+        ]
+        assert min(residuals) > rep.residual_floor
+        assert slope == float(np.polyfit(np.log(ladder), np.log(residuals), 1)[0])
 
 
 def test_pointwise_linearization_certificate():
