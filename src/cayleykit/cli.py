@@ -29,7 +29,6 @@ from .exterior import (
 from ._ratlinalg import rank as exact_rank
 from .errors import (
     CayleykitError,
-    ConvergenceError,
     InputFormatError,
     ValidationError,
 )
@@ -49,8 +48,6 @@ from .spin7 import (
     phi0,
     phi_from_kahler,
     pi7_projection_scalar,
-    tau_eval,
-    tau_norm,
 )
 from .graphs import (
     ComplexGraphCoefficients,
@@ -452,14 +449,13 @@ def _suite_graphs(cfg):
         start = random_graph_coefficients(rng, radius=0.25)
         try:
             sol = solve_tau_system(start)
-        except (ConvergenceError, ValidationError):
+        except ValidationError:
             failures += 1
             continue
         solved += 1
         worst_quad = max(
             worst_quad, max(abs(float(q)) for q in residual_quadratics(sol)))
-        frame = graph_frame(sol)
-        worst_tau = max(worst_tau, tau_norm(tau_eval(Phif, *frame)))
+        worst_tau = max(worst_tau, is_cayley(Phif, graph_frame(sol)).tau_norm)
     checks.append(_check(
         "graph-system:newton-batch", "graph-defect:solutions-are-calibrated",
         failures == 0 and worst_quad < 1e-8 and worst_tau < 1e-8,
@@ -861,12 +857,22 @@ def _lambda_from_file(path, backend):
     return GraphCoefficients(rows, backend=backend)
 
 
+def _magnitude(x):
+    """|x| as a float; an exact value too large for a float is inf."""
+    try:
+        return abs(float(x))
+    except OverflowError:
+        return math.inf
+
+
 def _graph_report_checks(lam, tol):
     Phi = phi0(backend=FLOAT)
-    eqs = [abs(float(e)) for e in tau_system(lam)]
-    quads = [abs(float(q)) for q in residual_quadratics(lam)]
+    eqs = [_magnitude(e) for e in tau_system(lam)]
+    quads = [_magnitude(q) for q in residual_quadratics(lam)]
     frame = graph_frame(lam.to_float() if lam.backend == EXACT else lam)
-    defect = tau_norm(tau_eval(Phi, *frame))
+    # a frame past float range gives an inf or nan defect, which fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = is_cayley(Phi, frame).tau_norm
     checks = [
         _check("graph:system-residuals", "graph-defect:mixed-components",
                max(eqs) <= tol, residual=max(eqs), tolerance=tol,
@@ -906,10 +912,10 @@ def graph_solve(path, cfg):
     checks = []
     try:
         sol = solve_tau_system(start)
-    except (ConvergenceError, ValidationError) as exc:
+    except ValidationError as exc:
         checks.append(_check(
             "newton:converged", "graph-defect:solvability",
-            False, residual=getattr(exc, "residual", None), tolerance=1e-12,
+            False, residual=None, tolerance=1e-12,
             details={"error": str(exc)},
         ))
         return _assemble("graph-solve", cfg, checks)

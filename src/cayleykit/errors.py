@@ -40,19 +40,6 @@ class ValidationError(CayleykitError):
     non-unit phase pairs, bad coefficient shapes, ...)."""
 
 
-class ConvergenceError(CayleykitError):
-    """An iteration failed to reach its residual target.
-
-    Carries the final residual and iteration count so callers can report
-    how close the run got.
-    """
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
 class NonIntegralError(CayleykitError):
     """A quantity that must come out an integer (an index, a half-sum of
     topological terms) did not."""

@@ -20,13 +20,11 @@ its 70 4x4 minors times the table.  On exact scalars the minors come from
 ``plucker_minors_exact``.  On float and complex batches the one kernel is
 the fold: ``fold_table`` scatters a table into the Laplace expansion of the
 minors once, and ``four_form_values`` evaluates a batch of frames against
-it from their 2x2 pair minors, without forming the 70 minors;
-``plucker_minors`` is its identity-table case.
+it from their 2x2 pair minors, without forming the 70 minors.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 
@@ -909,22 +907,6 @@ def four_form_values(frames, fold):
     P = frames.shape[0]
     return np.einsum("pl,plk->pk", top,
                      (bottom @ fold).reshape(P, len(_PAIRS), -1))
-
-
-@functools.lru_cache(maxsize=1)
-def _identity_fold():
-    return fold_table(np.eye(len(FOUR_FORM_INDEX)))
-
-
-def plucker_minors(frames):
-    """The 70 4x4 minors of a batch of 4-frames in R^8.
-
-    ``frames`` is a (P, 4, 8) float or complex array of frame rows.  Returns
-    a (P, 70) array whose column c is the minor on the columns of
-    FOUR_FORM_INDEX[c]: four_form_values with the identity table.  Callers
-    that multiply the minors by a table fold the table instead.
-    """
-    return four_form_values(frames, _identity_fold())
 
 
 def _pair_minors_exact(x, y):

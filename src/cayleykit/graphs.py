@@ -16,6 +16,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import _ratlinalg
 from .errors import (
     BackendMismatch,
-    ConvergenceError,
     DimensionMismatch,
     PlaneError,
     TypeMismatch,
@@ -43,8 +44,8 @@ from .exterior import (
     hodge_star,
     hook,
     hook_many,
-    inner,
     musical_sharp,
+    plucker_minors_exact,
     wedge,
 )
 from .frames import as_matrix, haar_frame, orthonormality_residual, random_unitary
@@ -60,7 +61,7 @@ from .kahler import (
     typed_vector,
     wedge_many,
 )
-from .spin7 import phi0, tau_eval
+from .spin7 import TWO_FORM_INDEX, phi0
 
 
 # -- oriented planes -------------------------------------------------------
@@ -188,9 +189,8 @@ class GraphCoefficients:
         return self.entries[j - 1][i - 5]
 
     def norm(self):
-        return float(
-            sum(float(x) ** 2 for row in self.entries for x in row)
-        ) ** 0.5
+        """Frobenius norm as a float; inf when it overflows one."""
+        return math.hypot(*(float(x) for row in self.entries for x in row))
 
     def replace_first_row(self, row):
         new = (tuple(row),) + self.entries[1:]
@@ -223,7 +223,8 @@ def graph_frame(lam):
 
 
 def _det3(lam, rows, cols):
-    a = [[lam.entry(j, i) for i in cols] for j in rows]
+    e = lam.entries
+    a = [[e[j - 1][i - 5] for i in cols] for j in rows]
     return (
         a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
@@ -319,64 +320,77 @@ def seven_basis(Phi):
     return mixed, diagonal
 
 
-def tau_graph_components(lam, Phi=None):
-    """Components of the alternation of the graph frame in the adapted
-    orthonormal basis of the 7-piece: (mixed 4-tuple, diagonal 3-tuple)."""
-    if Phi is None:
-        Phi = phi0(lam.backend)
-    frame = graph_frame(lam)
-    val = tau_eval(Phi, *frame)
+@lru_cache(maxsize=None)
+def _component_table(backend):
+    """(70, 7) table of the seven adapted components of tau: row c holds the
+    inner products of defect_table() row c with the mixed then diagonal
+    seven_basis two-forms, in the backend's own arithmetic."""
+    Phi = phi0(backend)
     mixed, diagonal = seven_basis(Phi)
-    return (
-        tuple(inner(val, b) for b in mixed),
-        tuple(inner(val, b) for b in diagonal),
+    basis = [[b.coeff(pair) for pair in TWO_FORM_INDEX]
+             for b in mixed + diagonal]
+    zero = coerce_scalar(0, backend)
+    return tuple(
+        tuple(sum((t * w for t, w in zip(row, vec) if w != 0), zero)
+              for vec in basis)
+        for row in Phi.defect_table()
     )
 
 
-def solve_tau_system(lam0, max_iter=50, tol=1e-12, radius=0.3):
-    """Newton-solve the four graph equations in the first-row unknowns.
+def tau_graph_components(lam):
+    """The seven components of tau on the graph frame of ``lam`` in the
+    adapted orthonormal basis of the 7-piece (seven_basis): returns (mixed
+    4-tuple, diagonal 3-tuple) in the coefficients' own arithmetic.
 
-    The system is affine in (lam^1_5..lam^1_8), so a unit-step finite
-    difference Jacobian is exact and convergence is essentially one step;
-    the loop re-evaluates the Jacobian anyway and guards with
-    ConvergenceError.
+    The frame's 70 minors (plucker_minors_exact) times a (70, 7) table,
+    the defect table contracted with the basis once per backend; exact
+    input gives exact components.  tau_eval is the reference the tests
+    hold this against."""
+    table = _component_table(lam.backend)
+    minors = plucker_minors_exact([v.comps for v in graph_frame(lam)])
+    live = [(c, m) for c, m in enumerate(minors) if m != 0]
+    zero = coerce_scalar(0, lam.backend)
+    comps = [sum((m * table[c][k] for c, m in live), zero) for k in range(7)]
+    return tuple(comps[:4]), tuple(comps[4:])
+
+
+_SOLVE_RADIUS = 0.3
+
+
+def solve_tau_system(lam0):
+    """Solve the four graph equations for the first row of the tilt, rows
+    2-4 held fixed, in the input's own arithmetic.
+
+    Every cubic minor of tau_system has at most one factor from row 1, so
+    the equations are affine in x = (lam^1_5..lam^1_8): tau_system = A x + b
+    with b the value at x = 0 and column c of A the value at x = e_c minus
+    b.  One linear solve gives the solution: Fractions on the exact backend
+    (rref of [A | -b]), np.linalg.solve on the float one.  The start must
+    lie in the Frobenius ball of radius 0.3, else ValidationError.  There
+    A = I + E, each entry of E a sum of at most three 2x2 minors of rows
+    2-4, each at most 0.3**2 / 2 = 0.045 in size, so ||E||_F <= 4 * 3 *
+    0.045 < 1 and A is invertible.
     """
-    lam = lam0.to_float()
-    if lam.norm() > radius:
-        raise ValidationError(
-            "starting coefficients have norm %.4f > %.2f" % (lam.norm(), radius)
-        )
-    for it in range(1, max_iter + 1):
-        res = np.array([float(x) for x in tau_system(lam)])
-        if float(np.max(np.abs(res))) < tol:
-            return lam
-        jac = np.empty((4, 4))
-        row = [float(x) for x in lam.entries[0]]
-        for c in range(4):
-            bumped = list(row)
-            bumped[c] += 1.0
-            shifted = lam.replace_first_row(bumped)
-            jac[:, c] = np.array(
-                [float(x) for x in tau_system(shifted)]
-            ) - res
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                "singular Jacobian at iteration %d" % (it,),
-                residual=float(np.max(np.abs(res))),
-                iterations=it,
-            ) from exc
-        lam = lam.replace_first_row([row[c] + step[c] for c in range(4)])
-    res = np.array([float(x) for x in tau_system(lam)])
-    final = float(np.max(np.abs(res)))
-    if final < tol:
-        return lam
-    raise ConvergenceError(
-        "no convergence after %d iterations" % (max_iter,),
-        residual=final,
-        iterations=max_iter,
-    )
+    norm = lam0.norm()
+    if not norm <= _SOLVE_RADIUS:
+        raise ValidationError("starting coefficients have norm %.4g > %.2f"
+                              % (norm, _SOLVE_RADIUS))
+    backend = lam0.backend
+    zero, one = coerce_scalar(0, backend), coerce_scalar(1, backend)
+    b = tau_system(lam0.replace_first_row([zero] * 4))
+    at_units = [
+        tau_system(lam0.replace_first_row([one if k == c else zero
+                                           for k in range(4)]))
+        for c in range(4)
+    ]
+    # row r of the augmented system [A | -b]
+    system = [[v[r] - b[r] for v in at_units] + [-b[r]] for r in range(4)]
+    if backend == EXACT:
+        x = [row[4] for row in _ratlinalg.rref(system)[0]]
+    else:
+        system = np.array(system)
+        x = np.linalg.solve(system[:, :4], system[:, 4]).tolist()
+    return lam0.replace_first_row(x)
 
 
 # -- canonical angles ------------------------------------------------------

@@ -182,6 +182,36 @@ def test_overflowing_number_exit_code(tmp_path, cli_env, argv, text):
     assert "Traceback" not in proc.stderr
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError("non-strict JSON token %s" % (token,))
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, text, failing, residual", [
+    (["graph-solve"], "1e200 0 0 0\n" + "0 0 0 0\n" * 3,
+     "newton:converged", None),
+    (["--backend", "exact", "graph-verify"],
+     "1e300 1e300 0 0\n0 1e300 1e300 0\n0 0 1e300 0\n0 0 0 0\n",
+     "graph:system-residuals", "inf"),
+], ids=["graph-solve", "graph-verify-exact"])
+def test_overflowing_tilt_fails_a_check(tmp_path, cli_env, argv, text,
+                                        failing, residual):
+    # every entry fits a float, but the norm or the cubic residuals do not:
+    # a failed check in a strict JSON report, not a crash
+    tilt = tmp_path / "tilt.txt"
+    tilt.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleykit.cli", *argv, str(tilt)],
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=120,
+        env=cli_env)
+    assert proc.returncode == EXIT_CHECK_FAILED, proc.stderr
+    assert "Traceback" not in proc.stderr
+    by_name = {c["name"]: c for c in _strict_json(proc.stdout)["checks"]}
+    assert by_name[failing]["status"] == "fail"
+    assert by_name[failing]["residual"] == residual
+
+
 def test_ragged_rows_exit_code(tmp_path, capsys):
     bad = tmp_path / "ragged.txt"
     bad.write_text("1 0 0 0\n0 1 0\n")

@@ -23,7 +23,6 @@ from cayleykit.exterior import (
     inner,
     musical_flat,
     musical_sharp,
-    plucker_minors,
     plucker_minors_exact,
     volume_form,
     wedge,
@@ -163,27 +162,6 @@ def _leibniz_minors(rows):
     return [det(tuple(i - 1 for i in quad)) for quad in FOUR_FORM_INDEX]
 
 
-def test_plucker_minors_match_numpy_det():
-    rng = np.random.default_rng(7)
-    frames = rng.standard_normal((200, 4, 8)) + 1j * rng.standard_normal((200, 4, 8))
-    cols = np.array(FOUR_FORM_INDEX) - 1
-    ref = np.linalg.det(np.moveaxis(frames[:, :, cols], 2, 1))  # (P, 70)
-    got = plucker_minors(frames)
-    assert got.shape == (200, 70)
-    scale = np.abs(ref).max(axis=1, keepdims=True)
-    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
-
-
-def test_plucker_minors_of_real_frames_are_real():
-    rng = np.random.default_rng(8)
-    frames = rng.standard_normal((5, 4, 8))
-    got = plucker_minors(frames)
-    assert got.dtype == np.float64
-    cols = np.array(FOUR_FORM_INDEX) - 1
-    ref = np.linalg.det(np.moveaxis(frames[:, :, cols], 2, 1))
-    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(axis=1, keepdims=True))
-
-
 def _det_minors(frames):
     cols = np.array(FOUR_FORM_INDEX) - 1
     return np.linalg.det(np.moveaxis(frames[:, :, cols], 2, 1))  # (P, 70)
@@ -222,7 +200,7 @@ def test_fold_rejects_bad_shapes():
 
 def test_plucker_minors_reject_bad_shapes():
     with pytest.raises(DimensionMismatch):
-        plucker_minors(np.zeros((3, 4, 7)))
+        four_form_values(np.zeros((3, 4, 7)), fold_table(np.zeros((70, 1))))
     with pytest.raises(DimensionMismatch):
         plucker_minors_exact([[0] * 8] * 3)
 

@@ -14,7 +14,8 @@ from cayleykit.errors import (
     TypeMismatch,
     ValidationError,
 )
-from cayleykit.exterior import EXACT, FLOAT, ExactComplex, Vector, hook_many
+from cayleykit.exterior import (
+    EXACT, FLOAT, ExactComplex, Vector, hook_many, inner)
 from cayleykit.graphs import (
     ComplexGraphCoefficients,
     GraphCoefficients,
@@ -33,6 +34,7 @@ from cayleykit.graphs import (
     random_graph_coefficients,
     random_plane,
     residual_quadratics,
+    seven_basis,
     solve_complex_graph_linear,
     solve_tau_system,
     tau_graph_components,
@@ -49,6 +51,23 @@ from cayleykit.kahler import (
 from cayleykit.spin7 import is_cayley, phi0, tau_eval, tau_norm
 
 rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+# each entry is at most 3/40 = 0.075, so 16 of them lie in the 0.3 ball
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(40, 80))
+
+
+def _exact_tilt(flat):
+    return GraphCoefficients(
+        [flat[4 * j:4 * j + 4] for j in range(4)], backend=EXACT)
+
+
+def _components_by_tau_eval(lam):
+    """The seven components as inner products of tau_eval on the graph
+    frame with the adapted basis: the reference route."""
+    Phi = phi0(lam.backend)
+    value = tau_eval(Phi, *graph_frame(lam))
+    mixed, diagonal = seven_basis(Phi)
+    return (tuple(inner(value, b) for b in mixed),
+            tuple(inner(value, b) for b in diagonal))
 
 
 # -- the seven-component identity -------------------------------------------
@@ -57,9 +76,7 @@ rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 @given(st.lists(rationals, min_size=16, max_size=16))
 @settings(max_examples=30, deadline=None)
 def test_system_matches_defect_components(flat):
-    lam = GraphCoefficients(
-        [flat[4 * j:4 * j + 4] for j in range(4)], backend=EXACT
-    )
+    lam = _exact_tilt(flat)
     mixed, diagonal = tau_graph_components(lam)
     for got, want in zip(tau_system(lam), mixed):
         assert got == want
@@ -70,9 +87,7 @@ def test_system_matches_defect_components(flat):
 @given(st.lists(rationals, min_size=16, max_size=16))
 @settings(max_examples=20, deadline=None)
 def test_seven_zeros_iff_graph_calibrated(flat):
-    lam = GraphCoefficients(
-        [flat[4 * j:4 * j + 4] for j in range(4)], backend=EXACT
-    )
+    lam = _exact_tilt(flat)
     Phi = phi0(backend=EXACT)
     defect = tau_eval(Phi, *graph_frame(lam))
     all_zero = all(e == 0 for e in tau_system(lam)) and all(
@@ -81,13 +96,40 @@ def test_seven_zeros_iff_graph_calibrated(flat):
     assert all_zero == (defect.max_abs() == 0)
 
 
+@given(st.lists(rationals, min_size=16, max_size=16))
+@settings(max_examples=20, deadline=None)
+def test_components_match_tau_eval_route_exactly(flat):
+    lam = _exact_tilt(flat)
+    assert tau_graph_components(lam) == _components_by_tau_eval(lam)
+
+
+def test_components_match_tau_eval_route_in_floats():
+    lam = random_graph_coefficients(np.random.default_rng(11), radius=0.25)
+    got = tau_graph_components(lam)
+    want = _components_by_tau_eval(lam)
+    for g, w in zip(got[0] + got[1], want[0] + want[1]):
+        assert abs(g - w) <= 1e-15
+
+
 def test_zero_tilt_is_a_solution():
     lam = GraphCoefficients([[0] * 4] * 4, backend=EXACT)
     assert all(e == 0 for e in tau_system(lam))
     assert all(q == 0 for q in residual_quadratics(lam))
 
 
-# -- Newton continuation ------------------------------------------------------
+# -- solving the graph equations ----------------------------------------------
+
+
+@given(st.lists(small_rationals, min_size=16, max_size=16))
+@settings(max_examples=30, deadline=None)
+def test_exact_solve_gives_exact_zeros(flat):
+    sol = solve_tau_system(_exact_tilt(flat))
+    assert all(isinstance(x, Fraction) for row in sol.entries for x in row)
+    assert sol.entries[1:] == _exact_tilt(flat).entries[1:]
+    assert all(e == 0 for e in tau_system(sol))
+    assert all(q == 0 for q in residual_quadratics(sol))
+    mixed, diagonal = tau_graph_components(sol)
+    assert all(c == 0 for c in mixed + diagonal)
 
 
 def test_newton_battery():
