@@ -1006,18 +1006,6 @@ def _parse_ladder(text):
     return rungs
 
 
-_GLOBAL_DEFAULTS = {
-    "backend": FLOAT,
-    "tol": 1e-9,
-    "seed": 0,
-    "samples": 200,
-    "json_path": None,
-    "quiet": False,
-    "K": 2,
-    "t_ladder": None,
-}
-
-
 def _add_common(parser):
     sup = argparse.SUPPRESS
     parser.add_argument("--backend", choices=(EXACT, FLOAT), default=sup)
@@ -1083,22 +1071,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    opts = dict(_GLOBAL_DEFAULTS)
-    opts.update({k: v for k, v in vars(args).items()
-                 if k in _GLOBAL_DEFAULTS})
-    ladder = opts["t_ladder"]
+    # options left out are absent from args, so SuiteConfig supplies them
+    fields = {f.name for f in dataclasses.fields(SuiteConfig)}
+    opts = {k: v for k, v in vars(args).items() if k in fields}
     try:
-        cfg = SuiteConfig(
-            suite="all",
-            backend=opts["backend"],
-            tol=opts["tol"],
-            seed=opts["seed"],
-            samples=opts["samples"],
-            K=opts["K"],
-            t_ladder=_parse_ladder(ladder) if ladder else _DEFAULT_LADDER,
-            json_path=opts["json_path"],
-            quiet=opts["quiet"],
-        )
+        if "t_ladder" in opts:
+            opts["t_ladder"] = _parse_ladder(opts["t_ladder"])
+        cfg = SuiteConfig(**opts)
         command = args.command
         if command == "verify-structure":
             report = run_suite(dataclasses.replace(cfg, suite="structure"))

@@ -14,13 +14,14 @@ artifacts.  The module provides:
 * a geometric evaluation of the nonlinear defect of a graphed deformation,
   finite-difference slope checks of its linearization, and an exact
   pointwise certification that the linearization agrees with the assembled
-  first-order operator.  All three evaluate the defect on a tangent frame
-  as the frame's 70 4x4 minors times one (70, 4) table, the Cayley form's
-  defect table followed by the normal-valued (0,1)-part, combined in exact
-  arithmetic.  At exact points the minors come from
-  ``plucker_minors_exact``; on float grids the one kernel is the fold
-  (``exterior.fold_table`` of the table, built once per phase, and
-  ``exterior.four_form_values``), which never forms the minors,
+  first-order operator.  All three read one exact (70, 4) table, the Cayley
+  form's defect table followed by the normal-valued (0,1)-part, whose value
+  on a tangent frame is the frame's 70 4x4 minors times the table.  On
+  float grids the one kernel is the fold (``exterior.fold_table`` of the
+  table, built once per phase, and ``exterior.four_form_values``), which
+  never forms the minors; the certificate needs no minors at all, since a
+  frame tilted in one row has only the degree-one minors besides the base
+  one, so it reads the derivative off the table's degree-one rows,
 * the two signed first-order operators characterizing infinitesimal complex
   deformations, and
 * integer index calculators from topological invariants and from Chern
@@ -38,10 +39,10 @@ from .errors import NonIntegralError, ValidationError
 from .exterior import (
     EXACT,
     ExactComplex,
+    FOUR_FORM_INDEX,
     Multivector,
     fold_table,
     four_form_values,
-    plucker_minors_exact,
 )
 from .kahler import build_model, to_complex_frame
 from .spin7 import TWO_FORM_INDEX, phi_from_kahler
@@ -402,24 +403,22 @@ def grid_values(model, coefficients, grid=None, derivative=None):
 
 # geometric defect evaluation --------------------------------------------------
 
-# complex normal basis vectors written in the real frame of C^4 = R^8,
-# rows: d/dz3, d/dz4, d/dzbar3, d/dzbar4
-_B_NORMAL = np.array(
-    [
-        [0, 0, 0, 0, 0.5, -0.5j, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0.5, -0.5j],
-        [0, 0, 0, 0, 0.5, 0.5j, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0.5, 0.5j],
-    ],
-    dtype=complex,
+# complex normal basis vectors d/dz3, d/dz4, d/dzbar3, d/dzbar4 (rows), exact
+# components on the normal axes 5..8 (columns) of C^4 = R^8
+_HALF = Fraction(1, 2)
+_RE, _IM, _NIL = ExactComplex(_HALF, 0), ExactComplex(0, _HALF), ExactComplex(0, 0)
+_NORMAL_BASIS = (
+    (_RE, -_IM, _NIL, _NIL),
+    (_NIL, _NIL, _RE, -_IM),
+    (_RE, _IM, _NIL, _NIL),
+    (_NIL, _NIL, _RE, _IM),
 )
+# the same basis as complex floats in the full real frame
+_B_NORMAL = np.hstack([np.zeros((4, 4)),
+                       [[c.as_complex() for c in row] for row in _NORMAL_BASIS]])
 
 # components of a normal-valued (0,1)-form: conj(dz_b) (x) d/dz_a for (b, a)
 _ONE_FORM_ROWS = ((1, 3), (1, 4), (2, 3), (2, 4))
-
-
-def _exact_zero():
-    return ExactComplex(0, 0)
 
 
 @lru_cache(maxsize=8)
@@ -441,7 +440,7 @@ def _defect_table_exact(phase_pair):
                 psi[row].append((col, val))
     return tuple(
         tuple(sum((val * tau_row[col] for col, val in terms if tau_row[col] != 0),
-                  _exact_zero())
+                  _NIL)
               for terms in psi)
         for tau_row in phi_from_kahler(model).defect_table()
     )
@@ -471,8 +470,8 @@ def _displacement_coefficients(model, v1, w):
     return out
 
 
-def _derivative_grids(model, v, grid=None):
-    """(G^4, 4, 8) grid samples of the displacement's derivatives.
+def _derivative_grids(model, v):
+    """(G^4, 4, 8) samples of the displacement's derivatives, G = 2K + 2.
 
     Row j at a grid point is the derivative of the real-frame displacement
     of the pair v along the j-th base coordinate, so the graph's tangent
@@ -480,9 +479,8 @@ def _derivative_grids(model, v, grid=None):
     v1, w = v
     disp = _displacement_coefficients(model, v1, w)  # (M, 4) complex basis
     disp_real = disp @ _B_NORMAL  # (M, 8) real-frame components
-    G = int(grid) if grid is not None else 2 * model.K + 2
     return np.stack(
-        [grid_values(model, disp_real, grid=G, derivative=j + 1) for j in range(4)],
+        [grid_values(model, disp_real, derivative=j + 1) for j in range(4)],
         axis=1,
     )
 
@@ -494,7 +492,7 @@ def _defect_on_grids(model, derivatives, t):
     return four_form_values(frames, _defect_fold(model.phase_pair))
 
 
-def nonlinear_F(model, v, t=1.0, grid=None):
+def nonlinear_F(model, v, t=1.0):
     """Grid samples of the geometric defect of the graphed deformation.
 
     v is a (v1, w) pair of Fourier sections (holomorphic normal field and
@@ -504,17 +502,18 @@ def nonlinear_F(model, v, t=1.0, grid=None):
     form's defect table followed by the normal-valued (0,1)-part,
     precombined exactly and folded once (``exterior.fold_table``), so one
     ``four_form_values`` call gives every grid point without forming the
-    frames' 70 minors.  The result has shape (G^4, 4), components ordered
+    frames' 70 minors.  The result has shape (G^4, 4) on the grid
+    G = 2K + 2 of ``grid_values``, components ordered
     (1,3), (1,4), (2,3), (2,4); the map extends the real geometric defect
     complex-multilinearly in the frame vectors."""
-    return _defect_on_grids(model, _derivative_grids(model, v, grid), t)
+    return _defect_on_grids(model, _derivative_grids(model, v), t)
 
 
-def linear_image_grid(model, v, grid=None):
+def linear_image_grid(model, v):
     """Grid samples of the first-order operator applied to the pair v."""
     v1, w = v
     image = dbar_matrix(model).apply(v1).coefficients + dbar_star_matrix(model).apply(w).coefficients
-    return grid_values(model, image, grid=grid)
+    return grid_values(model, image)
 
 
 @dataclass(frozen=True)
@@ -532,7 +531,6 @@ def fd_linearization_check(
     samples=50,
     t_ladder=(1e-2, 3e-3, 1e-3, 3e-4),
     seed=0,
-    grid=None,
     band=(1.9, 2.1),
     residual_floor=1e-13,
     scale=1.0,
@@ -562,8 +560,8 @@ def fd_linearization_check(
     for _ in range(samples):
         v1 = random_section(model, "normal10", rng, scale)
         w = random_section(model, "two_form_normal", rng, scale)
-        lin = linear_image_grid(model, (v1, w), grid=grid)
-        derivatives = _derivative_grids(model, (v1, w), grid)
+        lin = linear_image_grid(model, (v1, w))
+        derivatives = _derivative_grids(model, (v1, w))
         pts = lin.shape[0]
         residuals = []
         for t in t_ladder:
@@ -602,106 +600,56 @@ def fd_linearization_check(
 # exact pointwise certification of the linearization ---------------------------
 
 
-def _exact_defect_point(phase_pair, frame_rows):
-    """Exact pointwise defect of a complex 4-frame (rows of ExactComplex)."""
-    out = [_exact_zero() for _ in _ONE_FORM_ROWS]
-    for minor, row in zip(plucker_minors_exact(frame_rows),
-                          _defect_table_exact(phase_pair)):
-        if minor != 0:
-            out = [acc + minor * val for acc, val in zip(out, row)]
-    return out
+_BASE_AXES = (1, 2, 3, 4)
 
 
-# exact one-forms dz_a and conj(dz_a) on complex 8-vectors stored as
-# ExactComplex components in the real frame
-def _dz(a, vec):
-    i = 2 * a - 2
-    return vec[i] + vec[i + 1] * ExactComplex(0, 1)
-
-
-def _dzbar(a, vec):
-    i = 2 * a - 2
-    return vec[i] - vec[i + 1] * ExactComplex(0, 1)
-
-
-def _exact_basis_frame():
-    rows = []
-    for j in range(4):
-        row = [_exact_zero() for _ in range(8)]
-        row[j] = ExactComplex(1, 0)
-        rows.append(row)
-    return rows
-
-
-# exact complex normal basis vectors in the real frame, same row order as
-# _B_NORMAL: d/dz3, d/dz4, d/dzbar3, d/dzbar4
-_HALF = Fraction(1, 2)
-_B_NORMAL_EXACT = (
-    (4, ExactComplex(_HALF, 0), 5, ExactComplex(0, -_HALF)),
-    (6, ExactComplex(_HALF, 0), 7, ExactComplex(0, -_HALF)),
-    (4, ExactComplex(_HALF, 0), 5, ExactComplex(0, _HALF)),
-    (6, ExactComplex(_HALF, 0), 7, ExactComplex(0, _HALF)),
-)
+def _dbar_symbol(k, j):
+    """Exact symbol of d/dzbar_k = (d/dx_{2k-1} + i d/dx_{2k}) / 2 along the
+    coordinate x_{j+1}; its conjugate is the symbol of d/dz_k."""
+    return {2 * k - 2: _RE, 2 * k - 1: _IM}.get(j, _NIL)
 
 
 def pointwise_linearization_check(phase_pair=(Fraction(3, 5), Fraction(4, 5))):
     """Exact certification that the defect linearizes to dbar + dbar_star.
 
-    Perturbs one tangent direction of the standard frame at a time by each
-    complex normal basis vector, evaluates the defect exactly (it is linear
-    in a single perturbed row) as the exact minors of the frame times the
-    exact defect table, and compares against the symbol formulas:
-    the dbar part reads the holomorphic normal components through dz_a and
-    the adjoint part reads the antiholomorphic ones through conj(dz_a), with
-    the phase-dependent two-form translation in between.  Returns
+    Tilting row j of the standard frame e_1..e_4 by a normal vector d keeps
+    the base minor 1 and leaves 16 more nonzero minors, the degree-one ones:
+    axis j+1 swapped for a normal axis n gives the minor (-1)^(3-j) d_n.  So
+    the defect at the tilted frame is read straight off the exact defect
+    table, as the base row plus the sum over n of (-1)^(3-j) d_n times the
+    row of the swapped subset.  For each j and each complex normal basis
+    vector d it is compared with the symbol of the operator along x_{j+1},
+    written by hand: the dbar part applies d/dzbar_b to the holomorphic
+    components, and the adjoint part applies 2 d/dz_2 (rows b = 1) or
+    -2 d/dz_1 (rows b = 2) to the (0,2)-components
+    f_4 = conj(phase) u_3 / 2 and f_3 = -conj(phase) u_4 / 2.  Returns
     (matches, total) over all 64 component comparisons."""
     c, s = Fraction(phase_pair[0]), Fraction(phase_pair[1])
-    phase = ExactComplex(c, s)
-    phase_conj = phase.conj()
-    i_unit = ExactComplex(0, 1)
+    half_conj = ExactComplex(c, -s) * _HALF
+    table = _defect_table_exact((c, s))
+    base = table[FOUR_FORM_INDEX.index(_BASE_AXES)]
     matches = 0
     total = 0
-
-    def f_comp(a_idx, dvec):
-        # (0,2)-component translation of the antiholomorphic displacement:
-        # f_4 = (1/2) conj(phase) u_3, f_3 = -(1/2) conj(phase) u_4
-        if a_idx == 4:
-            return phase_conj * _dzbar(3, dvec) * _HALF
-        return phase_conj * _dzbar(4, dvec) * (-_HALF)
-
     for j in range(4):
-        for beta in range(4):
-            delta = [_exact_zero() for _ in range(8)]
-            i1, c1, i2, c2 = _B_NORMAL_EXACT[beta]
-            delta[i1] = c1
-            delta[i2] = c2
-            deltas = [[_exact_zero()] * 8 for _ in range(4)]
-            deltas[j] = delta
-            frame = _exact_basis_frame()
-            frame[j] = [frame[j][k] + delta[k] for k in range(8)]
-            measured = _exact_defect_point((c, s), frame)
-
-            expected = [_exact_zero() for _ in range(4)]
+        kept = _BASE_AXES[:j] + _BASE_AXES[j + 1:]
+        swapped = [table[FOUR_FORM_INDEX.index(kept + (n,))] for n in (5, 6, 7, 8)]
+        sign = (-1) ** (3 - j)
+        for beta, d in enumerate(_NORMAL_BASIS):
+            measured = [
+                b0 + sum((d_n * row[r] for d_n, row in zip(d, swapped)), _NIL) * sign
+                for r, b0 in enumerate(base)
+            ]
+            # complex components (v_3, v_4, u_3, u_4) of the basis vector d
+            v3, v4, u3, u4 = (int(k == beta) for k in range(4))
+            v = {3: v3, 4: v4}
+            f = {3: -half_conj * u4, 4: half_conj * u3}
             for r, (b, a) in enumerate(_ONE_FORM_ROWS):
-                d_odd = deltas[2 * b - 2]
-                d_even = deltas[2 * b - 1]
-                expected[r] = expected[r] + (
-                    _dz(a, d_odd) + i_unit * _dz(a, d_even)
-                ) * _HALF
-            for r, (b, a) in enumerate(_ONE_FORM_ROWS):
-                # adjoint part: 2 d f_a / dz_2 on rows b=1, -2 d f_a / dz_1
-                # on rows b=2, with d/dz_k = (d/dx_odd - i d/dx_even) / 2
                 if b == 1:
-                    d_odd, d_even, sgn = deltas[2], deltas[3], 1
+                    adjoint = _dbar_symbol(2, j).conj() * f[a] * 2
                 else:
-                    d_odd, d_even, sgn = deltas[0], deltas[1], -1
-                df = (f_comp(a, d_odd) - i_unit * f_comp(a, d_even)) * _HALF
-                expected[r] = expected[r] + df * (2 * sgn)
-            for r in range(4):
+                    adjoint = _dbar_symbol(1, j).conj() * f[a] * (-2)
                 total += 1
-                diff = measured[r] - expected[r]
-                if diff.re == 0 and diff.im == 0:
-                    matches += 1
+                matches += measured[r] == _dbar_symbol(b, j) * v[a] + adjoint
     return matches, total
 
 

@@ -98,6 +98,11 @@ def test_main_writes_json_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["tool"] == "cayleykit"
     assert report["summary"]["fail"] == 0
+    # with no flags the config echo is SuiteConfig's defaults
+    assert report["config"] == {
+        "suite": "index", "backend": "float", "tol": 1e-9, "seed": 0,
+        "samples": 200, "K": 2, "t_ladder": [1e-2, 3e-3, 1e-3, 3e-4],
+    }
     capsys.readouterr()
 
 

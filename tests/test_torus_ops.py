@@ -11,6 +11,7 @@ from cayleykit.errors import (
     ValidationError,
 )
 from cayleykit import torus_ops
+from cayleykit.exterior import FOUR_FORM_INDEX
 from cayleykit.torus_ops import (
     GAP_FLOOR,
     FourierSection,
@@ -255,6 +256,43 @@ def test_fd_slopes_match_nonlinear_F_per_rung():
 def test_pointwise_linearization_certificate():
     matches, total = pointwise_linearization_check()
     assert (matches, total) == (64, 64)
+
+
+@pytest.mark.parametrize("phase", [
+    (1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(-5, 13), Fraction(12, 13)),
+])
+def test_pointwise_linearization_certificate_at_phase(phase):
+    assert pointwise_linearization_check(phase) == (64, 64)
+
+
+def test_certificate_fails_on_a_wrong_degree_one_entry(monkeypatch):
+    # tilting row 4 by d/dz3 reads the subset (1, 2, 3, 5); one entry off by
+    # 1 there must cost comparisons
+    table = torus_ops._defect_table_exact((Fraction(3, 5), Fraction(4, 5)))
+    row = FOUR_FORM_INDEX.index((1, 2, 3, 5))
+    broken = list(table)
+    broken[row] = (table[row][0] + 1,) + table[row][1:]
+    monkeypatch.setattr(torus_ops, "_defect_table_exact",
+                        lambda phase_pair: tuple(broken))
+    matches, total = pointwise_linearization_check()
+    assert total == 64
+    assert matches < 64
+
+
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+def test_defect_table_has_odd_degree_only(phase):
+    # a subset with m normal axes scales as t^m on a graph frame [I | tA], so
+    # zero rows at even m make nonlinear_F odd for every input
+    table = torus_ops._defect_table_exact(phase)
+    by_degree = {m: [] for m in range(5)}
+    for subset, row in zip(FOUR_FORM_INDEX, table):
+        by_degree[sum(axis > 4 for axis in subset)].append(row)
+    for m in (0, 2, 4):
+        assert all(entry == 0 for row in by_degree[m] for entry in row), m
+    for m in (1, 3):
+        assert len(by_degree[m]) == 16
+        assert all(any(entry != 0 for entry in row) for row in by_degree[m]), m
 
 
 # -- the complexified operator pair -------------------------------------------------
