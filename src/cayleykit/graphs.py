@@ -467,7 +467,11 @@ def canonical_angles(model, plane, tol=1e-9, gap_tol=1e-8):
     # frame vectors in ambient coordinates
     amb = np.array(frame_coords) @ rows
     det = float(np.linalg.det(np.array(frame_coords)))
-    angles = [float(np.arccos(np.clip(c, -1.0, 1.0))) for c, _, _ in pairs]
+    # theta = atan2(|g - cos(theta) J f|, cos(theta)): the sine is the part of
+    # g off J f, which stays accurate near 0 where arccos loses half the digits
+    cos = np.array([c for c, _, _ in pairs])
+    sin = np.linalg.norm(amb[1::2] - cos[:, None] * (amb[0::2] @ jm.T), axis=1)
+    angles = np.arctan2(sin, cos).tolist()
     if det < 0:
         amb[-1] = -amb[-1]
         angles[-1] = float(np.pi) - angles[-1]

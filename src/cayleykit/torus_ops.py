@@ -19,9 +19,12 @@ artifacts.  The module provides:
   on a tangent frame is the frame's 70 4x4 minors times the table.  On
   float grids the one kernel is the fold (``exterior.fold_table`` of the
   table, built once per phase, and ``exterior.four_form_values``), which
-  never forms the minors; the certificate needs no minors at all, since a
-  frame tilted in one row has only the degree-one minors besides the base
-  one, so it reads the derivative off the table's degree-one rows,
+  never forms the minors and walks the grid's frames in cache-sized
+  blocks.  The frames come from one inverse FFT per section, of the
+  derivatives of the displacement's four normal components along the four
+  base axes.  The certificate needs no minors at all, since a frame tilted
+  in one row has only the degree-one minors besides the base one, so it
+  reads the derivative off the table's degree-one rows,
 * the two signed first-order operators characterizing infinitesimal complex
   deformations, and
 * integer index calculators from topological invariants and from Chern
@@ -233,11 +236,14 @@ class OperatorMatrix:
         adj = np.einsum("i,mji,j->mij", 1.0 / w_dom, np.conj(self.blocks), w_cod)
         return OperatorMatrix(adj, domain=self.codomain, codomain=self.domain)
 
+
+@lru_cache(maxsize=8)
 def dbar_matrix(model):
     """dbar on holomorphic normal fields, valued in (0,1)-forms.
 
     On mode k the coefficient of conj(dz_b) (x) d/dz_a is m_b v_a with
     m_b the d/dzbar_b multiplier; the kernel is exactly the constants.
+    Built once per model; the cached blocks are read-only.
     """
     m1, m2 = model.multipliers()
     blocks = np.zeros((model.mode_count, 4, 2), complex)
@@ -245,6 +251,7 @@ def dbar_matrix(model):
     blocks[:, 1, 1] = m1
     blocks[:, 2, 0] = m2
     blocks[:, 3, 1] = m2
+    blocks.flags.writeable = False
     return OperatorMatrix(blocks, domain="normal10", codomain="one_form_normal")
 
 
@@ -259,18 +266,21 @@ def dbar02_matrix(model):
     return OperatorMatrix(blocks, domain="one_form_normal", codomain="two_form_normal")
 
 
+@lru_cache(maxsize=8)
 def dbar_star_matrix(model):
     """Formal adjoint of dbar02_matrix, assembled from its position-space
     formula: f (x) conj(dz1)^conj(dz2) goes to
     2 (df/dz2) conj(dz1) - 2 (df/dz1) conj(dz2), tensored with the normal leg.
     The weighted conjugate-transpose relation with dbar02_matrix is pinned by
-    the tests rather than used as the construction."""
+    the tests rather than used as the construction.  Built once per model;
+    the cached blocks are read-only."""
     m1, m2 = model.multipliers()
     blocks = np.zeros((model.mode_count, 4, 2), complex)
     blocks[:, 0, 0] = -2.0 * np.conj(m2)
     blocks[:, 1, 1] = -2.0 * np.conj(m2)
     blocks[:, 2, 0] = 2.0 * np.conj(m1)
     blocks[:, 3, 1] = 2.0 * np.conj(m1)
+    blocks.flags.writeable = False
     return OperatorMatrix(blocks, domain="two_form_normal", codomain="one_form_normal")
 
 
@@ -373,12 +383,13 @@ def kernel_summary(K_values=(0, 1, 2, 3), tol=1e-8, phase_pair=_DEFAULT_PHASE):
 # grid sampling ---------------------------------------------------------------
 
 
-def grid_values(model, coefficients, grid=None, derivative=None):
+def grid_values(model, coefficients, grid=None):
     """Sample a coefficient array on the uniform grid (j_1..j_4)/G.
 
     coefficients has shape (mode_count, r); the return has shape (G^4, r).
-    derivative=j (1-based) differentiates along the j-th real coordinate
-    before sampling.  G defaults to 2K+2 and must be at least 2K+1."""
+    G defaults to 2K+2 and must be at least 2K+1.  Multiplying coefficient
+    row m by 2 pi i model.modes()[m, j] first samples the derivative along
+    the (j+1)-th real coordinate."""
     K = model.K
     L = 2 * K + 1
     G = int(grid) if grid is not None else 2 * K + 2
@@ -386,14 +397,7 @@ def grid_values(model, coefficients, grid=None, derivative=None):
         raise ValidationError("grid resolution too small for the mode band")
     coeffs = np.asarray(coefficients, dtype=complex)
     r = coeffs.shape[1]
-    cube = coeffs.reshape(L, L, L, L, r).copy()
-    if derivative is not None:
-        if not 1 <= derivative <= 4:
-            raise ValidationError("derivative direction must be 1..4")
-        k = np.arange(-K, K + 1)
-        shape = [1, 1, 1, 1, 1]
-        shape[derivative - 1] = L
-        cube = cube * (2j * np.pi * k.reshape(shape))
+    cube = coeffs.reshape(L, L, L, L, r)
     slots = np.arange(-K, K + 1) % G
     emb = np.zeros((G, G, G, G, r), complex)
     emb[np.ix_(slots, slots, slots, slots, np.arange(r))] = cube
@@ -413,9 +417,8 @@ _NORMAL_BASIS = (
     (_RE, _IM, _NIL, _NIL),
     (_NIL, _NIL, _RE, _IM),
 )
-# the same basis as complex floats in the full real frame
-_B_NORMAL = np.hstack([np.zeros((4, 4)),
-                       [[c.as_complex() for c in row] for row in _NORMAL_BASIS]])
+# the same basis as complex floats
+_B_NORMAL = np.array([[c.as_complex() for c in row] for row in _NORMAL_BASIS])
 
 # components of a normal-valued (0,1)-form: conj(dz_b) (x) d/dz_a for (b, a)
 _ONE_FORM_ROWS = ((1, 3), (1, 4), (2, 3), (2, 4))
@@ -475,14 +478,20 @@ def _derivative_grids(model, v):
 
     Row j at a grid point is the derivative of the real-frame displacement
     of the pair v along the j-th base coordinate, so the graph's tangent
-    frame there at scale t is eye(4, 8) + t times these rows."""
+    frame there at scale t is eye(4, 8) + t times these rows.  The
+    displacement lies on the normal axes 5..8, so the derivatives of its
+    four normal components along the four base axes form one (M, 16)
+    coefficient array, sampled by a single inverse FFT; axes 1..4 of every
+    row stay zero."""
     v1, w = v
     disp = _displacement_coefficients(model, v1, w)  # (M, 4) complex basis
-    disp_real = disp @ _B_NORMAL  # (M, 8) real-frame components
-    return np.stack(
-        [grid_values(model, disp_real, derivative=j + 1) for j in range(4)],
-        axis=1,
-    )
+    normal = disp @ _B_NORMAL  # (M, 4) components on axes 5..8
+    d_dx = 2j * np.pi * model.modes()  # (M, 4) multipliers of d/dx_1..d/dx_4
+    stacked = (d_dx[:, :, None] * normal[:, None, :]).reshape(-1, 16)
+    values = grid_values(model, stacked)
+    rows = np.zeros((values.shape[0], 4, 8), complex)
+    rows[:, :, 4:] = values.reshape(-1, 4, 4)
+    return rows
 
 
 def _defect_on_grids(model, derivatives, t):

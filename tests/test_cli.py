@@ -1,12 +1,16 @@
 """End-to-end checks for the command line interface and suite runner."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cayleykit
 from cayleykit.cli import (
@@ -215,6 +219,64 @@ def test_overflowing_tilt_fails_a_check(tmp_path, cli_env, argv, text,
     by_name = {c["name"]: c for c in _strict_json(proc.stdout)["checks"]}
     assert by_name[failing]["status"] == "fail"
     assert by_name[failing]["residual"] == residual
+
+
+# -- fuzzed frame and tilt files --------------------------------------------------------
+
+# tokens no float check can use: not numbers, not finite, or past float range
+_BAD_TOKENS = ("nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400",
+               "-1e400", "%d/3" % 10**400, "-%d/7" % 10**401, "1/0")
+_ENTRIES = st.integers(-5, 5)
+
+
+@st.composite
+def _corrupted(draw, rows, cols, rank_deficient):
+    """A rows x cols text matrix of small integers, broken one way: a bad
+    token, a ragged row, or (frames only) one row a multiple of another."""
+    grid = [[str(draw(_ENTRIES)) for _ in range(cols)] for _ in range(rows)]
+    kinds = ["token", "ragged"] + (["rank"] if rank_deficient else [])
+    kind = draw(st.sampled_from(kinds))
+    i = draw(st.integers(0, rows - 1))
+    if kind == "token":
+        grid[i][draw(st.integers(0, cols - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+    elif kind == "ragged":
+        grid[i] = grid[i][:-1] if draw(st.booleans()) else grid[i] + ["0"]
+    else:
+        j = draw(st.integers(0, rows - 1).filter(lambda j: j != i))
+        a = draw(_ENTRIES)
+        grid[i] = [str(a * int(x)) for x in grid[j]]
+    return "".join(" ".join(row) + "\n" for row in grid)
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_corrupted(4, 8, rank_deficient=True))
+def test_fuzzed_frame_file_exits_malformed(text, tmp_path_factory):
+    frame = tmp_path_factory.mktemp("frame") / "frame.txt"
+    frame.write_text(text)
+    assert _exit_code(["classify-plane", str(frame), "--quiet"]) == EXIT_MALFORMED
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_corrupted(4, 4, rank_deficient=False),
+       backend=st.sampled_from(["float", "exact"]))
+def test_fuzzed_tilt_file_exits_malformed(text, backend, tmp_path_factory):
+    tilt = tmp_path_factory.mktemp("tilt") / "tilt.txt"
+    tilt.write_text(text)
+    argv = ["--backend", backend, "graph-verify", str(tilt), "--quiet"]
+    assert _exit_code(argv) == EXIT_MALFORMED
+
+
+@pytest.mark.parametrize("command", ["classify-plane", "graph-verify"])
+def test_missing_or_directory_file_exits_unreadable(command, tmp_path, capsys):
+    assert main([command, str(tmp_path / "nope.txt")]) == EXIT_UNREADABLE
+    assert main([command, str(tmp_path)]) == EXIT_UNREADABLE
+    capsys.readouterr()
 
 
 def test_ragged_rows_exit_code(tmp_path, capsys):

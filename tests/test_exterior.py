@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleykit import exterior
 from cayleykit.exterior import (
     EXACT,
     FLOAT,
@@ -179,6 +180,24 @@ def test_folded_table_matches_det_minors_times_table(r, kind):
     minors = _det_minors(frames)
     got = four_form_values(frames, fold_table(table))
     assert got.shape == (64, r)
+    scale = np.abs(minors) @ np.abs(table)
+    assert np.all(np.abs(got - minors @ table) <= 1e-12 * scale)
+
+
+_B = exterior._BLOCK
+
+
+@pytest.mark.parametrize("count", [1, _B - 1, _B, _B + 1, 3 * _B + 7],
+                         ids=["1", "B-1", "B", "B+1", "3B+7"])
+def test_four_form_values_across_blocks(count):
+    # frames run through the kernel _BLOCK at a time; every block, the last
+    # partial one included, lands in its own rows of the result
+    rng = np.random.default_rng(count)
+    frames = rng.standard_normal((count, 4, 8)) + 1j * rng.standard_normal((count, 4, 8))
+    table = rng.standard_normal((70, 4)) + 1j * rng.standard_normal((70, 4))
+    minors = _det_minors(frames)
+    got = four_form_values(frames, fold_table(table))
+    assert got.shape == (count, 4)
     scale = np.abs(minors) @ np.abs(table)
     assert np.all(np.abs(got - minors @ table) <= 1e-12 * scale)
 

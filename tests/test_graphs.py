@@ -208,6 +208,15 @@ def test_angles_zero_on_complex_planes(float_model):
         assert max(1.0 - np.cos(a) for a in rec.angles) < 1e-12
 
 
+def test_complex_plane_angles_are_zero_to_roundoff(float_model):
+    # the angle is atan2(sin, cos) with the sine read off g - cos J f, so a
+    # complex plane gives angles at roundoff, not the sqrt(eps) of arccos
+    for seed in range(50):
+        plane = random_complex_plane(float_model.J, 2, np.random.default_rng(seed))
+        rec = canonical_angles(float_model, plane)
+        assert max(abs(a) for a in rec.angles) < 1e-12
+
+
 def test_angles_right_on_isotropic_planes(float_model):
     sl = OrientedPlane.from_rows(
         [[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0],

@@ -71,6 +71,15 @@ def test_kernel_matches_dense_assembly():
             assert rep.dim_complex == nullity
 
 
+def test_operator_blocks_are_built_once_per_model_and_read_only():
+    for build in (dbar_matrix, dbar_star_matrix):
+        op = build(TorusModel(1))
+        assert build(TorusModel(1, phase_pair=(1, 0))) is op
+        assert build(TorusModel(2)) is not op
+        with pytest.raises(ValueError):
+            op.blocks[0, 0, 0] = 1.0
+
+
 def test_constants_span_the_kernel():
     model = TorusModel(2)
     op = dirac_matrix(model)
@@ -135,17 +144,18 @@ def test_grid_values_single_mode():
     assert np.abs(vals[:, 0] - want).max() < 1e-12
 
 
-def test_grid_values_derivative_factor():
+def test_derivative_grids_differentiate_each_base_axis():
+    # one inverse FFT of the (M, 16) stack gives, in row j, the derivative
+    # along x_{j+1} of the displacement's components on the normal axes
     model = TorusModel(1)
     rng = np.random.default_rng(21)
-    coeffs = rng.standard_normal((model.mode_count, 2)) * (
-        1.0 + 0.5j)
-    for j in (1, 3):
-        direct = grid_values(model, coeffs, derivative=j)
-        factored = grid_values(
-            model, coeffs * (2j * np.pi * model.modes()[:, j - 1:j]), grid=None
-        )
-        assert np.abs(direct - factored).max() < 1e-12
+    v = _random_pair(model, rng)
+    rows = torus_ops._derivative_grids(model, v)
+    disp = torus_ops._displacement_coefficients(model, *v) @ torus_ops._B_NORMAL
+    assert rows.shape == (4 ** 4, 4, 8) and not rows[:, :, :4].any()
+    for j in range(4):
+        single = grid_values(model, disp * (2j * np.pi * model.modes()[:, j:j + 1]))
+        assert np.abs(rows[:, j, 4:] - single).max() < 1e-12
 
 
 def test_grid_too_small_rejected():
@@ -236,21 +246,23 @@ def test_ladder_validation():
 
 def test_fd_slopes_match_nonlinear_F_per_rung():
     # the check builds each sample's derivative grids once; recomputing every
-    # rung through nonlinear_F with the same draws gives the same slopes
-    model = TorusModel(1)
+    # rung through nonlinear_F with the same draws gives the same slopes, on
+    # one block of frames (K = 1, 256) and on three (K = 2, 1296)
     ladder = (1e-2, 3e-3, 1e-3, 3e-4)
-    rep = fd_linearization_check(model, samples=3, t_ladder=ladder, seed=11)
-    rng = np.random.default_rng(11)
-    for slope in rep.slopes:
-        v = _random_pair(model, rng)
-        lin = linear_image_grid(model, v)
-        residuals = [
-            np.sqrt(np.sum(np.abs(nonlinear_F(model, v, t=t) - t * lin) ** 2)
-                    / lin.shape[0])
-            for t in ladder
-        ]
-        assert min(residuals) > rep.residual_floor
-        assert slope == float(np.polyfit(np.log(ladder), np.log(residuals), 1)[0])
+    for K in (1, 2):
+        model = TorusModel(K)
+        rep = fd_linearization_check(model, samples=3, t_ladder=ladder, seed=11)
+        rng = np.random.default_rng(11)
+        for slope in rep.slopes:
+            v = _random_pair(model, rng)
+            lin = linear_image_grid(model, v)
+            residuals = [
+                np.sqrt(np.sum(np.abs(nonlinear_F(model, v, t=t) - t * lin) ** 2)
+                        / lin.shape[0])
+                for t in ladder
+            ]
+            assert min(residuals) > rep.residual_floor
+            assert slope == float(np.polyfit(np.log(ladder), np.log(residuals), 1)[0])
 
 
 def test_pointwise_linearization_certificate():
