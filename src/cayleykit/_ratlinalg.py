@@ -1,12 +1,55 @@
 """Exact linear algebra over Fraction.
 
-Small dense routines used by the exact backend: reduced row echelon form,
-rank and determinant.  Matrices are lists of lists of Fraction (rows).
-Nothing here is performance critical -- sizes are at most 28x28 -- so
-clarity wins over cleverness.
+Small dense routines used by the exact backend.  Matrices are lists of
+lists of Fraction (rows).
+
+* ``scaled`` and ``unscaled`` carry a matrix of Fractions to Python-int
+  numerators over one common denominator and back.  The numerators sit in a
+  numpy ``object`` array, so a product of two matrices is one numpy matmul
+  on Python ints, exact at any size of entry (no int64 and so no overflow),
+  with the denominators multiplied once.  ``matmul`` is that product.  The
+  exact defect tables and two-form operators are built and applied this
+  way; it is many times cheaper than summing Fractions entry by entry.
+* ``rref``, ``rank`` and ``det`` are the elimination routines of the graph
+  solver and the structure checks; their sizes are at most 28x28, so they
+  stay plain Fraction loops.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
+
+
+def scaled(values):
+    """An array of Fractions (ints mix in), any nesting of rows, as
+    (numerators, denominator): an object array of Python ints of the same
+    shape and the least common denominator, so that entry by entry
+    values == numerators / denominator."""
+    arr = np.array(values, dtype=object)
+    den = math.lcm(*(x.denominator for x in arr.flat))
+    nums = np.empty(arr.shape, dtype=object)
+    nums.flat = [x.numerator * (den // x.denominator) for x in arr.flat]
+    return nums, den
+
+
+_ZERO = Fraction(0)
+
+
+def unscaled(nums, den):
+    """numerators / denominator as Fractions, in tuples nested like nums.
+    Zero entries, most of a defect table, share one Fraction."""
+    if nums.ndim == 1:
+        return tuple(Fraction(int(n), den) if n else _ZERO for n in nums)
+    return tuple(unscaled(row, den) for row in nums)
+
+
+def matmul(a, b):
+    """The exact product a @ b of two matrices of Fractions, as a tuple of
+    rows of Fractions: one product of the scaled numerators."""
+    a_nums, a_den = scaled(a)
+    b_nums, b_den = scaled(b)
+    return unscaled(a_nums @ b_nums, a_den * b_den)
 
 
 def _as_fraction_rows(mat):

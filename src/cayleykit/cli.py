@@ -786,8 +786,13 @@ def classify_plane(path, cfg, reject=False):
             EXIT_MALFORMED,
             "need a 2p x 2m frame with 2p <= 2m, got %d x %d" % (k, n))
     # QR of a rank-deficient frame returns an arbitrary plane, so such a
-    # frame is refused before any repair
-    rank = int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
+    # frame is refused before any repair.  matrix_rank's tolerance is
+    # relative to the largest singular value, so each row is first scaled
+    # by its largest entry: a long row must not make the others look null
+    # (a zero row stays zero)
+    mat = np.array(rows, dtype=float)
+    scale = np.abs(mat).max(axis=1, keepdims=True)
+    rank = int(np.linalg.matrix_rank(mat / np.where(scale > 0, scale, 1.0)))
     if rank < k:
         raise CliInputError(
             EXIT_MALFORMED,

@@ -322,19 +322,18 @@ def seven_basis(Phi):
 
 @lru_cache(maxsize=None)
 def _component_table(backend):
-    """(70, 7) table of the seven adapted components of tau: row c holds the
-    inner products of defect_table() row c with the mixed then diagonal
-    seven_basis two-forms, in the backend's own arithmetic."""
+    """(70, 7) table of the seven adapted components of tau: defect_table()
+    times the (28, 7) matrix of the mixed then diagonal seven_basis
+    two-forms, by one product in the backend's own arithmetic (a scaled
+    integer product on the exact backend, _ratlinalg.matmul)."""
     Phi = phi0(backend)
     mixed, diagonal = seven_basis(Phi)
-    basis = [[b.coeff(pair) for pair in TWO_FORM_INDEX]
-             for b in mixed + diagonal]
-    zero = coerce_scalar(0, backend)
-    return tuple(
-        tuple(sum((t * w for t, w in zip(row, vec) if w != 0), zero)
-              for vec in basis)
-        for row in Phi.defect_table()
-    )
+    basis = [[b.coeff(pair) for b in mixed + diagonal] for pair in TWO_FORM_INDEX]
+    if backend == EXACT:
+        return _ratlinalg.matmul(Phi.defect_table(), basis)
+    # einsum, not BLAS, as in CayleyForm.defect_table
+    table = np.einsum("cq,qk->ck", Phi.defect_table(), np.array(basis))
+    return tuple(map(tuple, table))
 
 
 def tau_graph_components(lam):

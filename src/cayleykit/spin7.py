@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _ratlinalg
 from .errors import BackendMismatch, DimensionMismatch, GradeError, PlaneError
 from .exterior import (
     EXACT,
@@ -44,11 +45,40 @@ from .exterior import (
     inner,
     musical_flat,
     plucker_minors_exact,
+    sort_indices,
     wedge,
 )
 
 TWO_FORM_INDEX = tuple(itertools.combinations(range(1, 9), 2))
 PAIR_POS = {pair: i for i, pair in enumerate(TWO_FORM_INDEX)}
+
+
+def _tau_gather():
+    """(70, 28) int array: entry (c, p) of the pre-pi7 defect sum (see
+    CayleyForm.defect_table) is entry index[c, p] of the signed row
+    [phi_row(), 0, -phi_row()].  The pair p = {i, s_k} with s_k in the
+    subset FOUR_FORM_INDEX[c] and i outside it picks the phi coefficient of
+    i and the other three axes, signed by the sort of (i, others), by
+    (-1)^k and by the order of i and s_k; a pair with no such split picks
+    the 0 in the middle.  One index, not an index and a sign: multiplying
+    by an int sign array would cast through numpy's buffered loops."""
+    position = {quad: c for c, quad in enumerate(FOUR_FORM_INDEX)}
+    n = len(FOUR_FORM_INDEX)
+    index = np.full((n, 28), n)
+    for c, quad in enumerate(FOUR_FORM_INDEX):
+        for k, s in enumerate(quad):
+            rest = quad[:k] + quad[k + 1:]
+            for i in range(1, 9):
+                if i in quad:
+                    continue
+                key, parity = sort_indices((i,) + rest)
+                p = PAIR_POS[(min(i, s), max(i, s))]
+                sign = parity * (-1) ** k * (1 if i < s else -1)
+                index[c, p] = position[key] if sign > 0 else n + 1 + position[key]
+    return index
+
+
+_TAU_INDEX = _tau_gather()
 
 PHI0_TERMS = {
     (1, 2, 3, 4): 1,
@@ -83,6 +113,7 @@ class CayleyForm:
         self._phi_row = None
         self._defect = None
         self._defect_fold = None
+        self._scaled = {}
 
     @property
     def backend(self):
@@ -153,41 +184,37 @@ class CayleyForm:
         of tau on the basis frame FOUR_FORM_INDEX[c], so that tau on a frame
         is the frame's minors times this table.
 
-        Built from phi's coefficients and pi7_matrix() in the form's own
-        arithmetic.  On basis vectors each term of tau_eval is pi7 of
+        On basis vectors each term of tau_eval is pi7 of
         phi(e_i, <the other three>) e^i ^ e^s for the slot vector e_s and an
         axis i outside the frame, so the row of the frame (s_0, .., s_3) is
 
           (1/4) pi7( sum_k (-1)^k sum_i phi(e_i, s_0..^s_k..s_3) e^i ^ e^s_k ).
 
-        A float array on the float backend, rows of Fractions on the exact
-        one; tau_eval stays the reference the table is tested against.
+        The pair {i, s_k} fixes k and i, so entry (c, p) of the sum is at
+        most one signed coefficient of phi: the gather
+        [phi_row(), 0, -phi_row()][_TAU_INDEX], and the table is that
+        (70, 28) matrix times pi7_matrix() transposed, over 4.  On the float
+        backend the product is one np.einsum.  On the exact one the gather
+        runs on phi's integer numerators and the product on the cached
+        numerators of pi7 (_ratlinalg.scaled), with the three denominators
+        multiplied once.  A read-only float array on the float backend, rows
+        of Fractions on the exact one; tau_eval stays the reference the
+        table is tested against.
         """
         if self._defect is None:
-            pi7 = self.pi7_matrix()
-            pi7_cols = [
-                [(p, pi7[p][q]) for p in range(28) if pi7[p][q] != 0]
-                for q in range(28)
-            ]
-            quarter = Fraction(1, 4) if self.backend == EXACT else 0.25
-            zero = coerce_scalar(0, self.backend)
-            rows = []
-            for quad in FOUR_FORM_INDEX:
-                acc = [zero] * 28
-                for k, s in enumerate(quad):
-                    rest = quad[:k] + quad[k + 1:]
-                    for i in range(1, 9):
-                        if i in quad:
-                            continue
-                        val = self.phi.coeff((i,) + rest)
-                        if val == 0:
-                            continue
-                        if (k % 2 == 1) != (i > s):
-                            val = -val
-                        for p, entry in pi7_cols[PAIR_POS[(min(i, s), max(i, s))]]:
-                            acc[p] += entry * val
-                rows.append(tuple(quarter * a for a in acc))
-            self._defect = self._frozen(tuple(rows))
+            if self.backend == EXACT:
+                phi, phi_den = _ratlinalg.scaled(self.phi_row())
+                pi7, pi7_den = self._numerators(self.pi7_matrix)
+                gathered = np.concatenate([phi, [0], -phi])[_TAU_INDEX]
+                self._defect = _ratlinalg.unscaled(
+                    gathered @ pi7.T, 4 * phi_den * pi7_den)
+            else:
+                # einsum's own loop, not BLAS: a matmul this small would
+                # allocate BLAS work buffers, about 0.3 MB of peak memory
+                row = self.phi_row()
+                gathered = np.concatenate([row, [0.0], -row])[_TAU_INDEX]
+                self._defect = self._frozen(np.einsum(
+                    "cq,pq->cp", gathered, np.array(self.pi7_matrix())) * 0.25)
         return self._defect
 
     def defect_fold(self):
@@ -206,26 +233,42 @@ class CayleyForm:
         arr.flags.writeable = False
         return arr
 
-    def _apply_matrix(self, mat, a):
+    def _numerators(self, matrix):
+        """_ratlinalg.scaled of the exact 28x28 matrix that the method
+        ``matrix`` (pi7_matrix or proj7_matrix) returns, built once."""
+        name = matrix.__name__
+        if name not in self._scaled:
+            self._scaled[name] = _ratlinalg.scaled(matrix())
+        return self._scaled[name]
+
+    def _apply_matrix(self, matrix, a):
+        """The matrix that the method ``matrix`` returns times a two-form's
+        column.  On the exact backend one product of the matrix's cached
+        numerators with the column's."""
         if isinstance(a, ComplexMultivector):
             return ComplexMultivector(
-                self._apply_matrix(mat, a.re), self._apply_matrix(mat, a.im)
+                self._apply_matrix(matrix, a.re), self._apply_matrix(matrix, a.im)
             )
         if a.grades() not in ([], [2]):
             raise GradeError("two-form operator applied to grades %s" % (a.grades(),))
         col = self._two_form_to_column(a)
-        out = [
-            sum((mat[r][c] * col[c] for c in range(28) if col[c] != 0),
-                coerce_scalar(0, a.backend))
-            for r in range(28)
-        ]
+        if a.backend == EXACT:
+            nums, den = self._numerators(matrix)
+            col_nums, col_den = _ratlinalg.scaled(col)
+            out = _ratlinalg.unscaled(nums @ col_nums, den * col_den)
+        else:
+            mat = matrix()
+            out = [
+                sum((mat[r][c] * col[c] for c in range(28) if col[c] != 0), 0.0)
+                for r in range(28)
+            ]
         return self._column_to_two_form(out, a.backend)
 
     def pi7_apply(self, a):
-        return self._apply_matrix(self.pi7_matrix(), a)
+        return self._apply_matrix(self.pi7_matrix, a)
 
     def proj7_apply(self, a):
-        return self._apply_matrix(self.proj7_matrix(), a)
+        return self._apply_matrix(self.proj7_matrix, a)
 
 
 def phi0(backend=EXACT):

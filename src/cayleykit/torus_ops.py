@@ -16,7 +16,10 @@ artifacts.  The module provides:
   pointwise certification that the linearization agrees with the assembled
   first-order operator.  All three read one exact (70, 4) table, the Cayley
   form's defect table followed by the normal-valued (0,1)-part, whose value
-  on a tangent frame is the frame's 70 4x4 minors times the table.  On
+  on a tangent frame is the frame's 70 4x4 minors times the table.  It is
+  one scaled-integer product (``_ratlinalg.matmul``) of the defect table
+  with psi, the (0,1)-part as a (28, 4) matrix, which does not depend on
+  the phase and is built once per process from 2x2 minors.  On
   float grids the one kernel is the fold (``exterior.fold_table`` of the
   table, built once per phase, and ``exterior.four_form_values``), which
   never forms the minors and walks the grid's frames in cache-sized
@@ -38,16 +41,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _ratlinalg
 from .errors import NonIntegralError, ValidationError
 from .exterior import (
     EXACT,
     ExactComplex,
     FOUR_FORM_INDEX,
-    Multivector,
+    _pair_minors_exact,
     fold_table,
     four_form_values,
 )
-from .kahler import build_model, to_complex_frame
+from .kahler import antiholo_vector, build_model
 from .spin7 import TWO_FORM_INDEX, phi_from_kahler
 
 # bundle tags and fiber ranks ------------------------------------------------
@@ -424,29 +428,44 @@ _B_NORMAL = np.array([[c.as_complex() for c in row] for row in _NORMAL_BASIS])
 _ONE_FORM_ROWS = ((1, 3), (1, 4), (2, 3), (2, 4))
 
 
+@lru_cache(maxsize=None)
+def _psi():
+    """psi, the map from two-form coordinates (TWO_FORM_INDEX) to the
+    normal-valued (0,1)-components _ONE_FORM_ROWS, as the (28, 8) real
+    matrix [Re psi | Im psi] of Fractions.  It does not depend on the phase.
+
+    Write x_i for the conj(dz) coefficients of the one-form dx_i; x_ik is
+    dx_i of the dual vector d/dzbar_k (antiholo_vector), its i-th entry.
+    Then dx_i ^ dx_j has the coefficient x_ib x_ja - x_ia x_jb on
+    conj(dz_b) ^ conj(dz_a), and the component is twice that: column (b, a)
+    is twice the pair minors (exterior._pair_minors_exact) of the columns
+    b and a of the eight one-forms' coefficients."""
+    model = build_model(4, backend=EXACT)
+    dzbar = {}
+    for k in range(1, 5):
+        v = antiholo_vector(model, k)
+        dzbar[k] = [ExactComplex(re, im) for re, im in zip(v.re.comps, v.im.comps)]
+    minors = [_pair_minors_exact(dzbar[b], dzbar[a]) for b, a in _ONE_FORM_ROWS]
+    psi = [[m.get(p, _NIL) * 2 for m in minors] for p in range(len(TWO_FORM_INDEX))]
+    return tuple(tuple(z.re for z in row) + tuple(z.im for z in row) for row in psi)
+
+
 @lru_cache(maxsize=8)
 def _defect_table_exact(phase_pair):
     """Exact (70, 4) table of the pointwise defect map.
 
     Row c is the normal-valued (0,1)-part, components _ONE_FORM_ROWS, of the
-    rank-7 defect on the basis frame FOUR_FORM_INDEX[c]: the row of the
-    Cayley form's defect_table() followed by psi, the ExactComplex map from
-    two-form coordinates to those components.  The defect on a frame is the
+    rank-7 defect on the basis frame FOUR_FORM_INDEX[c]: the Cayley form's
+    defect_table() times psi (_psi, built once per process), by one scaled
+    integer product (_ratlinalg.matmul) of the real table with the real and
+    imaginary parts of psi side by side.  The defect on a frame is the
     frame's 70 minors times this table."""
     model = build_model(4, backend=EXACT, phase_pair=phase_pair)
-    psi = [[] for _ in _ONE_FORM_ROWS]  # per component: (two-form column, entry)
-    for col, key in enumerate(TWO_FORM_INDEX):
-        zform = to_complex_frame(model, Multivector.basis(8, key, EXACT))
-        for row, (b, a) in enumerate(_ONE_FORM_ROWS):
-            val = zform.coeff((4 + b, 4 + a)) * 2
-            if val != 0:
-                psi[row].append((col, val))
-    return tuple(
-        tuple(sum((val * tau_row[col] for col, val in terms if tau_row[col] != 0),
-                  _NIL)
-              for terms in psi)
-        for tau_row in phi_from_kahler(model).defect_table()
-    )
+    both = _ratlinalg.matmul(phi_from_kahler(model).defect_table(), _psi())
+    r = len(_ONE_FORM_ROWS)
+    return tuple(tuple(ExactComplex(re, im) if re or im else _NIL
+                       for re, im in zip(row[:r], row[r:]))
+                 for row in both)
 
 
 @lru_cache(maxsize=8)

@@ -325,6 +325,26 @@ def test_rank_deficient_frame_is_malformed(tmp_path, capsys):
     assert "rank 3 < 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("second, code", [
+    ("0 1 0 0 0 0 0 0", EXIT_OK),
+    ("0 0 0 0 0 0 0 0", EXIT_MALFORMED),
+    ("2 0 0 0 0 0 0 0", EXIT_MALFORMED),
+], ids=["spanning", "zero-row", "multiple-row"])
+def test_rank_test_ignores_row_lengths(second, code, tmp_path, capsys):
+    # a row 1e15 long beside unit rows: the rank counts directions, not
+    # lengths, so only a zero row or a repeated direction is refused
+    frame = tmp_path / "long.txt"
+    frame.write_text("1e15 0 0 0 0 0 0 0\n" + second + "\n"
+                     "0 0 1 0 0 0 0 0\n0 0 0 1 0 0 0 0\n")
+    out = tmp_path / "report.json"
+    assert main(["classify-plane", str(frame), "--json", str(out),
+                 "--quiet"]) == code
+    capsys.readouterr()
+    if code == EXIT_OK:
+        by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert by_name["plane:calibration"]["details"]["is_cayley"] is True
+
+
 def test_full_rank_skewed_frame_is_orthonormalized(tmp_path, capsys):
     skew = tmp_path / "skew.txt"
     skew.write_text(

@@ -1,5 +1,6 @@
 """The calibration four-form, the two-form splitting, and the defect tensor."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -127,6 +128,33 @@ def test_two_form_decomposition(items):
     assert (Phi.proj7_apply(dec.part7) - dec.part7).max_abs() == 0
     assert Phi.proj7_apply(dec.part21).max_abs() == 0
     assert inner(dec.part7, dec.part21) == 0
+
+
+big_rationals = st.builds(Fraction, st.integers(-10**30, 10**30),
+                          st.integers(1, 10**25))
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_operator_forms():
+    model = build_model(4, backend=EXACT,
+                        phase_pair=(Fraction(3, 5), Fraction(4, 5)))
+    return (phi0(backend=EXACT), phi_from_kahler(model))
+
+
+@given(st.dictionaries(st.sampled_from(TWO_FORM_INDEX), big_rationals, max_size=8))
+@settings(max_examples=30, deadline=None)
+def test_exact_operators_match_entrywise_sums(terms):
+    # the scaled-integer product against entry-by-entry Fraction sums, with
+    # numerators and denominators far past int64
+    a = Multivector(8, {k: v for k, v in terms.items() if v != 0}, EXACT)
+    col = [a.coeff(key) for key in TWO_FORM_INDEX]
+    for Phi in _exact_operator_forms():
+        for apply, mat in ((Phi.pi7_apply, Phi.pi7_matrix()),
+                           (Phi.proj7_apply, Phi.proj7_matrix())):
+            image = apply(a)
+            for row, key in zip(mat, TWO_FORM_INDEX):
+                assert image.coeff(key) == sum(
+                    (m * c for m, c in zip(row, col)), Fraction(0))
 
 
 def test_defect_anchor_value(phi_exact):

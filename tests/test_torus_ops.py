@@ -11,7 +11,9 @@ from cayleykit.errors import (
     ValidationError,
 )
 from cayleykit import torus_ops
-from cayleykit.exterior import FOUR_FORM_INDEX
+from cayleykit.exterior import EXACT, FOUR_FORM_INDEX, ExactComplex, Multivector
+from cayleykit.kahler import build_model, to_complex_frame
+from cayleykit.spin7 import TWO_FORM_INDEX, phi_from_kahler
 from cayleykit.torus_ops import (
     GAP_FLOOR,
     FourierSection,
@@ -270,12 +272,41 @@ def test_pointwise_linearization_certificate():
     assert (matches, total) == (64, 64)
 
 
-@pytest.mark.parametrize("phase", [
+# a unit phase with a 21-digit denominator: ((m^2 - n^2) + 2mn i) / (m^2 + n^2)
+_M, _N = 10**10 + 1, 10**10
+_BIG_PHASE = (Fraction(_M * _M - _N * _N, _M * _M + _N * _N),
+              Fraction(2 * _M * _N, _M * _M + _N * _N))
+_PHASES = [
     (1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5)),
-    (Fraction(-5, 13), Fraction(12, 13)),
-])
+    (Fraction(-5, 13), Fraction(12, 13)), _BIG_PHASE,
+]
+
+
+@pytest.mark.parametrize("phase", _PHASES)
 def test_pointwise_linearization_certificate_at_phase(phase):
     assert pointwise_linearization_check(phase) == (64, 64)
+
+
+def _torus_table_by_rewrites(phase):
+    """The torus table entry by entry: each coordinate two-form rewritten
+    over dz/dzbar slots (to_complex_frame), twice its conj(dz_b) ^ conj(dz_a)
+    coefficient contracted with the rows of the Cayley form's defect table."""
+    model = build_model(4, backend=EXACT, phase_pair=phase)
+    rewrites = [to_complex_frame(model, Multivector.basis(8, key, EXACT))
+                for key in TWO_FORM_INDEX]
+    psi = [[z.coeff((4 + b, 4 + a)) * 2 for z in rewrites]
+           for b, a in torus_ops._ONE_FORM_ROWS]
+    return tuple(
+        tuple(sum((w * t for w, t in zip(col, row) if w != 0), ExactComplex(0, 0))
+              for col in psi)
+        for row in phi_from_kahler(model).defect_table())
+
+
+@pytest.mark.parametrize("phase", _PHASES)
+def test_torus_defect_table_matches_two_form_rewrites(phase):
+    table = torus_ops._defect_table_exact(phase)
+    assert all(type(z) is ExactComplex for row in table for z in row)
+    assert table == _torus_table_by_rewrites(phase)
 
 
 def test_certificate_fails_on_a_wrong_degree_one_entry(monkeypatch):
@@ -292,7 +323,8 @@ def test_certificate_fails_on_a_wrong_degree_one_entry(monkeypatch):
     assert matches < 64
 
 
-@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5)),
+                                   _BIG_PHASE])
 def test_defect_table_has_odd_degree_only(phase):
     # a subset with m normal axes scales as t^m on a graph frame [I | tA], so
     # zero rows at even m make nonlinear_F odd for every input
