@@ -15,8 +15,6 @@ import importlib
 from .exterior import (
     EXACT,
     FLOAT,
-    ComplexMultivector,
-    ComplexVector,
     ExactComplex,
     Multivector,
     Vector,
@@ -80,8 +78,6 @@ __all__ = [
     "EXACT",
     "FLOAT",
     "CayleyForm",
-    "ComplexMultivector",
-    "ComplexVector",
     "ExactComplex",
     "GraphCoefficients",
     "Multivector",

@@ -7,9 +7,16 @@ repeated indices are canonicalized on construction, e.g. {(2, 1): 5} becomes
 
 Two backends:
 
-* ``exact``  -- coefficients are ``fractions.Fraction``; floats are rejected
-  so exactness cannot silently degrade.
-* ``float``  -- plain Python floats.
+* ``exact``  -- coefficients are ``fractions.Fraction``, or ``ExactComplex``
+  for complex ones; floats are rejected so exactness cannot silently
+  degrade.
+* ``float``  -- plain Python floats, or ``complex``.
+
+Complex forms, such as the holomorphic volume form, are Multivectors with
+complex coefficients and complex vectors are Vectors with complex
+components: every operation runs the same code on real and complex scalars,
+and ``re``, ``im`` and ``conj()`` take them apart.  ``inner`` and
+``form_value`` are real and raise TypeError on complex input.
 
 The metric is Euclidean with orthonormal basis e_1..e_n and orientation
 e_1 ^ ... ^ e_n.  All operations return new objects; nothing mutates.
@@ -46,8 +53,117 @@ FLOAT = "float"
 _BACKENDS = (EXACT, FLOAT)
 
 
+# -- exact complex scalars ------------------------------------------------
+
+
+class ExactComplex:
+    """A complex number with Fraction real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactComplex is immutable")
+
+    @classmethod
+    def _of(cls, re, im):
+        """Internal: build from two Fractions without the Fraction() wrap.
+        The operations below build their results here, and the product
+        skips the products with a zero part, since the exact forms run
+        their arithmetic on these scalars."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "re", re)
+        object.__setattr__(obj, "im", im)
+        return obj
+
+    def __add__(self, other):
+        if isinstance(other, ExactComplex):
+            return ExactComplex._of(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return ExactComplex._of(self.re + other, self.im)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, ExactComplex):
+            return ExactComplex._of(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return ExactComplex._of(self.re - other, self.im)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ExactComplex._of(self.re * other, self.im * other)
+        if not isinstance(other, ExactComplex):
+            return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return ExactComplex._of(a * c, a * d)
+        if not d:
+            return ExactComplex._of(a * c, b * c)
+        return ExactComplex._of(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = ExactComplex(other)
+        if not isinstance(other, ExactComplex):
+            return NotImplemented
+        d = other.abs2()
+        if d == 0:
+            raise ZeroDivisionError("division by exact complex zero")
+        return ExactComplex(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __neg__(self):
+        return ExactComplex._of(-self.re, -self.im)
+
+    def conj(self):
+        return ExactComplex._of(self.re, -self.im)
+
+    # the names Python's numbers use, so that Fraction, float, complex and
+    # ExactComplex coefficients all answer .real, .imag and .conjugate()
+    conjugate = conj
+    real = property(lambda self: self.re)
+    imag = property(lambda self: self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def as_complex(self):
+        return complex(float(self.re), float(self.im))
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        if isinstance(other, ExactComplex):
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "ExactComplex(%s, %s)" % (self.re, self.im)
+
+
+# the types coerce_scalar stores complex scalars as
+_COMPLEX = frozenset((ExactComplex, complex))
+
+
 def coerce_scalar(value, backend):
-    """Coerce a scalar onto a backend, refusing lossy conversions."""
+    """Coerce a scalar onto a backend, refusing lossy conversions.  Complex
+    scalars are ExactComplex on the exact backend and complex on the float
+    one."""
     if backend == EXACT:
         if isinstance(value, float):
             raise BackendMismatch(
@@ -61,6 +177,8 @@ def coerce_scalar(value, backend):
                 raise InputFormatError("bad rational literal %r" % (value,)) from exc
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
+        if isinstance(value, ExactComplex):
+            return value
         raise BackendMismatch("cannot put %r on the exact backend" % (value,))
     if backend == FLOAT:
         if isinstance(value, str):
@@ -70,8 +188,22 @@ def coerce_scalar(value, backend):
                 raise InputFormatError("bad numeric literal %r" % (value,)) from exc
         if isinstance(value, (int, float, Fraction)):
             return float(value)
+        if isinstance(value, complex):
+            return complex(value)
+        if isinstance(value, ExactComplex):
+            return value.as_complex()
         raise BackendMismatch("cannot put %r on the float backend" % (value,))
     raise BackendMismatch("unknown backend %r" % (backend,))
+
+
+def _size(c):
+    """|c| for a real scalar; max(|Re c|, |Im c|) for an exact complex one,
+    whose modulus is seldom rational; the modulus of a float complex one."""
+    if isinstance(c, ExactComplex):
+        return max(abs(c.re), abs(c.im))
+    if isinstance(c, complex):
+        return (c.real * c.real + c.imag * c.imag) ** 0.5
+    return abs(c)
 
 
 def _check_backend(backend):
@@ -131,7 +263,8 @@ def merge_sign(left, right):
 
 
 class Vector:
-    """A vector in R^n, components on a fixed backend."""
+    """A vector in R^n, or in C^n with complex components, on a fixed
+    backend."""
 
     __slots__ = ("n", "backend", "comps")
 
@@ -157,12 +290,6 @@ class Vector:
     def zero(cls, n, backend=EXACT):
         return cls([0] * n, backend)
 
-    def comp(self, i):
-        """1-based component access."""
-        if not 1 <= i <= self.n:
-            raise DimensionMismatch("component index %d out of range" % (i,))
-        return self.comps[i - 1]
-
     def __add__(self, other):
         _same_backend(self, other)
         _same_ambient(self, other)
@@ -179,6 +306,22 @@ class Vector:
     def scale(self, c):
         c = coerce_scalar(c, self.backend)
         return Vector([c * a for a in self.comps], self.backend)
+
+    def conj(self):
+        return Vector([a.conjugate() for a in self.comps], self.backend)
+
+    @property
+    def re(self):
+        return Vector([a.real for a in self.comps], self.backend)
+
+    @property
+    def im(self):
+        return Vector([a.imag for a in self.comps], self.backend)
+
+    def is_real(self):
+        """True when no component is a complex scalar, whatever its
+        imaginary part."""
+        return _COMPLEX.isdisjoint(map(type, self.comps))
 
     def dot(self, other):
         _same_backend(self, other)
@@ -206,7 +349,8 @@ class Vector:
 
 
 class Multivector:
-    """Element of the exterior algebra of R^n."""
+    """Element of the exterior algebra of R^n, or of its complexification
+    when coefficients are complex."""
 
     __slots__ = ("n", "backend", "terms")
 
@@ -253,6 +397,11 @@ class Multivector:
     def is_zero(self):
         return not self.terms
 
+    def is_real(self):
+        """True when no coefficient is a complex scalar, whatever its
+        imaginary part."""
+        return _COMPLEX.isdisjoint(map(type, self.terms.values()))
+
     def grades(self):
         return sorted({len(k) for k in self.terms})
 
@@ -287,6 +436,26 @@ class Multivector:
             return Multivector.zero(self.n, self.backend)
         return self._raw(self.n, {k: c * v for k, v in self.terms.items()}, self.backend)
 
+    def conj(self):
+        return self._raw(
+            self.n, {k: v.conjugate() for k, v in self.terms.items()}, self.backend)
+
+    @property
+    def re(self):
+        return self._part(lambda v: v.real)
+
+    @property
+    def im(self):
+        return self._part(lambda v: v.imag)
+
+    def _part(self, part):
+        out = {}
+        for k, v in self.terms.items():
+            p = part(v)
+            if p != 0:
+                out[k] = p
+        return self._raw(self.n, out, self.backend)
+
     @classmethod
     def _raw(cls, n, canon_terms, backend):
         """Internal: build from already-canonical terms without rework."""
@@ -296,18 +465,12 @@ class Multivector:
         object.__setattr__(obj, "terms", canon_terms)
         return obj
 
-    def to_float(self):
-        if self.backend == FLOAT:
-            return self
-        return self._raw(
-            self.n, {k: float(v) for k, v in self.terms.items()}, FLOAT
-        )
-
     def max_abs(self):
-        """Largest absolute coefficient (Fraction on exact, float on float)."""
+        """Largest coefficient size (see _size): a Fraction on the exact
+        backend, a float on the float one."""
         if not self.terms:
             return coerce_scalar(0, self.backend)
-        return max(abs(v) for v in self.terms.values())
+        return max(_size(v) for v in self.terms.values())
 
     def __eq__(self, other):
         return (
@@ -334,280 +497,11 @@ def volume_form(n, backend=EXACT):
     return Multivector.basis(n, tuple(range(1, n + 1)), backend)
 
 
-# -- exact complex scalars ------------------------------------------------
-
-
-class ExactComplex:
-    """A complex number with Fraction real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactComplex is immutable")
-
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, ExactComplex):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return cls(other, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactComplex(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactComplex(other.re - self.re, other.im - self.im)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by exact complex zero")
-        return ExactComplex(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
-
-    def conj(self):
-        return ExactComplex(self.re, -self.im)
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
-
-    def as_complex(self):
-        return complex(float(self.re), float(self.im))
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "ExactComplex(%s, %s)" % (self.re, self.im)
-
-
-def split_complex_scalar(c, backend):
-    """Split a scalar into backend-coerced (re, im) parts."""
-    if isinstance(c, ExactComplex):
-        if backend == FLOAT:
-            return float(c.re), float(c.im)
-        return c.re, c.im
-    if isinstance(c, complex):
-        if backend == EXACT:
-            raise BackendMismatch("python complex not accepted on exact backend")
-        return float(c.real), float(c.imag)
-    return coerce_scalar(c, backend), coerce_scalar(0, backend)
-
-
-# -- complex containers ---------------------------------------------------
-
-
-class ComplexVector:
-    """Complexified vector: re + i*im with matching real Vectors."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        if im is None:
-            im = Vector.zero(re.n, re.backend)
-        _same_backend(re, im)
-        _same_ambient(re, im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexVector is immutable")
-
-    @property
-    def n(self):
-        return self.re.n
-
-    @property
-    def backend(self):
-        return self.re.backend
-
-    def __add__(self, other):
-        other = as_complex_vector(other)
-        return ComplexVector(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        other = as_complex_vector(other)
-        return ComplexVector(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return ComplexVector(-self.re, -self.im)
-
-    def scale(self, c):
-        cre, cim = split_complex_scalar(c, self.backend)
-        return ComplexVector(
-            self.re.scale(cre) - self.im.scale(cim),
-            self.re.scale(cim) + self.im.scale(cre),
-        )
-
-    def conj(self):
-        return ComplexVector(self.re, -self.im)
-
-    def comp(self, i):
-        if self.backend == FLOAT:
-            return complex(self.re.comp(i), self.im.comp(i))
-        return ExactComplex(self.re.comp(i), self.im.comp(i))
-
-    def to_float(self):
-        return ComplexVector(self.re.to_float(), self.im.to_float())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComplexVector)
-            and self.re == other.re
-            and self.im == other.im
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "ComplexVector(re=%r, im=%r)" % (self.re, self.im)
-
-
-class ComplexMultivector:
-    """Complexified multivector: re + i*im with matching real parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        if im is None:
-            im = Multivector.zero(re.n, re.backend)
-        _same_backend(re, im)
-        _same_ambient(re, im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexMultivector is immutable")
-
-    @property
-    def n(self):
-        return self.re.n
-
-    @property
-    def backend(self):
-        return self.re.backend
-
-    def __add__(self, other):
-        other = as_complex_multivector(other)
-        return ComplexMultivector(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        other = as_complex_multivector(other)
-        return ComplexMultivector(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return ComplexMultivector(-self.re, -self.im)
-
-    def scale(self, c):
-        cre, cim = split_complex_scalar(c, self.backend)
-        return ComplexMultivector(
-            self.re.scale(cre) - self.im.scale(cim),
-            self.re.scale(cim) + self.im.scale(cre),
-        )
-
-    def conj(self):
-        return ComplexMultivector(self.re, -self.im)
-
-    def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
-
-    def grades(self):
-        return sorted(set(self.re.grades()) | set(self.im.grades()))
-
-    def coeff(self, indices):
-        if self.backend == FLOAT:
-            return complex(self.re.coeff(indices), self.im.coeff(indices))
-        return ExactComplex(self.re.coeff(indices), self.im.coeff(indices))
-
-    def max_abs(self):
-        """Largest coefficient magnitude, always as a float."""
-        keys = set(self.re.terms) | set(self.im.terms)
-        best = 0.0
-        for k in keys:
-            a = float(self.re.terms.get(k, 0))
-            b = float(self.im.terms.get(k, 0))
-            best = max(best, (a * a + b * b) ** 0.5)
-        return best
-
-    def to_float(self):
-        return ComplexMultivector(self.re.to_float(), self.im.to_float())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComplexMultivector)
-            and self.re == other.re
-            and self.im == other.im
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "ComplexMultivector(re=%r, im=%r)" % (self.re, self.im)
-
-
-def as_complex_vector(v):
-    if isinstance(v, ComplexVector):
-        return v
-    if isinstance(v, Vector):
-        return ComplexVector(v)
-    raise TypeError("expected Vector or ComplexVector, got %r" % (type(v),))
-
-
-def as_complex_multivector(a):
-    if isinstance(a, ComplexMultivector):
-        return a
-    if isinstance(a, Multivector):
-        return ComplexMultivector(a)
-    raise TypeError("expected Multivector or ComplexMultivector, got %r" % (type(a),))
-
-
 # -- core operations ------------------------------------------------------
 
 
-def _wedge_real(a, b):
+def wedge(a, b):
+    """Exterior product."""
     _same_backend(a, b)
     _same_ambient(a, b)
     zero = coerce_scalar(0, a.backend)
@@ -626,18 +520,6 @@ def _wedge_real(a, b):
     return Multivector._raw(a.n, out, a.backend)
 
 
-def wedge(a, b):
-    """Exterior product.  Accepts real or complexified multivectors."""
-    if isinstance(a, Multivector) and isinstance(b, Multivector):
-        return _wedge_real(a, b)
-    ca = as_complex_multivector(a)
-    cb = as_complex_multivector(b)
-    return ComplexMultivector(
-        _wedge_real(ca.re, cb.re) - _wedge_real(ca.im, cb.im),
-        _wedge_real(ca.re, cb.im) + _wedge_real(ca.im, cb.re),
-    )
-
-
 def wedge_many(forms):
     forms = list(forms)
     if not forms:
@@ -648,7 +530,8 @@ def wedge_many(forms):
     return acc
 
 
-def _hook_real(v, a):
+def hook(v, a):
+    """Interior product v -| a."""
     _same_backend(v, a)
     if v.n != a.n:
         raise DimensionMismatch("vector and form live in different dimensions")
@@ -667,18 +550,6 @@ def _hook_real(v, a):
             else:
                 out[sub] = val
     return Multivector._raw(a.n, out, a.backend)
-
-
-def hook(v, a):
-    """Interior product v -| a.  Accepts real/complex vectors and forms."""
-    if isinstance(v, Vector) and isinstance(a, Multivector):
-        return _hook_real(v, a)
-    cv = as_complex_vector(v)
-    ca = as_complex_multivector(a)
-    return ComplexMultivector(
-        _hook_real(cv.re, ca.re) - _hook_real(cv.im, ca.im),
-        _hook_real(cv.re, ca.im) + _hook_real(cv.im, ca.re),
-    )
 
 
 def hook_many(vectors, a):
@@ -700,7 +571,9 @@ def _star_sign(key, n):
     return (comp, -1 if inversions % 2 else 1)
 
 
-def _hodge_real(a):
+def hodge_star(a):
+    """Hodge star for the Euclidean metric and orientation e_1^...^e_n,
+    extended complex-linearly."""
     out = {}
     for key, coeff in a.terms.items():
         comp, sgn = _star_sign(key, a.n)
@@ -708,27 +581,14 @@ def _hodge_real(a):
     return Multivector._raw(a.n, out, a.backend)
 
 
-def hodge_star(a):
-    """Hodge star for the Euclidean metric and orientation e_1^...^e_n."""
-    if isinstance(a, Multivector):
-        return _hodge_real(a)
-    ca = as_complex_multivector(a)
-    return ComplexMultivector(_hodge_real(ca.re), _hodge_real(ca.im))
-
-
 def musical_flat(v):
     """Index-lowering: vector -> 1-form (Euclidean metric)."""
-    if isinstance(v, Vector):
-        terms = {(i + 1,): c for i, c in enumerate(v.comps) if c != 0}
-        return Multivector(v.n, terms, v.backend)
-    cv = as_complex_vector(v)
-    return ComplexMultivector(musical_flat(cv.re), musical_flat(cv.im))
+    terms = {(i + 1,): c for i, c in enumerate(v.comps) if c != 0}
+    return Multivector(v.n, terms, v.backend)
 
 
 def musical_sharp(a):
     """Index-raising: 1-form -> vector.  Raises GradeError off grade 1."""
-    if isinstance(a, ComplexMultivector):
-        return ComplexVector(musical_sharp(a.re), musical_sharp(a.im))
     gs = a.grades()
     if gs not in ([], [1]):
         raise GradeError("musical_sharp needs a 1-form, got grades %s" % (gs,))
@@ -739,9 +599,9 @@ def musical_sharp(a):
 
 
 def inner(a, b):
-    """Pointwise inner product of two homogeneous same-grade forms."""
-    if isinstance(a, ComplexMultivector) or isinstance(b, ComplexMultivector):
-        raise TypeError("inner is defined for real multivectors; split re/im")
+    """Pointwise inner product of two real homogeneous same-grade forms."""
+    if not (a.is_real() and b.is_real()):
+        raise TypeError("inner is defined for real forms; split re/im")
     _same_backend(a, b)
     _same_ambient(a, b)
     ga = a.grades()
@@ -782,38 +642,11 @@ def _minor_det(vectors, key, backend):
 
 
 def form_value(a, vectors):
-    """Evaluate a grade-k form on k vectors.
-
-    Complex inputs are handled by multilinearity; the result is a scalar of
-    the appropriate flavor (Fraction / float / ExactComplex / complex).
-    """
-    if isinstance(a, ComplexMultivector) or any(
-        isinstance(v, ComplexVector) for v in vectors
-    ):
-        ca = as_complex_multivector(a)
-        cvs = [as_complex_vector(v) for v in vectors]
-        total_re = coerce_scalar(0, ca.backend)
-        total_im = coerce_scalar(0, ca.backend)
-        # expand multilinearly over {re, im} choices for each slot
-        for choice in itertools.product((0, 1), repeat=len(cvs)):
-            parts = [cv.re if c == 0 else cv.im for cv, c in zip(cvs, choice)]
-            npicks = sum(choice)
-            for formpart, extra in ((ca.re, 0), (ca.im, 1)):
-                if formpart.is_zero():
-                    continue
-                val = form_value(formpart, parts)
-                k = (npicks + extra) % 4
-                if k == 0:
-                    total_re += val
-                elif k == 1:
-                    total_im += val
-                elif k == 2:
-                    total_re -= val
-                else:
-                    total_im -= val
-        if ca.backend == FLOAT:
-            return complex(total_re, total_im)
-        return ExactComplex(total_re, total_im)
+    """Evaluate a real grade-k form on k real vectors: a Fraction on the
+    exact backend, a float on the float one.  Complex input raises
+    TypeError."""
+    if not (a.is_real() and all(v.is_real() for v in vectors)):
+        raise TypeError("form_value takes a real form and real vectors")
     k = len(vectors)
     gs = a.grades()
     if gs not in ([], [k]):
@@ -974,11 +807,6 @@ def apply_signed_permutation(a, perm, signs):
     ``perm`` is a sequence of length n with 1-based targets forming a
     permutation; ``signs`` is a sequence of +-1.
     """
-    if isinstance(a, ComplexMultivector):
-        return ComplexMultivector(
-            apply_signed_permutation(a.re, perm, signs),
-            apply_signed_permutation(a.im, perm, signs),
-        )
     perm = tuple(int(p) for p in perm)
     signs = tuple(int(s) for s in signs)
     if sorted(perm) != list(range(1, a.n + 1)):

@@ -35,9 +35,6 @@ from .errors import (
 from .exterior import (
     EXACT,
     FLOAT,
-    ComplexMultivector,
-    ComplexVector,
-    ExactComplex,
     Multivector,
     Vector,
     coerce_scalar,
@@ -82,6 +79,8 @@ class OrientedPlane:
         for r in rows:
             if r.n != n or r.backend != backend:
                 raise PlaneError("frame vectors disagree in dimension or backend")
+            if not r.is_real():
+                raise PlaneError("frame vectors must be real")
         if len(rows) > n:
             raise PlaneError("more frame vectors than ambient dimensions")
         if backend == EXACT:
@@ -657,14 +656,6 @@ class ComplexGraphCoefficients:
             out.append(Vector(comps, self.backend))
         return out
 
-    def flat(self):
-        vals = []
-        for row in self.lam:
-            vals.extend(row)
-        for row in self.mu:
-            vals.extend(row)
-        return vals
-
     @classmethod
     def from_flat(cls, p, m, values, backend=FLOAT):
         width = 2 * (m - p)
@@ -681,7 +672,7 @@ class ComplexGraphCoefficients:
 
 
 def normal_volume_form(model, p):
-    """beta = dz_{p+1} ^ ... ^ dz_m (grade m-p, complexified)."""
+    """beta = dz_{p+1} ^ ... ^ dz_m (grade m-p, complex)."""
     if p >= model.m:
         raise DimensionMismatch("no normal directions when p >= m")
     return wedge_many([dz_form(model, k) for k in range(p + 1, model.m + 1)])
@@ -737,10 +728,7 @@ def hook_coefficient_oracle(model, cg):
             lam_y = cg.lam[j][col + width]
             mu_x = cg.mu[j][col]
             mu_y = cg.mu[j][col + width]
-            if cg.backend == EXACT:
-                coeff = ExactComplex(mu_x + lam_y, mu_y - lam_x)
-            else:
-                coeff = complex(float(mu_x) + float(lam_y), float(mu_y) - float(lam_x))
+            coeff = (mu_x + lam_y) + (mu_y - lam_x) * i_unit
             ek = Vector.basis(2 * cg.m, 2 * k - 1, cg.backend)
             term = hook(ek, beta).scale(coeff)
             acc = term if acc is None else acc + term
@@ -808,7 +796,7 @@ class NormalFormImage:
     """A decomposed element alpha (x) vector of the target bundle; alpha is
     pinned to the unit antiholomorphic surface volume dzbar_1 ^ dzbar_2."""
 
-    alpha: ComplexMultivector
+    alpha: Multivector
     vector: TypedVector
 
 
@@ -817,17 +805,20 @@ def _require_surface_model(model):
         raise DimensionMismatch("this construction needs the m=4 flat model")
 
 
+def _require_small(model, values, tol, message):
+    """TypeMismatch(message) unless every |Re| and |Im| of the scalars
+    ``values`` is zero on the exact backend, at most ``tol`` on the float
+    one."""
+    worst = max((max(abs(c.real), abs(c.imag)) for c in values), default=0)
+    if worst > (0 if model.backend == EXACT else tol):
+        raise TypeMismatch(message)
+
+
 def _check_normal_01(model, tv):
     if tv.vtype != TYPE_01:
         raise TypeMismatch("expected a (0,1) vector")
-    for i in (1, 2, 3, 4):
-        re = float(tv.vec.re.comps[i - 1])
-        im = float(tv.vec.im.comps[i - 1])
-        if model.backend == EXACT:
-            if tv.vec.re.comps[i - 1] != 0 or tv.vec.im.comps[i - 1] != 0:
-                raise TypeMismatch("vector has tangential components")
-        elif abs(re) > 1e-12 or abs(im) > 1e-12:
-            raise TypeMismatch("vector has tangential components")
+    _require_small(model, tv.vec.comps[:4], 1e-12,
+                   "vector has tangential components")
 
 
 def normal_isom(model, tv):
@@ -843,21 +834,11 @@ def normal_isom(model, tv):
     # frame slots: dzbar_k <-> 4 + k; surface legs are (5, 6)
     c3 = cf.coeff((5, 6, 7))
     c4 = cf.coeff((5, 6, 8))
-    stray = 0.0
-    for key in set(cf.re.terms) | set(cf.im.terms):
-        if key not in ((5, 6, 7), (5, 6, 8)):
-            stray = max(
-                stray,
-                abs(float(cf.re.terms.get(key, 0))),
-                abs(float(cf.im.terms.get(key, 0))),
-            )
-    if model.backend == EXACT:
-        if stray != 0:
-            raise TypeMismatch("contraction has unexpected components")
-    elif stray > 1e-10:
-        raise TypeMismatch("contraction has unexpected components")
+    _require_small(model, [v for k, v in cf.terms.items()
+                           if k not in ((5, 6, 7), (5, 6, 8))], 1e-10,
+                   "contraction has unexpected components")
     alpha = wedge(dzbar_form(model, 1), dzbar_form(model, 2))
-    half = Fraction(1, 2) if model.backend == EXACT else 0.5
+    half = coerce_scalar(Fraction(1, 2), model.backend)
     # sharp of dzbar_b is 2 * (holomorphic coordinate vector), then / 4
     u = holo_vector(model, 3).scale(c3).scale(half) + holo_vector(
         model, 4
@@ -875,41 +856,16 @@ def normal_isom_inverse(model, alpha, tv):
         raise TypeMismatch("expected a (1,0) vector")
     # alpha must be a multiple of dzbar_1 ^ dzbar_2
     cf = to_complex_frame(model, alpha)
-    scale_c = cf.coeff((5, 6))
-    for key in set(cf.re.terms) | set(cf.im.terms):
-        if key != (5, 6):
-            bad = max(
-                abs(float(cf.re.terms.get(key, 0))),
-                abs(float(cf.im.terms.get(key, 0))),
-            )
-            if model.backend == EXACT:
-                if bad != 0:
-                    raise TypeMismatch("alpha is not a (0,2) surface form")
-            elif bad > 1e-12:
-                raise TypeMismatch("alpha is not a (0,2) surface form")
+    _require_small(model, [v for k, v in cf.terms.items() if k != (5, 6)],
+                   1e-12, "alpha is not a (0,2) surface form")
     five_form = wedge(alpha, hook(tv.vec, model.Omega))
-    # extract the coefficients of vol_N ^ dx_r, r in 5..8
-    quarter = Fraction(1, 4) if model.backend == EXACT else 0.25
-    comps_re = [coerce_scalar(0, model.backend)] * 8
-    comps_im = [coerce_scalar(0, model.backend)] * 8
-    for r in (5, 6, 7, 8):
-        key = (1, 2, 3, 4, r)
-        comps_re[r - 1] = five_form.re.terms.get(key, coerce_scalar(0, model.backend))
-        comps_im[r - 1] = five_form.im.terms.get(key, coerce_scalar(0, model.backend))
-    stray = 0.0
-    for part in (five_form.re, five_form.im):
-        for key, val in part.terms.items():
-            if not (key[:4] == (1, 2, 3, 4) and len(key) == 5):
-                stray = max(stray, abs(float(val)))
-    if model.backend == EXACT:
-        if stray != 0:
-            raise TypeMismatch("unexpected components in the contraction")
-    elif stray > 1e-10:
-        raise TypeMismatch("unexpected components in the contraction")
-    gamma = ComplexVector(
-        Vector(comps_re, model.backend), Vector(comps_im, model.backend)
-    )
-    out = gamma.scale(-1).scale(quarter)
+    # the coefficients of vol_N ^ dx_r, r in 5..8, and nothing else
+    _require_small(model, [v for k, v in five_form.terms.items()
+                           if not (k[:4] == (1, 2, 3, 4) and len(k) == 5)],
+                   1e-10, "unexpected components in the contraction")
+    gamma = Vector([five_form.coeff((1, 2, 3, 4, r)) if r > 4 else 0
+                    for r in range(1, 9)], model.backend)
+    out = gamma.scale(-1).scale(coerce_scalar(Fraction(1, 4), model.backend))
     return typed_vector(model.J, out, TYPE_01, tol=1e-9)
 
 
@@ -925,10 +881,6 @@ class SevenPieceIdentityReport:
 
 def _restrict_to_surface(a):
     """Keep only terms supported on coordinates 1..4, reindexed to R^4."""
-    if isinstance(a, ComplexMultivector):
-        return ComplexMultivector(
-            _restrict_to_surface(a.re), _restrict_to_surface(a.im)
-        )
     terms = {
         key: val for key, val in a.terms.items() if all(i <= 4 for i in key)
     }
@@ -940,7 +892,7 @@ def e_isom_checks(Phi, model):
     surface z_3 = z_4 = 0.  Returns maximal residuals; all are zero on the
     exact backend when the identities hold."""
     _require_surface_model(model)
-    quarter = Fraction(1, 4) if model.backend == EXACT else 0.25
+    quarter = coerce_scalar(Fraction(1, 4), model.backend)
     worst_i = 0.0
     # (i) antiholomorphic surface x normal pairs
     for a in (1, 2):
@@ -980,18 +932,13 @@ def e_isom_checks(Phi, model):
             surface_pairs.append(wedge(dz_form(model, a), dz_form(model, b)))
             surface_pairs.append(wedge(dz_form(model, a), dzbar_form(model, b)))
             surface_pairs.append(wedge(dzbar_form(model, a), dzbar_form(model, b)))
-    half = Fraction(1, 2) if model.backend == EXACT else 0.5
+    half = coerce_scalar(Fraction(1, 2), model.backend)
     for pair in surface_pairs:
         if pair.is_zero():
             continue
         lhs = _restrict_to_surface(Phi.pi7_apply(pair))
         restricted = _restrict_to_surface(pair)
-        rhs = (
-            restricted
-            + ComplexMultivector(
-                hodge_star(restricted.re), hodge_star(restricted.im)
-            )
-        ).scale(half)
+        rhs = (restricted + hodge_star(restricted)).scale(half)
         diff = lhs - rhs
         worst_iii = max(worst_iii, float(diff.max_abs()))
     return SevenPieceIdentityReport(

@@ -21,13 +21,9 @@ from .errors import BackendMismatch, DimensionMismatch, TypeMismatch, Validation
 from .exterior import (
     EXACT,
     FLOAT,
-    ComplexMultivector,
-    ComplexVector,
     ExactComplex,
     Multivector,
     Vector,
-    as_complex_multivector,
-    as_complex_vector,
     coerce_scalar,
     hook,
     wedge,
@@ -53,8 +49,6 @@ class ComplexStructureJ:
         return 2 * self.m
 
     def apply(self, v):
-        if isinstance(v, ComplexVector):
-            return ComplexVector(self.apply(v.re), self.apply(v.im))
         if v.n != self.n:
             raise DimensionMismatch(
                 "J on R^%d applied to a vector in R^%d" % (self.n, v.n)
@@ -83,7 +77,7 @@ class CalabiYauModel:
     phase_sin: object
     J: ComplexStructureJ
     omega: Multivector
-    Omega: ComplexMultivector
+    Omega: Multivector
 
     @property
     def n(self):
@@ -131,17 +125,8 @@ def build_model(m, phase=0.0, backend=EXACT, phase_pair=None):
     n = 2 * m
     omega_terms = {(2 * k + 1, 2 * k + 2): 1 for k in range(m)}
     omega = Multivector(n, omega_terms, backend)
-    factors = []
-    for k in range(m):
-        factors.append(
-            ComplexMultivector(
-                Multivector.basis(n, (2 * k + 1,), backend),
-                Multivector.basis(n, (2 * k + 2,), backend),
-            )
-        )
-    big = wedge_many(factors)
     phase_scalar = ExactComplex(c, s) if backend == EXACT else complex(c, s)
-    big = big.scale(phase_scalar)
+    big = wedge_many([_dz(n, k, backend) for k in range(1, m + 1)]).scale(phase_scalar)
     return CalabiYauModel(
         m=m,
         backend=backend,
@@ -164,37 +149,27 @@ def verify_normalization(model):
     """Residual of the volume compatibility between omega^m and Omega.
 
     Computes omega^m / m!  minus  (i/2)^m (-1)^{m(m-1)/2} Omega ^ conj(Omega)
-    and returns the largest coefficient magnitude of the difference
-    (a Fraction on the exact backend, a float otherwise).
+    and returns its Multivector.max_abs: the largest of |Re| and |Im| as a
+    Fraction on the exact backend, the largest modulus as a float otherwise.
     """
     m = model.m
     lhs = omega_power(model, m).scale(
-        Fraction(1, math.factorial(m)) if model.backend == EXACT
-        else 1.0 / math.factorial(m)
-    )
+        coerce_scalar(Fraction(1, math.factorial(m)), model.backend))
     rhs = wedge(model.Omega, model.Omega.conj())
-    half_i = imag_unit(model.backend)
-    if model.backend == EXACT:
-        half_i = half_i * Fraction(1, 2)
-    else:
-        half_i = half_i * 0.5
+    half_i = imag_unit(model.backend) * coerce_scalar(Fraction(1, 2), model.backend)
     factor = half_i
     for _ in range(m - 1):
         factor = factor * half_i
     if (m * (m - 1) // 2) % 2 == 1:
         factor = -factor
-    rhs = rhs.scale(factor)
-    diff = as_complex_multivector(lhs) - rhs
-    if model.backend == EXACT:
-        return max(diff.re.max_abs(), diff.im.max_abs())
-    return diff.max_abs()
+    return (lhs - rhs.scale(factor)).max_abs()
 
 
 @dataclass(frozen=True)
 class TypedVector:
-    """A complexified vector tagged with its complex type."""
+    """A complex vector tagged with its complex type."""
 
-    vec: ComplexVector
+    vec: Vector
     vtype: str
 
 
@@ -204,26 +179,18 @@ def typed_vector(J, vec, vtype, tol=1e-9):
     (1,0) vectors satisfy J v = i v; (0,1) vectors satisfy J v = -i v.
     Exact backend requires exact equality; float backend uses ``tol``.
     """
-    cv = as_complex_vector(vec)
     if vtype not in (TYPE_10, TYPE_01):
         raise TypeMismatch("unknown complex type %r" % (vtype,))
-    i_unit = imag_unit(cv.backend)
-    target = cv.scale(i_unit if vtype == TYPE_10 else -i_unit)
-    diff = J.apply(cv) - target
-    if cv.backend == EXACT:
-        bad = any(c != 0 for c in diff.re.comps) or any(c != 0 for c in diff.im.comps)
-        if bad:
-            raise TypeMismatch("vector is not exactly of type %s" % (vtype,))
-    else:
-        worst = max(
-            [abs(float(c)) for c in diff.re.comps]
-            + [abs(float(c)) for c in diff.im.comps]
+    i_unit = imag_unit(vec.backend)
+    diff = J.apply(vec) - vec.scale(i_unit if vtype == TYPE_10 else -i_unit)
+    worst = max(abs(c) for c in diff.re.comps + diff.im.comps)
+    if vec.backend == EXACT and worst != 0:
+        raise TypeMismatch("vector is not exactly of type %s" % (vtype,))
+    if worst > tol:
+        raise TypeMismatch(
+            "vector fails the %s condition by %.3e" % (vtype, worst)
         )
-        if worst > tol:
-            raise TypeMismatch(
-                "vector fails the %s condition by %.3e" % (vtype, worst)
-            )
-    return TypedVector(vec=cv, vtype=vtype)
+    return TypedVector(vec=vec, vtype=vtype)
 
 
 def hook_identities_check(model, k=None):
@@ -231,7 +198,7 @@ def hook_identities_check(model, k=None):
 
     For each complex coordinate k:  e_{2k-1} -| Omega + i (J e_{2k-1}) -| Omega
     must vanish, and the conjugate identity holds for conj(Omega).
-    Returns the largest coefficient magnitude seen.
+    Returns the largest Multivector.max_abs seen.
     """
     ks = range(1, model.m + 1) if k is None else [k]
     i_unit = imag_unit(model.backend)
@@ -242,27 +209,24 @@ def hook_identities_check(model, k=None):
         r1 = hook(e_odd, model.Omega) + hook(e_even, model.Omega).scale(i_unit)
         omb = model.Omega.conj()
         r2 = hook(e_odd, omb) - hook(e_even, omb).scale(i_unit)
-        for r in (r1, r2):
-            if model.backend == EXACT:
-                worst = max(worst, r.re.max_abs(), r.im.max_abs())
-            else:
-                worst = max(worst, r.max_abs())
+        worst = max(worst, r1.max_abs(), r2.max_abs())
     return worst
 
 
 # -- complex coordinate frame ---------------------------------------------
 #
 # Frame index convention on R^{2m}: slots 1..m stand for dz_1..dz_m and
-# slots m+1..2m stand for dzbar_1..dzbar_m.  A ComplexMultivector over this
+# slots m+1..2m stand for dzbar_1..dzbar_m.  A complex Multivector over this
 # index space is "in the complex frame".
 
 
+def _dz(n, k, backend):
+    """dz_k = dx_{2k-1} + i dx_{2k} on R^n."""
+    return Multivector(n, {(2 * k - 1,): 1, (2 * k,): imag_unit(backend)}, backend)
+
+
 def dz_form(model, k):
-    n = model.n
-    return ComplexMultivector(
-        Multivector.basis(n, (2 * k - 1,), model.backend),
-        Multivector.basis(n, (2 * k,), model.backend),
-    )
+    return _dz(model.n, k, model.backend)
 
 
 def dzbar_form(model, k):
@@ -271,10 +235,11 @@ def dzbar_form(model, k):
 
 def holo_vector(model, k):
     """The (1,0) coordinate vector dual to dz_k: (e_{2k-1} - i e_{2k})/2."""
-    half = Fraction(1, 2) if model.backend == EXACT else 0.5
-    re = Vector.basis(model.n, 2 * k - 1, model.backend).scale(half)
-    im = Vector.basis(model.n, 2 * k, model.backend).scale(-half)
-    return ComplexVector(re, im)
+    half = coerce_scalar(Fraction(1, 2), model.backend)
+    comps = [0] * model.n
+    comps[2 * k - 2] = half
+    comps[2 * k - 1] = -half * imag_unit(model.backend)
+    return Vector(comps, model.backend)
 
 
 def antiholo_vector(model, k):
@@ -283,32 +248,23 @@ def antiholo_vector(model, k):
 
 def _substitute(model, a, images):
     """Linear substitution on basis 1-forms, extended multiplicatively."""
-    ca = as_complex_multivector(a)
-    n = model.n
-    zero_c = ComplexMultivector(Multivector.zero(n, model.backend))
-    out = zero_c
-    keys = set(ca.re.terms) | set(ca.im.terms)
-    for key in sorted(keys, key=lambda t: (len(t), t)):
-        coeff = ca.coeff(key)
-        if not key:
-            out = out + ComplexMultivector(
-                Multivector.scalar(n, 1, model.backend)
-            ).scale(coeff)
-            continue
-        prod = wedge_many([images[i] for i in key])
-        out = out + prod.scale(coeff)
+    out = Multivector.zero(model.n, model.backend)
+    for key in sorted(a.terms, key=lambda t: (len(t), t)):
+        prod = (wedge_many([images[i] for i in key]) if key
+                else Multivector.scalar(model.n, 1, model.backend))
+        out = out + prod.scale(a.terms[key])
     return out
 
 
 def to_complex_frame(model, a):
     """Rewrite a form over dz/dzbar slots (see the frame convention above)."""
     m, n = model.m, model.n
-    half = Fraction(1, 2) if model.backend == EXACT else 0.5
+    half = coerce_scalar(Fraction(1, 2), model.backend)
     i_unit = imag_unit(model.backend)
     images = {}
     for k in range(1, m + 1):
-        fz = ComplexMultivector(Multivector.basis(n, (k,), model.backend))
-        fzb = ComplexMultivector(Multivector.basis(n, (m + k,), model.backend))
+        fz = Multivector.basis(n, (k,), model.backend)
+        fzb = Multivector.basis(n, (m + k,), model.backend)
         # dx_{2k-1} = (dz_k + dzbar_k)/2 ; dx_{2k} = -i (dz_k - dzbar_k)/2
         images[2 * k - 1] = (fz + fzb).scale(half)
         images[2 * k] = (fz - fzb).scale(half).scale(-i_unit)

@@ -33,7 +33,7 @@ from .exterior import (
     EXACT,
     FLOAT,
     FOUR_FORM_INDEX,
-    ComplexMultivector,
+    ExactComplex,
     Multivector,
     Vector,
     coerce_scalar,
@@ -113,7 +113,7 @@ class CayleyForm:
         self._phi_row = None
         self._defect = None
         self._defect_fold = None
-        self._scaled = {}
+        self._arrays = {}
 
     @property
     def backend(self):
@@ -204,7 +204,7 @@ class CayleyForm:
         if self._defect is None:
             if self.backend == EXACT:
                 phi, phi_den = _ratlinalg.scaled(self.phi_row())
-                pi7, pi7_den = self._numerators(self.pi7_matrix)
+                pi7, pi7_den = self._array(self.pi7_matrix)
                 gathered = np.concatenate([phi, [0], -phi])[_TAU_INDEX]
                 self._defect = _ratlinalg.unscaled(
                     gathered @ pi7.T, 4 * phi_den * pi7_den)
@@ -214,7 +214,7 @@ class CayleyForm:
                 row = self.phi_row()
                 gathered = np.concatenate([row, [0.0], -row])[_TAU_INDEX]
                 self._defect = self._frozen(np.einsum(
-                    "cq,pq->cp", gathered, np.array(self.pi7_matrix())) * 0.25)
+                    "cq,pq->cp", gathered, self._array(self.pi7_matrix)) * 0.25)
         return self._defect
 
     def defect_fold(self):
@@ -233,35 +233,39 @@ class CayleyForm:
         arr.flags.writeable = False
         return arr
 
-    def _numerators(self, matrix):
-        """_ratlinalg.scaled of the exact 28x28 matrix that the method
-        ``matrix`` (pi7_matrix or proj7_matrix) returns, built once."""
+    def _array(self, matrix):
+        """The 28x28 matrix that the method ``matrix`` (pi7_matrix or
+        proj7_matrix) returns, as an array built once: its _ratlinalg.scaled
+        (numerators, denominator) on the exact backend, a read-only float
+        array on the float one."""
         name = matrix.__name__
-        if name not in self._scaled:
-            self._scaled[name] = _ratlinalg.scaled(matrix())
-        return self._scaled[name]
+        if name not in self._arrays:
+            self._arrays[name] = (_ratlinalg.scaled(matrix())
+                                  if self.backend == EXACT
+                                  else self._frozen(matrix()))
+        return self._arrays[name]
 
     def _apply_matrix(self, matrix, a):
         """The matrix that the method ``matrix`` returns times a two-form's
-        column.  On the exact backend one product of the matrix's cached
-        numerators with the column's."""
-        if isinstance(a, ComplexMultivector):
-            return ComplexMultivector(
-                self._apply_matrix(matrix, a.re), self._apply_matrix(matrix, a.im)
-            )
+        column, real or complex, by one product.  On the exact backend the
+        matrix's cached numerators times the column's, a complex column
+        as the (28, 2) numerators of its real and imaginary parts side by
+        side; on the float one an np.einsum (its own loop, not BLAS, as in
+        defect_table), which takes a complex column as it is."""
         if a.grades() not in ([], [2]):
             raise GradeError("two-form operator applied to grades %s" % (a.grades(),))
         col = self._two_form_to_column(a)
-        if a.backend == EXACT:
-            nums, den = self._numerators(matrix)
+        if a.backend == FLOAT:
+            out = np.einsum("rc,c->r", self._array(matrix), np.array(col)).tolist()
+        elif a.is_real():
+            nums, den = self._array(matrix)
             col_nums, col_den = _ratlinalg.scaled(col)
             out = _ratlinalg.unscaled(nums @ col_nums, den * col_den)
         else:
-            mat = matrix()
-            out = [
-                sum((mat[r][c] * col[c] for c in range(28) if col[c] != 0), 0.0)
-                for r in range(28)
-            ]
+            nums, den = self._array(matrix)
+            col_nums, col_den = _ratlinalg.scaled([[c.real, c.imag] for c in col])
+            re, im = _ratlinalg.unscaled((nums @ col_nums).T, den * col_den)
+            out = [ExactComplex(x, y) for x, y in zip(re, im)]
         return self._column_to_two_form(out, a.backend)
 
     def pi7_apply(self, a):
@@ -340,10 +344,9 @@ def _slot_one_form(Phi, u, v, w):
 
 
 def tau_eval(Phi, x, u, v, w):
-    """Alternating two-form-valued obstruction on four vectors.
+    """Alternating two-form-valued obstruction on four real vectors.
 
-    Value lands in the 7-dimensional piece.  Inputs may be real or
-    complexified vectors; the result is then real or complexified.
+    Value lands in the 7-dimensional piece.
     """
     quarter = Fraction(1, 4) if Phi.backend == EXACT else 0.25
     t1 = Phi.pi7_apply(wedge(_slot_one_form(Phi, u, v, w), musical_flat(x)))
@@ -355,9 +358,7 @@ def tau_eval(Phi, x, u, v, w):
 
 
 def tau_norm_sq(value):
-    """Sum of squared coefficient magnitudes of a two-form value."""
-    if isinstance(value, ComplexMultivector):
-        return inner(value.re, value.re) + inner(value.im, value.im)
+    """Sum of squared coefficients of a real two-form value."""
     return inner(value, value)
 
 
@@ -385,7 +386,7 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
     if len(rows) != 4:
         raise PlaneError("need exactly 4 frame vectors, got %d" % (len(rows),))
     for v in rows:
-        if not isinstance(v, Vector):
+        if not isinstance(v, Vector) or not v.is_real():
             raise PlaneError("frame rows must be real Vectors, got %r" % (type(v),))
         if v.backend != Phi.backend:
             raise BackendMismatch(

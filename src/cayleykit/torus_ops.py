@@ -441,13 +441,11 @@ def _psi():
     is twice the pair minors (exterior._pair_minors_exact) of the columns
     b and a of the eight one-forms' coefficients."""
     model = build_model(4, backend=EXACT)
-    dzbar = {}
-    for k in range(1, 5):
-        v = antiholo_vector(model, k)
-        dzbar[k] = [ExactComplex(re, im) for re, im in zip(v.re.comps, v.im.comps)]
+    dzbar = {k: antiholo_vector(model, k).comps for k in range(1, 5)}
     minors = [_pair_minors_exact(dzbar[b], dzbar[a]) for b, a in _ONE_FORM_ROWS]
     psi = [[m.get(p, _NIL) * 2 for m in minors] for p in range(len(TWO_FORM_INDEX))]
-    return tuple(tuple(z.re for z in row) + tuple(z.im for z in row) for row in psi)
+    return tuple(tuple(Fraction(z.real) for z in row)
+                 + tuple(Fraction(z.imag) for z in row) for row in psi)
 
 
 @lru_cache(maxsize=8)

@@ -96,6 +96,48 @@ def test_musical_round_trip(v):
     assert all(a == b for a, b in zip(w.comps, v.comps))
 
 
+def complex_form_strategy(k, n=8):
+    keys = list(itertools.combinations(range(1, n + 1), k))
+    items = st.lists(st.tuples(st.sampled_from(keys), rationals, rationals),
+                     min_size=1, max_size=4)
+    return items.map(lambda items: Multivector(
+        n, {key: ExactComplex(re, im) for key, re, im in items}, EXACT))
+
+
+complex_vectors = st.lists(st.tuples(rationals, rationals), min_size=8,
+                           max_size=8).map(
+    lambda c: Vector([ExactComplex(re, im) for re, im in c], EXACT))
+
+I_UNIT = ExactComplex(0, 1)
+
+
+def _join(re, im):
+    """re + i im, from real parts: a form or a vector."""
+    return re + im.scale(I_UNIT)
+
+
+@given(complex_form_strategy(1), complex_form_strategy(2), complex_vectors,
+       rationals, rationals)
+def test_complex_operations_match_real_expansion(f, a, v, cre, cim):
+    # each operation on complex coefficients against its expansion into
+    # real operations on the real and imaginary parts
+    c = ExactComplex(cre, cim)
+    assert a.re.is_real() and a.im.is_real() and v.re.is_real()
+    assert _join(a.re, a.im) == a and _join(v.re, v.im) == v
+    assert wedge(f, a) == _join(wedge(f.re, a.re) - wedge(f.im, a.im),
+                                wedge(f.re, a.im) + wedge(f.im, a.re))
+    assert hook(v, a) == _join(hook(v.re, a.re) - hook(v.im, a.im),
+                               hook(v.re, a.im) + hook(v.im, a.re))
+    assert hodge_star(a) == _join(hodge_star(a.re), hodge_star(a.im))
+    assert musical_sharp(f) == _join(musical_sharp(f.re), musical_sharp(f.im))
+    assert musical_flat(v) == _join(musical_flat(v.re), musical_flat(v.im))
+    assert a.scale(c) == _join(a.re.scale(cre) - a.im.scale(cim),
+                               a.re.scale(cim) + a.im.scale(cre))
+    assert v.scale(c) == _join(v.re.scale(cre) - v.im.scale(cim),
+                               v.re.scale(cim) + v.im.scale(cre))
+    assert a.conj() == _join(a.re, -a.im) and v.conj() == _join(v.re, -v.im)
+
+
 @given(rationals, rationals, rationals, rationals)
 def test_exact_complex_is_a_field(ar, ai, br, bi):
     a = ExactComplex(ar, ai)

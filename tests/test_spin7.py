@@ -15,9 +15,11 @@ from cayleykit.exterior import (
     EXACT,
     FLOAT,
     FOUR_FORM_INDEX,
+    ExactComplex,
     Multivector,
     Vector,
     apply_signed_permutation,
+    coerce_scalar,
     form_value,
     hodge_star,
     inner,
@@ -135,26 +137,63 @@ big_rationals = st.builds(Fraction, st.integers(-10**30, 10**30),
 
 
 @functools.lru_cache(maxsize=None)
-def _exact_operator_forms():
-    model = build_model(4, backend=EXACT,
+def _operator_forms(backend):
+    model = build_model(4, backend=backend,
                         phase_pair=(Fraction(3, 5), Fraction(4, 5)))
-    return (phi0(backend=EXACT), phi_from_kahler(model))
+    return (phi0(backend=backend), phi_from_kahler(model))
 
 
-@given(st.dictionaries(st.sampled_from(TWO_FORM_INDEX), big_rationals, max_size=8))
+@given(st.dictionaries(st.sampled_from(TWO_FORM_INDEX), big_rationals, max_size=8),
+       st.lists(big_rationals, min_size=8, max_size=8))
 @settings(max_examples=30, deadline=None)
-def test_exact_operators_match_entrywise_sums(terms):
-    # the scaled-integer product against entry-by-entry Fraction sums, with
-    # numerators and denominators far past int64
-    a = Multivector(8, {k: v for k, v in terms.items() if v != 0}, EXACT)
-    col = [a.coeff(key) for key in TWO_FORM_INDEX]
-    for Phi in _exact_operator_forms():
-        for apply, mat in ((Phi.pi7_apply, Phi.pi7_matrix()),
-                           (Phi.proj7_apply, Phi.proj7_matrix())):
-            image = apply(a)
-            for row, key in zip(mat, TWO_FORM_INDEX):
-                assert image.coeff(key) == sum(
-                    (m * c for m, c in zip(row, col)), Fraction(0))
+def test_exact_operators_match_entrywise_sums(terms, imag):
+    # the one-product operators against entry-by-entry sums: the exact
+    # scaled-integer product with numerators and denominators far past
+    # int64, and the float einsum within the rounding of a 28-term sum,
+    # each on a real two-form and on a complex one
+    complex_terms = {k: ExactComplex(v, w) for (k, v), w in zip(terms.items(), imag)}
+    for backend in (EXACT, FLOAT):
+        for a in (Multivector(8, terms, backend),
+                  Multivector(8, complex_terms, backend)):
+            col = [a.coeff(key) for key in TWO_FORM_INDEX]
+            for Phi in _operator_forms(backend):
+                for apply, mat in ((Phi.pi7_apply, Phi.pi7_matrix()),
+                                   (Phi.proj7_apply, Phi.proj7_matrix())):
+                    image = apply(a)
+                    for row, key in zip(mat, TWO_FORM_INDEX):
+                        products = [m * c for m, c in zip(row, col)]
+                        want = sum(products, coerce_scalar(0, backend))
+                        if backend == EXACT:
+                            assert image.coeff(key) == want
+                        else:
+                            # two sums of 28 rounded products in different
+                            # orders, each within 14 eps * sum|products| of
+                            # the exact sum: they differ by at most 28 eps
+                            # times that sum, sqrt(2) times more if complex
+                            assert abs(image.coeff(key) - want) <= (
+                                64 * np.finfo(float).eps * sum(map(abs, products)))
+
+
+@pytest.mark.parametrize("entry", [ExactComplex(1, 0), ExactComplex(0, 1)],
+                         ids=["complex-one", "complex-i"])
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_real_entry_points_refuse_complex_input(backend, entry):
+    # a complex entry is refused by its type, even when it is real in value
+    rows = [Vector.basis(8, i, backend) for i in (1, 2, 3)]
+    rows.append(Vector([0, 0, 0, entry, 0, 0, 0, 0], backend))
+    form = Multivector(8, {(1, 2): entry}, backend)
+    real = Multivector(8, {(1, 2): 1}, backend)
+    with pytest.raises(PlaneError):
+        is_cayley(phi0(backend=backend), rows)
+    with pytest.raises(PlaneError):
+        OrientedPlane(rows=tuple(rows))
+    for a, b in ((form, form), (real, form), (form, real)):
+        with pytest.raises(TypeError):
+            inner(a, b)
+    with pytest.raises(TypeError):
+        form_value(phi0(backend=backend).phi, rows)
+    with pytest.raises(TypeError):
+        form_value(form, rows[:2])
 
 
 def test_defect_anchor_value(phi_exact):
