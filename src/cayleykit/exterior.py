@@ -158,6 +158,7 @@ class ExactComplex:
 
 # the types coerce_scalar stores complex scalars as
 _COMPLEX = frozenset((ExactComplex, complex))
+_FLOATS = frozenset((float,))
 
 
 def coerce_scalar(value, backend):
@@ -270,7 +271,10 @@ class Vector:
 
     def __init__(self, comps, backend=EXACT):
         _check_backend(backend)
-        comps = tuple(coerce_scalar(c, backend) for c in comps)
+        comps = tuple(comps)
+        # Python floats are already what coerce_scalar makes on FLOAT
+        if backend != FLOAT or not _FLOATS.issuperset(map(type, comps)):
+            comps = tuple(coerce_scalar(c, backend) for c in comps)
         if not 1 <= len(comps) <= 8:
             raise DimensionMismatch("supported ambient dimensions are 1..8")
         object.__setattr__(self, "n", len(comps))

@@ -1,11 +1,12 @@
-"""Random frames and small orthogonality utilities (float backend)."""
+"""Oriented planes, random frames and small orthogonality utilities."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PlaneError
-from .exterior import FLOAT, Vector
+from .exterior import EXACT, FLOAT, Vector
 
 
 def haar_frame(n, k, rng):
@@ -32,7 +33,10 @@ def random_unitary(m, rng):
 
 
 def as_matrix(rows):
-    """Stack Vectors or rows of numbers into a (k, n) float numpy array."""
+    """Stack Vectors or rows of numbers into a (k, n) float numpy array;
+    a numpy array is taken as it is (as float)."""
+    if isinstance(rows, np.ndarray):
+        return rows.astype(float, copy=False)
     rows = [r.comps if isinstance(r, Vector) else r for r in rows]
     return np.array([[float(c) for c in r] for r in rows])
 
@@ -44,3 +48,74 @@ def orthonormality_residual(rows):
     with np.errstate(over="ignore", invalid="ignore"):
         res = float(np.max(np.abs(mat @ mat.T - np.eye(len(mat)))))
     return res if math.isfinite(res) else math.inf
+
+
+@dataclass(frozen=True)
+class OrientedPlane:
+    """An ordered orthonormal frame spanning a 2p-dimensional subspace."""
+
+    rows: tuple
+    _matrix: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = tuple(self.rows)
+        if not rows:
+            raise PlaneError("a plane needs at least one frame vector")
+        n = rows[0].n
+        backend = rows[0].backend
+        for r in rows:
+            if r.n != n or r.backend != backend:
+                raise PlaneError("frame vectors disagree in dimension or backend")
+            if not r.is_real():
+                raise PlaneError("frame vectors must be real")
+        if len(rows) > n:
+            raise PlaneError("more frame vectors than ambient dimensions")
+        mat = None
+        if backend == EXACT:
+            for i, vi in enumerate(rows):
+                for j, vj in enumerate(rows):
+                    want = 1 if i == j else 0
+                    if vi.dot(vj) != want:
+                        raise PlaneError("frame is not exactly orthonormal")
+        else:
+            mat = as_matrix(rows)
+            res = orthonormality_residual(mat)
+            if res > 1e-8:
+                raise PlaneError(
+                    "frame is not orthonormal (residual %.3e)" % (res,)
+                )
+            mat.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_matrix", mat)
+
+    @property
+    def n(self):
+        return self.rows[0].n
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @property
+    def backend(self):
+        return self.rows[0].backend
+
+    @classmethod
+    def from_rows(cls, rows, backend=FLOAT):
+        vecs = [r if isinstance(r, Vector) else Vector(r, backend) for r in rows]
+        return cls(rows=tuple(vecs))
+
+    def matrix(self):
+        """The frame rows as a (k, n) float array.  A float plane returns the
+        read-only array its orthonormality check was run on, built once at
+        construction; an exact plane converts its Fractions on each call."""
+        if self._matrix is not None:
+            return self._matrix
+        return as_matrix(self.rows)
+
+    def projection_matrix(self):
+        r = self.matrix()
+        return r.T @ r
+
+    def to_float(self):
+        return OrientedPlane(rows=tuple(v.to_float() for v in self.rows))

@@ -45,10 +45,11 @@ from .exterior import (
     plucker_minors_exact,
     wedge,
 )
-from .frames import as_matrix, haar_frame, orthonormality_residual, random_unitary
+from .frames import OrientedPlane, as_matrix, haar_frame, random_unitary
 from .kahler import (
     TYPE_01,
     TYPE_10,
+    ComplexStructureJ,
     TypedVector,
     dz_form,
     dzbar_form,
@@ -64,67 +65,6 @@ from .spin7 import TWO_FORM_INDEX, phi0
 # -- oriented planes -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrientedPlane:
-    """An ordered orthonormal frame spanning a 2p-dimensional subspace."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        if not rows:
-            raise PlaneError("a plane needs at least one frame vector")
-        n = rows[0].n
-        backend = rows[0].backend
-        for r in rows:
-            if r.n != n or r.backend != backend:
-                raise PlaneError("frame vectors disagree in dimension or backend")
-            if not r.is_real():
-                raise PlaneError("frame vectors must be real")
-        if len(rows) > n:
-            raise PlaneError("more frame vectors than ambient dimensions")
-        if backend == EXACT:
-            for i, vi in enumerate(rows):
-                for j, vj in enumerate(rows):
-                    want = 1 if i == j else 0
-                    if vi.dot(vj) != want:
-                        raise PlaneError("frame is not exactly orthonormal")
-        else:
-            res = orthonormality_residual(rows)
-            if res > 1e-8:
-                raise PlaneError(
-                    "frame is not orthonormal (residual %.3e)" % (res,)
-                )
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self):
-        return self.rows[0].n
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    @property
-    def backend(self):
-        return self.rows[0].backend
-
-    @classmethod
-    def from_rows(cls, rows, backend=FLOAT):
-        vecs = [r if isinstance(r, Vector) else Vector(r, backend) for r in rows]
-        return cls(rows=tuple(vecs))
-
-    def matrix(self):
-        return as_matrix(self.rows)
-
-    def projection_matrix(self):
-        r = self.matrix()
-        return r.T @ r
-
-    def to_float(self):
-        return OrientedPlane(rows=tuple(v.to_float() for v in self.rows))
-
-
 def random_plane(n, dim, rng):
     """A uniformly random oriented plane (float backend)."""
     return OrientedPlane(rows=tuple(haar_frame(n, dim, rng)))
@@ -137,9 +77,16 @@ def j_invariance_residual(J, plane):
     plane; zero exactly when the plane is closed under J.
     """
     p = plane.projection_matrix()
-    jm = np.array(J.matrix(), dtype=float)
     n = p.shape[0]
-    return float(np.linalg.norm((np.eye(n) - p) @ jm @ p, 2))
+    return float(np.linalg.norm((np.eye(n) - p) @ _float_j(J.m) @ p, 2))
+
+
+@lru_cache(maxsize=None)
+def _float_j(m):
+    """The standard J on R^{2m} as one read-only float array."""
+    jm = np.array(ComplexStructureJ(m).matrix(), dtype=float)
+    jm.flags.writeable = False
+    return jm
 
 
 def random_complex_plane(J, p, rng):
@@ -417,64 +364,69 @@ def canonical_angles(model, plane, tol=1e-9, gap_tol=1e-8):
     Produces an orthonormal frame (f_1, g_1, .., f_p, g_p) of the plane
     with pairing values omega(f_j, g_j) = cos(theta_j), zero across pairs,
     theta_1 <= ... <= theta_p, the first p-1 angles in [0, pi/2], and the
-    last flipped past pi/2 when needed to preserve orientation.
+    last flipped past pi/2 when needed to preserve orientation.  Pairs come
+    in descending cosine, equal cosines in the order eigh returns them for
+    i A (A the antisymmetric pairing matrix), the zero block last.
+
+    ``plane`` must be an OrientedPlane; its frame matrix is read once.
+    There is no rank test: an OrientedPlane is exactly orthonormal (exact
+    backend) or has max|M M^T - I| <= 1e-8 with at most 8 rows (float
+    backend), so |M M^T - I|_2 <= 8e-8 and every singular value of M is at
+    least sqrt(1 - 8e-8) > 0.9999999, far above any rank cutoff.
     """
+    if not isinstance(plane, OrientedPlane):
+        raise PlaneError(
+            "canonical_angles needs an OrientedPlane, got %s"
+            % (type(plane).__name__,))
     if plane.dim % 2 != 0:
         raise PlaneError("angle extraction needs an even-dimensional plane")
     p = plane.dim // 2
     if plane.n != 2 * model.m:
         raise DimensionMismatch("plane and model dimensions disagree")
-    rows = as_matrix([r.to_float() for r in plane.rows])
-    if np.linalg.matrix_rank(rows, tol=1e-10) < 2 * p:
-        raise PlaneError("degenerate frame: rank below 2p")
-    jm = np.array(model.J.matrix(), dtype=float)
+    rows = plane.matrix()
+    jm = _float_j(model.m)
     # pairing matrix A_ab = omega(f_a, f_b) = <J f_a, f_b>
     amat = rows @ jm.T @ rows.T
     amat = 0.5 * (amat - amat.T)
     evals, evecs = np.linalg.eigh(1j * amat)
-    pairs = []
-    for idx in range(2 * p):
-        c = float(evals[idx])
-        if c <= tol:
-            continue
-        u = evecs[:, idx]
-        x = np.real(u)
-        y = np.imag(u)
-        nx = np.linalg.norm(x)
-        ny = np.linalg.norm(y)
-        if nx < 1e-12 or ny < 1e-12:
-            raise PlaneError("pairing eigenvector degenerated; cannot pair")
-        f = y / ny
-        g = x / nx
-        pairs.append((c, f, g))
+    # positive eigenpairs by descending cosine; the sort is stable, so ties
+    # stay in ascending eigh order
+    ev = evals.tolist()
+    pos = sorted((i for i in range(2 * p) if ev[i] > tol), key=lambda i: -ev[i])
+    npos = len(pos)
+    cos = [ev[i] for i in pos] + [0.0] * (p - npos)
+    # rows x_1..x_npos, y_1..y_npos of the eigenvectors u = x + i y
+    u = evecs[:, pos].T
+    xy = np.concatenate((u.real, u.imag))
+    norms = np.linalg.norm(xy, axis=1)
+    if npos and norms.min() < 1e-12:
+        raise PlaneError("pairing eigenvector degenerated; cannot pair")
+    xy /= norms[:, None]
+    # frame coordinates (f_1, g_1, ..) with f = y/|y|, g = x/|x|
+    coords = np.empty((2 * p, 2 * p))
+    coords[0:2 * npos:2] = xy[npos:]
+    coords[1:2 * npos:2] = xy[:npos]
     # zero block: real kernel of the pairing matrix, paired in order
-    nzero = 2 * p - 2 * len(pairs)
-    if nzero:
+    if npos < p:
         _, s_svd, vt = np.linalg.svd(amat)
         order = np.argsort(np.abs(s_svd))
-        null = vt[order[:nzero], :]
+        null = vt[order[:2 * (p - npos)], :]
         # orthonormalize the kernel block
         q, _ = np.linalg.qr(null.T)
-        for a in range(nzero // 2):
-            pairs.append((0.0, q[:, 2 * a], q[:, 2 * a + 1]))
-    pairs.sort(key=lambda t: -t[0])
-    frame_coords = []
-    for c, f, g in pairs:
-        frame_coords.append(f)
-        frame_coords.append(g)
+        coords[2 * npos:] = q.T
     # frame vectors in ambient coordinates
-    amb = np.array(frame_coords) @ rows
-    det = float(np.linalg.det(np.array(frame_coords)))
+    amb = coords @ rows
+    det = float(np.linalg.det(coords))
     # theta = atan2(|g - cos(theta) J f|, cos(theta)): the sine is the part of
     # g off J f, which stays accurate near 0 where arccos loses half the digits
-    cos = np.array([c for c, _, _ in pairs])
-    sin = np.linalg.norm(amb[1::2] - cos[:, None] * (amb[0::2] @ jm.T), axis=1)
-    angles = np.arctan2(sin, cos).tolist()
+    cos_arr = np.array(cos)
+    sin = np.linalg.norm(amb[1::2] - cos_arr[:, None] * (amb[0::2] @ jm.T), axis=1)
+    angles = np.arctan2(sin, cos_arr).tolist()
     if det < 0:
         amb[-1] = -amb[-1]
         angles[-1] = float(np.pi) - angles[-1]
-    vecs = tuple(Vector(a.tolist(), FLOAT) for a in amb)
-    cosines = sorted({round(c, 12) for c, _, _ in pairs})
+    vecs = tuple(Vector(a, FLOAT) for a in amb.tolist())
+    cosines = sorted({round(c, 12) for c in cos})
     gap = None
     if len(cosines) > 1:
         gap = float(min(b - a for a, b in zip(cosines, cosines[1:])))

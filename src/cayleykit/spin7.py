@@ -48,6 +48,7 @@ from .exterior import (
     sort_indices,
     wedge,
 )
+from .frames import OrientedPlane
 
 TWO_FORM_INDEX = tuple(itertools.combinations(range(1, 9), 2))
 PAIR_POS = {pair: i for i, pair in enumerate(TWO_FORM_INDEX)}
@@ -376,16 +377,23 @@ class CayleyVerdict:
 def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
     """Classify an oriented 4-plane by the calibration value and the
     alternation norm.  ``plane`` is anything with orthonormal ``rows``
-    (or a plain list of 4 Vectors on the form's backend).
+    (or a plain list of 4 Vectors on the form's backend); an OrientedPlane
+    on the float backend is read through its cached frame matrix.
 
     Both numbers come from the frame's 70 minors: times phi_row() for the
     value, times defect_table() for tau.  On the exact backend the sums are
     exact and only the two results become floats; on the float backend one
     four_form_values call against defect_fold() gives both."""
-    rows = list(getattr(plane, "rows", plane))
+    if isinstance(plane, OrientedPlane):
+        # rows already checked real, of one backend and one dimension
+        rows = plane.rows
+        checked = rows[:1]
+    else:
+        rows = list(getattr(plane, "rows", plane))
+        checked = rows
     if len(rows) != 4:
         raise PlaneError("need exactly 4 frame vectors, got %d" % (len(rows),))
-    for v in rows:
+    for v in checked:
         if not isinstance(v, Vector) or not v.is_real():
             raise PlaneError("frame rows must be real Vectors, got %r" % (type(v),))
         if v.backend != Phi.backend:
@@ -403,8 +411,9 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
                for p in range(28)]
         val, tn = float(val), float(sum(t * t for t in tau)) ** 0.5
     else:
-        values = four_form_values(
-            np.array([[v.comps for v in rows]]), Phi.defect_fold())[0]
+        frame = (plane.matrix() if isinstance(plane, OrientedPlane)
+                 else np.array([v.comps for v in rows]))
+        values = four_form_values(frame[None], Phi.defect_fold())[0]
         tau = values[:28]
         val, tn = float(values[28]), float(tau @ tau) ** 0.5
     return CayleyVerdict(

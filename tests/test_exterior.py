@@ -168,6 +168,18 @@ def test_backend_mixing_rejected():
         wedge(a, b)
 
 
+def test_float_vector_entries_all_become_python_floats():
+    floats = [0.5, -1.25, 3.0, 0.0]
+    assert Vector(floats, FLOAT) == Vector([Fraction(1, 2), "-5/4", 3, 0], FLOAT)
+    for entries in ([np.float64(0.5), 2], [Fraction(1, 3), "0.25"],
+                    [1, 2.0], floats, iter(floats)):
+        v = Vector(entries, FLOAT)
+        assert all(type(c) is float for c in v.comps)
+    assert Vector([np.float64(0.1), 2.0], FLOAT).comps == (0.1, 2.0)
+    with pytest.raises(BackendMismatch):
+        Vector([0.5, 1.0], EXACT)
+
+
 def test_inner_requires_matching_grade():
     a = Multivector(8, {(1, 2): Fraction(1)}, EXACT)
     b = Multivector(8, {(1, 2, 3): Fraction(1)}, EXACT)

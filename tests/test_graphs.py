@@ -16,6 +16,7 @@ from cayleykit.errors import (
 )
 from cayleykit.exterior import (
     EXACT, FLOAT, ExactComplex, Vector, hook_many, inner)
+from cayleykit.frames import as_matrix
 from cayleykit.graphs import (
     ComplexGraphCoefficients,
     GraphCoefficients,
@@ -180,6 +181,37 @@ def test_plane_validation_float():
             backend=FLOAT)
 
 
+def test_float_plane_caches_a_read_only_frame():
+    plane = random_plane(8, 4, np.random.default_rng(2))
+    mat = plane.matrix()
+    assert mat is plane.matrix()
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0.0
+    assert np.array_equal(mat, as_matrix(plane.rows))
+
+
+def test_exact_plane_matrix_is_converted_on_each_call():
+    rows = [Vector.basis(8, i, EXACT) for i in (1, 3, 5, 7)]
+    plane = OrientedPlane(rows=tuple(rows))
+    mat = plane.matrix()
+    assert mat is not plane.matrix()
+    assert mat.flags.writeable
+    assert np.array_equal(mat, np.eye(8)[[0, 2, 4, 6]])
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]],
+    [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+     [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0]],
+    [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1 + 1e-7, 0, 0, 0, 0, 0, 0]],
+])
+def test_rank_deficient_and_skewed_float_frames_are_refused(rows):
+    # canonical_angles has no rank test of its own: it relies on this
+    with pytest.raises(PlaneError):
+        OrientedPlane.from_rows(rows, backend=FLOAT)
+
+
 def test_random_plane_is_orthonormal():
     rng = np.random.default_rng(0)
     plane = random_plane(8, 4, rng)
@@ -236,6 +268,118 @@ def test_recovered_pair_frame_spans_the_plane(float_model):
     proj_orig = orig.T @ orig
     proj_back = back.T @ back
     assert np.max(np.abs(proj_orig - proj_back)) < 1e-9
+
+
+def _canonical_angles_loop(model, plane, tol=1e-9):
+    """Reference: the per-eigenpair loop canonical_angles used to run.
+    Returns (angles, pair frame as an array, gap)."""
+    p = plane.dim // 2
+    rows = as_matrix([r.to_float() for r in plane.rows])
+    jm = np.array(model.J.matrix(), dtype=float)
+    amat = rows @ jm.T @ rows.T
+    amat = 0.5 * (amat - amat.T)
+    evals, evecs = np.linalg.eigh(1j * amat)
+    pairs = []
+    for idx in range(2 * p):
+        c = float(evals[idx])
+        if c <= tol:
+            continue
+        u = evecs[:, idx]
+        x = np.real(u)
+        y = np.imag(u)
+        nx = np.linalg.norm(x)
+        ny = np.linalg.norm(y)
+        if nx < 1e-12 or ny < 1e-12:
+            raise PlaneError("pairing eigenvector degenerated; cannot pair")
+        pairs.append((c, y / ny, x / nx))
+    nzero = 2 * p - 2 * len(pairs)
+    if nzero:
+        _, s_svd, vt = np.linalg.svd(amat)
+        order = np.argsort(np.abs(s_svd))
+        q, _ = np.linalg.qr(vt[order[:nzero], :].T)
+        for a in range(nzero // 2):
+            pairs.append((0.0, q[:, 2 * a], q[:, 2 * a + 1]))
+    pairs.sort(key=lambda t: -t[0])
+    frame_coords = []
+    for c, f, g in pairs:
+        frame_coords.append(f)
+        frame_coords.append(g)
+    amb = np.array(frame_coords) @ rows
+    det = float(np.linalg.det(np.array(frame_coords)))
+    cos = np.array([c for c, _, _ in pairs])
+    sin = np.linalg.norm(amb[1::2] - cos[:, None] * (amb[0::2] @ jm.T), axis=1)
+    angles = np.arctan2(sin, cos).tolist()
+    if det < 0:
+        amb[-1] = -amb[-1]
+        angles[-1] = float(np.pi) - angles[-1]
+    cosines = sorted({round(c, 12) for c, _, _ in pairs})
+    gap = None
+    if len(cosines) > 1:
+        gap = float(min(b - a for a, b in zip(cosines, cosines[1:])))
+    return angles, amb, gap
+
+
+def _angle_cases():
+    model = build_model(4, backend=FLOAT)
+    rng = np.random.default_rng(2024)
+    cases = [(model, random_plane(8, 4, rng)) for _ in range(100)]
+    cases += [(model, random_complex_plane(model.J, 2, rng)) for _ in range(20)]
+    cases.append((model, OrientedPlane.from_rows(
+        np.eye(8)[[0, 2, 4, 6]].tolist(), backend=FLOAT)))
+    cases.append((build_model(2, backend=FLOAT), OrientedPlane.from_rows(
+        [[1, 0, 0, 0], [0, 0, 0, 1]], backend=FLOAT)))
+    return cases
+
+
+def test_pair_frame_contract():
+    flipped = set()
+    for model, plane in _angle_cases():
+        rec = canonical_angles(model, plane)
+        p = plane.dim // 2
+        frame = np.array([r.comps for r in rec.pair_frame])
+        rows = plane.matrix()
+        assert np.max(np.abs(frame @ frame.T - np.eye(2 * p))) < 1e-12
+        # omega(f_a, f_b) = <J f_a, f_b>: cos(theta_j) on each pair, 0 across
+        jm = np.array(model.J.matrix(), dtype=float)
+        pairing = frame @ jm.T @ frame.T
+        want = np.zeros((2 * p, 2 * p))
+        for j, theta in enumerate(rec.angles):
+            want[2 * j, 2 * j + 1] = np.cos(theta)
+            want[2 * j + 1, 2 * j] = -np.cos(theta)
+        assert np.max(np.abs(pairing - want)) < 1e-12
+        assert np.linalg.det(frame @ rows.T) > 0
+        # cosines descend exactly; equal cosines (a complex plane) give
+        # angles that differ by the roundoff in their sines
+        assert np.all(np.diff(rec.angles) > -1e-12)
+        assert all(0.0 <= a <= np.pi / 2 for a in rec.angles[:-1])
+        flipped.add(rec.angles[-1] > np.pi / 2)
+    # the Haar planes need the orientation flip for some draws, not others
+    assert flipped == {True, False}
+
+
+def test_angles_match_the_per_pair_loop():
+    for model, plane in _angle_cases():
+        rec = canonical_angles(model, plane)
+        angles, frame, gap = _canonical_angles_loop(model, plane)
+        assert np.max(np.abs(np.array(rec.angles) - angles)) < 1e-14
+        got = np.array([r.comps for r in rec.pair_frame])
+        assert np.max(np.abs(got - frame)) < 1e-14
+        assert rec.gap == gap
+
+
+def test_canonical_angles_needs_an_oriented_plane(float_model):
+    rows = [Vector.basis(8, i, FLOAT) for i in (1, 3, 5, 7)]
+    with pytest.raises(PlaneError, match="OrientedPlane"):
+        canonical_angles(float_model, rows)
+
+
+def test_j_invariance_residual_matches_the_direct_formula(float_model):
+    rng = np.random.default_rng(8)
+    jm = np.array(float_model.J.matrix(), dtype=float)
+    for plane in [random_plane(8, 4, rng) for _ in range(10)]:
+        proj = plane.projection_matrix()
+        direct = np.linalg.norm((np.eye(8) - proj) @ jm @ proj, 2)
+        assert j_invariance_residual(float_model.J, plane) == float(direct)
 
 
 def test_angle_constructor_rejects_impossible_requests(float_model):

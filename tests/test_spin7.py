@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleykit._ratlinalg import rank as exact_rank
-from cayleykit.errors import BackendMismatch, PlaneError
+from cayleykit.errors import BackendMismatch, DimensionMismatch, PlaneError
 from cayleykit.exterior import (
     EXACT,
     FLOAT,
@@ -350,6 +350,20 @@ def test_is_cayley_is_exact_on_exact_forms(phi_cy_exact):
         assert verdict.tau_norm == tau_norm(tau_eval(phi_cy_exact, *rows))
     assert is_cayley(phi_cy_exact, standard).tau_norm == 0.0
     assert is_cayley(phi_cy_exact, rotated).tau_norm > 0.1
+
+
+def test_is_cayley_reads_an_oriented_plane_like_its_rows(phi_exact, phi_float):
+    rng = np.random.default_rng(12)
+    for plane in (random_plane(8, 4, rng),
+                  random_complex_plane(build_model(4, backend=FLOAT).J, 2, rng)):
+        assert is_cayley(phi_float, plane) == is_cayley(phi_float, list(plane.rows))
+    plane = random_plane(8, 4, rng)
+    with pytest.raises(BackendMismatch):
+        is_cayley(phi_exact, plane)
+    with pytest.raises(PlaneError):
+        is_cayley(phi_float, random_plane(8, 2, rng))
+    with pytest.raises(DimensionMismatch):
+        is_cayley(phi_float, random_plane(6, 4, rng))
 
 
 def test_is_cayley_rejects_mixed_frames(phi_exact):
