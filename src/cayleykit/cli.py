@@ -421,7 +421,6 @@ def _random_exact_lambda(rng):
 
 def _suite_graphs(cfg):
     checks = []
-    Phi = phi0(backend=EXACT)
     rng = _rng(cfg, 2)
 
     worst = Fraction(0)

@@ -23,13 +23,16 @@ e_1 ^ ... ^ e_n.  All operations return new objects; nothing mutates.
 
 Alternating 4-linear maps on R^8, such as the calibration value and the
 Cayley defect, are tables over FOUR_FORM_INDEX, evaluated on a 4-frame as
-its 70 4x4 minors times the table.  On exact scalars the minors come from
-``plucker_minors_exact``.  On float and complex batches the one kernel is
-the fold: ``fold_table`` scatters a table into the Laplace expansion of the
-minors once, and ``four_form_values`` evaluates a batch of frames against
-it from their 2x2 pair minors, without forming the 70 minors.  It walks
-the batch in blocks of a few hundred frames, so its temporaries stay in
-cache however many frames a call carries.
+its 70 4x4 minors times the table.  One kernel evaluates them, the fold:
+``fold_table`` scatters a table into the Laplace expansion of the minors
+once, and ``four_form_values`` evaluates a batch of frames against it from
+their 2x2 pair minors (``pair_minors``), without forming the 70 minors.  It
+walks the batch in blocks of a few hundred frames, so its temporaries stay
+in cache however many frames a call carries.  Float and complex frames run
+it as they are.  Exact frames run it on integers: ``exact_four_form_values``
+scales the frame to Python-int numerators over one denominator
+(``_ratlinalg.scaled``), evaluates them against the fold of the table's own
+numerators, and divides once.
 """
 
 from __future__ import annotations
@@ -618,37 +621,13 @@ def inner(a, b):
     return sum((v * b.terms[k] for k, v in a.terms.items() if k in b.terms), zero)
 
 
-def _det_float(rows):
-    n = len(rows)
-    m = [list(map(float, r)) for r in rows]
-    det = 1.0
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
-        if m[piv][c] == 0.0:
-            return 0.0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1.0 / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
-def _minor_det(vectors, key, backend):
-    rows = [[v.comps[i - 1] for i in key] for v in vectors]
-    if backend == EXACT:
-        return _ratlinalg.det(rows)
-    return _det_float(rows)
-
-
 def form_value(a, vectors):
     """Evaluate a real grade-k form on k real vectors: a Fraction on the
     exact backend, a float on the float one.  Complex input raises
-    TypeError."""
+    TypeError.  The value is the sum over the form's terms of the
+    coefficient times the k x k minor of the vectors on the term's axes:
+    each minor by _ratlinalg.det on the exact backend, all of them by one
+    batched np.linalg.det on the float one."""
     if not (a.is_real() and all(v.is_real() for v in vectors)):
         raise TypeError("form_value takes a real form and real vectors")
     k = len(vectors)
@@ -661,10 +640,14 @@ def form_value(a, vectors):
         _same_backend(v, a)
         if v.n != a.n:
             raise DimensionMismatch("vector/form dimension mismatch")
-    total = coerce_scalar(0, a.backend)
-    for key, coeff in a.terms.items():
-        total += coeff * _minor_det(vectors, key, a.backend)
-    return total
+    if a.backend == EXACT:
+        return sum((coeff * _ratlinalg.det([[v.comps[i - 1] for i in key]
+                                            for v in vectors])
+                    for key, coeff in a.terms.items()), Fraction(0))
+    cols = np.array(list(a.terms), dtype=int).reshape(len(a.terms), k) - 1
+    frame = np.array([v.comps for v in vectors], dtype=float).reshape(k, a.n)
+    minors = np.linalg.det(frame[:, cols].transpose(1, 0, 2))
+    return float(np.array(list(a.terms.values()), dtype=float) @ minors)
 
 
 # -- 4x4 minors of 4-frames in R^8 -------------------------------------------
@@ -677,7 +660,7 @@ def form_value(a, vectors):
 # rows 1, 2 on the first pair times the 2x2 minor of rows 3, 4 on the second.
 # The splits are listed by position in the same order for every subset, so
 # each split has one sign.  fold_table moves the table into this expansion,
-# so that the float kernel sums splits and subsets in one matrix product.
+# so that the kernel sums splits and subsets in one matrix product.
 
 FOUR_FORM_INDEX = tuple(itertools.combinations(range(1, 9), 4))
 
@@ -730,16 +713,26 @@ def fold_table(table):
     return fold
 
 
+def pair_minors(x, y):
+    """The 28 2x2 minors x_i y_j - x_j y_i of two rows of 8 entries, over
+    the pairs i < j in lexicographic order (_PAIRS, the order of
+    spin7.TWO_FORM_INDEX); x and y may carry leading batch axes, which the
+    result keeps.  Any entries with + and * will do: floats, complex
+    numbers, or ExactComplex and Python ints in numpy object arrays."""
+    return x[..., _PAIR_I] * y[..., _PAIR_J] - x[..., _PAIR_J] * y[..., _PAIR_I]
+
+
 def four_form_values(frames, fold):
     """A batch of 4-frames' 70 4x4 minors times a table, without the minors.
 
-    ``frames`` is a (P, 4, 8) float or complex array of frame rows and
-    ``fold`` is fold_table(table) for a (70, r) table.  Returns the (P, r)
-    array ``minors @ table``.  The frames are taken _BLOCK at a time: the 28
-    pair minors of rows 1, 2 (``top``) and of rows 3, 4 (``bottom``) are
-    formed, ``bottom @ fold`` sums every split of every subset at once, and
-    a batched matmul with ``top`` contracts the result into its rows of the
-    preallocated output.  The largest temporary is one (_BLOCK, 28 * r)
+    ``frames`` is a (P, 4, 8) array of frame rows and ``fold`` is
+    fold_table(table) for a (70, r) table, both float or complex, or both
+    Python ints in object arrays (exact_four_form_values).  Returns the
+    (P, r) array ``minors @ table``.  The frames are taken _BLOCK at a time:
+    the 28 pair minors of rows 1, 2 (``top``) and of rows 3, 4 (``bottom``)
+    are formed, ``bottom @ fold`` sums every split of every subset at once,
+    and a batched matmul with ``top`` contracts the result into its rows of
+    the preallocated output.  The largest temporary is one (_BLOCK, 28 * r)
     array, which stays in cache however large P grows.
     """
     frames = np.asarray(frames)
@@ -751,58 +744,25 @@ def four_form_values(frames, fold):
     out = np.empty((P, r), np.result_type(frames.dtype, fold.dtype))
     for start in range(0, P, _BLOCK):
         block = frames[start:start + _BLOCK]
-        top = (block[:, 0, _PAIR_I] * block[:, 1, _PAIR_J]
-               - block[:, 0, _PAIR_J] * block[:, 1, _PAIR_I])
-        bottom = (block[:, 2, _PAIR_I] * block[:, 3, _PAIR_J]
-                  - block[:, 2, _PAIR_J] * block[:, 3, _PAIR_I])
+        top = pair_minors(block[:, 0], block[:, 1])
+        bottom = pair_minors(block[:, 2], block[:, 3])
         folded = (bottom @ fold).reshape(len(block), len(_PAIRS), r)
         np.matmul(top[:, None, :], folded, out=out[start:start + _BLOCK, None, :])
     return out
 
 
-def _pair_minors_exact(x, y):
-    """The nonzero 2x2 minors of rows x, y, keyed by position in _PAIRS."""
-    x_nz = [c != 0 for c in x]
-    y_nz = [c != 0 for c in y]
-    out = {}
-    for p, (i, j) in enumerate(_PAIRS):
-        minor = None
-        if x_nz[i] and y_nz[j]:
-            minor = x[i] * y[j]
-        if x_nz[j] and y_nz[i]:
-            cross = x[j] * y[i]
-            minor = -cross if minor is None else minor - cross
-        if minor is not None and minor != 0:
-            out[p] = minor
-    return out
+def exact_four_form_values(rows, fold, den):
+    """One 4-frame's 70 4x4 minors times an exact (70, r) table, exactly.
 
-
-def plucker_minors_exact(rows):
-    """The 70 4x4 minors of one 4-frame in R^8 with exact entries.
-
-    ``rows`` holds 4 sequences of 8 Fractions or ExactComplex numbers (ints
-    mix in).  Returns a list of 70 minors in the entries' own arithmetic,
-    ordered as FOUR_FORM_INDEX; zero factors are skipped, and a vanishing
-    minor comes back as 0 times the first entry.
+    ``rows`` holds 4 rows of 8 Fractions (ints mix in).  ``fold`` is
+    fold_table of the table's integer numerators and ``den`` their
+    denominator, as _ratlinalg.scaled gives them.  The frame is scaled the
+    same way, to integers over one denominator q, four_form_values runs on
+    the Python ints, which never overflow, and the minors, quartic in the
+    frame, are divided once, by den * q**4.  Returns a tuple of r Fractions.
     """
-    if len(rows) != 4 or any(len(r) != 8 for r in rows):
-        raise DimensionMismatch("need 4 rows of 8 entries")
-    zero = 0 * rows[0][0]
-    top = _pair_minors_exact(rows[0], rows[1])
-    bottom = _pair_minors_exact(rows[2], rows[3])
-    out = []
-    for splits in _LAPLACE:
-        total = zero
-        for lo, hi, sign in splits:
-            a = top.get(lo)
-            if a is None:
-                continue
-            b = bottom.get(hi)
-            if b is None:
-                continue
-            total = total + a * b if sign > 0 else total - a * b
-        out.append(total)
-    return out
+    frame, q = _ratlinalg.scaled(rows)
+    return _ratlinalg.unscaled(four_form_values(frame[None], fold)[0], den * q**4)
 
 
 def apply_signed_permutation(a, perm, signs):

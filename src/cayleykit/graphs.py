@@ -38,11 +38,13 @@ from .exterior import (
     Multivector,
     Vector,
     coerce_scalar,
+    exact_four_form_values,
+    fold_table,
+    four_form_values,
     hodge_star,
     hook,
     hook_many,
     musical_sharp,
-    plucker_minors_exact,
     wedge,
 )
 from .frames import OrientedPlane, as_matrix, haar_frame, random_unitary
@@ -267,19 +269,27 @@ def seven_basis(Phi):
 
 
 @lru_cache(maxsize=None)
-def _component_table(backend):
-    """(70, 7) table of the seven adapted components of tau: defect_table()
-    times the (28, 7) matrix of the mixed then diagonal seven_basis
-    two-forms, by one product in the backend's own arithmetic (a scaled
-    integer product on the exact backend, _ratlinalg.matmul)."""
-    Phi = phi0(backend)
+def _component_table():
+    """The (70, 7) table of the seven adapted components of tau, exactly:
+    defect_table() times the (28, 7) matrix of the mixed then diagonal
+    seven_basis two-forms, by one scaled integer product
+    (_ratlinalg.matmul), as its integer numerators and their denominator
+    (_ratlinalg.scaled).  Built once per process for both backends."""
+    Phi = phi0(EXACT)
     mixed, diagonal = seven_basis(Phi)
     basis = [[b.coeff(pair) for b in mixed + diagonal] for pair in TWO_FORM_INDEX]
+    return _ratlinalg.scaled(_ratlinalg.matmul(Phi.defect_table(), basis))
+
+
+@lru_cache(maxsize=None)
+def _component_fold(backend):
+    """fold_table of _component_table(): of its numerators, with their
+    denominator, on the exact backend (for exact_four_form_values); of the
+    table rounded to floats on the float one."""
+    nums, den = _component_table()
     if backend == EXACT:
-        return _ratlinalg.matmul(Phi.defect_table(), basis)
-    # einsum, not BLAS, as in CayleyForm.defect_table
-    table = np.einsum("cq,qk->ck", Phi.defect_table(), np.array(basis))
-    return tuple(map(tuple, table))
+        return fold_table(nums), den
+    return fold_table((nums / den).astype(float))
 
 
 def tau_graph_components(lam):
@@ -287,15 +297,16 @@ def tau_graph_components(lam):
     adapted orthonormal basis of the 7-piece (seven_basis): returns (mixed
     4-tuple, diagonal 3-tuple) in the coefficients' own arithmetic.
 
-    The frame's 70 minors (plucker_minors_exact) times a (70, 7) table,
-    the defect table contracted with the basis once per backend; exact
-    input gives exact components.  tau_eval is the reference the tests
-    hold this against."""
-    table = _component_table(lam.backend)
-    minors = plucker_minors_exact([v.comps for v in graph_frame(lam)])
-    live = [(c, m) for c, m in enumerate(minors) if m != 0]
-    zero = coerce_scalar(0, lam.backend)
-    comps = [sum((m * table[c][k] for c, m in live), zero) for k in range(7)]
+    The frame's 70 minors times a (70, 7) table, the defect table
+    contracted with the basis once (_component_fold), by one
+    four_form_values call; exact input runs it on integer numerators
+    (exact_four_form_values) and gives exact components.  tau_eval is the
+    reference the tests hold this against."""
+    rows = [v.comps for v in graph_frame(lam)]
+    if lam.backend == EXACT:
+        comps = exact_four_form_values(rows, *_component_fold(EXACT))
+    else:
+        comps = four_form_values(np.array([rows]), _component_fold(FLOAT))[0].tolist()
     return tuple(comps[:4]), tuple(comps[4:])
 
 

@@ -37,6 +37,7 @@ from .exterior import (
     Multivector,
     Vector,
     coerce_scalar,
+    exact_four_form_values,
     fold_table,
     four_form_values,
     hodge_star,
@@ -44,7 +45,6 @@ from .exterior import (
     hook_many,
     inner,
     musical_flat,
-    plucker_minors_exact,
     sort_indices,
     wedge,
 )
@@ -219,12 +219,18 @@ class CayleyForm:
         return self._defect
 
     def defect_fold(self):
-        """fold_table of [defect_table() | phi_row()] (70x29) for the float
-        kernel four_form_values: columns 0..27 of its result are tau,
-        column 28 is phi."""
+        """fold_table of [defect_table() | phi_row()] (70x29) for the kernel
+        four_form_values: columns 0..27 of its result are tau, column 28 is
+        phi.  On the exact backend the table is folded on its integer
+        numerators (_ratlinalg.scaled), and the (fold, denominator) pair is
+        what exterior.exact_four_form_values takes."""
         if self._defect_fold is None:
-            self._defect_fold = fold_table(
-                np.column_stack([self.defect_table(), self.phi_row()]))
+            table = np.column_stack([self.defect_table(), self.phi_row()])
+            if self.backend == EXACT:
+                nums, den = _ratlinalg.scaled(table)
+                self._defect_fold = (fold_table(nums), den)
+            else:
+                self._defect_fold = fold_table(table)
         return self._defect_fold
 
     def _frozen(self, values):
@@ -381,9 +387,11 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
     on the float backend is read through its cached frame matrix.
 
     Both numbers come from the frame's 70 minors: times phi_row() for the
-    value, times defect_table() for tau.  On the exact backend the sums are
-    exact and only the two results become floats; on the float backend one
-    four_form_values call against defect_fold() gives both."""
+    value, times defect_table() for tau, by one four_form_values call
+    against defect_fold().  On the exact backend the call runs on the
+    integer numerators of the frame and the table
+    (exterior.exact_four_form_values), so the values are exact and only
+    the two results become floats."""
     if isinstance(plane, OrientedPlane):
         # rows already checked real, of one backend and one dimension
         rows = plane.rows
@@ -402,14 +410,9 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
         if v.n != 8:
             raise DimensionMismatch("frame vectors must live in R^8")
     if Phi.backend == EXACT:
-        table = Phi.defect_table()
-        minors = plucker_minors_exact([v.comps for v in rows])
-        live = [(c, m) for c, m in enumerate(minors) if m != 0]
-        phi_row = Phi.phi_row()
-        val = sum((m * phi_row[c] for c, m in live), Fraction(0))
-        tau = [sum((m * table[c][p] for c, m in live), Fraction(0))
-               for p in range(28)]
-        val, tn = float(val), float(sum(t * t for t in tau)) ** 0.5
+        values = exact_four_form_values([v.comps for v in rows], *Phi.defect_fold())
+        tau = values[:28]
+        val, tn = float(values[28]), float(sum(t * t for t in tau)) ** 0.5
     else:
         frame = (plane.matrix() if isinstance(plane, OrientedPlane)
                  else np.array([v.comps for v in rows]))

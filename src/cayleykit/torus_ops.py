@@ -19,15 +19,16 @@ artifacts.  The module provides:
   on a tangent frame is the frame's 70 4x4 minors times the table.  It is
   one scaled-integer product (``_ratlinalg.matmul``) of the defect table
   with psi, the (0,1)-part as a (28, 4) matrix, which does not depend on
-  the phase and is built once per process from 2x2 minors.  On
-  float grids the one kernel is the fold (``exterior.fold_table`` of the
-  table, built once per phase, and ``exterior.four_form_values``), which
-  never forms the minors and walks the grid's frames in cache-sized
-  blocks.  The frames come from one inverse FFT per section, of the
-  derivatives of the displacement's four normal components along the four
-  base axes.  The certificate needs no minors at all, since a frame tilted
-  in one row has only the degree-one minors besides the base one, so it
-  reads the derivative off the table's degree-one rows,
+  the phase and is built once per process from 2x2 minors
+  (``exterior.pair_minors``).  On float grids the one kernel is the fold
+  (``exterior.fold_table`` of the table, built once per phase, and
+  ``exterior.four_form_values``), which never forms the minors and walks
+  the grid's frames in cache-sized blocks.  The frames come from one
+  inverse FFT per section, of the derivatives of the displacement's four
+  normal components along the four base axes.  The certificate needs no
+  minors at all, since a frame tilted in one row has only the degree-one
+  minors besides the base one, so it reads the derivative off the table's
+  degree-one rows,
 * the two signed first-order operators characterizing infinitesimal complex
   deformations, and
 * integer index calculators from topological invariants and from Chern
@@ -47,12 +48,12 @@ from .exterior import (
     EXACT,
     ExactComplex,
     FOUR_FORM_INDEX,
-    _pair_minors_exact,
     fold_table,
     four_form_values,
+    pair_minors,
 )
 from .kahler import antiholo_vector, build_model
-from .spin7 import TWO_FORM_INDEX, phi_from_kahler
+from .spin7 import phi_from_kahler
 
 # bundle tags and fiber ranks ------------------------------------------------
 #
@@ -323,7 +324,7 @@ def kernel_report(op, tol=1e-8):
     kept singular value to the largest dropped one (inf when nothing is
     dropped or everything dropped is exactly zero)."""
     blocks = op.blocks
-    n_modes, r_out, r_in = blocks.shape
+    n_modes, _, r_in = blocks.shape
     sigma = np.linalg.svd(blocks, compute_uv=False)
     sigma_max = float(sigma.max()) if sigma.size else 0.0
     threshold = tol * sigma_max
@@ -438,12 +439,13 @@ def _psi():
     dx_i of the dual vector d/dzbar_k (antiholo_vector), its i-th entry.
     Then dx_i ^ dx_j has the coefficient x_ib x_ja - x_ia x_jb on
     conj(dz_b) ^ conj(dz_a), and the component is twice that: column (b, a)
-    is twice the pair minors (exterior._pair_minors_exact) of the columns
-    b and a of the eight one-forms' coefficients."""
+    is twice the pair minors (exterior.pair_minors, on ExactComplex entries)
+    of the columns b and a of the eight one-forms' coefficients."""
     model = build_model(4, backend=EXACT)
-    dzbar = {k: antiholo_vector(model, k).comps for k in range(1, 5)}
-    minors = [_pair_minors_exact(dzbar[b], dzbar[a]) for b, a in _ONE_FORM_ROWS]
-    psi = [[m.get(p, _NIL) * 2 for m in minors] for p in range(len(TWO_FORM_INDEX))]
+    dzbar = np.array([antiholo_vector(model, k).comps for k in range(1, 5)],
+                     dtype=object)
+    b, a = (np.array(_ONE_FORM_ROWS) - 1).T
+    psi = 2 * pair_minors(dzbar[b], dzbar[a]).T
     return tuple(tuple(Fraction(z.real) for z in row)
                  + tuple(Fraction(z.imag) for z in row) for row in psi)
 

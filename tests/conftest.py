@@ -2,11 +2,21 @@ import os
 import sys
 
 import pytest
+from hypothesis import Phase, settings
 
 import cayleykit
 from cayleykit.exterior import EXACT, FLOAT
 from cayleykit.kahler import build_model
 from cayleykit.spin7 import phi0, phi_from_kahler
+
+# Hypothesis's explain phase re-runs a failing test many times over to say
+# which parts of the minimal example matter.  On the exact forms, whose
+# arithmetic is slow, that ran for minutes before any failure was reported,
+# so every other phase runs and explain does not.  Per-test max_examples and
+# deadline settings are unchanged.
+settings.register_profile(
+    "no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleykit import exterior
+from cayleykit import _ratlinalg, exterior
 from cayleykit.exterior import (
     EXACT,
     FLOAT,
@@ -17,14 +18,16 @@ from cayleykit.exterior import (
     ExactComplex,
     Multivector,
     Vector,
+    exact_four_form_values,
     fold_table,
+    form_value,
     four_form_values,
     hodge_star,
     hook,
     inner,
     musical_flat,
     musical_sharp,
-    plucker_minors_exact,
+    pair_minors,
     volume_form,
     wedge,
 )
@@ -196,10 +199,12 @@ def test_zero_coefficients_are_not_stored():
 
 
 def _leibniz_minors(rows):
-    """The 70 4x4 minors as Leibniz sums, in the entries' own arithmetic.
+    """The k x k minors of k rows of 8 entries as Leibniz sums, in the
+    entries' own arithmetic, over the increasing k-subsets of the columns in
+    lexicographic order (FOUR_FORM_INDEX for 4 rows).
 
     The sum over permutations is grouped by the columns taken in the first
-    rows (cofactor expansion along rows 1, 2, 3), and each signed partial
+    rows (cofactor expansion along rows 1 to k - 1), and each signed partial
     sum over the last rows on a set of columns is computed once and shared
     by every minor that contains those columns."""
 
@@ -214,7 +219,7 @@ def _leibniz_minors(rows):
             total = total - term if k % 2 else total + term
         return total
 
-    return [det(tuple(i - 1 for i in quad)) for quad in FOUR_FORM_INDEX]
+    return [det(cols) for cols in itertools.combinations(range(8), len(rows))]
 
 
 def _det_minors(frames):
@@ -275,27 +280,90 @@ def test_plucker_minors_reject_bad_shapes():
     with pytest.raises(DimensionMismatch):
         four_form_values(np.zeros((3, 4, 7)), fold_table(np.zeros((70, 1))))
     with pytest.raises(DimensionMismatch):
-        plucker_minors_exact([[0] * 8] * 3)
+        exact_four_form_values([[0] * 8] * 3, *_identity_fold())
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_fold():
+    """The exact kernel's (fold, denominator) for the (70, 70) identity
+    table, whose values on a frame are its 70 minors."""
+    nums, den = _ratlinalg.scaled(np.eye(70, dtype=int).astype(object))
+    return fold_table(nums), den
 
 
 @given(st.lists(rationals, min_size=32, max_size=32))
 @settings(max_examples=20)
 def test_exact_minors_match_leibniz_on_fractions(entries):
     rows = [entries[8 * r:8 * r + 8] for r in range(4)]
-    assert plucker_minors_exact(rows) == _leibniz_minors(rows)
+    assert list(exact_four_form_values(rows, *_identity_fold())) == _leibniz_minors(rows)
 
 
-@given(st.lists(st.tuples(rationals, rationals), min_size=32, max_size=32))
-@settings(max_examples=5)
-def test_exact_minors_match_leibniz_on_exact_complex(entries):
+@given(st.lists(st.tuples(rationals, rationals), min_size=16, max_size=16))
+@settings(max_examples=20)
+def test_pair_minors_match_leibniz_on_exact_complex(entries):
     values = [ExactComplex(re, im) for re, im in entries]
-    rows = [values[8 * r:8 * r + 8] for r in range(4)]
-    assert plucker_minors_exact(rows) == _leibniz_minors(rows)
+    rows = np.array([values[:8], values[8:]], dtype=object)
+    assert list(pair_minors(rows[0], rows[1])) == _leibniz_minors(rows)
+    # with a leading batch axis, as torus_ops._psi calls it
+    batch = pair_minors(rows[[0, 1]], rows[[1, 0]])
+    assert list(batch[0]) == _leibniz_minors(rows)
+    assert list(-batch[1]) == _leibniz_minors(rows)
 
 
 def test_exact_minors_of_a_sparse_frame():
     rows = [[Fraction(int(i == j)) for i in range(8)] for j in range(4)]
     rows[1][5] = Fraction(2, 3)
-    minors = plucker_minors_exact(rows)
-    assert minors == _leibniz_minors(rows)
+    minors = exact_four_form_values(rows, *_identity_fold())
+    assert list(minors) == _leibniz_minors(rows)
     assert sum(m != 0 for m in minors) == 2
+
+
+def test_exact_values_with_21_digit_denominators():
+    # numerators far past int64: a frame and a table over 21-digit
+    # denominators, whose values are exact only on unbounded integers
+    rng = random.Random(21)
+
+    def big():
+        return Fraction(rng.randrange(-10**21, 10**21),
+                        rng.randrange(10**20, 10**21))
+
+    rows = [[big() for _ in range(8)] for _ in range(4)]
+    table = [[big() for _ in range(3)] for _ in range(70)]
+    nums, den = _ratlinalg.scaled(table)
+    got = exact_four_form_values(rows, fold_table(nums), den)
+    minors = _leibniz_minors(rows)
+    want = tuple(sum((m * row[j] for m, row in zip(minors, table)), Fraction(0))
+                 for j in range(3))
+    assert got == want
+    assert all(v.denominator > 10**63 for v in got)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_form_value_float_matches_exact_for_every_grade(n):
+    # the batched float determinants against the exact ones, grade 0 to n
+    rng = random.Random(n)
+    for k in range(n + 1):
+        keys = list(itertools.combinations(range(1, n + 1), k))
+        terms = {key: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 for key in rng.sample(keys, min(len(keys), 6))}
+        vectors = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                   for _ in range(k)]
+        exact = form_value(Multivector(n, terms, EXACT),
+                           [Vector(v, EXACT) for v in vectors])
+        got = form_value(Multivector(n, terms, FLOAT),
+                         [Vector(v, FLOAT) for v in vectors])
+        assert isinstance(exact, Fraction) and type(got) is float
+        assert abs(got - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
+    assert form_value(Multivector.scalar(n, Fraction(5, 2), FLOAT), []) == 2.5
+    assert form_value(Multivector.scalar(n, Fraction(5, 2), EXACT), []) == Fraction(5, 2)
+    assert form_value(Multivector.zero(n, FLOAT), [Vector.basis(n, 1, FLOAT)]) == 0.0
+
+
+def test_form_value_refusals():
+    a = Multivector(8, {(1, 2): 1}, FLOAT)
+    with pytest.raises(GradeError):
+        form_value(a, [Vector.basis(8, 1, FLOAT)])
+    with pytest.raises(BackendMismatch):
+        form_value(a, [Vector.basis(8, 1, EXACT), Vector.basis(8, 2, EXACT)])
+    with pytest.raises(DimensionMismatch):
+        form_value(a, [Vector.basis(6, 1, FLOAT), Vector.basis(6, 2, FLOAT)])

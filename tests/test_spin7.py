@@ -343,7 +343,14 @@ def test_is_cayley_is_exact_on_exact_forms(phi_cy_exact):
         [[c, 0, s, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
          [-s, 0, c, 0, 0, 0, 0, 0], [0, 0, 0, c, s, 0, 0, 0]],
         backend=EXACT)
-    for plane in (standard, rotated):
+    # the same rotation at a Pythagorean angle over a 21-digit denominator
+    m, n = 10**10 + 1, 10**10 - 3
+    c, s = Fraction(m * m - n * n, m * m + n * n), Fraction(2 * m * n, m * m + n * n)
+    big = OrientedPlane.from_rows(
+        [[c, 0, s, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+         [-s, 0, c, 0, 0, 0, 0, 0], [0, 0, 0, c, s, 0, 0, 0]],
+        backend=EXACT)
+    for plane in (standard, rotated, big):
         rows = list(plane.rows)
         verdict = is_cayley(phi_cy_exact, plane)
         assert verdict.phi_value == float(form_value(phi_cy_exact.phi, rows))
