@@ -9,12 +9,13 @@ lists of Fraction (rows).
   on Python ints, exact at any size of entry (no int64 and so no overflow),
   with the denominators multiplied once.  ``matmul`` is that product.  The
   exact defect tables and two-form operators are built and applied this
-  way, and exact 4-frames are evaluated against the tables this way
-  (exterior.exact_four_form_values); it is many times cheaper than summing
-  Fractions entry by entry.
+  way, and exact 4-frames, one or a batch over one denominator, are
+  evaluated against the tables this way (exterior.exact_four_form_values);
+  it is many times cheaper than summing Fractions entry by entry.
 * ``rref``, ``rank`` and ``det`` are the elimination routines of the graph
-  solver and the structure checks; their sizes are at most 28x28, so they
-  stay plain Fraction loops.
+  solver (rref of the 4x5 system [A | -b] that one batched
+  exact_four_form_values call gives) and the structure checks; their
+  sizes are at most 28x28, so they stay plain Fraction loops.
 """
 
 import math

@@ -30,9 +30,9 @@ their 2x2 pair minors (``pair_minors``), without forming the 70 minors.  It
 walks the batch in blocks of a few hundred frames, so its temporaries stay
 in cache however many frames a call carries.  Float and complex frames run
 it as they are.  Exact frames run it on integers: ``exact_four_form_values``
-scales the frame to Python-int numerators over one denominator
-(``_ratlinalg.scaled``), evaluates them against the fold of the table's own
-numerators, and divides once.
+scales a frame, or a batch of frames, to Python-int numerators over one
+denominator (``_ratlinalg.scaled``), evaluates them against the fold of the
+table's own numerators, and divides once.
 """
 
 from __future__ import annotations
@@ -751,18 +751,23 @@ def four_form_values(frames, fold):
     return out
 
 
-def exact_four_form_values(rows, fold, den):
-    """One 4-frame's 70 4x4 minors times an exact (70, r) table, exactly.
+def exact_four_form_values(frames, fold, den):
+    """4-frames' 70 4x4 minors times an exact (70, r) table, exactly.
 
-    ``rows`` holds 4 rows of 8 Fractions (ints mix in).  ``fold`` is
-    fold_table of the table's integer numerators and ``den`` their
-    denominator, as _ratlinalg.scaled gives them.  The frame is scaled the
-    same way, to integers over one denominator q, four_form_values runs on
-    the Python ints, which never overflow, and the minors, quartic in the
-    frame, are divided once, by den * q**4.  Returns a tuple of r Fractions.
+    ``frames`` is one frame, 4 rows of 8 Fractions (ints mix in), or a
+    (P, 4, 8) batch of them.  ``fold`` is fold_table of the table's integer
+    numerators and ``den`` their denominator, as _ratlinalg.scaled gives
+    them.  The frames are scaled the same way, all of them to integers over
+    one common denominator q, four_form_values runs on the Python ints,
+    which never overflow, and the minors, quartic in the frame, are divided
+    once, by den * q**4.  Returns a tuple of r Fractions for one frame, and
+    a tuple of P such tuples for a batch.
     """
-    frame, q = _ratlinalg.scaled(rows)
-    return _ratlinalg.unscaled(four_form_values(frame[None], fold)[0], den * q**4)
+    nums, q = _ratlinalg.scaled(frames)
+    one = nums.ndim == 2
+    values = _ratlinalg.unscaled(four_form_values(nums[None] if one else nums, fold),
+                                 den * q**4)
+    return values[0] if one else values
 
 
 def apply_signed_permutation(a, perm, signs):

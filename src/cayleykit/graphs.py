@@ -138,7 +138,10 @@ class GraphCoefficients:
 
     def norm(self):
         """Frobenius norm as a float; inf when it overflows one."""
-        return math.hypot(*(float(x) for row in self.entries for x in row))
+        try:
+            return math.hypot(*(float(x) for row in self.entries for x in row))
+        except OverflowError:
+            return math.inf
 
     def replace_first_row(self, row):
         new = (tuple(row),) + self.entries[1:]
@@ -181,7 +184,9 @@ def _det3(lam, rows, cols):
 
 
 def tau_system(lam):
-    """The four graph equations: linear tilt terms minus cubic minors."""
+    """The four graph equations, hand-expanded: linear tilt terms minus
+    cubic minors.  The oracle the graph solver (solve_tau_system) and the
+    mixed components of tau_graph_components are checked against."""
     L = lam.entry
     D = lambda rows, cols: _det3(lam, rows, cols)
     eq1 = (
@@ -282,11 +287,14 @@ def _component_table():
 
 
 @lru_cache(maxsize=None)
-def _component_fold(backend):
-    """fold_table of _component_table(): of its numerators, with their
-    denominator, on the exact backend (for exact_four_form_values); of the
-    table rounded to floats on the float one."""
+def _component_fold(backend, columns=7):
+    """fold_table of the first ``columns`` columns of _component_table(): of
+    its numerators, with their denominator, on the exact backend (for
+    exact_four_form_values); of the table rounded to floats on the float
+    one.  The first four columns are the mixed components, the graph
+    equations that solve_tau_system reads off."""
     nums, den = _component_table()
+    nums = nums[:, :columns]
     if backend == EXACT:
         return fold_table(nums), den
     return fold_table((nums / den).astype(float))
@@ -311,41 +319,52 @@ def tau_graph_components(lam):
 
 
 _SOLVE_RADIUS = 0.3
+# the five frames of solve_tau_system, first row e1, e5, e6, e7, e8 and rows
+# 2-4 the graph rows with their tilt entries (columns 5-8) still zero
+_SOLVE_FRAMES = np.zeros((5, 4, 8), dtype=int)
+_SOLVE_FRAMES[0, 0, 0] = 1
+_SOLVE_FRAMES[1:, 0, 4:] = np.eye(4, dtype=int)
+_SOLVE_FRAMES[:, (1, 2, 3), (1, 2, 3)] = 1
+_SOLVE_FRAMES.flags.writeable = False
 
 
 def solve_tau_system(lam0):
     """Solve the four graph equations for the first row of the tilt, rows
     2-4 held fixed, in the input's own arithmetic.
 
-    Every cubic minor of tau_system has at most one factor from row 1, so
-    the equations are affine in x = (lam^1_5..lam^1_8): tau_system = A x + b
-    with b the value at x = 0 and column c of A the value at x = e_c minus
-    b.  One linear solve gives the solution: Fractions on the exact backend
-    (rref of [A | -b]), np.linalg.solve on the float one.  The start must
-    lie in the Frobenius ball of radius 0.3, else ValidationError.  There
-    A = I + E, each entry of E a sum of at most three 2x2 minors of rows
-    2-4, each at most 0.3**2 / 2 = 0.045 in size, so ||E||_F <= 4 * 3 *
-    0.045 < 1 and A is invertible.
+    The equations are the mixed components of the defect on the graph frame
+    (tau_graph_components), and the defect is multilinear in the frame
+    rows.  Only row 1, e1 + sum_c x_c e_{4+c}, holds x = (lam^1_5..lam^1_8),
+    so the equations are affine in x: A x + b, with b their value on the
+    frame (e1; v2; v3; v4) and column c of A their value on (e_{4+c}; v2;
+    v3; v4), v2..v4 the graph rows 2-4.  One four_form_values call on those
+    five frames, against the mixed columns of _component_fold, gives A and
+    b (exact_four_form_values on the exact backend), and one linear solve
+    the solution: Fractions on the exact backend (rref of [A | -b]),
+    np.linalg.solve on the float one.  tau_system, the hand-expanded oracle,
+    is not called; the tests hold the solution against it.
+
+    The start must lie in the Frobenius ball of radius 0.3, else
+    ValidationError.  There A = I + E, since every cubic minor of
+    tau_system has at most one factor from row 1: each entry of E is a sum
+    of at most three 2x2 minors of rows 2-4, each at most 0.3**2 / 2 =
+    0.045 in size, so ||E||_F <= 4 * 3 * 0.045 < 1 and A is invertible.
     """
     norm = lam0.norm()
     if not norm <= _SOLVE_RADIUS:
         raise ValidationError("starting coefficients have norm %.4g > %.2f"
                               % (norm, _SOLVE_RADIUS))
-    backend = lam0.backend
-    zero, one = coerce_scalar(0, backend), coerce_scalar(1, backend)
-    b = tau_system(lam0.replace_first_row([zero] * 4))
-    at_units = [
-        tau_system(lam0.replace_first_row([one if k == c else zero
-                                           for k in range(4)]))
-        for c in range(4)
-    ]
-    # row r of the augmented system [A | -b]
-    system = [[v[r] - b[r] for v in at_units] + [-b[r]] for r in range(4)]
-    if backend == EXACT:
+    exact = lam0.backend == EXACT
+    frames = _SOLVE_FRAMES.astype(object if exact else float)
+    frames[:, 1:, 4:] = lam0.entries[1:]
+    if exact:
+        b, *columns = exact_four_form_values(frames, *_component_fold(EXACT, 4))
+        # row r of the augmented system [A | -b]
+        system = [[col[r] for col in columns] + [-b[r]] for r in range(4)]
         x = [row[4] for row in _ratlinalg.rref(system)[0]]
     else:
-        system = np.array(system)
-        x = np.linalg.solve(system[:, :4], system[:, 4]).tolist()
+        values = four_form_values(frames, _component_fold(FLOAT, 4))
+        x = np.linalg.solve(values[1:].T, -values[0]).tolist()
     return lam0.replace_first_row(x)
 
 

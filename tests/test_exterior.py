@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -336,6 +337,18 @@ def test_exact_values_with_21_digit_denominators():
                  for j in range(3))
     assert got == want
     assert all(v.denominator > 10**63 for v in got)
+    # a batch over one common denominator, each frame over its own
+    frames = [rows]
+    for _ in range(3):
+        q = rng.randrange(10**20, 10**21)
+        frames.append([[Fraction(rng.randrange(-10**21, 10**21), q)
+                        for _ in range(8)] for _ in range(4)])
+    assert len({math.lcm(*(x.denominator for row in f for x in row))
+                for f in frames}) == 4
+    batch = exact_four_form_values(frames, fold_table(nums), den)
+    assert batch == tuple(exact_four_form_values(f, fold_table(nums), den)
+                          for f in frames)
+    assert batch[0] == want
 
 
 @pytest.mark.parametrize("n", [4, 8])

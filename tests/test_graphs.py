@@ -1,6 +1,7 @@
 """Plane classification, canonical angles, and graph deformations."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleykit import _ratlinalg, graphs
 from cayleykit.errors import (
     BackendMismatch,
     PlaneError,
@@ -121,10 +123,31 @@ def test_zero_tilt_is_a_solution():
 # -- solving the graph equations ----------------------------------------------
 
 
+def _oracle_solve(lam0):
+    """The reference solve, A and b assembled from the hand-expanded
+    tau_system: b its value at x = 0 and column c of A its value at x = e_c
+    minus b, for x the first row of the tilt."""
+    zero, one = (0, 1) if lam0.backend == EXACT else (0.0, 1.0)
+    b = tau_system(lam0.replace_first_row([zero] * 4))
+    at_units = [
+        tau_system(lam0.replace_first_row([one if k == c else zero
+                                           for k in range(4)]))
+        for c in range(4)
+    ]
+    system = [[v[r] - b[r] for v in at_units] + [-b[r]] for r in range(4)]
+    if lam0.backend == EXACT:
+        x = [row[4] for row in _ratlinalg.rref(system)[0]]
+    else:
+        system = np.array(system)
+        x = np.linalg.solve(system[:, :4], system[:, 4]).tolist()
+    return lam0.replace_first_row(x)
+
+
 @given(st.lists(small_rationals, min_size=16, max_size=16))
 @settings(max_examples=30, deadline=None)
 def test_exact_solve_gives_exact_zeros(flat):
     sol = solve_tau_system(_exact_tilt(flat))
+    assert sol == _oracle_solve(_exact_tilt(flat))
     assert all(isinstance(x, Fraction) for row in sol.entries for x in row)
     assert sol.entries[1:] == _exact_tilt(flat).entries[1:]
     assert all(e == 0 for e in tau_system(sol))
@@ -143,8 +166,41 @@ def test_newton_battery():
         assert tau_norm(tau_eval(Phi, *graph_frame(sol))) < 1e-8
 
 
+def test_float_solve_matches_the_oracle_solve():
+    # radii up to the edge of the 0.3 ball, where A is furthest from I
+    rng = np.random.default_rng(314)
+    radii = np.concatenate([rng.uniform(0.0, 0.3, 150), 0.3 - 1e-9 * rng.random(50)])
+    for radius in radii:
+        start = random_graph_coefficients(rng, radius=radius)
+        got, want = solve_tau_system(start), _oracle_solve(start)
+        assert got.entries[1:] == start.entries[1:]
+        assert max(abs(g - w) for g, w in zip(got.entries[0], want.entries[0])) <= 1e-14
+
+
+def test_solve_does_not_call_the_oracle(monkeypatch):
+    def refuse(lam):
+        raise AssertionError("solve_tau_system called tau_system")
+
+    rng = np.random.default_rng(5)
+    float_start = random_graph_coefficients(rng, radius=0.25)
+    exact_start = _exact_tilt([Fraction(k % 7 - 3, 50) for k in range(16)])
+    want = [_oracle_solve(float_start), _oracle_solve(exact_start)]
+    monkeypatch.setattr(graphs, "tau_system", refuse)
+    assert solve_tau_system(exact_start) == want[1]
+    got = solve_tau_system(float_start)
+    assert max(abs(g - w) for g, w in zip(got.entries[0], want[0].entries[0])) <= 1e-14
+
+
 def test_newton_rejects_large_starts():
     lam = GraphCoefficients([[0.5] * 4] * 4, backend=FLOAT)
+    with pytest.raises(ValidationError):
+        solve_tau_system(lam)
+
+
+def test_norm_past_float_range_is_inf_and_refused():
+    lam = GraphCoefficients([[Fraction(10**400), 0, 0, 0]] + [[0] * 4] * 3,
+                            backend=EXACT)
+    assert lam.norm() == math.inf
     with pytest.raises(ValidationError):
         solve_tau_system(lam)
 
