@@ -9,13 +9,14 @@ lists of Fraction (rows).
   on Python ints, exact at any size of entry (no int64 and so no overflow),
   with the denominators multiplied once.  ``matmul`` is that product.  The
   exact defect tables and two-form operators are built and applied this
-  way, and exact 4-frames, one or a batch over one denominator, are
-  evaluated against the tables this way (exterior.exact_four_form_values);
-  it is many times cheaper than summing Fractions entry by entry.
-* ``rref``, ``rank`` and ``det`` are the elimination routines of the graph
-  solver (rref of the 4x5 system [A | -b] that one batched
-  exact_four_form_values call gives) and the structure checks; their
-  sizes are at most 28x28, so they stay plain Fraction loops.
+  way, and exact 4-frames are evaluated against the tables this way
+  (exterior.FourFormTable); it is many times cheaper than summing
+  Fractions entry by entry.
+* ``rank``, ``det`` and ``solve`` are read off one fraction-free
+  Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) of the scaled
+  numerators, whose entries stay integers: the structure checks take the
+  rank of 28x28 matrices, form_value takes determinants, and the exact
+  graph solver solves its 4x4 system A x = -b.
 """
 
 import math
@@ -55,71 +56,62 @@ def matmul(a, b):
     return unscaled(a_nums @ b_nums, a_den * b_den)
 
 
-def _as_fraction_rows(mat):
-    return [[Fraction(x) for x in row] for row in mat]
-
-
-def rref(mat):
-    """Reduced row echelon form.
-
-    Returns (rows, pivot_columns).  The input is not modified.
-    """
-    rows = _as_fraction_rows(mat)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+def _eliminate(nums):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an object array
+    of integer numerators, in place.  Column by column, the first nonzero
+    entry at or below the next pivot row is swapped up, and every other row
+    becomes (pivot * row - entry * pivot row) // previous pivot, an exact
+    division (Sylvester's identity: every entry is then a minor of the
+    input).  After k pivots each pivot entry is the k-th pivot, +-det of
+    the first k pivot rows and columns.  Returns (pivot columns, last
+    pivot, sign of the row swaps)."""
+    pivots, prev, sign = [], 1, 1
+    for c in range(nums.shape[1]):
+        r = len(pivots)
+        if r == len(nums):
             break
-    return rows, pivots
+        nonzero = np.flatnonzero(nums[r:, c] != 0)
+        if not nonzero.size:
+            continue
+        k = r + nonzero[0]
+        if k != r:
+            nums[[r, k]] = nums[[k, r]]
+            sign = -sign
+        pivot = nums[r, c]
+        rest = np.arange(len(nums)) != r
+        nums[rest] = (pivot * nums[rest]
+                      - np.multiply.outer(nums[rest, c], nums[r])) // prev
+        pivots.append(c)
+        prev = pivot
+    return pivots, prev, sign
 
 
 def rank(mat):
-    _, pivots = rref(mat)
-    return len(pivots)
+    return len(_eliminate(np.atleast_2d(scaled(mat)[0]))[0])
 
 
 def det(mat):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    rows = _as_fraction_rows(mat)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    """Determinant of a square matrix of Fractions; 1 for the empty one."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
         raise ValueError("det needs a square matrix")
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        out *= pv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign * out
+    nums, den = scaled(mat)
+    pivots, prev, sign = _eliminate(nums.reshape(n, n))
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * prev, den**n)
+
+
+def solve(a, b):
+    """The x with a x = b, for a square matrix a of Fractions and a vector
+    b, as a tuple of Fractions.  Eliminating [a | b] leaves the last pivot
+    p on the diagonal of a's columns and p x in the last column.  Raises
+    ValueError when a is singular."""
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in a):
+        raise ValueError("solve needs a square matrix and a vector of its size")
+    nums = scaled([list(row) + [v] for row, v in zip(a, b)])[0].reshape(n, n + 1)
+    pivots, prev, _ = _eliminate(nums)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("solve needs a nonsingular matrix")
+    return tuple(Fraction(v, prev) for v in nums[:, n])

@@ -28,11 +28,11 @@ its 70 4x4 minors times the table.  One kernel evaluates them, the fold:
 once, and ``four_form_values`` evaluates a batch of frames against it from
 their 2x2 pair minors (``pair_minors``), without forming the 70 minors.  It
 walks the batch in blocks of a few hundred frames, so its temporaries stay
-in cache however many frames a call carries.  Float and complex frames run
-it as they are.  Exact frames run it on integers: ``exact_four_form_values``
-scales a frame, or a batch of frames, to Python-int numerators over one
-denominator (``_ratlinalg.scaled``), evaluates them against the fold of the
-table's own numerators, and divides once.
+in cache however many frames a call carries.  The other modules hold their
+tables as ``FourFormTable``s, which run float and complex frames against
+the table's float fold, and exact frames on integers: scaled to Python-int
+numerators over one denominator (``_ratlinalg.scaled``), evaluated against
+the fold of the table's own numerators, and divided once.
 """
 
 from __future__ import annotations
@@ -145,6 +145,8 @@ class ExactComplex:
 
     def as_complex(self):
         return complex(float(self.re), float(self.im))
+
+    __complex__ = as_complex
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -727,13 +729,13 @@ def four_form_values(frames, fold):
 
     ``frames`` is a (P, 4, 8) array of frame rows and ``fold`` is
     fold_table(table) for a (70, r) table, both float or complex, or both
-    Python ints in object arrays (exact_four_form_values).  Returns the
-    (P, r) array ``minors @ table``.  The frames are taken _BLOCK at a time:
-    the 28 pair minors of rows 1, 2 (``top``) and of rows 3, 4 (``bottom``)
-    are formed, ``bottom @ fold`` sums every split of every subset at once,
-    and a batched matmul with ``top`` contracts the result into its rows of
-    the preallocated output.  The largest temporary is one (_BLOCK, 28 * r)
-    array, which stays in cache however large P grows.
+    Python ints in object arrays (FourFormTable on exact frames).  Returns
+    the (P, r) array ``minors @ table``.  The frames are taken _BLOCK at a
+    time: the 28 pair minors of rows 1, 2 (``top``) and of rows 3, 4
+    (``bottom``) are formed, ``bottom @ fold`` sums every split of every
+    subset at once, and a batched matmul with ``top`` contracts the result
+    into its rows of the preallocated output.  The largest temporary is one
+    (_BLOCK, 28 * r) array, which stays in cache however large P grows.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3 or frames.shape[1:] != (4, 8):
@@ -751,23 +753,57 @@ def four_form_values(frames, fold):
     return out
 
 
-def exact_four_form_values(frames, fold, den):
-    """4-frames' 70 4x4 minors times an exact (70, r) table, exactly.
-
-    ``frames`` is one frame, 4 rows of 8 Fractions (ints mix in), or a
-    (P, 4, 8) batch of them.  ``fold`` is fold_table of the table's integer
-    numerators and ``den`` their denominator, as _ratlinalg.scaled gives
-    them.  The frames are scaled the same way, all of them to integers over
-    one common denominator q, four_form_values runs on the Python ints,
-    which never overflow, and the minors, quartic in the frame, are divided
-    once, by den * q**4.  Returns a tuple of r Fractions for one frame, and
-    a tuple of P such tuples for a batch.
+class FourFormTable:
+    """A (70, r) table of alternating 4-linear maps on R^8, exact
+    (Fractions, ints or ExactComplex) or float (float or complex).  Called
+    on one 4-frame or a (P, 4, 8) batch, it gives the frames' 70 minors
+    times the table by four_form_values, against one of two folds, each
+    built on first use.  Float or complex frames run against the fold of
+    the table as floats (float(Fraction), complex(ExactComplex), both
+    correctly rounded) and give an (r,) or a (P, r) array.  Exact frames
+    run against the fold of the table's integer numerators over their
+    denominator d (_ratlinalg.scaled; a table of Fractions and ints only,
+    else BackendMismatch): they are scaled to integers over one denominator
+    q, and the values, quartic in the frame, are divided once, by d * q**4,
+    giving a tuple of r Fractions or a tuple of P such tuples.  ``table``
+    is the table itself, a read-only copy.
     """
-    nums, q = _ratlinalg.scaled(frames)
-    one = nums.ndim == 2
-    values = _ratlinalg.unscaled(four_form_values(nums[None] if one else nums, fold),
-                                 den * q**4)
-    return values[0] if one else values
+
+    def __init__(self, table):
+        self.table = np.array(table)
+        self.table.flags.writeable = False
+        self._float_fold = None
+        self._exact_fold = None
+
+    def __call__(self, frames):
+        frames = np.asarray(frames)
+        one = frames.ndim == 2
+        batch = frames[None] if one else frames
+        if frames.dtype.kind in "fc":
+            values = four_form_values(batch, self._float())
+        else:
+            fold, den = self._exact()
+            nums, q = _ratlinalg.scaled(batch)
+            values = _ratlinalg.unscaled(four_form_values(nums, fold), den * q**4)
+        return values[0] if one else values
+
+    def _float(self):
+        if self._float_fold is None:
+            table = self.table
+            if table.dtype == object:
+                real = _COMPLEX.isdisjoint(map(type, table.flat))
+                table = table.astype(float if real else complex)
+            self._float_fold = fold_table(table)
+        return self._float_fold
+
+    def _exact(self):
+        if self._exact_fold is None:
+            if (self.table.dtype.kind in "fc"
+                    or not _COMPLEX.isdisjoint(map(type, self.table.flat))):
+                raise BackendMismatch("exact frames need a table of Fractions or ints")
+            nums, den = _ratlinalg.scaled(self.table)
+            self._exact_fold = fold_table(nums), den
+        return self._exact_fold
 
 
 def apply_signed_permutation(a, perm, signs):

@@ -35,12 +35,11 @@ from .errors import (
 from .exterior import (
     EXACT,
     FLOAT,
+    ExactComplex,
+    FourFormTable,
     Multivector,
     Vector,
     coerce_scalar,
-    exact_four_form_values,
-    fold_table,
-    four_form_values,
     hodge_star,
     hook,
     hook_many,
@@ -116,20 +115,32 @@ def _realify(w, m):
 # -- the graph deformation polynomial system -------------------------------
 
 
+# the types coerce_scalar gives a complex entry on either backend, and the
+# one type it gives a real entry on the float backend
+_COMPLEX = frozenset((complex, ExactComplex))
+_FLOATS = frozenset((float,))
+
+
 @dataclass(frozen=True)
 class GraphCoefficients:
-    """4x4 tilt coefficients: rows are tangent 1..4, columns normal 5..8."""
+    """4x4 tilt coefficients: rows are tangent 1..4, columns normal 5..8.
+    A tilt is real: complex entries raise ValidationError."""
 
     entries: tuple
     backend: str = FLOAT
 
     def __post_init__(self):
-        rows = tuple(
-            tuple(coerce_scalar(x, self.backend) for x in row)
-            for row in self.entries
-        )
+        rows = tuple(tuple(row) for row in self.entries)
+        flat = itertools.chain.from_iterable
+        # Python floats are already what coerce_scalar makes on FLOAT, so a
+        # float solve's new tilt (replace_first_row) is not coerced again
+        if self.backend != FLOAT or not _FLOATS.issuperset(map(type, flat(rows))):
+            rows = tuple(tuple(coerce_scalar(x, self.backend) for x in row)
+                         for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValidationError("graph coefficients must be a 4x4 array")
+        if not _COMPLEX.isdisjoint(map(type, flat(rows))):
+            raise ValidationError("graph coefficients must be real")
         object.__setattr__(self, "entries", rows)
 
     def entry(self, j, i):
@@ -275,29 +286,22 @@ def seven_basis(Phi):
 
 @lru_cache(maxsize=None)
 def _component_table():
-    """The (70, 7) table of the seven adapted components of tau, exactly:
-    defect_table() times the (28, 7) matrix of the mixed then diagonal
-    seven_basis two-forms, by one scaled integer product
-    (_ratlinalg.matmul), as its integer numerators and their denominator
-    (_ratlinalg.scaled).  Built once per process for both backends."""
+    """The FourFormTable of the seven adapted components of tau: the exact
+    (70, 7) table of defect_table() times the (28, 7) matrix of the mixed
+    then diagonal seven_basis two-forms, by one scaled integer product
+    (_ratlinalg.matmul).  Built once per process; it serves both
+    backends."""
     Phi = phi0(EXACT)
     mixed, diagonal = seven_basis(Phi)
     basis = [[b.coeff(pair) for b in mixed + diagonal] for pair in TWO_FORM_INDEX]
-    return _ratlinalg.scaled(_ratlinalg.matmul(Phi.defect_table(), basis))
+    return FourFormTable(_ratlinalg.matmul(Phi.defect_table(), basis))
 
 
 @lru_cache(maxsize=None)
-def _component_fold(backend, columns=7):
-    """fold_table of the first ``columns`` columns of _component_table(): of
-    its numerators, with their denominator, on the exact backend (for
-    exact_four_form_values); of the table rounded to floats on the float
-    one.  The first four columns are the mixed components, the graph
-    equations that solve_tau_system reads off."""
-    nums, den = _component_table()
-    nums = nums[:, :columns]
-    if backend == EXACT:
-        return fold_table(nums), den
-    return fold_table((nums / den).astype(float))
+def _mixed_table():
+    """The FourFormTable of the first four columns of _component_table(),
+    the mixed components: the graph equations solve_tau_system reads."""
+    return FourFormTable(_component_table().table[:, :4])
 
 
 def tau_graph_components(lam):
@@ -305,16 +309,13 @@ def tau_graph_components(lam):
     adapted orthonormal basis of the 7-piece (seven_basis): returns (mixed
     4-tuple, diagonal 3-tuple) in the coefficients' own arithmetic.
 
-    The frame's 70 minors times a (70, 7) table, the defect table
-    contracted with the basis once (_component_fold), by one
-    four_form_values call; exact input runs it on integer numerators
-    (exact_four_form_values) and gives exact components.  tau_eval is the
-    reference the tests hold this against."""
+    The frame's 70 minors times the defect table contracted with the basis
+    once, by one call on _component_table(): exact on exact input, floats
+    on float input.  tau_eval is the reference the tests hold this
+    against."""
     rows = [v.comps for v in graph_frame(lam)]
-    if lam.backend == EXACT:
-        comps = exact_four_form_values(rows, *_component_fold(EXACT))
-    else:
-        comps = four_form_values(np.array([rows]), _component_fold(FLOAT))[0].tolist()
+    # Python floats or Fractions
+    comps = np.asarray(_component_table()(rows)).tolist()
     return tuple(comps[:4]), tuple(comps[4:])
 
 
@@ -337,12 +338,11 @@ def solve_tau_system(lam0):
     rows.  Only row 1, e1 + sum_c x_c e_{4+c}, holds x = (lam^1_5..lam^1_8),
     so the equations are affine in x: A x + b, with b their value on the
     frame (e1; v2; v3; v4) and column c of A their value on (e_{4+c}; v2;
-    v3; v4), v2..v4 the graph rows 2-4.  One four_form_values call on those
-    five frames, against the mixed columns of _component_fold, gives A and
-    b (exact_four_form_values on the exact backend), and one linear solve
-    the solution: Fractions on the exact backend (rref of [A | -b]),
-    np.linalg.solve on the float one.  tau_system, the hand-expanded oracle,
-    is not called; the tests hold the solution against it.
+    v3; v4), v2..v4 the graph rows 2-4.  One call on _mixed_table() for
+    those five frames gives A and b, and one linear solve the solution:
+    Fractions on the exact backend (_ratlinalg.solve), np.linalg.solve on
+    the float one.  tau_system, the hand-expanded
+    oracle, is not called; the tests hold the solution against it.
 
     The start must lie in the Frobenius ball of radius 0.3, else
     ValidationError.  There A = I + E, since every cubic minor of
@@ -357,13 +357,11 @@ def solve_tau_system(lam0):
     exact = lam0.backend == EXACT
     frames = _SOLVE_FRAMES.astype(object if exact else float)
     frames[:, 1:, 4:] = lam0.entries[1:]
+    values = _mixed_table()(frames)
     if exact:
-        b, *columns = exact_four_form_values(frames, *_component_fold(EXACT, 4))
-        # row r of the augmented system [A | -b]
-        system = [[col[r] for col in columns] + [-b[r]] for r in range(4)]
-        x = [row[4] for row in _ratlinalg.rref(system)[0]]
+        b, *columns = values
+        x = _ratlinalg.solve(list(zip(*columns)), [-v for v in b])
     else:
-        values = four_form_values(frames, _component_fold(FLOAT, 4))
         x = np.linalg.solve(values[1:].T, -values[0]).tolist()
     return lam0.replace_first_row(x)
 
@@ -661,12 +659,8 @@ def normal_volume_form(model, p):
 
 
 def complex_graph_linear_system(model, cg):
-    """The first-order graph constraints and their complex combinations.
-
-    For each row j this returns the real form
-      Re[e^{i phase}(w_j -| beta  -  i v_j -| beta)]
-    plus the full complex combination before taking the real part.
-    """
+    """The first-order graph constraints: for each row j the real form
+      Re[e^{i phase}(w_j -| beta  -  i v_j -| beta)]."""
     if cg.m != model.m:
         raise DimensionMismatch("coefficients and model disagree on m")
     if cg.backend != model.backend:
@@ -675,18 +669,14 @@ def complex_graph_linear_system(model, cg):
     frame = cg.frame()
     phase = model.phase_scalar()
     i_unit = imag_unit(cg.backend)
-    reals, combos = [], []
-    for j in range(cg.p):
-        v = frame[j]
-        w = frame[cg.p + j]
-        combo = (hook(w, beta) - hook(v, beta).scale(i_unit)).scale(phase)
-        combos.append(combo)
-        reals.append(combo.re)
-    return reals, combos
+    return [(hook(frame[cg.p + j], beta) - hook(frame[j], beta).scale(i_unit))
+            .scale(phase).re for j in range(cg.p)]
 
 
 def hook_coefficient_oracle(model, cg):
-    """Residual of the closed form of the combinations above.
+    """Residual of the closed form of the complex combinations
+    w_j -| beta - i v_j -| beta, which complex_graph_linear_system phases
+    and takes the real part of.
 
     Each combination must equal
       sum_k [(mu^j_k + lam^j_{k+m}) + i (mu^j_{k+m} - lam^j_k)] e_k -| beta
@@ -745,9 +735,8 @@ def linear_system_matrix(model, p):
         flat = [0.0] * nunk
         flat[u] = 1.0
         cg = ComplexGraphCoefficients.from_flat(p, m, flat, backend=FLOAT)
-        reals, _ = complex_graph_linear_system(model, cg)
         entries = []
-        for form in reals:
+        for form in complex_graph_linear_system(model, cg):
             for key in sorted(
                 itertools.combinations(range(1, 2 * m + 1), m - p - 1)
             ):

@@ -34,12 +34,10 @@ from .exterior import (
     FLOAT,
     FOUR_FORM_INDEX,
     ExactComplex,
+    FourFormTable,
     Multivector,
     Vector,
     coerce_scalar,
-    exact_four_form_values,
-    fold_table,
-    four_form_values,
     hodge_star,
     hook,
     hook_many,
@@ -113,7 +111,7 @@ class CayleyForm:
         self._proj7 = None
         self._phi_row = None
         self._defect = None
-        self._defect_fold = None
+        self._cayley_table = None
         self._arrays = {}
 
     @property
@@ -218,20 +216,14 @@ class CayleyForm:
                     "cq,pq->cp", gathered, self._array(self.pi7_matrix)) * 0.25)
         return self._defect
 
-    def defect_fold(self):
-        """fold_table of [defect_table() | phi_row()] (70x29) for the kernel
-        four_form_values: columns 0..27 of its result are tau, column 28 is
-        phi.  On the exact backend the table is folded on its integer
-        numerators (_ratlinalg.scaled), and the (fold, denominator) pair is
-        what exterior.exact_four_form_values takes."""
-        if self._defect_fold is None:
-            table = np.column_stack([self.defect_table(), self.phi_row()])
-            if self.backend == EXACT:
-                nums, den = _ratlinalg.scaled(table)
-                self._defect_fold = (fold_table(nums), den)
-            else:
-                self._defect_fold = fold_table(table)
-        return self._defect_fold
+    def cayley_table(self):
+        """The FourFormTable of [defect_table() | phi_row()] (70x29): on a
+        frame, columns 0..27 of its values are tau and column 28 is phi,
+        exact on exact frames."""
+        if self._cayley_table is None:
+            self._cayley_table = FourFormTable(
+                np.column_stack([self.defect_table(), self.phi_row()]))
+        return self._cayley_table
 
     def _frozen(self, values):
         if self.backend == EXACT:
@@ -387,11 +379,9 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
     on the float backend is read through its cached frame matrix.
 
     Both numbers come from the frame's 70 minors: times phi_row() for the
-    value, times defect_table() for tau, by one four_form_values call
-    against defect_fold().  On the exact backend the call runs on the
-    integer numerators of the frame and the table
-    (exterior.exact_four_form_values), so the values are exact and only
-    the two results become floats."""
+    value, times defect_table() for tau, by one call on cayley_table().  On
+    the exact backend that call is exact, and only the two results become
+    floats."""
     if isinstance(plane, OrientedPlane):
         # rows already checked real, of one backend and one dimension
         rows = plane.rows
@@ -409,16 +399,11 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
                 "mixed backends: %r vs %r" % (v.backend, Phi.backend))
         if v.n != 8:
             raise DimensionMismatch("frame vectors must live in R^8")
-    if Phi.backend == EXACT:
-        values = exact_four_form_values([v.comps for v in rows], *Phi.defect_fold())
-        tau = values[:28]
-        val, tn = float(values[28]), float(sum(t * t for t in tau)) ** 0.5
-    else:
-        frame = (plane.matrix() if isinstance(plane, OrientedPlane)
-                 else np.array([v.comps for v in rows]))
-        values = four_form_values(frame[None], Phi.defect_fold())[0]
-        tau = values[:28]
-        val, tn = float(values[28]), float(tau @ tau) ** 0.5
+    frame = (plane.matrix() if isinstance(plane, OrientedPlane) and Phi.backend == FLOAT
+             else [v.comps for v in rows])
+    values = Phi.cayley_table()(frame)
+    tau = values[:28]
+    val, tn = float(values[28]), float(np.dot(tau, tau)) ** 0.5
     return CayleyVerdict(
         is_cayley=abs(val - 1.0) <= tol_phi and tn <= tol_tau,
         phi_value=val,

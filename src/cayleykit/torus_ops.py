@@ -20,12 +20,12 @@ artifacts.  The module provides:
   one scaled-integer product (``_ratlinalg.matmul``) of the defect table
   with psi, the (0,1)-part as a (28, 4) matrix, which does not depend on
   the phase and is built once per process from 2x2 minors
-  (``exterior.pair_minors``).  On float grids the one kernel is the fold
-  (``exterior.fold_table`` of the table, built once per phase, and
-  ``exterior.four_form_values``), which never forms the minors and walks
-  the grid's frames in cache-sized blocks.  The frames come from one
-  inverse FFT per section, of the derivatives of the displacement's four
-  normal components along the four base axes.  The certificate needs no
+  (``exterior.pair_minors``).  Float grids are evaluated by one call on the
+  table's ``exterior.FourFormTable``, built once per phase, whose kernel
+  never forms the minors and walks the grid's frames in cache-sized
+  blocks.  The frames come from one inverse FFT per section, of the
+  derivatives of the displacement's four normal components along the four
+  base axes.  The certificate needs no
   minors at all, since a frame tilted in one row has only the degree-one
   minors besides the base one, so it reads the derivative off the table's
   degree-one rows,
@@ -48,8 +48,7 @@ from .exterior import (
     EXACT,
     ExactComplex,
     FOUR_FORM_INDEX,
-    fold_table,
-    four_form_values,
+    FourFormTable,
     pair_minors,
 )
 from .kahler import antiholo_vector, build_model
@@ -72,18 +71,10 @@ from .spin7 import phi_from_kahler
 # type_pair_forms     codomain of the complex-deformation operators:
 #                     dz_b (x) dz_a components then conj components, rows
 #                     (1,3), (1,4), (2,3), (2,4) twice
-
-BUNDLE_RANK = {
-    "normal10": 2,
-    "two_form_normal": 2,
-    "one_form_normal": 4,
-    "deformation_pair": 4,
-    "complexified_normal": 4,
-    "type_pair_forms": 8,
-}
-
+#
 # Hermitian fiber weights for the L2 pairing, from |dz|^2 = 2 and
-# |d/dz|^2 = 1/2 in the flat metric.
+# |d/dz|^2 = 1/2 in the flat metric, one per component, so that a bundle's
+# fiber rank is the number of its weights.
 BUNDLE_WEIGHTS = {
     "normal10": (0.5, 0.5),
     "two_form_normal": (2.0, 2.0),
@@ -92,6 +83,7 @@ BUNDLE_WEIGHTS = {
     "complexified_normal": (0.5, 0.5, 0.5, 0.5),
     "type_pair_forms": (4.0,) * 8,
 }
+BUNDLE_RANK = {bundle: len(weights) for bundle, weights in BUNDLE_WEIGHTS.items()}
 
 _DEFAULT_PHASE = (Fraction(1), Fraction(0))
 
@@ -469,10 +461,9 @@ def _defect_table_exact(phase_pair):
 
 
 @lru_cache(maxsize=8)
-def _defect_fold(phase_pair):
-    """The exact defect table as complex floats, folded for four_form_values."""
-    return fold_table([[c.as_complex() for c in row]
-                       for row in _defect_table_exact(phase_pair)])
+def _defect_table(phase_pair):
+    """The FourFormTable of _defect_table_exact, for the float grids."""
+    return FourFormTable(_defect_table_exact(phase_pair))
 
 
 def _displacement_coefficients(model, v1, w):
@@ -517,7 +508,7 @@ def _defect_on_grids(model, derivatives, t):
     """The defect of the graph at scale t from its derivative grids."""
     frames = t * derivatives
     frames[:, np.arange(4), np.arange(4)] += 1.0
-    return four_form_values(frames, _defect_fold(model.phase_pair))
+    return _defect_table(model.phase_pair)(frames)
 
 
 def nonlinear_F(model, v, t=1.0):
@@ -528,10 +519,10 @@ def nonlinear_F(model, v, t=1.0):
     graphed over the base torus; at each grid point the defect is the
     graph's tangent frame evaluated against one (70, 4) table: the Cayley
     form's defect table followed by the normal-valued (0,1)-part,
-    precombined exactly and folded once (``exterior.fold_table``), so one
-    ``four_form_values`` call gives every grid point without forming the
-    frames' 70 minors.  The result has shape (G^4, 4) on the grid
-    G = 2K + 2 of ``grid_values``, components ordered
+    precombined exactly and held as one ``exterior.FourFormTable``, so one
+    call on it gives every grid point without forming the frames' 70
+    minors.  The result has shape (G^4, 4) on the grid G = 2K + 2 of
+    ``grid_values``, components ordered
     (1,3), (1,4), (2,3), (2,4); the map extends the real geometric defect
     complex-multilinearly in the frame vectors."""
     return _defect_on_grids(model, _derivative_grids(model, v), t)

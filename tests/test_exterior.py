@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleykit import _ratlinalg, exterior
+from cayleykit import exterior
 from cayleykit.exterior import (
     EXACT,
     FLOAT,
     FOUR_FORM_INDEX,
     ExactComplex,
+    FourFormTable,
     Multivector,
     Vector,
-    exact_four_form_values,
     fold_table,
     form_value,
     four_form_values,
@@ -281,22 +281,20 @@ def test_plucker_minors_reject_bad_shapes():
     with pytest.raises(DimensionMismatch):
         four_form_values(np.zeros((3, 4, 7)), fold_table(np.zeros((70, 1))))
     with pytest.raises(DimensionMismatch):
-        exact_four_form_values([[0] * 8] * 3, *_identity_fold())
+        _IDENTITY([[0] * 8] * 3)
+    with pytest.raises(DimensionMismatch):
+        _IDENTITY(np.zeros((3, 4, 7)))
 
 
-@functools.lru_cache(maxsize=None)
-def _identity_fold():
-    """The exact kernel's (fold, denominator) for the (70, 70) identity
-    table, whose values on a frame are its 70 minors."""
-    nums, den = _ratlinalg.scaled(np.eye(70, dtype=int).astype(object))
-    return fold_table(nums), den
+# the (70, 70) identity table, whose values on a frame are its 70 minors
+_IDENTITY = FourFormTable(np.eye(70, dtype=int))
 
 
 @given(st.lists(rationals, min_size=32, max_size=32))
 @settings(max_examples=20)
 def test_exact_minors_match_leibniz_on_fractions(entries):
     rows = [entries[8 * r:8 * r + 8] for r in range(4)]
-    assert list(exact_four_form_values(rows, *_identity_fold())) == _leibniz_minors(rows)
+    assert list(_IDENTITY(rows)) == _leibniz_minors(rows)
 
 
 @given(st.lists(st.tuples(rationals, rationals), min_size=16, max_size=16))
@@ -314,7 +312,7 @@ def test_pair_minors_match_leibniz_on_exact_complex(entries):
 def test_exact_minors_of_a_sparse_frame():
     rows = [[Fraction(int(i == j)) for i in range(8)] for j in range(4)]
     rows[1][5] = Fraction(2, 3)
-    minors = exact_four_form_values(rows, *_identity_fold())
+    minors = _IDENTITY(rows)
     assert list(minors) == _leibniz_minors(rows)
     assert sum(m != 0 for m in minors) == 2
 
@@ -330,8 +328,7 @@ def test_exact_values_with_21_digit_denominators():
 
     rows = [[big() for _ in range(8)] for _ in range(4)]
     table = [[big() for _ in range(3)] for _ in range(70)]
-    nums, den = _ratlinalg.scaled(table)
-    got = exact_four_form_values(rows, fold_table(nums), den)
+    got = FourFormTable(table)(rows)
     minors = _leibniz_minors(rows)
     want = tuple(sum((m * row[j] for m, row in zip(minors, table)), Fraction(0))
                  for j in range(3))
@@ -345,10 +342,37 @@ def test_exact_values_with_21_digit_denominators():
                         for _ in range(8)] for _ in range(4)])
     assert len({math.lcm(*(x.denominator for row in f for x in row))
                 for f in frames}) == 4
-    batch = exact_four_form_values(frames, fold_table(nums), den)
-    assert batch == tuple(exact_four_form_values(f, fold_table(nums), den)
-                          for f in frames)
+    batch = FourFormTable(table)(frames)
+    assert batch == tuple(FourFormTable(table)(f) for f in frames)
     assert batch[0] == want
+
+
+def test_exact_frames_need_a_real_exact_table():
+    frame = [[Fraction(int(i == j)) for i in range(8)] for j in range(4)]
+    with pytest.raises(BackendMismatch):
+        FourFormTable(np.ones((70, 2)))(frame)
+    with pytest.raises(BackendMismatch):
+        FourFormTable([[ExactComplex(1, 1)]] * 70)(frame)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_table_on_float_frames_folds_the_table_as_floats(kind):
+    # an exact table on float frames: bitwise the kernel on the table
+    # rounded entry by entry, float(Fraction) or complex(ExactComplex)
+    rng = random.Random(kind)
+
+    def entry():
+        x = Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**9))
+        return x if kind == "real" else ExactComplex(x, x / 7)
+
+    table = [[entry() for _ in range(3)] for _ in range(70)]
+    frames = np.random.default_rng(3).standard_normal((6, 4, 8))
+    rounded = [[complex(x) if kind == "complex" else float(x) for x in row]
+               for row in table]
+    fold = fold_table(rounded)
+    assert np.array_equal(FourFormTable(table)(frames), four_form_values(frames, fold))
+    assert np.array_equal(FourFormTable(table)(frames[0]),
+                          four_form_values(frames[:1], fold)[0])
 
 
 @pytest.mark.parametrize("n", [4, 8])

@@ -17,7 +17,8 @@ from cayleykit.errors import (
     ValidationError,
 )
 from cayleykit.exterior import (
-    EXACT, FLOAT, ExactComplex, Vector, hook_many, inner)
+    EXACT, FLOAT, ExactComplex, Vector, fold_table, four_form_values, hook_many,
+    inner)
 from cayleykit.frames import as_matrix
 from cayleykit.graphs import (
     ComplexGraphCoefficients,
@@ -52,6 +53,7 @@ from cayleykit.kahler import (
     holo_vector,
 )
 from cayleykit.spin7 import is_cayley, phi0, tau_eval, tau_norm
+from test_ratlinalg import gauss_jordan
 
 rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 # each entry is at most 3/40 = 0.075, so 16 of them lie in the 0.3 ball
@@ -114,6 +116,16 @@ def test_components_match_tau_eval_route_in_floats():
         assert abs(g - w) <= 1e-15
 
 
+def test_component_table_on_float_frames_is_the_float_fold_bit_for_bit():
+    # the float fold of the exact component table, each entry its
+    # numerator over the common denominator, correctly rounded
+    table = graphs._component_table()
+    nums, den = _ratlinalg.scaled(table.table)
+    frames = np.random.default_rng(5).standard_normal((5, 4, 8))
+    fold = fold_table((nums / den).astype(float))
+    assert np.array_equal(table(frames), four_form_values(frames, fold))
+
+
 def test_zero_tilt_is_a_solution():
     lam = GraphCoefficients([[0] * 4] * 4, backend=EXACT)
     assert all(e == 0 for e in tau_system(lam))
@@ -136,7 +148,7 @@ def _oracle_solve(lam0):
     ]
     system = [[v[r] - b[r] for v in at_units] + [-b[r]] for r in range(4)]
     if lam0.backend == EXACT:
-        x = [row[4] for row in _ratlinalg.rref(system)[0]]
+        x = [row[4] for row in gauss_jordan(system)[0]]
     else:
         system = np.array(system)
         x = np.linalg.solve(system[:, :4], system[:, 4]).tolist()
@@ -203,6 +215,13 @@ def test_norm_past_float_range_is_inf_and_refused():
     assert lam.norm() == math.inf
     with pytest.raises(ValidationError):
         solve_tau_system(lam)
+
+
+@pytest.mark.parametrize("backend, z", [(EXACT, ExactComplex(0, 1)), (FLOAT, 1j)])
+def test_complex_tilts_are_refused(backend, z):
+    # a tilt is real; a complex entry is refused, not left to fail in norm()
+    with pytest.raises(ValidationError):
+        solve_tau_system(GraphCoefficients([[z, 0, 0, 0]] + [[0] * 4] * 3, backend))
 
 
 def test_newton_solutions_give_cayley_planes():

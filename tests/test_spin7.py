@@ -20,7 +20,9 @@ from cayleykit.exterior import (
     Vector,
     apply_signed_permutation,
     coerce_scalar,
+    fold_table,
     form_value,
+    four_form_values,
     hodge_star,
     inner,
     volume_form,
@@ -379,3 +381,13 @@ def test_is_cayley_rejects_mixed_frames(phi_exact):
         is_cayley(phi_exact, rows)
     with pytest.raises(PlaneError):
         is_cayley(phi_exact, rows[:3])
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_cayley_table_on_float_frames_is_the_float_fold_bit_for_bit(backend):
+    # float frames run against fold_table of [tau | phi] as floats
+    Phi = phi0(backend)
+    table = np.column_stack([Phi.defect_table(), Phi.phi_row()]).astype(float)
+    frames = np.random.default_rng(4).standard_normal((7, 4, 8))
+    assert np.array_equal(Phi.cayley_table()(frames),
+                          four_form_values(frames, fold_table(table)))

@@ -11,7 +11,8 @@ from cayleykit.errors import (
     ValidationError,
 )
 from cayleykit import torus_ops
-from cayleykit.exterior import EXACT, FOUR_FORM_INDEX, ExactComplex, Multivector
+from cayleykit.exterior import (
+    EXACT, FOUR_FORM_INDEX, ExactComplex, Multivector, fold_table, four_form_values)
 from cayleykit.kahler import build_model, to_complex_frame
 from cayleykit.spin7 import TWO_FORM_INDEX, phi_from_kahler
 from cayleykit.torus_ops import (
@@ -307,6 +308,16 @@ def test_torus_defect_table_matches_two_form_rewrites(phase):
     table = torus_ops._defect_table_exact(phase)
     assert all(type(z) is ExactComplex for row in table for z in row)
     assert table == _torus_table_by_rewrites(phase)
+
+
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+def test_torus_table_on_complex_frames_is_the_complex_fold_bit_for_bit(phase):
+    rng = np.random.default_rng(6)
+    frames = rng.standard_normal((9, 4, 8)) + 1j * rng.standard_normal((9, 4, 8))
+    table = [[z.as_complex() for z in row]
+             for row in torus_ops._defect_table_exact(phase)]
+    assert np.array_equal(torus_ops._defect_table(phase)(frames),
+                          four_form_values(frames, fold_table(table)))
 
 
 def test_certificate_fails_on_a_wrong_degree_one_entry(monkeypatch):
