@@ -10,7 +10,10 @@ artifacts.  The module provides:
 * truncated Fourier sections of the bundles that appear in the deformation
   complex (holomorphic normal fields, normal-valued (0,1)- and (0,2)-forms),
 * the mode-diagonal matrices of dbar, its formal adjoint, and the combined
-  first-order operator, with weighted-adjoint and kernel/gap reports,
+  first-order operator, with weighted-adjoint and kernel/gap reports.  A
+  block depends only on its mode, so a survey over several truncations
+  takes one values-only batched SVD per operator, at the largest one, and
+  reads each smaller truncation off the rows of its modes,
 * a geometric evaluation of the nonlinear defect of a graphed deformation,
   finite-difference slope checks of its linearization, and an exact
   pointwise certification that the linearization agrees with the assembled
@@ -30,7 +33,9 @@ artifacts.  The module provides:
   minors besides the base one, so it reads the derivative off the table's
   degree-one rows,
 * the two signed first-order operators characterizing infinitesimal complex
-  deformations, and
+  deformations, and the mode-by-mode match of their holomorphic half's
+  kernel with dbar's, which takes singular vectors only of the blocks
+  that drop a singular value, and
 * integer index calculators from topological invariants and from Chern
   numbers, with a consistency family generator.
 """
@@ -315,14 +320,18 @@ def kernel_report(op, tol=1e-8):
     tol times the largest singular value; gap is the ratio of the smallest
     kept singular value to the largest dropped one (inf when nothing is
     dropped or everything dropped is exactly zero)."""
-    blocks = op.blocks
-    n_modes, _, r_in = blocks.shape
-    sigma = np.linalg.svd(blocks, compute_uv=False)
+    sigma = np.linalg.svd(op.blocks, compute_uv=False)
+    return _report(sigma, op.blocks.shape[2], tol)
+
+
+def _report(sigma, r_in, tol):
+    """KernelReport of the (modes, r) singular values of blocks with r_in
+    columns, thresholded at tol times their largest value."""
     sigma_max = float(sigma.max()) if sigma.size else 0.0
     threshold = tol * sigma_max
     kept = sigma > threshold
     rank = int(kept.sum())
-    dim = n_modes * r_in - rank
+    dim = sigma.shape[0] * r_in - rank
     dropped = sigma[~kept]
     largest_dropped = float(dropped.max()) if dropped.size else 0.0
     smallest_kept = float(sigma[kept].min()) if rank else float("inf")
@@ -351,24 +360,39 @@ def kernel_summary(K_values=(0, 1, 2, 3), tol=1e-8, phase_pair=_DEFAULT_PHASE):
     """Kernel dimensions of the three operators across truncations.
 
     Returns a dict with per-K reports, the adjoint-kernel count at the
-    largest K, the operator index, and the worst spectral gap."""
+    largest K, the operator index, and the worst spectral gap.
+
+    Every block depends only on its mode, so each operator is built once, at
+    the largest K, and its singular values come from one batched SVD.  The
+    report for a smaller K reads the rows of the modes with max |k_i| <= K,
+    which in C order are exactly that truncation's modes() and, since the
+    SVD runs block by block, its singular values bit for bit.  Each report
+    keeps its own threshold, tol times the largest of its rows' values."""
+    if not K_values:
+        raise ValidationError("no mode truncation given")
+    if min(K_values) < 0:
+        raise ValidationError("mode truncation must be nonnegative")
+    model = TorusModel(max(K_values), phase_pair)
+    ops = {
+        "dbar": dbar_matrix(model),
+        "dbar_star": dbar_star_matrix(model),
+        "dirac": dirac_matrix(model),
+    }
+    sigmas = {name: np.linalg.svd(op.blocks, compute_uv=False)
+              for name, op in ops.items()}
+    reach = np.abs(model.modes()).max(axis=1)
     per_k = {}
     worst_gap = float("inf")
     for K in K_values:
-        model = TorusModel(K, phase_pair)
-        reports = {
-            "dbar": kernel_report(dbar_matrix(model), tol),
-            "dbar_star": kernel_report(dbar_star_matrix(model), tol),
-            "dirac": kernel_report(dirac_matrix(model), tol),
-        }
+        rows = reach <= K
+        reports = {name: _report(sigma[rows], ops[name].blocks.shape[2], tol)
+                   for name, sigma in sigmas.items()}
         for rep in reports.values():
             worst_gap = min(worst_gap, rep.gap)
         per_k[K] = reports
-    K_top = max(K_values)
-    model = TorusModel(K_top, phase_pair)
-    adj = kernel_report(dirac_matrix(model).adjoint(), tol)
+    adj = kernel_report(ops["dirac"].adjoint(), tol)
     worst_gap = min(worst_gap, adj.gap)
-    dirac_dim = per_k[K_top]["dirac"].dim_complex
+    dirac_dim = per_k[model.K]["dirac"].dim_complex
     return {
         "per_K": per_k,
         "adjoint_kernel_dim": adj.dim_complex,
@@ -717,17 +741,25 @@ def holomorphic_kernel_match(model, tol=1e-8):
     """Largest deviation between the kernel projectors of the holomorphic half
     of the complex-deformation operator and of dbar, mode by mode.
 
-    Both halves are (mode_count, 4, 2) block stacks; one batched SVD gives
-    every block's right singular vectors, and a block's null projector is
-    vh^H diag(dropped) vh with dropped the singular values at or below tol
-    times that block's largest."""
+    Both halves are (mode_count, 4, 2) block stacks.  A block's null
+    projector is vh^H diag(dropped) vh, with vh its right singular vectors
+    and dropped its singular values at or below tol times its largest, so a
+    block that drops nothing has projector exactly 0.  One values-only
+    batched SVD finds the blocks that drop a value (on the flat torus only
+    the constant mode's pair); singular vectors are taken of those blocks
+    alone, and only the modes where either half has a kernel are compared."""
     holo = complex_linear_op(model)[0].blocks[:, :4, :2]
     blocks = np.concatenate([holo, dbar_matrix(model).blocks])
-    _, s, vh = np.linalg.svd(blocks, full_matrices=False)
+    s = np.linalg.svd(blocks, compute_uv=False)
+    has_kernel = (s <= tol * s.max(axis=1, keepdims=True)).any(axis=1)
+    _, s, vh = np.linalg.svd(blocks[has_kernel], full_matrices=False)
     dropped = s <= tol * s.max(axis=1, keepdims=True)
-    proj = np.einsum("mki,mk,mkj->mij", vh.conj(), dropped, vh)
-    diff = proj[:model.mode_count] - proj[model.mode_count:]
-    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
+    proj = np.zeros((blocks.shape[0], 2, 2), complex)
+    proj[has_kernel] = np.einsum("mki,mk,mkj->mij", vh.conj(), dropped, vh)
+    M = model.mode_count
+    compared = has_kernel[:M] | has_kernel[M:]
+    diff = proj[:M][compared] - proj[M:][compared]
+    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max(initial=0.0))
 
 
 # index calculators -----------------------------------------------------------

@@ -129,6 +129,49 @@ def test_rational_phase_preserves_kernel_counts():
     assert summary["index"] == 0
 
 
+def _summary_reference(K_values, phase_pair):
+    """kernel_summary built the slow way: every truncation's own operators,
+    each through kernel_report."""
+    per_k = {}
+    for K in K_values:
+        model = TorusModel(K, phase_pair)
+        per_k[K] = {
+            "dbar": kernel_report(dbar_matrix(model)),
+            "dbar_star": kernel_report(dbar_star_matrix(model)),
+            "dirac": kernel_report(dirac_matrix(model)),
+        }
+    top = max(K_values)
+    adj = kernel_report(dirac_matrix(TorusModel(top, phase_pair)).adjoint())
+    gaps = [rep.gap for reports in per_k.values() for rep in reports.values()]
+    return {
+        "per_K": per_k,
+        "adjoint_kernel_dim": adj.dim_complex,
+        "index": per_k[top]["dirac"].dim_complex - adj.dim_complex,
+        "worst_gap": min(gaps + [adj.gap]),
+    }
+
+
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+@pytest.mark.parametrize("K_values", [(0, 1, 2, 3), (3, 1)])
+def test_kernel_summary_reads_each_truncation_off_the_top_one(phase, K_values):
+    summary = kernel_summary(K_values=K_values, phase_pair=phase)
+    assert summary == _summary_reference(K_values, phase)
+    assert list(summary["per_K"]) == list(K_values)
+
+
+def test_kernel_summary_thresholds_each_truncation_by_its_own_sigma_max():
+    per_k = kernel_summary(K_values=(1, 2))["per_K"]
+    for name in ("dbar", "dbar_star", "dirac"):
+        assert per_k[1][name].sigma_max < per_k[2][name].sigma_max
+        assert per_k[1][name].threshold == 1e-8 * per_k[1][name].sigma_max
+
+
+@pytest.mark.parametrize("K_values", [(-1, 2), (2, -1), ()])
+def test_kernel_summary_rejects_bad_truncations(K_values):
+    with pytest.raises(ValidationError):
+        kernel_summary(K_values=K_values)
+
+
 # -- grid sampling ----------------------------------------------------------------
 
 
@@ -376,6 +419,39 @@ def test_kernel_match_reads_the_complex_operator(monkeypatch):
 
     monkeypatch.setattr(torus_ops, "complex_linear_op", zeroed)
     assert holomorphic_kernel_match(TorusModel(1)) >= 0.5
+
+
+def _match_reference(model, tol=1e-8):
+    """The kernel match with singular vectors of every block: each block's
+    null projector is vh^H diag(dropped) vh."""
+    holo = torus_ops.complex_linear_op(model)[0].blocks[:, :4, :2]
+    blocks = np.concatenate([holo, dbar_matrix(model).blocks])
+    _, s, vh = np.linalg.svd(blocks, full_matrices=False)
+    dropped = s <= tol * s.max(axis=1, keepdims=True)
+    proj = np.einsum("mki,mk,mkj->mij", vh.conj(), dropped, vh)
+    diff = proj[:model.mode_count] - proj[model.mode_count:]
+    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_kernel_match_equals_the_full_svd_projectors(K):
+    model = TorusModel(K)
+    assert holomorphic_kernel_match(model) == _match_reference(model)
+
+
+def test_kernel_match_takes_vectors_where_some_blocks_lose_rank(monkeypatch):
+    # zeroing the holomorphic half on every third mode gives those blocks a
+    # full kernel, so the match takes vectors of some blocks but not all
+    def zeroed_in_part(model):
+        A0, A1 = complex_linear_op(model)
+        blocks = A0.blocks.copy()
+        blocks[::3, :4, :2] = 0.0
+        return dataclasses.replace(A0, blocks=blocks), A1
+
+    monkeypatch.setattr(torus_ops, "complex_linear_op", zeroed_in_part)
+    for K in (1, 2):
+        model = TorusModel(K)
+        assert holomorphic_kernel_match(model) == _match_reference(model) == 1.0
 
 
 # -- sections and operators: validation ----------------------------------------------
