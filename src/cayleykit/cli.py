@@ -642,7 +642,7 @@ def _suite_torus(cfg):
     k0 = torus_ops.kernel_dim(A0)
     k1 = torus_ops.kernel_dim(A1)
     joint = np.concatenate([A0.blocks, A1.blocks], axis=1)
-    sig = np.linalg.svd(joint, compute_uv=False)
+    sig = torus_ops.block_singular_values(joint)
     thresh = 1e-8 * float(sig.max())
     kj = joint.shape[0] * joint.shape[2] - int(np.sum(sig > thresh))
     match_res = holomorphic_kernel_match(model)

@@ -12,8 +12,11 @@ artifacts.  The module provides:
 * the mode-diagonal matrices of dbar, its formal adjoint, and the combined
   first-order operator, with weighted-adjoint and kernel/gap reports.  A
   block depends only on its mode, so a survey over several truncations
-  takes one values-only batched SVD per operator, at the largest one, and
-  reads each smaller truncation off the rows of its modes,
+  takes the singular values of each operator once, at the largest one, and
+  reads each smaller truncation off the rows of its modes.  Singular values
+  come from ``block_singular_values``: a block whose columns or rows pass
+  Jacobi's stopping test (every block of these operators, measured) takes
+  its vector norms, and only the others go to LAPACK,
 * a geometric evaluation of the nonlinear defect of a graphed deformation,
   finite-difference slope checks of its linearization, and an exact
   pointwise certification that the linearization agrees with the assembled
@@ -40,10 +43,12 @@ artifacts.  The module provides:
   numbers, with a consistency family generator.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -93,6 +98,16 @@ BUNDLE_RANK = {bundle: len(weights) for bundle, weights in BUNDLE_WEIGHTS.items(
 _DEFAULT_PHASE = (Fraction(1), Fraction(0))
 
 
+def _truncation(K):
+    """K as a Python int, or ValidationError unless it is a nonnegative
+    integer (numpy integers included, booleans not)."""
+    if isinstance(K, bool) or not isinstance(K, numbers.Integral):
+        raise ValidationError("mode truncation must be an integer, not %r" % (K,))
+    if K < 0:
+        raise ValidationError("mode truncation must be nonnegative")
+    return int(K)
+
+
 @dataclass(frozen=True)
 class TorusModel:
     """Truncated Fourier model over the flat 4-torus inside the flat 8-torus.
@@ -107,8 +122,7 @@ class TorusModel:
     phase_pair: tuple = _DEFAULT_PHASE
 
     def __post_init__(self):
-        if self.K < 0:
-            raise ValidationError("mode truncation must be nonnegative")
+        object.__setattr__(self, "K", _truncation(self.K))
         c, s = self.phase_pair
         c, s = Fraction(c), Fraction(s)
         if c * c + s * s != 1:
@@ -312,6 +326,61 @@ class KernelReport:
 
 GAP_FLOOR = 1e6
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _orthogonal_norms(vectors):
+    """Norms of the vectors vectors[:, i, :] of each block and the mask of
+    the blocks whose vectors pass Jacobi's stopping test pairwise,
+    |<a_i, a_j>| <= eps |a_i| |a_j|.  A block with a squared norm that
+    overflowed, or a nonzero vector whose squared norm is below the smallest
+    normal double, fails, since its norms may be wrong."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.vecdot(vectors, vectors).real
+        norms = np.sqrt(sq)
+        unsafe = sq < _TINY
+        if unsafe.any():
+            small = np.nonzero(unsafe)
+            unsafe[small] = vectors[small].any(axis=1)
+        ok = ~(unsafe | ~np.isfinite(sq)).any(axis=1)
+        for i, j in combinations(range(sq.shape[1]), 2):
+            if not ok.any():
+                break
+            dot = np.vecdot(vectors[:, i], vectors[:, j])
+            ok &= np.abs(dot) <= _EPS * norms[:, i] * norms[:, j]
+    return ok, norms
+
+
+def block_singular_values(blocks):
+    """Singular values of an (M, m, n) block stack, shape (M, min(m, n)) in
+    descending order, as ``np.linalg.svd(blocks, compute_uv=False)``.
+
+    A block whose columns, or failing that whose rows, pass Jacobi's
+    stopping test is where one-sided Jacobi stops before its first
+    rotation: its singular values are the vector norms, sorted and cut to
+    min(m, n) (orthogonal nonzero vectors are independent, so the cut drops
+    only zeros), each to a relative accuracy of about (m + n) eps.  Only
+    the blocks that fail both tests go to LAPACK, in one call.  The test
+    takes one dot product per pair of vectors over the whole stack, with no
+    Gram array and no copy of the blocks."""
+    blocks = np.asarray(blocks)
+    r = min(blocks.shape[1:])
+    by_cols, col_norms = _orthogonal_norms(np.swapaxes(blocks, 1, 2))
+    if by_cols.all():
+        return np.sort(col_norms)[:, ::-1][:, :r]
+    by_rows, row_norms = _orthogonal_norms(blocks)
+    by_rows &= ~by_cols
+    rest = ~(by_cols | by_rows)
+    if rest.all():
+        return np.linalg.svd(blocks, compute_uv=False)
+    sigma = np.empty((blocks.shape[0], r))
+    for passed, norms in ((by_cols, col_norms), (by_rows, row_norms)):
+        sigma[passed] = np.sort(norms[passed])[:, ::-1][:, :r]
+    if rest.any():
+        sigma[rest] = np.linalg.svd(blocks[rest], compute_uv=False)
+    return sigma
+
 
 def kernel_report(op, tol=1e-8):
     """Singular-value kernel count with a spectral-gap report.
@@ -319,8 +388,10 @@ def kernel_report(op, tol=1e-8):
     The kernel dimension is the number of singular values at or below
     tol times the largest singular value; gap is the ratio of the smallest
     kept singular value to the largest dropped one (inf when nothing is
-    dropped or everything dropped is exactly zero)."""
-    sigma = np.linalg.svd(op.blocks, compute_uv=False)
+    dropped or everything dropped is exactly zero).  The singular values
+    come from ``block_singular_values``: vector norms for the blocks with
+    orthogonal columns or rows, LAPACK for the others."""
+    sigma = block_singular_values(op.blocks)
     return _report(sigma, op.blocks.shape[2], tol)
 
 
@@ -363,23 +434,26 @@ def kernel_summary(K_values=(0, 1, 2, 3), tol=1e-8, phase_pair=_DEFAULT_PHASE):
     largest K, the operator index, and the worst spectral gap.
 
     Every block depends only on its mode, so each operator is built once, at
-    the largest K, and its singular values come from one batched SVD.  The
-    report for a smaller K reads the rows of the modes with max |k_i| <= K,
-    which in C order are exactly that truncation's modes() and, since the
-    SVD runs block by block, its singular values bit for bit.  Each report
-    keeps its own threshold, tol times the largest of its rows' values."""
+    the largest K, and its singular values come from one call of
+    ``block_singular_values``.  The report for a smaller K reads the rows of
+    the modes with max |k_i| <= K, which in C order are exactly that
+    truncation's modes() and, since the values are taken block by block,
+    its singular values bit for bit.  Each report keeps its own threshold,
+    tol times the largest of its rows' values.  dbar, dbar_star and dirac
+    have orthogonal columns and the adjoint of dirac orthogonal rows, so
+    every value is a vector norm, to a relative accuracy of about
+    (m + n) eps, and no block goes to LAPACK.  Every K must be a
+    nonnegative integer."""
+    K_values = [_truncation(K) for K in K_values]
     if not K_values:
         raise ValidationError("no mode truncation given")
-    if min(K_values) < 0:
-        raise ValidationError("mode truncation must be nonnegative")
     model = TorusModel(max(K_values), phase_pair)
     ops = {
         "dbar": dbar_matrix(model),
         "dbar_star": dbar_star_matrix(model),
         "dirac": dirac_matrix(model),
     }
-    sigmas = {name: np.linalg.svd(op.blocks, compute_uv=False)
-              for name, op in ops.items()}
+    sigmas = {name: block_singular_values(op.blocks) for name, op in ops.items()}
     reach = np.abs(model.modes()).max(axis=1)
     per_k = {}
     worst_gap = float("inf")
@@ -744,13 +818,15 @@ def holomorphic_kernel_match(model, tol=1e-8):
     Both halves are (mode_count, 4, 2) block stacks.  A block's null
     projector is vh^H diag(dropped) vh, with vh its right singular vectors
     and dropped its singular values at or below tol times its largest, so a
-    block that drops nothing has projector exactly 0.  One values-only
-    batched SVD finds the blocks that drop a value (on the flat torus only
-    the constant mode's pair); singular vectors are taken of those blocks
-    alone, and only the modes where either half has a kernel are compared."""
+    block that drops nothing has projector exactly 0.  One call of
+    ``block_singular_values`` finds the blocks that drop a value (on the
+    flat torus only the constant mode's pair; both halves have orthogonal
+    columns, so these values are vector norms); singular vectors are taken
+    by LAPACK of those blocks alone, and only the modes where either half
+    has a kernel are compared."""
     holo = complex_linear_op(model)[0].blocks[:, :4, :2]
     blocks = np.concatenate([holo, dbar_matrix(model).blocks])
-    s = np.linalg.svd(blocks, compute_uv=False)
+    s = block_singular_values(blocks)
     has_kernel = (s <= tol * s.max(axis=1, keepdims=True)).any(axis=1)
     _, s, vh = np.linalg.svd(blocks[has_kernel], full_matrices=False)
     dropped = s <= tol * s.max(axis=1, keepdims=True)

@@ -19,6 +19,7 @@ from cayleykit.torus_ops import (
     GAP_FLOOR,
     FourierSection,
     TopologicalInvariants,
+    block_singular_values,
     TorusModel,
     chern_consistency_family,
     complex_linear_op,
@@ -62,16 +63,20 @@ def test_kernel_dimensions_and_stability():
 
 
 def test_kernel_matches_dense_assembly():
-    for K in (0, 1):
+    # dbar, dbar_star and dirac take the column test, dbar02 and the adjoint
+    # of dirac the row test; the dense SVD knows nothing of either
+    for K in (0, 1, 2):
         model = TorusModel(K)
         for op in (dbar_matrix(model), dbar_star_matrix(model),
-                   dirac_matrix(model)):
+                   dirac_matrix(model), dirac_matrix(model).adjoint(),
+                   dbar02_matrix(model)):
             rep = kernel_report(op)
             dense = op.dense()
             sig = np.linalg.svd(dense, compute_uv=False)
             thresh = 1e-8 * sig.max()
             nullity = dense.shape[1] - int(np.sum(sig > thresh))
             assert rep.dim_complex == nullity
+            assert abs(rep.sigma_max - sig.max()) <= 1e-12 * sig.max()
 
 
 def test_operator_blocks_are_built_once_per_model_and_read_only():
@@ -166,10 +171,171 @@ def test_kernel_summary_thresholds_each_truncation_by_its_own_sigma_max():
         assert per_k[1][name].threshold == 1e-8 * per_k[1][name].sigma_max
 
 
-@pytest.mark.parametrize("K_values", [(-1, 2), (2, -1), ()])
+@pytest.mark.parametrize("K_values", [(-1, 2), (2, -1), (), (2.0,), (3, 2.0),
+                                      (True,), ("2",)])
 def test_kernel_summary_rejects_bad_truncations(K_values):
     with pytest.raises(ValidationError):
         kernel_summary(K_values=K_values)
+
+
+def test_kernel_summary_accepts_numpy_integers():
+    summary = kernel_summary(K_values=(np.int64(0), np.int8(1)))
+    assert summary == kernel_summary(K_values=(0, 1))
+    assert all(type(K) is int for K in summary["per_K"])
+
+
+def _lapack_values(blocks):
+    return np.linalg.svd(blocks, compute_uv=False)
+
+
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+def test_kernel_summary_matches_lapack_values(monkeypatch, phase):
+    K_values = (0, 1, 2, 3, 4)
+    summary = kernel_summary(K_values=K_values, phase_pair=phase)
+    monkeypatch.setattr(torus_ops, "block_singular_values", _lapack_values)
+    reference = kernel_summary(K_values=K_values, phase_pair=phase)
+    for K in K_values:
+        for name, rep in summary["per_K"][K].items():
+            ref = reference["per_K"][K][name]
+            assert rep.dim_complex == ref.dim_complex
+            assert rep.gap == ref.gap == float("inf")
+            assert abs(rep.sigma_max - ref.sigma_max) <= 1e-14 * ref.sigma_max
+    for key in ("adjoint_kernel_dim", "index", "worst_gap"):
+        assert summary[key] == reference[key]
+    assert summary["worst_gap"] == float("inf")
+
+
+# -- block singular values -----------------------------------------------------------
+
+_SHAPES = [(4, 2), (2, 4), (4, 4), (8, 4), (16, 4)]
+_EPS = np.finfo(float).eps
+
+
+def _assert_near_lapack(blocks):
+    """The bound the tests hold the helper to, per block:
+    |sigma - sigma_LAPACK| <= 8 max(m, n) eps sigma_max."""
+    got = block_singular_values(blocks)
+    ref = np.linalg.svd(blocks, compute_uv=False)
+    assert got.shape == ref.shape
+    bound = 8 * max(blocks.shape[1:]) * _EPS * ref.max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= bound)
+    assert np.all(got[:, :-1] >= got[:, 1:])
+    return got
+
+
+@pytest.fixture
+def lapack_blocks(monkeypatch):
+    """Counts the blocks handed to np.linalg.svd."""
+    sent = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        sent.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return sent
+
+
+def _orthogonal_columns(rng, count, shape):
+    """Blocks Q diag(d) with Q from a complex QR, d spread over six orders of
+    magnitude; with more columns than rows the extra columns are zero, in
+    random places."""
+    m, n = shape
+    r = min(m, n)
+    z = rng.standard_normal((count, m, r)) + 1j * rng.standard_normal((count, m, r))
+    q, _ = np.linalg.qr(z)
+    filled = q * 10.0 ** rng.uniform(-3, 3, (count, 1, r))
+    blocks = np.zeros((count, m, n), complex)
+    for i in range(count):
+        blocks[i][:, rng.permutation(n)[:r]] = filled[i]
+    return blocks
+
+
+def _generic(rng, count, shape):
+    return (rng.standard_normal((count,) + shape)
+            + 1j * rng.standard_normal((count,) + shape))
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_block_values_of_orthogonal_columns_and_rows(shape, lapack_blocks):
+    rng = np.random.default_rng(31)
+    cols = _orthogonal_columns(rng, 64, shape)
+    for blocks in (cols, np.conj(np.swapaxes(cols, 1, 2))):
+        lapack_blocks.clear()
+        _assert_near_lapack(blocks)
+        # the reference call above is one of the LAPACK calls counted; a
+        # Householder Q is orthogonal to a few eps, so most blocks pass
+        assert sum(lapack_blocks) - 64 < 64 // 2
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_block_values_of_generic_blocks_are_lapack_bit_for_bit(shape, lapack_blocks):
+    blocks = _generic(np.random.default_rng(32), 64, shape)
+    got = block_singular_values(blocks)
+    assert lapack_blocks == [64]
+    assert np.array_equal(got, np.linalg.svd(blocks, compute_uv=False))
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_block_values_of_mixed_stacks(shape):
+    rng = np.random.default_rng(33)
+    generic = _generic(rng, 20, shape)
+    blocks = np.concatenate([_orthogonal_columns(rng, 20, shape),
+                             np.conj(np.swapaxes(_orthogonal_columns(
+                                 rng, 20, shape[::-1]), 1, 2)),
+                             generic, np.zeros((5,) + shape)])
+    order = rng.permutation(len(blocks))
+    got = _assert_near_lapack(blocks[order])
+    back = np.empty_like(got)
+    back[order] = got
+    assert np.array_equal(back[40:60], np.linalg.svd(generic, compute_uv=False))
+    assert not back[60:].any()
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_block_values_of_zero_blocks_are_exact_zeros(shape, lapack_blocks):
+    got = block_singular_values(np.zeros((7,) + shape, complex))
+    assert got.shape == (7, min(shape)) and not got.any()
+    assert lapack_blocks == []
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_block_values_at_extreme_scales(shape, scale):
+    # squared norms underflow below the smallest normal double or overflow,
+    # so these blocks must not take their norms
+    rng = np.random.default_rng(34)
+    diagonal = np.zeros((16,) + shape, complex)
+    r = np.arange(min(shape))
+    diagonal[:, r, r] = 10.0 * rng.standard_normal((16, r.size))
+    blocks = np.concatenate([diagonal, _orthogonal_columns(rng, 16, shape),
+                             _generic(rng, 16, shape)])
+    for scaled in (blocks * scale, np.conj(np.swapaxes(blocks, 1, 2)) * scale):
+        got = _assert_near_lapack(scaled)
+        assert np.all(np.isfinite(got)) and got.min() > 0.0
+
+
+def test_block_values_of_a_nan_block_raise_as_lapack_does():
+    blocks = _orthogonal_columns(np.random.default_rng(35), 8, (4, 2))
+    blocks[3, 1, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        np.linalg.svd(blocks, compute_uv=False)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        block_singular_values(blocks)
+
+
+def test_torus_operators_take_no_lapack_call(lapack_blocks):
+    model = TorusModel(2)
+    A0, A1 = complex_linear_op(model)
+    joint = np.concatenate([A0.blocks, A1.blocks], axis=1)
+    for blocks in (dbar_matrix(model).blocks, dbar_star_matrix(model).blocks,
+                   dirac_matrix(model).blocks, dirac_matrix(model).adjoint().blocks,
+                   dbar02_matrix(model).blocks, A0.blocks, A1.blocks, joint):
+        lapack_blocks.clear()
+        got = block_singular_values(blocks)
+        assert lapack_blocks == []
+        assert np.array_equal(got, _assert_near_lapack(blocks))
 
 
 # -- grid sampling ----------------------------------------------------------------
@@ -439,6 +605,14 @@ def test_kernel_match_equals_the_full_svd_projectors(K):
     assert holomorphic_kernel_match(model) == _match_reference(model)
 
 
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
+def test_kernel_match_matches_lapack_values(monkeypatch, K):
+    model = TorusModel(K)
+    residual = holomorphic_kernel_match(model)
+    monkeypatch.setattr(torus_ops, "block_singular_values", _lapack_values)
+    assert residual == holomorphic_kernel_match(model) == 0.0
+
+
 def test_kernel_match_takes_vectors_where_some_blocks_lose_rank(monkeypatch):
     # zeroing the holomorphic half on every third mode gives those blocks a
     # full kernel, so the match takes vectors of some blocks but not all
@@ -482,8 +656,17 @@ def test_section_inner_requires_same_bundle():
 def test_model_validation():
     with pytest.raises(ValidationError):
         TorusModel(-1)
+    for K in (2.0, True, "2", None):
+        with pytest.raises(ValidationError):
+            TorusModel(K)
     with pytest.raises(ValidationError):
         TorusModel(1, phase_pair=(Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_model_accepts_numpy_integers():
+    model = TorusModel(np.int64(2))
+    assert type(model.K) is int and model == TorusModel(2)
+    assert dbar_matrix(model) is dbar_matrix(TorusModel(2))
 
 
 def test_inner_is_positive():
