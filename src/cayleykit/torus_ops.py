@@ -330,6 +330,11 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
+def _dot(a, b):
+    """Row-wise inner products <a_k, b_k> of two (M, m) arrays."""
+    return np.einsum("ij,ij->i", a.conj(), b)
+
+
 def _orthogonal_norms(vectors):
     """Norms of the vectors vectors[:, i, :] of each block and the mask of
     the blocks whose vectors pass Jacobi's stopping test pairwise,
@@ -337,7 +342,8 @@ def _orthogonal_norms(vectors):
     overflowed, or a nonzero vector whose squared norm is below the smallest
     normal double, fails, since its norms may be wrong."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.vecdot(vectors, vectors).real
+        sq = np.stack([_dot(v, v).real for v in np.moveaxis(vectors, 1, 0)],
+                      axis=1)
         norms = np.sqrt(sq)
         unsafe = sq < _TINY
         if unsafe.any():
@@ -347,7 +353,7 @@ def _orthogonal_norms(vectors):
         for i, j in combinations(range(sq.shape[1]), 2):
             if not ok.any():
                 break
-            dot = np.vecdot(vectors[:, i], vectors[:, j])
+            dot = _dot(vectors[:, i], vectors[:, j])
             ok &= np.abs(dot) <= _EPS * norms[:, i] * norms[:, j]
     return ok, norms
 
@@ -372,8 +378,6 @@ def block_singular_values(blocks):
     by_rows, row_norms = _orthogonal_norms(blocks)
     by_rows &= ~by_cols
     rest = ~(by_cols | by_rows)
-    if rest.all():
-        return np.linalg.svd(blocks, compute_uv=False)
     sigma = np.empty((blocks.shape[0], r))
     for passed, norms in ((by_cols, col_norms), (by_rows, row_norms)):
         sigma[passed] = np.sort(norms[passed])[:, ::-1][:, :r]

@@ -338,6 +338,14 @@ def test_torus_operators_take_no_lapack_call(lapack_blocks):
         assert np.array_equal(got, _assert_near_lapack(blocks))
 
 
+def test_block_values_run_on_numpy_1(monkeypatch):
+    # pyproject declares numpy>=1.24; np.vecdot first appeared in numpy 2.0
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    blocks = dirac_matrix(TorusModel(1)).blocks
+    _assert_near_lapack(blocks)
+    _assert_near_lapack(_generic(np.random.default_rng(36), 8, (4, 2)))
+
+
 # -- grid sampling ----------------------------------------------------------------
 
 
