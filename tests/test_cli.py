@@ -4,8 +4,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,16 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cayleykit
+from cayleykit import cli
 from cayleykit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_UNREADABLE,
+    Check,
     SuiteConfig,
     classify_plane,
     main,
     run_suite,
 )
+from cayleykit.errors import ValidationError
 
 # -- suite runner ----------------------------------------------------------------------
 
@@ -85,6 +90,122 @@ def test_config_echo_round_trips():
     assert report["config"]["suite"] == "index"
     assert report["config"]["seed"] == 11
     assert report["config"]["samples"] == 50
+
+
+# -- check records -----------------------------------------------------------------------
+
+
+def _status(kind, residual, tolerance=1e-9, **kw):
+    return Check("name", "claim", kind, residual, tolerance, **kw).status
+
+
+@pytest.mark.parametrize("kind, status", [
+    ("exact", "pass"), ("below", "fail"), ("bound", "pass"), ("floor", "pass"),
+])
+def test_check_status_at_the_tolerance(kind, status):
+    assert _status(kind, 1e-9) == status
+
+
+@pytest.mark.parametrize("kind, under, over", [
+    ("exact", "fail", "fail"), ("below", "pass", "fail"),
+    ("bound", "pass", "fail"), ("floor", "fail", "pass"),
+])
+def test_check_status_one_ulp_either_side(kind, under, over):
+    assert _status(kind, math.nextafter(1e-9, 0.0)) == under
+    assert _status(kind, math.nextafter(1e-9, 1.0)) == over
+
+
+def test_exact_check_compares_rationals_and_counts():
+    assert _status("exact", 0, 0) == "pass"
+    assert _status("exact", Fraction(0), 0) == "pass"
+    assert _status("exact", Fraction(1, 10**30), 0) == "fail"
+    assert _status("exact", -1, 0) == "fail"
+
+
+@pytest.mark.parametrize("kind", ["exact", "below", "bound", "floor"])
+def test_nan_residual_fails_every_comparing_kind(kind):
+    assert _status(kind, math.nan) == "fail"
+    assert _status(kind, math.nan, warn=True) == "fail"
+
+
+def test_infinite_residual_passes_only_a_floor():
+    assert _status("floor", math.inf, 1e6) == "pass"
+    for kind in ("exact", "below", "bound"):
+        assert _status(kind, math.inf, 1e6) == "fail"
+
+
+def test_uncompared_numbers_decide_nothing():
+    for residual in (None, math.nan, math.inf, 1e300):
+        assert _status(None, residual) == "pass"
+
+
+@pytest.mark.parametrize("kind, residual, tolerance", [
+    (None, None, None), ("exact", 0, 0), ("below", 0.0, 1e-9),
+    ("bound", 0.0, 1e-9), ("floor", 1.0, 1e-9),
+])
+def test_holds_false_fails_whatever_the_numbers(kind, residual, tolerance):
+    assert _status(kind, residual, tolerance) == "pass"
+    assert _status(kind, residual, tolerance, holds=False) == "fail"
+    assert _status(kind, residual, tolerance, holds=False, warn=True) == "fail"
+
+
+def test_warn_downgrades_a_pass_and_never_a_fail():
+    assert _status("bound", 0.0, warn=True) == "warn"
+    assert _status(None, None, warn=True) == "warn"
+    assert _status("bound", 1.0, warn=True) == "fail"
+    assert _status("bound", 0.0, holds=False, warn=True) == "fail"
+
+
+# the suite checks whose pass rule holds more than residual against tolerance
+_SUITE_HOLDS = {
+    "planes:standard-complex-plane",
+    "planes:special-lagrangian-plane",
+    "planes:half-dimension-counterexample",
+    "graph-system:newton-batch",
+    "complex-graph:cauchy-riemann",
+    "torus:adjoint-pairing",
+    "torus:operator-index",
+    "torus:linearization-slope",
+    "torus:complex-kernel-match",
+}
+
+# each kind's comparison, written out apart from cli's own table
+_KIND_HOLDS = {
+    None: lambda r, t: True,
+    "exact": lambda r, t: r == t,
+    "below": lambda r, t: r < t,
+    "bound": lambda r, t: r <= t,
+    "floor": lambda r, t: r >= t,
+}
+
+
+def test_seeded_report_statuses_follow_from_the_records(monkeypatch):
+    made = {}
+
+    def recording(*args, **kw):
+        check = Check(*args, **kw)
+        holds_given = len(args) > 6 or "holds" in kw
+        made[check.name] = (check, holds_given)
+        return check
+
+    monkeypatch.setattr(cli, "Check", recording)
+    report = run_suite(_cfg(suite="all", seed=42))
+    assert len(made) == len(report["checks"]) == 35
+    for row in report["checks"]:
+        check, _ = made[row["name"]]
+        if not (check.holds and _KIND_HOLDS[check.kind](check.residual,
+                                                        check.tolerance)):
+            want = "fail"
+        else:
+            want = "warn" if check.warn else "pass"
+        assert row["status"] == want, row["name"]
+        # the numbers printed are the numbers compared
+        assert row["residual"] == cli._num(check.residual)
+        assert row["tolerance"] == cli._num(check.tolerance)
+    assert {name for name, (_, given) in made.items() if given} == _SUITE_HOLDS
+    assert report["summary"] == {"pass": 34, "warn": 1, "fail": 0, "total": 35}
+    warned = [c["name"] for c in report["checks"] if c["status"] == "warn"]
+    assert warned == ["torus:linearization-slope"]
 
 
 # -- exit codes through main() ---------------------------------------------------------
@@ -543,6 +664,17 @@ def test_config_validation_rejects_bad_values():
         except Exception:
             continue
         raise AssertionError("expected rejection for %r" % (kw,))
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--seed", "-1"], ["graph-solve", "--seed", "-3"],
+])
+def test_negative_seed_exits_malformed(argv, capsys):
+    # the generator refused it with a ValueError traceback, exit 1
+    assert main(argv + ["--quiet"]) == EXIT_MALFORMED
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    with pytest.raises(ValidationError):
+        _cfg(seed=-1)
 
 
 def test_replace_keeps_frozen_config_usable():
