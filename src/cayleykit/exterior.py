@@ -161,7 +161,8 @@ class ExactComplex:
         return "ExactComplex(%s, %s)" % (self.re, self.im)
 
 
-# the types coerce_scalar stores complex scalars as
+# the types coerce_scalar gives a complex scalar on either backend, and the
+# one type it gives a real scalar on the float backend
 _COMPLEX = frozenset((ExactComplex, complex))
 _FLOATS = frozenset((float,))
 
@@ -476,10 +477,12 @@ class Multivector:
 
     def max_abs(self):
         """Largest coefficient size (see _size): a Fraction on the exact
-        backend, a float on the float one."""
+        backend, a float on the float one, NaN if any size is NaN (max
+        keeps whichever of a NaN and a number comes first)."""
         if not self.terms:
             return coerce_scalar(0, self.backend)
-        return max(_size(v) for v in self.terms.values())
+        sizes = [_size(v) for v in self.terms.values()]
+        return float(np.max(sizes)) if self.backend == FLOAT else max(sizes)
 
     def __eq__(self, other):
         return (
@@ -665,24 +668,25 @@ def form_value(a, vectors):
 # so that the kernel sums splits and subsets in one matrix product.
 
 FOUR_FORM_INDEX = tuple(itertools.combinations(range(1, 9), 4))
+# the order of two-form coordinates on R^8, and each pair's position in it
+TWO_FORM_INDEX = tuple(itertools.combinations(range(1, 9), 2))
+PAIR_POS = {pair: p for p, pair in enumerate(TWO_FORM_INDEX)}
 
-_PAIRS = tuple(itertools.combinations(range(8), 2))
-_PAIR_AT = {pair: p for p, pair in enumerate(_PAIRS)}
 _SPLITS = tuple(
     (a, b) + tuple(x for x in range(4) if x not in (a, b))
     for a, b in itertools.combinations(range(4), 2)
 )
 # _LAPLACE[c][k] = (lo, hi, sign): the two pairs of split k of the c-th
-# 4-subset, as positions in _PAIRS, and the split's sign
+# 4-subset, as positions in TWO_FORM_INDEX, and the split's sign
 _LAPLACE = tuple(
-    tuple((_PAIR_AT[(quad[a] - 1, quad[b] - 1)],
-           _PAIR_AT[(quad[c] - 1, quad[d] - 1)],
+    tuple((PAIR_POS[(quad[a], quad[b])],
+           PAIR_POS[(quad[c], quad[d])],
            sort_indices((a, b, c, d))[1])
           for a, b, c, d in _SPLITS)
     for quad in FOUR_FORM_INDEX
 )
 _LAPLACE_LO, _LAPLACE_HI, _LAPLACE_SIGN = np.array(_LAPLACE).transpose(2, 1, 0)
-_PAIR_I, _PAIR_J = np.array(_PAIRS).T
+_PAIR_I, _PAIR_J = np.array(TWO_FORM_INDEX).T - 1
 # frames per block of four_form_values.  Against the complex torus fold
 # (r = 4) the (block, 28 * r) product is 0.9 MB at 512 frames, inside a 2 MB
 # L2 share.  A sweep on a 2-core Xeon ran 1296 to 10000 frames 2.2 to 2.7
@@ -706,21 +710,21 @@ def fold_table(table):
         raise DimensionMismatch(
             "need a (70, r) table, got shape %s" % (table.shape,))
     r = table.shape[1]
-    fold = np.zeros((len(_PAIRS), len(_PAIRS), r),
+    fold = np.zeros((len(TWO_FORM_INDEX), len(TWO_FORM_INDEX), r),
                     np.result_type(table.dtype, np.float64))
     for lo, hi, sign in zip(_LAPLACE_LO, _LAPLACE_HI, _LAPLACE_SIGN[:, 0]):
         fold[hi, lo] = sign * table
-    fold = fold.reshape(len(_PAIRS), len(_PAIRS) * r)
+    fold = fold.reshape(len(TWO_FORM_INDEX), len(TWO_FORM_INDEX) * r)
     fold.flags.writeable = False
     return fold
 
 
 def pair_minors(x, y):
     """The 28 2x2 minors x_i y_j - x_j y_i of two rows of 8 entries, over
-    the pairs i < j in lexicographic order (_PAIRS, the order of
-    spin7.TWO_FORM_INDEX); x and y may carry leading batch axes, which the
-    result keeps.  Any entries with + and * will do: floats, complex
-    numbers, or ExactComplex and Python ints in numpy object arrays."""
+    the pairs i < j in the order of TWO_FORM_INDEX; x and y may carry
+    leading batch axes, which the result keeps.  Any entries with + and *
+    will do: floats, complex numbers, or ExactComplex and Python ints in
+    numpy object arrays."""
     return x[..., _PAIR_I] * y[..., _PAIR_J] - x[..., _PAIR_J] * y[..., _PAIR_I]
 
 
@@ -742,13 +746,13 @@ def four_form_values(frames, fold):
         raise DimensionMismatch(
             "need a (P, 4, 8) array of 4-frames, got shape %s" % (frames.shape,))
     P = frames.shape[0]
-    r = fold.shape[1] // len(_PAIRS)
+    r = fold.shape[1] // len(TWO_FORM_INDEX)
     out = np.empty((P, r), np.result_type(frames.dtype, fold.dtype))
     for start in range(0, P, _BLOCK):
         block = frames[start:start + _BLOCK]
         top = pair_minors(block[:, 0], block[:, 1])
         bottom = pair_minors(block[:, 2], block[:, 3])
-        folded = (bottom @ fold).reshape(len(block), len(_PAIRS), r)
+        folded = (bottom @ fold).reshape(len(block), len(TWO_FORM_INDEX), r)
         np.matmul(top[:, None, :], folded, out=out[start:start + _BLOCK, None, :])
     return out
 

@@ -33,9 +33,10 @@ from .errors import (
     ValidationError,
 )
 from .exterior import (
+    _COMPLEX,
+    _FLOATS,
     EXACT,
     FLOAT,
-    ExactComplex,
     FourFormTable,
     Multivector,
     Vector,
@@ -113,12 +114,6 @@ def _realify(w, m):
 
 
 # -- the graph deformation polynomial system -------------------------------
-
-
-# the types coerce_scalar gives a complex entry on either backend, and the
-# one type it gives a real entry on the float backend
-_COMPLEX = frozenset((complex, ExactComplex))
-_FLOATS = frozenset((float,))
 
 
 @dataclass(frozen=True)
@@ -688,7 +683,7 @@ def hook_coefficient_oracle(model, cg):
     labels = cg.column_labels()
     i_unit = imag_unit(cg.backend)
     width = cg.m - cg.p
-    worst = 0.0
+    worst = []
     for j in range(cg.p):
         v = frame[j]
         w = frame[cg.p + j]
@@ -704,24 +699,18 @@ def hook_coefficient_oracle(model, cg):
             ek = Vector.basis(2 * cg.m, 2 * k - 1, cg.backend)
             term = hook(ek, beta).scale(coeff)
             acc = term if acc is None else acc + term
-        diff = combo - acc
-        worst = max(worst, float(diff.max_abs()))
-    return worst
+        worst.append(float((combo - acc).max_abs()))
+    return float(np.max(worst, initial=0.0))
 
 
 def cr_residual(cg):
     """Residual of the first-order holomorphicity relations:
     mu^j_k = -lam^j_{k+m} and mu^j_{k+m} = lam^j_k."""
     width = cg.m - cg.p
-    worst = 0.0
-    for j in range(cg.p):
-        for col in range(width):
-            worst = max(
-                worst,
-                abs(float(cg.mu[j][col]) + float(cg.lam[j][col + width])),
-                abs(float(cg.mu[j][col + width]) - float(cg.lam[j][col])),
-            )
-    return worst
+    lam = np.array(cg.lam, dtype=float).reshape(cg.p, 2 * width)
+    mu = np.array(cg.mu, dtype=float).reshape(cg.p, 2 * width)
+    return float(np.max(np.abs([mu[:, :width] + lam[:, width:],
+                                mu[:, width:] - lam[:, :width]]), initial=0.0))
 
 
 def linear_system_matrix(model, p):

@@ -9,11 +9,12 @@ Two-forms split into a 7-dimensional and a 21-dimensional piece.  Two
 independent routes to the splitting are provided and cross-checked:
 
 * ``pi7_matrix``   -- linear extension of the decomposable-pair formula
-                    (x^ ^ y^ + phi(x, y, . , .)) / 2; this is twice the
-                    orthogonal projection.
+                    (x^ ^ y^ + phi(x, y, . , .)) / 2, twice the orthogonal
+                    projection: a signed gather of phi's coefficients.
 * ``proj7_matrix`` -- spectral construction (T + 1)/4 from the self-adjoint
-                    map T(a) = *(phi ^ a), which has eigenvalue 3 on the
-                    small piece and -1 on the large one.
+                    map T(a) = *(phi ^ a), built by wedge and hodge_star,
+                    which has eigenvalue 3 on the small piece and -1 on the
+                    large one.
 
 Keeping both routes separate is deliberate: their agreement (a fixed factor
 of two) is one of the verified claims, not an assumption.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +35,8 @@ from .exterior import (
     EXACT,
     FLOAT,
     FOUR_FORM_INDEX,
+    PAIR_POS,
+    TWO_FORM_INDEX,
     ExactComplex,
     FourFormTable,
     Multivector,
@@ -48,8 +52,15 @@ from .exterior import (
 )
 from .frames import OrientedPlane
 
-TWO_FORM_INDEX = tuple(itertools.combinations(range(1, 9), 2))
-PAIR_POS = {pair: i for i, pair in enumerate(TWO_FORM_INDEX)}
+_QUAD_AT = {quad: c for c, quad in enumerate(FOUR_FORM_INDEX)}
+
+
+def _signed(key, sign):
+    """The position of sign times phi's coefficient on the sorted 4-subset
+    key in the signed row [phi_row(), 0, -phi_row()]; the 0 in the middle
+    for sign 0."""
+    n = len(FOUR_FORM_INDEX)
+    return n if sign == 0 else _QUAD_AT[key] + (0 if sign > 0 else n + 1)
 
 
 def _tau_gather():
@@ -61,9 +72,7 @@ def _tau_gather():
     (-1)^k and by the order of i and s_k; a pair with no such split picks
     the 0 in the middle.  One index, not an index and a sign: multiplying
     by an int sign array would cast through numpy's buffered loops."""
-    position = {quad: c for c, quad in enumerate(FOUR_FORM_INDEX)}
-    n = len(FOUR_FORM_INDEX)
-    index = np.full((n, 28), n)
+    index = np.full((len(FOUR_FORM_INDEX), 28), len(FOUR_FORM_INDEX))
     for c, quad in enumerate(FOUR_FORM_INDEX):
         for k, s in enumerate(quad):
             rest = quad[:k] + quad[k + 1:]
@@ -72,12 +81,15 @@ def _tau_gather():
                     continue
                 key, parity = sort_indices((i,) + rest)
                 p = PAIR_POS[(min(i, s), max(i, s))]
-                sign = parity * (-1) ** k * (1 if i < s else -1)
-                index[c, p] = position[key] if sign > 0 else n + 1 + position[key]
+                index[c, p] = _signed(key, parity * (-1) ** k * (1 if i < s else -1))
     return index
 
 
 _TAU_INDEX = _tau_gather()
+# entry (kl, ij) of 2 pi7 - 1 is phi(e_i, e_j, e_k, e_l): phi's coefficient
+# on the sorted axes with the sort's sign, 0 when the pairs meet
+_PI7_INDEX = np.array([[_signed(*sort_indices(ij + kl)) for ij in TWO_FORM_INDEX]
+                       for kl in TWO_FORM_INDEX])
 
 PHI0_TERMS = {
     (1, 2, 3, 4): 1,
@@ -98,7 +110,10 @@ PHI0_TERMS = {
 
 
 class CayleyForm:
-    """A calibration four-form on R^8 with cached two-form operators."""
+    """A calibration four-form on R^8 with cached two-form operators, each
+    built once and kept once: a read-only float array on the float backend,
+    rows of Fractions on the exact one (an exact two-form operator also
+    keeps the numerators and denominator its products run on)."""
 
     def __init__(self, phi):
         if phi.n != 8:
@@ -106,68 +121,63 @@ class CayleyForm:
         if phi.grades() not in ([], [4]):
             raise GradeError("calibration form must be homogeneous of grade 4")
         self.phi = phi
-        self._pi7 = None
-        self._transform = None
-        self._proj7 = None
         self._phi_row = None
         self._defect = None
         self._cayley_table = None
-        self._arrays = {}
 
     @property
     def backend(self):
         return self.phi.backend
 
     def _two_form_to_column(self, a):
-        col = [coerce_scalar(0, self.backend)] * 28
-        for key, val in a.terms.items():
-            col[PAIR_POS[key]] = val
-        return col
-
-    def _column_to_two_form(self, col, backend=None):
-        backend = backend or self.backend
-        terms = {
-            TWO_FORM_INDEX[i]: c for i, c in enumerate(col) if c != 0
-        }
-        return Multivector(8, terms, backend)
+        zero = coerce_scalar(0, self.backend)
+        return [a.terms.get(pair, zero) for pair in TWO_FORM_INDEX]
 
     def pi7_matrix(self):
-        """28x28 matrix of the decomposable-pair splitting formula."""
-        if self._pi7 is None:
-            half = Fraction(1, 2) if self.backend == EXACT else 0.5
-            cols = []
-            for (i, j) in TWO_FORM_INDEX:
-                ei = Vector.basis(8, i, self.backend)
-                ej = Vector.basis(8, j, self.backend)
-                pair_form = hook(ej, hook(ei, self.phi))
-                img = (Multivector.basis(8, (i, j), self.backend) + pair_form).scale(half)
-                cols.append(self._two_form_to_column(img))
-            self._pi7 = [[cols[c][r] for c in range(28)] for r in range(28)]
-        return self._pi7
-
-    def transform_matrix(self):
-        """28x28 matrix of a |-> *(phi ^ a)."""
-        if self._transform is None:
-            cols = []
-            for (i, j) in TWO_FORM_INDEX:
-                img = hodge_star(wedge(self.phi, Multivector.basis(8, (i, j), self.backend)))
-                cols.append(self._two_form_to_column(img))
-            self._transform = [[cols[c][r] for c in range(28)] for r in range(28)]
-        return self._transform
+        """28x28 matrix of the decomposable-pair splitting formula: column
+        ij is (e^i ^ e^j + phi(e_i, e_j, ., .)) / 2, the identity plus
+        phi_row() gathered by _PI7_INDEX, halved."""
+        return self._pi7[0]
 
     def proj7_matrix(self):
-        """Orthogonal projection onto the 7-dimensional piece: (T + 1)/4."""
-        if self._proj7 is None:
-            t = self.transform_matrix()
-            quarter = Fraction(1, 4) if self.backend == EXACT else 0.25
-            self._proj7 = [
-                [
-                    (t[r][c] + (1 if r == c else 0)) * quarter
-                    for c in range(28)
-                ]
-                for r in range(28)
-            ]
-        return self._proj7
+        """Orthogonal projection onto the 7-dimensional piece: (T + 1)/4,
+        column ij of T being *(phi ^ e^i ^ e^j)."""
+        return self._proj7[0]
+
+    @cached_property
+    def _pi7(self):
+        return self._operator(self._gather(_PI7_INDEX), 2)
+
+    @cached_property
+    def _proj7(self):
+        cols = [self._two_form_to_column(hodge_star(wedge(
+                    self.phi, Multivector.basis(8, pair, self.backend))))
+                for pair in TWO_FORM_INDEX]
+        t = list(zip(*cols))
+        return self._operator(
+            _ratlinalg.scaled(t) if self.backend == EXACT else np.array(t), 4)
+
+    def _gather(self, index):
+        """The signed row [phi_row(), 0, -phi_row()] gathered by index: a
+        float array on the float backend, (integer numerators, denominator)
+        on the exact one."""
+        if self.backend == EXACT:
+            phi, den = _ratlinalg.scaled(self.phi_row())
+            return np.concatenate([phi, [0], -phi])[index], den
+        row = self.phi_row()
+        return np.concatenate([row, [0.0], -row])[index]
+
+    def _operator(self, part, scale):
+        """The operator (1 + part) / scale as (matrix, what products take).
+        On the float backend part is a float array, and both are one
+        read-only array; on the exact one part is (integer numerators,
+        denominator), and so is the second, the matrix being its Fractions."""
+        if self.backend == EXACT:
+            nums, den = part
+            nums, den = nums + den * np.eye(28, dtype=object), scale * den
+            return _ratlinalg.unscaled(nums, den), (nums, den)
+        matrix = self._frozen((np.eye(28) + part) / scale)
+        return matrix, matrix
 
     def phi_row(self):
         """phi's 70 coefficients over FOUR_FORM_INDEX, so that phi on a
@@ -194,26 +204,22 @@ class CayleyForm:
         [phi_row(), 0, -phi_row()][_TAU_INDEX], and the table is that
         (70, 28) matrix times pi7_matrix() transposed, over 4.  On the float
         backend the product is one np.einsum.  On the exact one the gather
-        runs on phi's integer numerators and the product on the cached
-        numerators of pi7 (_ratlinalg.scaled), with the three denominators
-        multiplied once.  A read-only float array on the float backend, rows
-        of Fractions on the exact one; tau_eval stays the reference the
+        runs on phi's integer numerators and the product on pi7's, with the
+        denominators multiplied once.  tau_eval stays the reference the
         table is tested against.
         """
         if self._defect is None:
+            pi7 = self._pi7[1]
             if self.backend == EXACT:
-                phi, phi_den = _ratlinalg.scaled(self.phi_row())
-                pi7, pi7_den = self._array(self.pi7_matrix)
-                gathered = np.concatenate([phi, [0], -phi])[_TAU_INDEX]
+                gathered, phi_den = self._gather(_TAU_INDEX)
+                nums, den = pi7
                 self._defect = _ratlinalg.unscaled(
-                    gathered @ pi7.T, 4 * phi_den * pi7_den)
+                    gathered @ nums.T, 4 * phi_den * den)
             else:
                 # einsum's own loop, not BLAS: a matmul this small would
                 # allocate BLAS work buffers, about 0.3 MB of peak memory
-                row = self.phi_row()
-                gathered = np.concatenate([row, [0.0], -row])[_TAU_INDEX]
                 self._defect = self._frozen(np.einsum(
-                    "cq,pq->cp", gathered, self._array(self.pi7_matrix)) * 0.25)
+                    "cq,pq->cp", self._gather(_TAU_INDEX), pi7) * 0.25)
         return self._defect
 
     def cayley_table(self):
@@ -232,46 +238,32 @@ class CayleyForm:
         arr.flags.writeable = False
         return arr
 
-    def _array(self, matrix):
-        """The 28x28 matrix that the method ``matrix`` (pi7_matrix or
-        proj7_matrix) returns, as an array built once: its _ratlinalg.scaled
-        (numerators, denominator) on the exact backend, a read-only float
-        array on the float one."""
-        name = matrix.__name__
-        if name not in self._arrays:
-            self._arrays[name] = (_ratlinalg.scaled(matrix())
-                                  if self.backend == EXACT
-                                  else self._frozen(matrix()))
-        return self._arrays[name]
-
-    def _apply_matrix(self, matrix, a):
-        """The matrix that the method ``matrix`` returns times a two-form's
-        column, real or complex, by one product.  On the exact backend the
-        matrix's cached numerators times the column's, a complex column
-        as the (28, 2) numerators of its real and imaginary parts side by
-        side; on the float one an np.einsum (its own loop, not BLAS, as in
-        defect_table), which takes a complex column as it is."""
+    def _apply(self, operator, a):
+        """An operator's matrix times a two-form's column, real or complex,
+        by one product.  On the float backend an np.einsum (its own loop,
+        not BLAS, as in defect_table), which takes a complex column as it
+        is.  On the exact one the operator's numerators times the (28, 2)
+        numerators of the column's real and imaginary parts side by side, a
+        real column's imaginary part being 0: Fractions come back for a real
+        column, ExactComplex for a complex one."""
         if a.grades() not in ([], [2]):
             raise GradeError("two-form operator applied to grades %s" % (a.grades(),))
         col = self._two_form_to_column(a)
         if a.backend == FLOAT:
-            out = np.einsum("rc,c->r", self._array(matrix), np.array(col)).tolist()
-        elif a.is_real():
-            nums, den = self._array(matrix)
-            col_nums, col_den = _ratlinalg.scaled(col)
-            out = _ratlinalg.unscaled(nums @ col_nums, den * col_den)
+            out = np.einsum("rc,c->r", operator[1], np.array(col)).tolist()
         else:
-            nums, den = self._array(matrix)
+            nums, den = operator[1]
             col_nums, col_den = _ratlinalg.scaled([[c.real, c.imag] for c in col])
             re, im = _ratlinalg.unscaled((nums @ col_nums).T, den * col_den)
-            out = [ExactComplex(x, y) for x, y in zip(re, im)]
-        return self._column_to_two_form(out, a.backend)
+            out = re if a.is_real() else [ExactComplex(x, y) for x, y in zip(re, im)]
+        return Multivector(8, {pair: c for pair, c in zip(TWO_FORM_INDEX, out)
+                               if c != 0}, a.backend)
 
     def pi7_apply(self, a):
-        return self._apply_matrix(self.pi7_matrix, a)
+        return self._apply(self._pi7, a)
 
     def proj7_apply(self, a):
-        return self._apply_matrix(self.proj7_matrix, a)
+        return self._apply(self._proj7, a)
 
 
 def phi0(backend=EXACT):
@@ -293,21 +285,16 @@ def pi7_projection_scalar(Phi):
 
     Raises PlaneError if no single constant works.
     """
-    p = Phi.pi7_matrix()
-    q = Phi.proj7_matrix()
-    c = None
-    for r in range(28):
-        for s in range(28):
-            if q[r][s] != 0:
-                ratio = p[r][s] / q[r][s]
-                if c is None:
-                    c = ratio
-                elif Phi.backend == EXACT and ratio != c:
-                    raise PlaneError("splitting routes are not proportional")
-                elif Phi.backend == FLOAT and abs(ratio - c) > 1e-12:
-                    raise PlaneError("splitting routes are not proportional")
-            elif p[r][s] != 0:
-                raise PlaneError("splitting routes have different supports")
+    p = np.asarray(Phi.pi7_matrix())
+    q = np.asarray(Phi.proj7_matrix())
+    support = q != 0
+    if (p[~support] != 0).any():
+        raise PlaneError("splitting routes have different supports")
+    ratios = p[support] / q[support]
+    c = ratios.item(0)
+    apart = ratios != c if Phi.backend == EXACT else abs(ratios - c) > 1e-12
+    if apart.any():
+        raise PlaneError("splitting routes are not proportional")
     return c
 
 

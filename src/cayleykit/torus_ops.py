@@ -431,6 +431,14 @@ def kernel_dim(op, tol=1e-8):
     return kernel_report(op, tol).dim_complex
 
 
+def joint_kernel_dim(ops, tol=1e-8):
+    """Complex dimension of the common kernel of mode-diagonal operators on
+    one domain: the kernel of their blocks stacked, counted by the rule of
+    kernel_report."""
+    blocks = np.concatenate([op.blocks for op in ops], axis=1)
+    return _report(block_singular_values(blocks), blocks.shape[2], tol).dim_complex
+
+
 def kernel_summary(K_values=(0, 1, 2, 3), tol=1e-8, phase_pair=_DEFAULT_PHASE):
     """Kernel dimensions of the three operators across truncations.
 

@@ -67,6 +67,44 @@ def test_angles_suite_small_sample():
     assert report["summary"]["fail"] == 0
 
 
+def _nan_grade(rec):
+    return dataclasses.replace(rec, angles=rec.angles[:-1] + (math.nan,))
+
+
+# (suite, function cli calls, its result made NaN, calls made NaN, checks):
+# a NaN after the first value of a maximum must still reach the residual
+_NAN_CASES = [
+    ("graphs", "hook_coefficient_oracle", lambda r: math.nan, {1},
+     ["complex-graph:first-order-system"]),
+    ("graphs", "cr_residual", lambda r: math.nan, {1},
+     ["complex-graph:cauchy-riemann"]),
+    ("graphs", "is_cayley", lambda v: dataclasses.replace(v, tau_norm=math.nan),
+     {1}, ["graph-system:newton-batch"]),
+    # 10 round trips, 10 complex planes, then the isotropic plane
+    ("angles", "canonical_angles", _nan_grade, {1, 11, 20},
+     ["angles:round-trip", "angles:complex-plane-zeros",
+      "angles:isotropic-right-angles"]),
+]
+
+
+@pytest.mark.parametrize("suite, name, make_nan, calls, checks", _NAN_CASES)
+def test_a_nan_residual_fails_its_check(monkeypatch, suite, name, make_nan,
+                                        calls, checks):
+    original = getattr(cli, name)
+    count = iter(range(1000))
+
+    def patched(*args, **kw):
+        out = original(*args, **kw)
+        return make_nan(out) if next(count) in calls else out
+
+    monkeypatch.setattr(cli, name, patched)
+    report = run_suite(_cfg(suite=suite, samples=20, seed=3))
+    rows = {c["name"]: c for c in report["checks"]}
+    for check in checks:
+        assert rows[check]["status"] == "fail", check
+        assert rows[check]["residual"] == "nan", check
+
+
 def test_index_suite():
     report = run_suite(_cfg(suite="index"))
     assert report["summary"]["fail"] == 0

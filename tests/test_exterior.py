@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleykit import exterior
+from cayleykit import exterior, spin7
 from cayleykit.exterior import (
     EXACT,
     FLOAT,
@@ -307,6 +307,22 @@ def test_pair_minors_match_leibniz_on_exact_complex(entries):
     batch = pair_minors(rows[[0, 1]], rows[[1, 0]])
     assert list(batch[0]) == _leibniz_minors(rows)
     assert list(-batch[1]) == _leibniz_minors(rows)
+
+
+def test_pair_minors_follow_the_two_form_index():
+    x, y = np.arange(1, 9), np.arange(8) ** 2
+    want = [x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+            for i, j in exterior.TWO_FORM_INDEX]
+    assert list(pair_minors(x, y)) == want
+    assert exterior.TWO_FORM_INDEX == tuple(itertools.combinations(range(1, 9), 2))
+    assert spin7.TWO_FORM_INDEX is exterior.TWO_FORM_INDEX
+
+
+def test_float_max_abs_keeps_a_nan():
+    for terms in ({(1, 2): 1.0, (3, 4): math.nan},
+                  {(1, 2): math.nan, (3, 4): 1.0}):
+        assert math.isnan(Multivector(8, terms, FLOAT).max_abs())
+    assert Multivector(8, {(1, 2): -2.0, (3, 4): 1.0}, FLOAT).max_abs() == 2.0
 
 
 def test_exact_minors_of_a_sparse_frame():

@@ -587,6 +587,15 @@ def test_linear_solutions_are_holomorphic_away_from_half_dimension():
         assert is_complex_plane(model, plane).is_complex
 
 
+def test_float_graph_residuals_keep_a_nan():
+    model = build_model(3, backend=FLOAT)
+    lam = ((0.0, 0.5, 0.0, 0.0),)
+    mu = ((0.0, 0.0, math.nan, 0.0),)
+    cg = ComplexGraphCoefficients(1, 3, lam, mu)
+    assert math.isnan(cr_residual(cg))
+    assert math.isnan(hook_coefficient_oracle(model, cg))
+
+
 def test_half_dimension_kernel_admits_non_holomorphic_solutions():
     model = build_model(2, backend=FLOAT)
     rng = np.random.default_rng(5)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleykit import exterior, spin7
 from cayleykit._ratlinalg import rank as exact_rank
 from cayleykit.errors import BackendMismatch, DimensionMismatch, PlaneError
 from cayleykit.exterior import (
@@ -24,6 +25,7 @@ from cayleykit.exterior import (
     form_value,
     four_form_values,
     hodge_star,
+    hook,
     inner,
     volume_form,
     wedge,
@@ -105,6 +107,22 @@ def test_rescaled_projection_scalar(phi_exact):
     for i in range(28):
         for j in range(28):
             assert Q[i][j] == 2 * P[i][j]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_projection_scalar_on_both_backends(backend):
+    for Phi in _forms(backend):
+        assert pi7_projection_scalar(Phi) == 2
+    # e1234 alone: entry (34, 12) is 1/2 in pi7 and 0 in proj7, as
+    # e1234 ^ e12 = 0
+    lone = spin7.CayleyForm(Multivector(8, {(1, 2, 3, 4): 1}, backend))
+    with pytest.raises(PlaneError, match="different supports"):
+        pi7_projection_scalar(lone)
+    # not self-dual: the ratio is 2 on the diagonal, 1 at (34, 12), 4 at (78, 56)
+    skew = spin7.CayleyForm(Multivector(8, {(1, 2, 3, 4): 1, (5, 6, 7, 8): 2},
+                                        backend))
+    with pytest.raises(PlaneError, match="not proportional"):
+        pi7_projection_scalar(skew)
 
 
 def test_generators_span_the_small_piece(phi_exact):
@@ -318,6 +336,64 @@ def test_defect_table_is_cached():
     Phi = phi0(backend=FLOAT)
     assert Phi.defect_table() is Phi.defect_table()
     assert Phi.phi_row() is Phi.phi_row()
+
+
+def _pi7_by_hook(Phi):
+    """pi7 column by column, (e^i ^ e^j + e_j -| (e_i -| phi)) / 2: the
+    decomposable-pair formula through the term-by-term hook, as rows."""
+    half = Fraction(1, 2) if Phi.backend == EXACT else 0.5
+    cols = []
+    for (i, j) in TWO_FORM_INDEX:
+        ei = Vector.basis(8, i, Phi.backend)
+        ej = Vector.basis(8, j, Phi.backend)
+        pair = Multivector.basis(8, (i, j), Phi.backend)
+        img = (pair + hook(ej, hook(ei, Phi.phi))).scale(half)
+        cols.append([img.coeff(key) for key in TWO_FORM_INDEX])
+    return [list(row) for row in zip(*cols)]
+
+
+def test_exact_pi7_gather_equals_the_hook_route():
+    for Phi in _forms(EXACT):
+        pi7 = Phi.pi7_matrix()
+        assert [list(row) for row in pi7] == _pi7_by_hook(Phi)
+        assert all(type(x) is Fraction for row in pi7 for x in row)
+
+
+def test_float_pi7_gather_is_the_hook_route_bit_for_bit():
+    for Phi in _forms(FLOAT):
+        pi7 = Phi.pi7_matrix()
+        assert not pi7.flags.writeable
+        assert pi7.tobytes() == np.array(_pi7_by_hook(Phi)).tobytes()
+
+
+def test_doubled_pi7_columns_are_the_small_piece_generators():
+    for Phi in _forms(EXACT):
+        pi7 = Phi.pi7_matrix()
+        for p, gen in enumerate(lambda27_basis(Phi)):
+            assert [2 * row[p] for row in pi7] == [gen.coeff(key)
+                                                  for key in TWO_FORM_INDEX]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_pi7_is_built_without_hook(monkeypatch, backend):
+    want = _pi7_by_hook(phi0(backend))
+
+    def refuse(*args):
+        raise AssertionError("pi7 built through hook")
+
+    for module, name in ((spin7, "hook"), (spin7, "hook_many"), (exterior, "hook")):
+        monkeypatch.setattr(module, name, refuse)
+    got = phi0(backend).pi7_matrix()
+    assert [list(row) for row in got] == want
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_two_form_operators_are_built_once(backend):
+    Phi = phi0(backend)
+    assert Phi.pi7_matrix() is Phi.pi7_matrix()
+    assert Phi.proj7_matrix() is Phi.proj7_matrix()
+    if backend == FLOAT:
+        assert not Phi.proj7_matrix().flags.writeable
 
 
 def test_is_cayley_matches_form_value_and_tau_eval(phi_cy_float, float_model):

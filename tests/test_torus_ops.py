@@ -579,6 +579,9 @@ def test_complex_operator_kernels():
     sig = np.linalg.svd(joint, compute_uv=False)
     thresh = 1e-8 * sig.max()
     assert joint.shape[0] * 4 - int(np.sum(sig > thresh)) == 4
+    # the joint count takes kernel_report's rule on the stacked blocks
+    assert torus_ops.joint_kernel_dim((A0, A1)) == 4
+    assert torus_ops.joint_kernel_dim((A0,)) == kernel_dim(A0)
     assert holomorphic_kernel_match(model) == 0.0
 
 
