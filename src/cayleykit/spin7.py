@@ -248,6 +248,9 @@ class CayleyForm:
         column, ExactComplex for a complex one."""
         if a.grades() not in ([], [2]):
             raise GradeError("two-form operator applied to grades %s" % (a.grades(),))
+        if a.backend != self.backend:
+            raise BackendMismatch(
+                "mixed backends: %r vs %r" % (a.backend, self.backend))
         col = self._two_form_to_column(a)
         if a.backend == FLOAT:
             out = np.einsum("rc,c->r", operator[1], np.array(col)).tolist()

@@ -10,10 +10,14 @@ artifacts.  The module provides:
 * truncated Fourier sections of the bundles that appear in the deformation
   complex (holomorphic normal fields, normal-valued (0,1)- and (0,2)-forms),
 * the mode-diagonal matrices of dbar, its formal adjoint, and the combined
-  first-order operator, with weighted-adjoint and kernel/gap reports.  A
-  block depends only on its mode, so a survey over several truncations
-  takes the singular values of each operator once, at the largest one, and
-  reads each smaller truncation off the rows of its modes.  Singular values
+  first-order operator, with weighted-adjoint and kernel/gap reports.  Each
+  operator is one exact symbol, a (4, r_out, r_in) table S of Gaussian
+  rationals composed from the vectors d/dzbar_1 and d/dzbar_2, with the
+  block 2 pi i sum_j k_j S_j on mode k: the float blocks are one product of
+  the integer modes with S.  A block depends only on its mode, so a survey
+  over several truncations takes the singular values of each operator
+  once, at the largest one, and reads each smaller truncation off the rows
+  of its modes.  Singular values
   come from ``block_singular_values``: a block whose columns or rows pass
   Jacobi's stopping test (every block of these operators, measured) takes
   its vector norms, and only the others go to LAPACK,
@@ -31,10 +35,12 @@ artifacts.  The module provides:
   never forms the minors and walks the grid's frames in cache-sized
   blocks.  The frames come from one inverse FFT per section, of the
   derivatives of the displacement's four normal components along the four
-  base axes.  The certificate needs no
-  minors at all, since a frame tilted in one row has only the degree-one
-  minors besides the base one, so it reads the derivative off the table's
-  degree-one rows,
+  base axes, which one exact displacement matrix per phase gives.  The
+  certificate needs no minors at all, since a frame tilted in one row has
+  only the degree-one minors besides the base one, so it reads the
+  derivative off the table's degree-one rows.  It tilts by the rows of the
+  displacement matrix and compares with the exact symbol of the combined
+  operator, so it certifies the operator whose kernel is counted,
 * the two signed first-order operators characterizing infinitesimal complex
   deformations, and the mode-by-mode match of their holomorphic half's
   kernel with dbar's, which takes singular vectors only of the blocks
@@ -139,21 +145,10 @@ class TorusModel:
         k1, k2, k3, k4 = np.meshgrid(g, g, g, g, indexing="ij")
         return np.stack([k1.ravel(), k2.ravel(), k3.ravel(), k4.ravel()], axis=1)
 
-    def multipliers(self):
-        """Fourier multipliers of d/dzbar_1 and d/dzbar_2 per mode."""
-        k = self.modes()
-        m1 = np.pi * 1j * (k[:, 0] + 1j * k[:, 1])
-        m2 = np.pi * 1j * (k[:, 2] + 1j * k[:, 3])
-        return m1, m2
-
     def zero_mode(self):
         """Flat index of the constant mode."""
         L = 2 * self.K + 1
         return self.K * (L**3 + L**2 + L + 1)
-
-    def phase_complex(self):
-        c, s = self.phase_pair
-        return complex(float(c), float(s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,33 +248,112 @@ class OperatorMatrix:
         return OperatorMatrix(adj, domain=self.codomain, codomain=self.domain)
 
 
+# exact symbols ---------------------------------------------------------------
+#
+# The derivative of exp(2 pi i k.x) along a vector u is 2 pi i (k.u) times
+# it, so the components of d/dzbar_b along x_1..x_4 are the symbol of the
+# derivative d/dzbar_b, and every table below is composed from them.
+
+# components of a normal-valued (0,1)-form: conj(dz_b) (x) d/dz_a for (b, a)
+_ONE_FORM_ROWS = ((1, 3), (1, 4), (2, 3), (2, 4))
+_NIL = ExactComplex(0, 0)
+
+
+@lru_cache(maxsize=None)
+def _dzbar():
+    """(4, 8) object array of the exact components of d/dzbar_1..d/dzbar_4
+    (antiholo_vector) on the axes of R^8."""
+    model = build_model(4, backend=EXACT)
+    return np.array([antiholo_vector(model, k).comps for k in range(1, 5)],
+                    dtype=object)
+
+
+def _normal_leg(coefficients):
+    """(4, 4, 2) table from (d/dz3, d/dz4) components to the rows
+    _ONE_FORM_ROWS: row (b, a) holds coefficients[b - 1] in column a."""
+    table = np.full((4, 4, 2), _NIL, dtype=object)
+    for r, (b, a) in enumerate(_ONE_FORM_ROWS):
+        table[:, r, a - 3] = coefficients[b - 1]
+    return table
+
+
+# (v_3, v_4) -> the (dz_3, dz_4) components of v_3 dz_4 - v_4 dz_3, the
+# contraction of dz_3 ^ dz_4 with v
+_CONTRACT = np.array([[0, -1], [1, 0]])
+
+
+@lru_cache(maxsize=8)
+def _exact_symbols(phase_pair):
+    """The exact symbols at one phase of the holomorphic volume form, by
+    name, as read-only object arrays.
+
+    dbar, dbar02, dbar_star and dirac are the operators of the same names;
+    dbar_star is written from its position-space formula, not taken as the
+    adjoint of dbar02.  A0 and A1 are the two operators of
+    complex_linear_op, on the holomorphic half through the volume form
+    e dz1^dz2^dz3^dz4 and on its conjugate.  displacement is the (4, 4)
+    matrix from the components (v_3, v_4, f_3, f_4) of a deformation pair
+    to the normal axes 5..8 of the displacement v + iso^{-1}(f): f_4 and
+    f_3 carry d/dzbar_3 and d/dzbar_4 with the weights 2e and -2e."""
+    e = ExactComplex(*phase_pair)
+    dzbar = _dzbar()
+    s1, s2 = dzbar[0, :4], dzbar[1, :4]  # symbols of d/dzbar_1, d/dzbar_2
+    c1, c2 = np.conj(s1), np.conj(s2)  # and of d/dz_1, d/dz_2
+    dbar = _normal_leg((s1, s2))
+    dbar_star = _normal_leg((2 * c2, -2 * c1))
+    holo = _normal_leg((2 * e * s2, -2 * e * s1)) @ _CONTRACT
+    anti = _normal_leg((2 * e.conj() * c2, -2 * e.conj() * c1)) @ _CONTRACT
+    zero = np.full(holo.shape, _NIL, dtype=object)
+    symbols = {
+        "dbar": dbar,
+        "dbar02": _normal_leg((-s2, s1)).transpose(0, 2, 1),
+        "dbar_star": dbar_star,
+        "dirac": np.concatenate([dbar, dbar_star], axis=2),
+        "A0": -np.block([[holo, zero], [zero, anti]]),
+        "A1": ExactComplex(0, 1) * np.block([[holo, zero], [zero, -anti]]),
+        "displacement": np.array([np.conj(dzbar[2, 4:]), np.conj(dzbar[3, 4:]),
+                                  -2 * e * dzbar[3, 4:], 2 * e * dzbar[2, 4:]]),
+    }
+    for table in symbols.values():
+        table.flags.writeable = False
+    return symbols
+
+
+@lru_cache(maxsize=8)
+def _float_symbols(phase_pair):
+    """_exact_symbols as read-only complex arrays, each (4, r_out * r_in)."""
+    out = {}
+    for name, table in _exact_symbols(phase_pair).items():
+        out[name] = np.array(table.reshape(4, -1), dtype=complex)
+        out[name].flags.writeable = False
+    return out
+
+
+def _operator(model, name, domain, codomain):
+    """The operator of symbol name on the model's modes, read-only: one
+    BLAS product of the integer modes with the float symbol, scaled by
+    2 pi i in place."""
+    blocks = model.modes() @ _float_symbols(model.phase_pair)[name]
+    blocks *= 2j * np.pi
+    blocks.flags.writeable = False
+    return OperatorMatrix(
+        blocks.reshape(-1, BUNDLE_RANK[codomain], BUNDLE_RANK[domain]),
+        domain=domain, codomain=codomain)
+
+
 @lru_cache(maxsize=8)
 def dbar_matrix(model):
     """dbar on holomorphic normal fields, valued in (0,1)-forms.
 
-    On mode k the coefficient of conj(dz_b) (x) d/dz_a is m_b v_a with
-    m_b the d/dzbar_b multiplier; the kernel is exactly the constants.
-    Built once per model; the cached blocks are read-only.
-    """
-    m1, m2 = model.multipliers()
-    blocks = np.zeros((model.mode_count, 4, 2), complex)
-    blocks[:, 0, 0] = m1
-    blocks[:, 1, 1] = m1
-    blocks[:, 2, 0] = m2
-    blocks[:, 3, 1] = m2
-    blocks.flags.writeable = False
-    return OperatorMatrix(blocks, domain="normal10", codomain="one_form_normal")
+    On mode k the coefficient of conj(dz_b) (x) d/dz_a is the d/dzbar_b
+    derivative of v_a; the kernel is exactly the constants.  Built once per
+    model; the cached blocks are read-only."""
+    return _operator(model, "dbar", "normal10", "one_form_normal")
 
 
 def dbar02_matrix(model):
     """dbar from normal-valued (0,1)-forms into (0,2)-forms."""
-    m1, m2 = model.multipliers()
-    blocks = np.zeros((model.mode_count, 2, 4), complex)
-    blocks[:, 0, 0] = -m2
-    blocks[:, 0, 2] = m1
-    blocks[:, 1, 1] = -m2
-    blocks[:, 1, 3] = m1
-    return OperatorMatrix(blocks, domain="one_form_normal", codomain="two_form_normal")
+    return _operator(model, "dbar02", "one_form_normal", "two_form_normal")
 
 
 @lru_cache(maxsize=8)
@@ -290,25 +364,12 @@ def dbar_star_matrix(model):
     The weighted conjugate-transpose relation with dbar02_matrix is pinned by
     the tests rather than used as the construction.  Built once per model;
     the cached blocks are read-only."""
-    m1, m2 = model.multipliers()
-    blocks = np.zeros((model.mode_count, 4, 2), complex)
-    blocks[:, 0, 0] = -2.0 * np.conj(m2)
-    blocks[:, 1, 1] = -2.0 * np.conj(m2)
-    blocks[:, 2, 0] = 2.0 * np.conj(m1)
-    blocks[:, 3, 1] = 2.0 * np.conj(m1)
-    blocks.flags.writeable = False
-    return OperatorMatrix(blocks, domain="two_form_normal", codomain="one_form_normal")
+    return _operator(model, "dbar_star", "two_form_normal", "one_form_normal")
 
 
 def dirac_matrix(model):
     """The combined first-order operator [dbar | dbar_star] acting on pairs."""
-    a = dbar_matrix(model).blocks
-    b = dbar_star_matrix(model).blocks
-    return OperatorMatrix(
-        np.concatenate([a, b], axis=2),
-        domain="deformation_pair",
-        codomain="one_form_normal",
-    )
+    return _operator(model, "dirac", "deformation_pair", "one_form_normal")
 
 
 # kernel counting -------------------------------------------------------------
@@ -514,23 +575,6 @@ def grid_values(model, coefficients, grid=None):
 
 # geometric defect evaluation --------------------------------------------------
 
-# complex normal basis vectors d/dz3, d/dz4, d/dzbar3, d/dzbar4 (rows), exact
-# components on the normal axes 5..8 (columns) of C^4 = R^8
-_HALF = Fraction(1, 2)
-_RE, _IM, _NIL = ExactComplex(_HALF, 0), ExactComplex(0, _HALF), ExactComplex(0, 0)
-_NORMAL_BASIS = (
-    (_RE, -_IM, _NIL, _NIL),
-    (_NIL, _NIL, _RE, -_IM),
-    (_RE, _IM, _NIL, _NIL),
-    (_NIL, _NIL, _RE, _IM),
-)
-# the same basis as complex floats
-_B_NORMAL = np.array([[c.as_complex() for c in row] for row in _NORMAL_BASIS])
-
-# components of a normal-valued (0,1)-form: conj(dz_b) (x) d/dz_a for (b, a)
-_ONE_FORM_ROWS = ((1, 3), (1, 4), (2, 3), (2, 4))
-
-
 @lru_cache(maxsize=None)
 def _psi():
     """psi, the map from two-form coordinates (TWO_FORM_INDEX) to the
@@ -543,9 +587,7 @@ def _psi():
     conj(dz_b) ^ conj(dz_a), and the component is twice that: column (b, a)
     is twice the pair minors (exterior.pair_minors, on ExactComplex entries)
     of the columns b and a of the eight one-forms' coefficients."""
-    model = build_model(4, backend=EXACT)
-    dzbar = np.array([antiholo_vector(model, k).comps for k in range(1, 5)],
-                     dtype=object)
+    dzbar = _dzbar()
     b, a = (np.array(_ONE_FORM_ROWS) - 1).T
     psi = 2 * pair_minors(dzbar[b], dzbar[a]).T
     return tuple(tuple(Fraction(z.real) for z in row)
@@ -576,23 +618,6 @@ def _defect_table(phase_pair):
     return FourFormTable(_defect_table_exact(phase_pair))
 
 
-def _displacement_coefficients(model, v1, w):
-    """Combined complex-normal coefficients of the displacement field.
-
-    v1 supplies the holomorphic components; w is carried to the
-    antiholomorphic components through the inverse of the normal-bundle
-    isomorphism: u_3 = 2 e^{i phase} f_4 and u_4 = -2 e^{i phase} f_3."""
-    if v1.bundle != "normal10" or w.bundle != "two_form_normal":
-        raise ValidationError("expected a (normal10, two_form_normal) pair")
-    phase = model.phase_complex()
-    out = np.zeros((model.mode_count, 4), complex)
-    out[:, 0] = v1.coefficients[:, 0]
-    out[:, 1] = v1.coefficients[:, 1]
-    out[:, 2] = 2.0 * phase * w.coefficients[:, 1]
-    out[:, 3] = -2.0 * phase * w.coefficients[:, 0]
-    return out
-
-
 def _derivative_grids(model, v):
     """(G^4, 4, 8) samples of the displacement's derivatives, G = 2K + 2.
 
@@ -602,10 +627,13 @@ def _derivative_grids(model, v):
     displacement lies on the normal axes 5..8, so the derivatives of its
     four normal components along the four base axes form one (M, 16)
     coefficient array, sampled by a single inverse FFT; axes 1..4 of every
-    row stay zero."""
+    row stay zero.  The normal components are the pair's coefficients times
+    the displacement matrix of _exact_symbols."""
     v1, w = v
-    disp = _displacement_coefficients(model, v1, w)  # (M, 4) complex basis
-    normal = disp @ _B_NORMAL  # (M, 4) components on axes 5..8
+    if v1.bundle != "normal10" or w.bundle != "two_form_normal":
+        raise ValidationError("expected a (normal10, two_form_normal) pair")
+    pair = np.concatenate([v1.coefficients, w.coefficients], axis=1)
+    normal = pair @ _float_symbols(model.phase_pair)["displacement"]
     d_dx = 2j * np.pi * model.modes()  # (M, 4) multipliers of d/dx_1..d/dx_4
     stacked = (d_dx[:, :, None] * normal[:, None, :]).reshape(-1, 16)
     values = grid_values(model, stacked)
@@ -732,30 +760,22 @@ def fd_linearization_check(
 _BASE_AXES = (1, 2, 3, 4)
 
 
-def _dbar_symbol(k, j):
-    """Exact symbol of d/dzbar_k = (d/dx_{2k-1} + i d/dx_{2k}) / 2 along the
-    coordinate x_{j+1}; its conjugate is the symbol of d/dz_k."""
-    return {2 * k - 2: _RE, 2 * k - 1: _IM}.get(j, _NIL)
-
-
 def pointwise_linearization_check(phase_pair=(Fraction(3, 5), Fraction(4, 5))):
-    """Exact certification that the defect linearizes to dbar + dbar_star.
+    """Exact certification that the defect linearizes to dirac_matrix.
 
     Tilting row j of the standard frame e_1..e_4 by a normal vector d keeps
     the base minor 1 and leaves 16 more nonzero minors, the degree-one ones:
     axis j+1 swapped for a normal axis n gives the minor (-1)^(3-j) d_n.  So
     the defect at the tilted frame is read straight off the exact defect
     table, as the base row plus the sum over n of (-1)^(3-j) d_n times the
-    row of the swapped subset.  For each j and each complex normal basis
-    vector d it is compared with the symbol of the operator along x_{j+1},
-    written by hand: the dbar part applies d/dzbar_b to the holomorphic
-    components, and the adjoint part applies 2 d/dz_2 (rows b = 1) or
-    -2 d/dz_1 (rows b = 2) to the (0,2)-components
-    f_4 = conj(phase) u_3 / 2 and f_3 = -conj(phase) u_4 / 2.  Returns
+    row of the swapped subset.  For each j and each basis vector of the
+    deformation pair, d is its row of the displacement matrix, and the
+    result must be the matching column of dirac's symbol along x_{j+1}:
+    both are the tables the float blocks and grids read.  Returns
     (matches, total) over all 64 component comparisons."""
-    c, s = Fraction(phase_pair[0]), Fraction(phase_pair[1])
-    half_conj = ExactComplex(c, -s) * _HALF
-    table = _defect_table_exact((c, s))
+    phase_pair = (Fraction(phase_pair[0]), Fraction(phase_pair[1]))
+    symbols = _exact_symbols(phase_pair)
+    table = _defect_table_exact(phase_pair)
     base = table[FOUR_FORM_INDEX.index(_BASE_AXES)]
     matches = 0
     total = 0
@@ -763,22 +783,12 @@ def pointwise_linearization_check(phase_pair=(Fraction(3, 5), Fraction(4, 5))):
         kept = _BASE_AXES[:j] + _BASE_AXES[j + 1:]
         swapped = [table[FOUR_FORM_INDEX.index(kept + (n,))] for n in (5, 6, 7, 8)]
         sign = (-1) ** (3 - j)
-        for beta, d in enumerate(_NORMAL_BASIS):
-            measured = [
-                b0 + sum((d_n * row[r] for d_n, row in zip(d, swapped)), _NIL) * sign
-                for r, b0 in enumerate(base)
-            ]
-            # complex components (v_3, v_4, u_3, u_4) of the basis vector d
-            v3, v4, u3, u4 = (int(k == beta) for k in range(4))
-            v = {3: v3, 4: v4}
-            f = {3: -half_conj * u4, 4: half_conj * u3}
-            for r, (b, a) in enumerate(_ONE_FORM_ROWS):
-                if b == 1:
-                    adjoint = _dbar_symbol(2, j).conj() * f[a] * 2
-                else:
-                    adjoint = _dbar_symbol(1, j).conj() * f[a] * (-2)
+        for beta, d in enumerate(symbols["displacement"]):
+            for r, b0 in enumerate(base):
+                measured = b0 + sum((d_n * row[r] for d_n, row in zip(d, swapped)),
+                                    _NIL) * sign
                 total += 1
-                matches += measured[r] == _dbar_symbol(b, j) * v[a] + adjoint
+                matches += measured == symbols["dirac"][j, r, beta]
     return matches, total
 
 
@@ -794,33 +804,8 @@ def complex_linear_op(model):
     input).  Returns the pair (A_0, A_1); the two differ only by the scalar
     prefactor and the relative sign between the halves, so their kernels
     coincide with the joint kernel."""
-    m1, m2 = model.multipliers()
-    phase = model.phase_complex()
-    M = model.mode_count
-
-    t1 = np.zeros((M, 4, 2), complex)  # acts on (v_3, v_4)
-    t1[:, 0, 1] = -2.0 * m2 * phase
-    t1[:, 1, 0] = 2.0 * m2 * phase
-    t1[:, 2, 1] = 2.0 * m1 * phase
-    t1[:, 3, 0] = -2.0 * m1 * phase
-
-    t2 = np.zeros((M, 4, 2), complex)  # acts on (u_3, u_4)
-    t2[:, 0, 1] = 2.0 * np.conj(m2) * np.conj(phase)
-    t2[:, 1, 0] = -2.0 * np.conj(m2) * np.conj(phase)
-    t2[:, 2, 1] = -2.0 * np.conj(m1) * np.conj(phase)
-    t2[:, 3, 0] = 2.0 * np.conj(m1) * np.conj(phase)
-
-    ops = []
-    for j in (0, 1):
-        pref = -1.0 if j == 0 else 1.0j
-        rel = 1.0 if j == 0 else -1.0
-        blocks = np.zeros((M, 8, 4), complex)
-        blocks[:, :4, :2] = pref * t1
-        blocks[:, 4:, 2:] = pref * rel * t2
-        ops.append(
-            OperatorMatrix(blocks, domain="complexified_normal", codomain="type_pair_forms")
-        )
-    return tuple(ops)
+    return tuple(_operator(model, name, "complexified_normal", "type_pair_forms")
+                 for name in ("A0", "A1"))
 
 
 def holomorphic_kernel_match(model, tol=1e-8):

@@ -675,6 +675,21 @@ def test_non_finite_or_non_positive_ladder_exit_code(ladder, capsys):
     assert "finite and positive" in capsys.readouterr().err
 
 
+def test_slope_check_fails_with_every_sample_at_roundoff(tmp_path, capsys):
+    # a ladder this short leaves every remainder below the floor: no slope
+    # was measured, so the check has no evidence to pass on
+    out = tmp_path / "torus.json"
+    argv = ["torus", "--t-ladder", "1e-7,1e-8,1e-9", "--seed", "1",
+            "--json", str(out), "--quiet"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    capsys.readouterr()
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    slope = by_name["torus:linearization-slope"]
+    assert slope["status"] == "fail"
+    assert slope["details"]["flagged_roundoff"] == slope["details"]["samples"]
+    assert slope["details"]["slope_min"] is None
+
+
 def test_infinite_tol_exit_code(tmp_path, capsys):
     # with tol inf every tolerance-gated check would pass, this frame's
     # orthonormality included

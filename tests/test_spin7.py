@@ -459,6 +459,14 @@ def test_is_cayley_rejects_mixed_frames(phi_exact):
         is_cayley(phi_exact, rows[:3])
 
 
+def test_two_form_operators_reject_the_other_backend(phi_exact, phi_float):
+    for Phi, backend in ((phi_exact, FLOAT), (phi_float, EXACT)):
+        a = Multivector.basis(8, (1, 2), backend)
+        for apply in (Phi.pi7_apply, Phi.proj7_apply):
+            with pytest.raises(BackendMismatch, match="mixed backends"):
+                apply(a)
+
+
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
 def test_cayley_table_on_float_frames_is_the_float_fold_bit_for_bit(backend):
     # float frames run against fold_table of [tau | phi] as floats

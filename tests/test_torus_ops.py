@@ -16,6 +16,7 @@ from cayleykit.exterior import (
 from cayleykit.kahler import build_model, to_complex_frame
 from cayleykit.spin7 import TWO_FORM_INDEX, phi_from_kahler
 from cayleykit.torus_ops import (
+    BUNDLE_WEIGHTS,
     GAP_FLOOR,
     FourierSection,
     TopologicalInvariants,
@@ -124,6 +125,82 @@ def test_adjoint_pairing_identity():
         lhs = section_inner(op.apply(u), v)
         rhs = section_inner(u, op.adjoint().apply(v))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+def test_blocks_are_the_hand_written_multipliers(phase):
+    # m_b is the Fourier multiplier of d/dzbar_b; the blocks from the exact
+    # symbols are these products value for value, except that the phase e
+    # of the volume form enters A0 and A1 as one rounded table entry
+    model = TorusModel(2, phase_pair=phase)
+    e = complex(float(phase[0]), float(phase[1]))
+    k = model.modes()
+    m1 = np.pi * 1j * (k[:, 0] + 1j * k[:, 1])
+    m2 = np.pi * 1j * (k[:, 2] + 1j * k[:, 3])
+    n1, n2, z = np.conj(m1), np.conj(m2), np.zeros_like(m1)
+    # (rows, columns, modes) arrays of the two halves of complex_linear_op
+    t1 = e * np.array([[z, -2 * m2], [2 * m2, z], [z, 2 * m1], [-2 * m1, z]])
+    t2 = np.conj(e) * np.array(
+        [[z, 2 * n2], [-2 * n2, z], [z, -2 * n1], [2 * n1, z]])
+
+    def halves(top, bottom):
+        zero = np.zeros_like(top)
+        return np.concatenate([np.concatenate([top, zero], axis=1),
+                               np.concatenate([zero, bottom], axis=1)])
+
+    A0, A1 = complex_linear_op(model)
+    for op, rows in (
+        (dbar_matrix(model), [[m1, z], [z, m1], [m2, z], [z, m2]]),
+        (dbar02_matrix(model), [[-m2, z, m1, z], [z, -m2, z, m1]]),
+        (dbar_star_matrix(model),
+         [[-2 * n2, z], [z, -2 * n2], [2 * n1, z], [z, 2 * n1]]),
+    ):
+        assert np.array_equal(op.blocks, np.moveaxis(np.array(rows), 2, 0))
+    for op, rows in ((A0, -halves(t1, t2)), (A1, 1j * halves(t1, -t2))):
+        want = np.moveaxis(rows, 2, 0)
+        if phase == (1, 0):
+            assert np.array_equal(op.blocks, want)
+        else:
+            assert np.allclose(op.blocks, want, rtol=0, atol=1e-14)
+    dirac = np.concatenate([dbar_matrix(model).blocks,
+                            dbar_star_matrix(model).blocks], axis=2)
+    assert np.array_equal(dirac_matrix(model).blocks, dirac)
+
+
+def _weighted_adjoint(S, domain, codomain):
+    """S_j^# = W_domain^-1 S_j^H W_codomain for each axis j, exactly."""
+    w_in = np.array([Fraction(w) for w in BUNDLE_WEIGHTS[domain]], dtype=object)
+    w_out = np.array([Fraction(w) for w in BUNDLE_WEIGHTS[codomain]], dtype=object)
+    return np.conj(S.transpose(0, 2, 1)) * w_out[None, None, :] / w_in[None, :, None]
+
+
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+@pytest.mark.parametrize("name, domain, codomain, adjoint_first, c", [
+    ("dirac", "deformation_pair", "one_form_normal", True, Fraction(1, 2)),
+    ("dirac", "deformation_pair", "one_form_normal", False, Fraction(1, 2)),
+    ("dbar", "normal10", "one_form_normal", True, Fraction(1, 2)),
+    ("dbar_star", "two_form_normal", "one_form_normal", True, Fraction(1, 2)),
+    ("A0", "complexified_normal", "type_pair_forms", True, Fraction(8)),
+    ("A1", "complexified_normal", "type_pair_forms", True, Fraction(8)),
+])
+def test_symbol_squares_are_scalar(phase, name, domain, codomain,
+                                   adjoint_first, c):
+    # with B(k) = 2 pi i sum_j k_j S_j, B^# B = 4 pi^2 sum_ij k_i k_j S_i^# S_j
+    # is 4 pi^2 c |k|^2 exactly when the coefficient of k_i^2 is c I and that
+    # of k_i k_j (i < j) vanishes; B B^# likewise with the factors swapped
+    S = torus_ops._exact_symbols(phase)[name]
+    sharp = _weighted_adjoint(S, domain, codomain)
+    left, right = (sharp, S) if adjoint_first else (S, sharp)
+    size = left.shape[1]
+    for i in range(4):
+        for j in range(i, 4):
+            got = left[i] @ right[j]
+            if i == j:
+                want = np.identity(size, dtype=int) * c
+            else:
+                got = got + left[j] @ right[i]
+                want = np.zeros((size, size), dtype=int)
+            assert all(x == y for x, y in zip(got.ravel(), want.ravel())), (i, j)
 
 
 def test_rational_phase_preserves_kernel_counts():
@@ -371,7 +448,8 @@ def test_derivative_grids_differentiate_each_base_axis():
     rng = np.random.default_rng(21)
     v = _random_pair(model, rng)
     rows = torus_ops._derivative_grids(model, v)
-    disp = torus_ops._displacement_coefficients(model, *v) @ torus_ops._B_NORMAL
+    pair = np.concatenate([v[0].coefficients, v[1].coefficients], axis=1)
+    disp = pair @ torus_ops._float_symbols(model.phase_pair)["displacement"]
     assert rows.shape == (4 ** 4, 4, 8) and not rows[:, :, :4].any()
     for j in range(4):
         single = grid_values(model, disp * (2j * np.pi * model.modes()[:, j:j + 1]))
@@ -547,6 +625,22 @@ def test_certificate_fails_on_a_wrong_degree_one_entry(monkeypatch):
     monkeypatch.setattr(torus_ops, "_defect_table_exact",
                         lambda phase_pair: tuple(broken))
     matches, total = pointwise_linearization_check()
+    assert total == 64
+    assert matches < 64
+
+
+@pytest.mark.parametrize("name, entry", [("dirac", (3, 0, 2)),
+                                         ("displacement", (2, 3))])
+def test_certificate_reads_the_counted_symbols(monkeypatch, name, entry):
+    # the certificate tilts by the displacement matrix and compares with
+    # dirac's own symbol, so one entry off in either must cost comparisons
+    phase = (Fraction(3, 5), Fraction(4, 5))
+    symbols = dict(torus_ops._exact_symbols(phase))
+    broken = symbols[name].copy()
+    broken[entry] = broken[entry] + 1
+    symbols[name] = broken
+    monkeypatch.setattr(torus_ops, "_exact_symbols", lambda phase_pair: symbols)
+    matches, total = pointwise_linearization_check(phase)
     assert total == 64
     assert matches < 64
 
