@@ -58,10 +58,10 @@ def main():
     if usable:
         print("  min %.3f   median %.3f   max %.3f" % (
             min(usable), float(np.median(usable)), max(usable)))
-    print("  fraction with slope >= %.1f: %.2f" % (
-        rep.band[0], rep.fraction_at_least_band))
-    print("  fraction inside the quadratic band %s: %.2f" % (
-        list(rep.band), rep.fraction_in_band))
+        print("  fraction with slope >= %.1f: %.2f" % (
+            rep.band[0], rep.fraction_at_least_band))
+        print("  fraction inside the quadratic band %s: %.2f" % (
+            list(rep.band), rep.fraction_in_band))
     print("  flagged as pure roundoff: %d" % sum(rep.flagged_floor))
     return 0 if matches == total else 1
 

@@ -611,7 +611,7 @@ def _suite_torus(cfg):
             "slope_max": max(usable) if usable else None,
         },
         holds=bool(usable) and rep.fraction_at_least_band >= 0.95,
-        warn=rep.fraction_in_band < 0.95)
+        warn=bool(usable) and rep.fraction_in_band < 0.95)
 
     matches, total = pointwise_linearization_check()
     yield Check(

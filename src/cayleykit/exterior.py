@@ -32,7 +32,12 @@ in cache however many frames a call carries.  The other modules hold their
 tables as ``FourFormTable``s, which run float and complex frames against
 the table's float fold, and exact frames on integers: scaled to Python-int
 numerators over one denominator (``_ratlinalg.scaled``), evaluated against
-the fold of the table's own numerators, and divided once.
+the fold of the table's own numerators, and divided once.  Graph frames
+[I_4 | A], such as the flat-torus grids, have a second, float entry,
+``FourFormTable.graph_values``, which takes the normal blocks A: rows 1, 2
+of such a frame vanish off the axes 1, 2, 5..8 and rows 3, 4 off 3, 4,
+5..8, so 13 of the 28 pair minors of each row pair are exactly 0, and the
+same kernel runs on the 15 others against a (15, 15 r) slice of the fold.
 """
 
 from __future__ import annotations
@@ -687,11 +692,23 @@ _LAPLACE = tuple(
 )
 _LAPLACE_LO, _LAPLACE_HI, _LAPLACE_SIGN = np.array(_LAPLACE).transpose(2, 1, 0)
 _PAIR_I, _PAIR_J = np.array(TWO_FORM_INDEX).T - 1
-# frames per block of four_form_values.  Against the complex torus fold
-# (r = 4) the (block, 28 * r) product is 0.9 MB at 512 frames, inside a 2 MB
-# L2 share.  A sweep on a 2-core Xeon ran 1296 to 10000 frames 2.2 to 2.7
+# frames per block of the kernel.  Against the complex torus fold (r = 4)
+# the (block, 28 * r) product of four_form_values is 0.9 MB at 512 frames,
+# inside a 2 MB L2 share, and the (block, 15 * r) one of the graph slice
+# 0.5 MB.  A sweep on a 2-core Xeon ran 1296 to 10000 frames 2.2 to 2.7
 # times faster than unblocked, flat from 256 to 1024 frames (CHANGES.md)
 _BLOCK = 512
+
+# On a graph frame [I_4 | A], rows 1, 2 are zero off the axes 1, 2, 5..8 and
+# rows 3, 4 off the axes 3, 4, 5..8, so a pair minor of either row pair is
+# exactly 0 unless the pair lies inside those six axes: 15 of the 28 pairs
+# each.  The pairs of a graph frame's rows 1, 2 (_GRAPH_LO) and of its rows
+# 3, 4 (_GRAPH_HI), as positions in TWO_FORM_INDEX
+_GRAPH_LO, _GRAPH_HI = (
+    np.array([p for p, pair in enumerate(TWO_FORM_INDEX) if set(pair) <= axes])
+    for axes in ({1, 2, 5, 6, 7, 8}, {3, 4, 5, 6, 7, 8}))
+# the pairs of normal axes, as positions 0..3 in a row of A
+_NORMAL_I, _NORMAL_J = np.array(list(itertools.combinations(range(4), 2))).T
 
 
 def fold_table(table):
@@ -728,33 +745,65 @@ def pair_minors(x, y):
     return x[..., _PAIR_I] * y[..., _PAIR_J] - x[..., _PAIR_J] * y[..., _PAIR_I]
 
 
+def _frame_pair_minors(block):
+    """The 28 pair minors of rows 1, 2 and of rows 3, 4 of (n, 4, 8) frames."""
+    return pair_minors(block[:, 0], block[:, 1]), pair_minors(block[:, 2], block[:, 3])
+
+
+def _graph_pairs(x, y):
+    """The pair minors of the rows e_a + x and e_b + y, a < b <= 4, of a
+    graph frame on the six axes a, b, 5..8, in the order of TWO_FORM_INDEX:
+    (a, b) gives 1, (a, 4 + n) gives y_n, (b, 4 + n) gives -x_n, and the
+    pairs of normal axes the 2x2 minors of x and y.  x and y are (n, 4)."""
+    out = np.empty((len(x), len(_GRAPH_LO)), np.result_type(x.dtype, y.dtype))
+    out[:, 0] = 1
+    out[:, 1:5] = y
+    np.negative(x, out=out[:, 5:9])
+    np.subtract(x[:, _NORMAL_I] * y[:, _NORMAL_J], x[:, _NORMAL_J] * y[:, _NORMAL_I],
+                out=out[:, 9:])
+    return out
+
+
+def _graph_pair_minors(block):
+    """The 15 pair minors on _GRAPH_LO of rows 1, 2 and on _GRAPH_HI of rows
+    3, 4 of the graph frames [I_4 | A] of (n, 4, 4) normal blocks A."""
+    return _graph_pairs(block[:, 0], block[:, 1]), _graph_pairs(block[:, 2], block[:, 3])
+
+
+def _contract(frames, fold, minors):
+    """The kernel: a batch's pair minors against a fold, _BLOCK frames at a
+    time.  ``fold`` has one row per pair of rows 3, 4 and r columns per
+    pair of rows 1, 2, the same pairs, and ``minors(block)`` gives a
+    block's (top, bottom) pair minors of rows 1, 2 and of rows 3, 4 on
+    them.  ``bottom @ fold`` sums every split of every subset at once, and
+    a batched matmul with ``top`` contracts the result into the block's
+    rows of the preallocated (P, r) output."""
+    P = frames.shape[0]
+    pairs = fold.shape[0]
+    r = fold.shape[1] // pairs
+    out = np.empty((P, r), np.result_type(frames.dtype, fold.dtype))
+    for start in range(0, P, _BLOCK):
+        top, bottom = minors(frames[start:start + _BLOCK])
+        folded = (bottom @ fold).reshape(len(top), pairs, r)
+        np.matmul(top[:, None, :], folded, out=out[start:start + _BLOCK, None, :])
+    return out
+
+
 def four_form_values(frames, fold):
     """A batch of 4-frames' 70 4x4 minors times a table, without the minors.
 
     ``frames`` is a (P, 4, 8) array of frame rows and ``fold`` is
     fold_table(table) for a (70, r) table, both float or complex, or both
     Python ints in object arrays (FourFormTable on exact frames).  Returns
-    the (P, r) array ``minors @ table``.  The frames are taken _BLOCK at a
-    time: the 28 pair minors of rows 1, 2 (``top``) and of rows 3, 4
-    (``bottom``) are formed, ``bottom @ fold`` sums every split of every
-    subset at once, and a batched matmul with ``top`` contracts the result
-    into its rows of the preallocated output.  The largest temporary is one
-    (_BLOCK, 28 * r) array, which stays in cache however large P grows.
+    the (P, r) array ``minors @ table``, from the kernel _contract on the
+    28 pair minors of rows 1, 2 and of rows 3, 4.  The largest temporary is
+    one (_BLOCK, 28 * r) array, which stays in cache however large P grows.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3 or frames.shape[1:] != (4, 8):
         raise DimensionMismatch(
             "need a (P, 4, 8) array of 4-frames, got shape %s" % (frames.shape,))
-    P = frames.shape[0]
-    r = fold.shape[1] // len(TWO_FORM_INDEX)
-    out = np.empty((P, r), np.result_type(frames.dtype, fold.dtype))
-    for start in range(0, P, _BLOCK):
-        block = frames[start:start + _BLOCK]
-        top = pair_minors(block[:, 0], block[:, 1])
-        bottom = pair_minors(block[:, 2], block[:, 3])
-        folded = (bottom @ fold).reshape(len(block), len(TWO_FORM_INDEX), r)
-        np.matmul(top[:, None, :], folded, out=out[start:start + _BLOCK, None, :])
-    return out
+    return _contract(frames, fold, _frame_pair_minors)
 
 
 class FourFormTable:
@@ -769,14 +818,16 @@ class FourFormTable:
     denominator d (_ratlinalg.scaled; a table of Fractions and ints only,
     else BackendMismatch): they are scaled to integers over one denominator
     q, and the values, quartic in the frame, are divided once, by d * q**4,
-    giving a tuple of r Fractions or a tuple of P such tuples.  ``table``
-    is the table itself, a read-only copy.
+    giving a tuple of r Fractions or a tuple of P such tuples.
+    ``graph_values`` is the float entry for graph frames [I_4 | A], given by
+    their normal blocks A.  ``table`` is the table itself, a read-only copy.
     """
 
     def __init__(self, table):
         self.table = np.array(table)
         self.table.flags.writeable = False
         self._float_fold = None
+        self._graph_fold = None
         self._exact_fold = None
 
     def __call__(self, frames):
@@ -790,6 +841,30 @@ class FourFormTable:
             nums, q = _ratlinalg.scaled(batch)
             values = _ratlinalg.unscaled(four_form_values(nums, fold), den * q**4)
         return values[0] if one else values
+
+    def graph_values(self, normal_blocks):
+        """The (P, r) values of the graph frames [I_4 | A] of a (P, 4, 4)
+        float or complex stack of normal blocks A, as this table called on
+        the (P, 4, 8) frames would give them up to rounding.  Only 15 of the
+        28 pair minors of each row pair can be nonzero on such a frame
+        (_GRAPH_LO, _GRAPH_HI), so the kernel runs on the (15, 15 * r) slice
+        of the float fold that meets them, 225 of its 784 (l, h) pairs,
+        built on first use; the minors it skips are exactly 0."""
+        blocks = np.asarray(normal_blocks)
+        if blocks.ndim != 3 or blocks.shape[1:] != (4, 4):
+            raise DimensionMismatch(
+                "need a (P, 4, 4) array of normal blocks, got shape %s"
+                % (blocks.shape,))
+        if blocks.dtype.kind not in "fc":
+            raise BackendMismatch("graph frames take float or complex normal blocks")
+        if self._graph_fold is None:
+            fold = self._float()
+            pairs = len(TWO_FORM_INDEX)
+            r = fold.shape[1] // pairs
+            graph = fold.reshape(pairs, pairs, r)[np.ix_(_GRAPH_HI, _GRAPH_LO)]
+            self._graph_fold = graph.reshape(len(_GRAPH_HI), len(_GRAPH_LO) * r)
+            self._graph_fold.flags.writeable = False
+        return _contract(blocks, self._graph_fold, _graph_pair_minors)
 
     def _float(self):
         if self._float_fold is None:

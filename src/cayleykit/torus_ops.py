@@ -30,10 +30,12 @@ artifacts.  The module provides:
   one scaled-integer product (``_ratlinalg.matmul``) of the defect table
   with psi, the (0,1)-part as a (28, 4) matrix, which does not depend on
   the phase and is built once per process from 2x2 minors
-  (``exterior.pair_minors``).  Float grids are evaluated by one call on the
-  table's ``exterior.FourFormTable``, built once per phase, whose kernel
-  never forms the minors and walks the grid's frames in cache-sized
-  blocks.  The frames come from one inverse FFT per section, of the
+  (``exterior.pair_minors``).  Float grids are evaluated by one call of the
+  graph entry of the table's ``exterior.FourFormTable``, built once per
+  phase, whose kernel never forms the minors, skips the 13 of 28 pair
+  minors of each row pair that are 0 on a graph frame, and walks the
+  grid's frames in cache-sized blocks.  The frames are graphs [I_4 | t A],
+  and the blocks A come from one inverse FFT per section, of the
   derivatives of the displacement's four normal components along the four
   base axes, which one exact displacement matrix per phase gives.  The
   certificate needs no minors at all, since a frame tilted in one row has
@@ -619,16 +621,15 @@ def _defect_table(phase_pair):
 
 
 def _derivative_grids(model, v):
-    """(G^4, 4, 8) samples of the displacement's derivatives, G = 2K + 2.
+    """(G^4, 4, 4) samples of the displacement's derivatives, G = 2K + 2.
 
     Row j at a grid point is the derivative of the real-frame displacement
-    of the pair v along the j-th base coordinate, so the graph's tangent
-    frame there at scale t is eye(4, 8) + t times these rows.  The
-    displacement lies on the normal axes 5..8, so the derivatives of its
-    four normal components along the four base axes form one (M, 16)
-    coefficient array, sampled by a single inverse FFT; axes 1..4 of every
-    row stay zero.  The normal components are the pair's coefficients times
-    the displacement matrix of _exact_symbols."""
+    of the pair v along the j-th base coordinate, on the normal axes 5..8,
+    so the graph's tangent frame there at scale t is [I_4 | t A] for the
+    (4, 4) block A of these rows.  The derivatives of the four normal
+    components along the four base axes form one (M, 16) coefficient array,
+    sampled by a single inverse FFT.  The normal components are the pair's
+    coefficients times the displacement matrix of _exact_symbols."""
     v1, w = v
     if v1.bundle != "normal10" or w.bundle != "two_form_normal":
         raise ValidationError("expected a (normal10, two_form_normal) pair")
@@ -636,17 +637,13 @@ def _derivative_grids(model, v):
     normal = pair @ _float_symbols(model.phase_pair)["displacement"]
     d_dx = 2j * np.pi * model.modes()  # (M, 4) multipliers of d/dx_1..d/dx_4
     stacked = (d_dx[:, :, None] * normal[:, None, :]).reshape(-1, 16)
-    values = grid_values(model, stacked)
-    rows = np.zeros((values.shape[0], 4, 8), complex)
-    rows[:, :, 4:] = values.reshape(-1, 4, 4)
-    return rows
+    return grid_values(model, stacked).reshape(-1, 4, 4)
 
 
 def _defect_on_grids(model, derivatives, t):
-    """The defect of the graph at scale t from its derivative grids."""
-    frames = t * derivatives
-    frames[:, np.arange(4), np.arange(4)] += 1.0
-    return _defect_table(model.phase_pair)(frames)
+    """The defect of the graph at scale t from its derivative grids: the
+    table's graph entry on the normal blocks t * derivatives."""
+    return _defect_table(model.phase_pair).graph_values(t * derivatives)
 
 
 def nonlinear_F(model, v, t=1.0):
@@ -658,9 +655,9 @@ def nonlinear_F(model, v, t=1.0):
     graph's tangent frame evaluated against one (70, 4) table: the Cayley
     form's defect table followed by the normal-valued (0,1)-part,
     precombined exactly and held as one ``exterior.FourFormTable``, so one
-    call on it gives every grid point without forming the frames' 70
-    minors.  The result has shape (G^4, 4) on the grid G = 2K + 2 of
-    ``grid_values``, components ordered
+    call of its graph entry on the frames' normal blocks gives every grid
+    point without forming the frames' 70 minors.  The result has shape
+    (G^4, 4) on the grid G = 2K + 2 of ``grid_values``, components ordered
     (1,3), (1,4), (2,3), (2,4); the map extends the real geometric defect
     complex-multilinearly in the frame vectors."""
     return _defect_on_grids(model, _derivative_grids(model, v), t)
@@ -677,8 +674,8 @@ def linear_image_grid(model, v):
 class SlopeReport:
     slopes: tuple
     flagged_floor: tuple
-    fraction_in_band: float
-    fraction_at_least_band: float
+    fraction_in_band: float | None  # None when every sample was flagged
+    fraction_at_least_band: float | None
     band: tuple
     residual_floor: float
 
@@ -695,11 +692,16 @@ def fd_linearization_check(
     """Finite-difference slope test of the defect's linearization.
 
     For random truncated section pairs v, fits the least-squares slope of
-    log ||F(t v) - t L v|| against log t over the ladder.  Quadratic
-    remainders give slope 2; rungs below the residual floor are dropped as
-    pure roundoff, and a sample with fewer than three surviving rungs is
-    flagged instead of fitted.  Each sample's derivative grids are built once
-    and every rung evaluates the same defect as ``nonlinear_F``; rungs run
+    log ||F(t v) - t L v|| against log t over the ladder.  A quadratic
+    remainder gives slope 2, the band's centre.  On the flat torus the
+    quadratic term of the defect lies in its three diagonal components, and
+    the four mixed ones that F keeps are odd in the section, so their
+    remainder is cubic and the slope is 3.  Rungs below the residual floor are
+    dropped as pure roundoff, and a sample with fewer than three surviving
+    rungs is flagged instead of fitted; the two fractions count fitted
+    samples only, and are None when every sample was flagged.  Each
+    sample's derivative grids are built once and every rung evaluates the
+    same defect as ``nonlinear_F``, on the table's graph entry; rungs run
     one call at a time, since batching them makes the arrays outgrow the
     caches."""
     if len(t_ladder) < 3 or any(
@@ -742,13 +744,11 @@ def fd_linearization_check(
             in_band += 1
         if slope >= band[0]:
             at_least += 1
-    fraction = (in_band / counted) if counted else 1.0
-    fraction_al = (at_least / counted) if counted else 1.0
     return SlopeReport(
         slopes=tuple(slopes),
         flagged_floor=tuple(flagged),
-        fraction_in_band=fraction,
-        fraction_at_least_band=fraction_al,
+        fraction_in_band=(in_band / counted) if counted else None,
+        fraction_at_least_band=(at_least / counted) if counted else None,
         band=tuple(band),
         residual_floor=residual_floor,
     )

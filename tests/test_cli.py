@@ -688,6 +688,9 @@ def test_slope_check_fails_with_every_sample_at_roundoff(tmp_path, capsys):
     assert slope["status"] == "fail"
     assert slope["details"]["flagged_roundoff"] == slope["details"]["samples"]
     assert slope["details"]["slope_min"] is None
+    # no sample was fitted, so neither fraction of fitted samples exists
+    assert slope["details"]["fraction_in_band"] is None
+    assert slope["details"]["fraction_at_least_band"] is None
 
 
 def test_infinite_tol_exit_code(tmp_path, capsys):

@@ -262,6 +262,40 @@ def test_four_form_values_across_blocks(count):
     assert np.all(np.abs(got - minors @ table) <= 1e-12 * scale)
 
 
+def _graph_frames(blocks):
+    frames = np.zeros((len(blocks), 4, 8), blocks.dtype)
+    frames[:, :, :4] = np.eye(4)
+    frames[:, :, 4:] = blocks
+    return frames
+
+
+@pytest.mark.parametrize("count", [1, _B - 1, _B, _B + 1, 3 * _B + 5],
+                         ids=["1", "B-1", "B", "B+1", "3B+5"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_graph_entry_matches_the_generic_kernel(count, kind):
+    # on [I_4 | A] the graph entry skips only pair minors that are exactly
+    # 0, so it gives the kernel's values on the full frames up to rounding
+    rng = np.random.default_rng(count)
+    blocks = rng.standard_normal((count, 4, 4))
+    table = rng.standard_normal((70, 4))
+    if kind == "complex":
+        blocks = blocks + 1j * rng.standard_normal((count, 4, 4))
+        table = table + 1j * rng.standard_normal((70, 4))
+    want = four_form_values(_graph_frames(blocks), fold_table(table))
+    got = FourFormTable(table).graph_values(blocks)
+    assert got.shape == (count, 4) and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_graph_entry_rejects_bad_shapes():
+    tab = FourFormTable(np.ones((70, 2)))
+    for shape in ((4, 4), (3, 4, 8), (3, 3, 4)):
+        with pytest.raises(DimensionMismatch):
+            tab.graph_values(np.zeros(shape))
+    with pytest.raises(BackendMismatch):
+        tab.graph_values(np.zeros((3, 4, 4), dtype=object))
+
+
 def test_folded_real_table_on_real_frames_is_real():
     rng = np.random.default_rng(9)
     frames = rng.standard_normal((5, 4, 8))

@@ -65,17 +65,23 @@ def test_kernel_dimensions_and_stability():
 
 def test_kernel_matches_dense_assembly():
     # dbar, dbar_star and dirac take the column test, dbar02 and the adjoint
-    # of dirac the row test; the dense SVD knows nothing of either
+    # of dirac the row test; the dense SVD knows nothing of either.  At K = 2
+    # dirac and its adjoint are (2500, 2500) dense, too slow to take apart on
+    # every run, so they are held to LAPACK on each block, which is just as
+    # blind to both tests
     for K in (0, 1, 2):
         model = TorusModel(K)
-        for op in (dbar_matrix(model), dbar_star_matrix(model),
-                   dirac_matrix(model), dirac_matrix(model).adjoint(),
-                   dbar02_matrix(model)):
+        dirac = dirac_matrix(model)
+        for op, dense in ((dbar_matrix(model), True), (dbar_star_matrix(model), True),
+                          (dirac, K <= 1), (dirac.adjoint(), K <= 1),
+                          (dbar02_matrix(model), True)):
             rep = kernel_report(op)
-            dense = op.dense()
-            sig = np.linalg.svd(dense, compute_uv=False)
+            if dense:
+                sig = np.linalg.svd(op.dense(), compute_uv=False)
+            else:
+                sig = np.linalg.svd(op.blocks, compute_uv=False).ravel()
             thresh = 1e-8 * sig.max()
-            nullity = dense.shape[1] - int(np.sum(sig > thresh))
+            nullity = op.mode_count * op.blocks.shape[2] - int(np.sum(sig > thresh))
             assert rep.dim_complex == nullity
             assert abs(rep.sigma_max - sig.max()) <= 1e-12 * sig.max()
 
@@ -450,10 +456,10 @@ def test_derivative_grids_differentiate_each_base_axis():
     rows = torus_ops._derivative_grids(model, v)
     pair = np.concatenate([v[0].coefficients, v[1].coefficients], axis=1)
     disp = pair @ torus_ops._float_symbols(model.phase_pair)["displacement"]
-    assert rows.shape == (4 ** 4, 4, 8) and not rows[:, :, :4].any()
+    assert rows.shape == (4 ** 4, 4, 4)
     for j in range(4):
         single = grid_values(model, disp * (2j * np.pi * model.modes()[:, j:j + 1]))
-        assert np.abs(rows[:, j, 4:] - single).max() < 1e-12
+        assert np.abs(rows[:, j] - single).max() < 1e-12
 
 
 def test_grid_too_small_rejected():
@@ -561,6 +567,35 @@ def test_fd_slopes_match_nonlinear_F_per_rung():
             ]
             assert min(residuals) > rep.residual_floor
             assert slope == float(np.polyfit(np.log(ladder), np.log(residuals), 1)[0])
+
+
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+def test_graph_entry_at_zero_is_the_base_row(phase):
+    # A = 0 is the frame e_1..e_4: its one nonzero minor is the base one,
+    # so the value is exactly the table's row of the subset (1, 2, 3, 4)
+    table = torus_ops._defect_table(phase)
+    base = table.table[FOUR_FORM_INDEX.index((1, 2, 3, 4))].astype(complex)
+    got = table.graph_values(np.zeros((3, 4, 4), complex))
+    assert np.array_equal(got, np.broadcast_to(base, (3, 4)))
+
+
+def test_fd_slopes_match_the_generic_kernel(monkeypatch):
+    # the graph entry skips only exact zeros: the same check with every
+    # rung run through the full frames [I_4 | tA] and four_form_values
+    # gives slopes within 1e-12
+    model = TorusModel(1)
+    rep = fd_linearization_check(model, samples=50, seed=42)
+
+    def on_full_frames(model, derivatives, t):
+        frames = np.zeros((derivatives.shape[0], 4, 8), complex)
+        frames[:, :, :4] = np.eye(4)
+        frames[:, :, 4:] = t * derivatives
+        return torus_ops._defect_table(model.phase_pair)(frames)
+
+    monkeypatch.setattr(torus_ops, "_defect_on_grids", on_full_frames)
+    generic = fd_linearization_check(model, samples=50, seed=42)
+    assert rep.flagged_floor == generic.flagged_floor
+    assert np.abs(np.subtract(rep.slopes, generic.slopes)).max() <= 1e-12
 
 
 def test_pointwise_linearization_certificate():
