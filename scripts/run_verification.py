@@ -1,14 +1,14 @@
 """Run every verification suite and print one line per check.
 
 Thin driver over the library's suite runner, handy when you want the full
-report on the terminal rather than the JSON document the CLI emits.
+report on the terminal.  The JSON report has one writer, the CLI:
+``cayleykit all --json PATH`` writes it.
 
     python3 scripts/run_verification.py --seed 42 --samples 500
     python3 scripts/run_verification.py --suite torus --K 3
 """
 
 import argparse
-import json
 import sys
 
 from cayleykit.cli import SUITES, SuiteConfig, run_suite
@@ -30,8 +30,6 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--samples", type=int, default=200)
     ap.add_argument("--K", type=int, default=2, help="mode cutoff for the flat model")
-    ap.add_argument("--json", metavar="PATH", default=None,
-                    help="also write the full report to this file")
     args = ap.parse_args()
 
     cfg = SuiteConfig(suite=args.suite, seed=args.seed, samples=args.samples,
@@ -47,11 +45,6 @@ def main():
     print("-" * (width + 40))
     print("%d checks: %d pass, %d warn, %d fail" % (
         s["total"], s["pass"], s["warn"], s["fail"]))
-
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-        print("report written to", args.json)
 
     return 0 if s["fail"] == 0 else 1
 

@@ -3,7 +3,13 @@
 Multivectors are stored sparsely: a dict from strictly increasing 1-based
 index tuples to nonzero coefficients.  Terms handed in with out-of-order or
 repeated indices are canonicalized on construction, e.g. {(2, 1): 5} becomes
-{(1, 2): -5}.
+{(1, 2): -5}.  There is one sign rule and one sum.  Every sign is that of
+sorting an index tuple (``sort_indices``): a handed-in key, the keys of a
+wedge's two terms put together, a key and its complement in the Hodge star,
+the image of a key under a relabeling of the axes.  Construction, ``+``,
+``wedge``, ``hook`` and ``apply_signed_permutation`` hand their (sorted key,
+coefficient) pairs, in order, to one accumulator (``_sum_terms``), which
+adds them up per key and drops a key whose sum is 0.
 
 Two backends:
 
@@ -43,6 +49,7 @@ same kernel runs on the 15 others against a (15, 15 r) slice of the fold.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -254,24 +261,19 @@ def sort_indices(indices):
     return tuple(idx), sign
 
 
-def merge_sign(left, right):
-    """Sign of sorting the concatenation of two already-sorted tuples.
-
-    Returns 0 if they share an index.
-    """
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] == right[j]:
-            return 0
-        if left[i] < right[j]:
-            i += 1
+def _sum_terms(pairs, backend, terms=()):
+    """The one sum of the exterior algebra: a copy of ``terms`` plus each
+    (sorted key, coefficient) pair in turn, added onto its key; a key whose
+    sum is 0 is dropped, and if it comes back it comes back last."""
+    zero = coerce_scalar(0, backend)
+    out = dict(terms)
+    for key, coeff in pairs:
+        val = out.get(key, zero) + coeff
+        if val == 0:
+            out.pop(key, None)
         else:
-            # right[j] hops over the remaining left entries
-            if (len(left) - i) % 2 == 1:
-                sign = -sign
-            j += 1
-    return sign
+            out[key] = val
+    return out
 
 
 class Vector:
@@ -373,7 +375,9 @@ class Multivector:
         _check_backend(backend)
         if not 1 <= n <= 8:
             raise DimensionMismatch("supported ambient dimensions are 1..8")
-        canon = {}
+        # each coefficient is coerced before its key is sorted, so a term
+        # with a repeated index, which is 0, is still refused on a bad value
+        pairs = []
         for indices, coeff in (terms or {}).items():
             indices = tuple(int(i) for i in indices)
             for i in indices:
@@ -383,16 +387,11 @@ class Multivector:
                     )
             coeff = coerce_scalar(coeff, backend)
             key, sign = sort_indices(indices)
-            if sign == 0:
-                continue
-            val = canon.get(key, coerce_scalar(0, backend)) + sign * coeff
-            if val == 0:
-                canon.pop(key, None)
-            else:
-                canon[key] = val
+            if sign:
+                pairs.append((key, sign * coeff))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", _sum_terms(pairs, backend))
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -429,15 +428,8 @@ class Multivector:
     def __add__(self, other):
         _same_backend(self, other)
         _same_ambient(self, other)
-        out = dict(self.terms)
-        zero = coerce_scalar(0, self.backend)
-        for k, v in other.terms.items():
-            val = out.get(k, zero) + v
-            if val == 0:
-                out.pop(k, None)
-            else:
-                out[k] = val
-        return self._raw(self.n, out, self.backend)
+        return self._raw(
+            self.n, _sum_terms(other.terms.items(), self.backend, self.terms), self.backend)
 
     def __sub__(self, other):
         return self + (-other)
@@ -518,23 +510,17 @@ def volume_form(n, backend=EXACT):
 
 
 def wedge(a, b):
-    """Exterior product."""
+    """Exterior product: each pair of terms on disjoint keys ka, kb gives
+    the product of their coefficients on ka + kb, with the sign of sorting
+    ka + kb."""
     _same_backend(a, b)
     _same_ambient(a, b)
-    zero = coerce_scalar(0, a.backend)
-    out = {}
-    for ka, va in a.terms.items():
-        for kb, vb in b.terms.items():
-            sgn = merge_sign(ka, kb)
-            if sgn == 0:
-                continue
-            key, _ = sort_indices(ka + kb)
-            val = out.get(key, zero) + sgn * va * vb
-            if val == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val
-    return Multivector._raw(a.n, out, a.backend)
+    products = [
+        (key, sign * va * vb)
+        for ka, va in a.terms.items() for axes in [set(ka)]
+        for kb, vb in b.terms.items() if axes.isdisjoint(kb)
+        for key, sign in [sort_indices(ka + kb)]]
+    return Multivector._raw(a.n, _sum_terms(products, a.backend), a.backend)
 
 
 def wedge_many(forms):
@@ -548,25 +534,18 @@ def wedge_many(forms):
 
 
 def hook(v, a):
-    """Interior product v -| a."""
+    """Interior product v -| a.  Dropping the index at position pos of a
+    sorted key leaves it sorted, with the sign (-1)**pos."""
     _same_backend(v, a)
     if v.n != a.n:
         raise DimensionMismatch("vector and form live in different dimensions")
-    zero = coerce_scalar(0, a.backend)
-    out = {}
-    for key, coeff in a.terms.items():
-        for pos, idx in enumerate(key):
-            comp = v.comps[idx - 1]
-            if comp == 0:
-                continue
-            sub = key[:pos] + key[pos + 1:]
-            sgn = -1 if pos % 2 else 1
-            val = out.get(sub, zero) + sgn * comp * coeff
-            if val == 0:
-                out.pop(sub, None)
-            else:
-                out[sub] = val
-    return Multivector._raw(a.n, out, a.backend)
+    comps = v.comps
+    contractions = [
+        (key[:pos] + key[pos + 1:], (-1 if pos % 2 else 1) * comp * coeff)
+        for key, coeff in a.terms.items()
+        for pos, idx in enumerate(key)
+        for comp in [comps[idx - 1]] if comp != 0]
+    return Multivector._raw(a.n, _sum_terms(contractions, a.backend), a.backend)
 
 
 def hook_many(vectors, a):
@@ -577,24 +556,16 @@ def hook_many(vectors, a):
     return acc
 
 
-def _star_sign(key, n):
-    comp = tuple(i for i in range(1, n + 1) if i not in key)
-    inversions = 0
-    seq = key + comp
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
-    return (comp, -1 if inversions % 2 else 1)
-
-
 def hodge_star(a):
     """Hodge star for the Euclidean metric and orientation e_1^...^e_n,
-    extended complex-linearly."""
+    extended complex-linearly: e_K goes to sign * e_C, where C is the
+    increasing tuple of the axes not in K and sign that of sorting K + C
+    (sort_indices), so that e_K ^ *e_K = vol.  Distinct keys have distinct
+    complements, so nothing is summed."""
     out = {}
     for key, coeff in a.terms.items():
-        comp, sgn = _star_sign(key, a.n)
-        out[comp] = sgn * coeff
+        comp = tuple(i for i in range(1, a.n + 1) if i not in key)
+        out[comp] = sort_indices(key + comp)[1] * coeff
     return Multivector._raw(a.n, out, a.backend)
 
 
@@ -897,19 +868,8 @@ def apply_signed_permutation(a, perm, signs):
         raise DimensionMismatch("perm %r is not a permutation of 1..%d" % (perm, a.n))
     if len(signs) != a.n or any(s not in (-1, 1) for s in signs):
         raise DimensionMismatch("signs must be +-1 of length %d" % (a.n,))
-    out_terms = {}
-    zero = coerce_scalar(0, a.backend)
-    for key, coeff in a.terms.items():
-        image = tuple(perm[i - 1] for i in key)
-        smul = 1
-        for i in key:
-            smul *= signs[i - 1]
-        skey, ssort = sort_indices(image)
-        if ssort == 0:
-            continue
-        val = out_terms.get(skey, zero) + smul * ssort * coeff
-        if val == 0:
-            out_terms.pop(skey, None)
-        else:
-            out_terms[skey] = val
-    return Multivector._raw(a.n, out_terms, a.backend)
+    images = [
+        (image, math.prod(signs[i - 1] for i in key) * sign * coeff)
+        for key, coeff in a.terms.items()
+        for image, sign in [sort_indices(tuple(perm[i - 1] for i in key))]]
+    return Multivector._raw(a.n, _sum_terms(images, a.backend), a.backend)

@@ -7,8 +7,9 @@ acts by J e_{2k-1} = e_{2k}, J e_{2k} = -e_{2k-1}.  The model carries
 * Omega  = e^{i phase} prod_k (dx_{2k-1} + i dx_{2k})   (the volume form of
   type (m, 0), with an overall phase).
 
-On the exact backend the phase is stored as an exact (cos, sin) pair; pass
-``phase_pair`` for anything beyond quarter turns.
+The phase is given and stored as its (cos, sin) pair, ``phase_pair``:
+exact on the exact backend, such as (3/5, 4/5), and floats on the float
+one.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BackendMismatch, DimensionMismatch, TypeMismatch, ValidationError
+from .errors import DimensionMismatch, TypeMismatch, ValidationError
 from .exterior import (
     EXACT,
-    FLOAT,
     ExactComplex,
     Multivector,
     Vector,
@@ -89,39 +89,24 @@ class CalabiYauModel:
         return complex(self.phase_cos, self.phase_sin)
 
 
-_QUARTER_TURNS = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
-
-
-def _phase_components(phase, phase_pair, backend):
-    if phase_pair is not None:
-        c = coerce_scalar(phase_pair[0], backend)
-        s = coerce_scalar(phase_pair[1], backend)
-        r = c * c + s * s
-        if backend == EXACT:
-            if r != 1:
-                raise ValidationError("phase pair %r is not on the unit circle" % (phase_pair,))
-        elif abs(r - 1.0) > 1e-12:
+def _phase_components(phase_pair, backend):
+    c = coerce_scalar(phase_pair[0], backend)
+    s = coerce_scalar(phase_pair[1], backend)
+    r = c * c + s * s
+    if backend == EXACT:
+        if r != 1:
             raise ValidationError("phase pair %r is not on the unit circle" % (phase_pair,))
-        return c, s
-    phase = float(phase)
-    if backend == FLOAT:
-        return math.cos(phase), math.sin(phase)
-    # exact backend: only quarter turns have exact (cos, sin)
-    quarter = phase / (math.pi / 2)
-    k = round(quarter)
-    if abs(quarter - k) > 1e-12:
-        raise BackendMismatch(
-            "exact backend needs a quarter-turn phase or an explicit phase_pair"
-        )
-    c, s = _QUARTER_TURNS[k % 4]
-    return Fraction(c), Fraction(s)
+    elif abs(r - 1.0) > 1e-12:
+        raise ValidationError("phase pair %r is not on the unit circle" % (phase_pair,))
+    return c, s
 
 
-def build_model(m, phase=0.0, backend=EXACT, phase_pair=None):
-    """Construct the flat model on R^{2m} (1 <= m <= 4)."""
+def build_model(m, backend=EXACT, phase_pair=(1, 0)):
+    """Construct the flat model on R^{2m} (1 <= m <= 4), with the phase of
+    Omega given as its (cos, sin) pair on the unit circle."""
     if not 1 <= m <= 4:
         raise DimensionMismatch("m must be between 1 and 4")
-    c, s = _phase_components(phase, phase_pair, backend)
+    c, s = _phase_components(phase_pair, backend)
     n = 2 * m
     omega_terms = {(2 * k + 1, 2 * k + 2): 1 for k in range(m)}
     omega = Multivector(n, omega_terms, backend)

@@ -407,13 +407,16 @@ def find_equivalence(a, b):
     Returns (perm, signs) with perm a tuple of 1-based targets and signs a
     tuple of +-1 such that pushing a through e_i -> signs[i]*e_perm[i]
     gives b; or None when no such relabeling exists.  Tries the identity
-    relabeling first.
+    relabeling first.  Forms on different backends never compare equal, so
+    they raise BackendMismatch before the search.
     """
     from .exterior import apply_signed_permutation
 
     n = a.n
     if b.n != n:
         raise DimensionMismatch("forms live in different dimensions")
+    if b.backend != a.backend:
+        raise BackendMismatch("mixed backends: %r vs %r" % (a.backend, b.backend))
     support_b = frozenset(b.terms)
 
     def try_perm(perm):

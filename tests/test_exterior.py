@@ -20,6 +20,8 @@ from cayleykit.exterior import (
     FourFormTable,
     Multivector,
     Vector,
+    apply_signed_permutation,
+    coerce_scalar,
     fold_table,
     form_value,
     four_form_values,
@@ -29,10 +31,16 @@ from cayleykit.exterior import (
     musical_flat,
     musical_sharp,
     pair_minors,
+    sort_indices,
     volume_form,
     wedge,
 )
-from cayleykit.errors import BackendMismatch, DimensionMismatch, GradeError
+from cayleykit.errors import (
+    BackendMismatch,
+    DimensionMismatch,
+    GradeError,
+    InputFormatError,
+)
 
 rationals = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
 
@@ -194,6 +202,213 @@ def test_inner_requires_matching_grade():
 def test_zero_coefficients_are_not_stored():
     a = Multivector(8, {(1, 2): Fraction(0), (3, 4): Fraction(2)}, EXACT)
     assert (3, 4) in a.terms and (1, 2) not in a.terms
+
+
+
+def test_coefficients_are_coerced_before_their_keys_are_sorted():
+    # a repeated index makes a term 0, but its coefficient is checked first
+    with pytest.raises(BackendMismatch):
+        Multivector(8, {(1, 1): 0.5}, EXACT)
+    with pytest.raises(InputFormatError):
+        Multivector(8, {(3, 1): "x/0"}, EXACT)
+
+
+# -- the term-by-term reference ---------------------------------------------------
+#
+# Each operation written out with its own loop and, for wedge and the Hodge
+# star, its own sign routine.  The library sums every operation's terms in
+# one accumulator and takes every sign from sort_indices; it must give the
+# same dict: the same keys in the same order, each value of the same type
+# and, on the float backend, with the same bits.
+
+
+def _ref_merge_sign(left, right):
+    """Sign of sorting the concatenation of two sorted tuples, 0 if they
+    share an index."""
+    sign = 1
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if left[i] == right[j]:
+            return 0
+        if left[i] < right[j]:
+            i += 1
+        else:
+            # right[j] hops over the remaining left entries
+            if (len(left) - i) % 2 == 1:
+                sign = -sign
+            j += 1
+    return sign
+
+
+def _ref_star_sign(key, n):
+    comp = tuple(i for i in range(1, n + 1) if i not in key)
+    inversions = 0
+    seq = key + comp
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                inversions += 1
+    return (comp, -1 if inversions % 2 else 1)
+
+
+def _ref_construct(n, terms, backend):
+    canon = {}
+    for indices, coeff in terms.items():
+        coeff = coerce_scalar(coeff, backend)
+        key, sign = sort_indices(indices)
+        if sign == 0:
+            continue
+        val = canon.get(key, coerce_scalar(0, backend)) + sign * coeff
+        if val == 0:
+            canon.pop(key, None)
+        else:
+            canon[key] = val
+    return canon
+
+
+def _ref_add(a, b):
+    out = dict(a.terms)
+    zero = coerce_scalar(0, a.backend)
+    for k, v in b.terms.items():
+        val = out.get(k, zero) + v
+        if val == 0:
+            out.pop(k, None)
+        else:
+            out[k] = val
+    return out
+
+
+def _ref_wedge(a, b):
+    zero = coerce_scalar(0, a.backend)
+    out = {}
+    for ka, va in a.terms.items():
+        for kb, vb in b.terms.items():
+            sgn = _ref_merge_sign(ka, kb)
+            if sgn == 0:
+                continue
+            key, _ = sort_indices(ka + kb)
+            val = out.get(key, zero) + sgn * va * vb
+            if val == 0:
+                out.pop(key, None)
+            else:
+                out[key] = val
+    return out
+
+
+def _ref_hook(v, a):
+    zero = coerce_scalar(0, a.backend)
+    out = {}
+    for key, coeff in a.terms.items():
+        for pos, idx in enumerate(key):
+            comp = v.comps[idx - 1]
+            if comp == 0:
+                continue
+            sub = key[:pos] + key[pos + 1:]
+            sgn = -1 if pos % 2 else 1
+            val = out.get(sub, zero) + sgn * comp * coeff
+            if val == 0:
+                out.pop(sub, None)
+            else:
+                out[sub] = val
+    return out
+
+
+def _ref_hodge_star(a):
+    out = {}
+    for key, coeff in a.terms.items():
+        comp, sgn = _ref_star_sign(key, a.n)
+        out[comp] = sgn * coeff
+    return out
+
+
+def _ref_apply_signed_permutation(a, perm, signs):
+    out_terms = {}
+    zero = coerce_scalar(0, a.backend)
+    for key, coeff in a.terms.items():
+        image = tuple(perm[i - 1] for i in key)
+        smul = 1
+        for i in key:
+            smul *= signs[i - 1]
+        skey, ssort = sort_indices(image)
+        if ssort == 0:
+            continue
+        val = out_terms.get(skey, zero) + smul * ssort * coeff
+        if val == 0:
+            out_terms.pop(skey, None)
+        else:
+            out_terms[skey] = val
+    return out_terms
+
+
+def _bits(terms):
+    """Terms in order, each value as its type and repr; the repr of a float
+    or a complex keeps every bit, the sign of a zero and a NaN included."""
+    return [(key, type(v), repr(v)) for key, v in terms.items()]
+
+
+def _coefficients(backend):
+    """Real and complex coefficients of one backend.  Small integers make
+    terms cancel; the full float range rounds, overflows and underflows."""
+    if backend == EXACT:
+        return st.one_of(rationals, st.builds(ExactComplex, rationals, rationals))
+    real = st.one_of(st.integers(-3, 3).map(float),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    return st.one_of(real, st.builds(complex, real, real))
+
+
+@st.composite
+def _algebra_case(draw, backend):
+    """Raw terms of grades 0-4 on R^n, n <= 8, keyed by unsorted and
+    repeated indices; two forms built from such terms; a vector; a signed
+    permutation of the axes."""
+    n = draw(st.integers(1, 8))
+    keys = st.lists(st.integers(1, n), max_size=min(4, n)).map(tuple)
+    coeffs = _coefficients(backend)
+    raw = st.dictionaries(keys, coeffs, max_size=8)
+    a, b = (Multivector(n, draw(raw), backend) for _ in range(2))
+    v = Vector(draw(st.lists(coeffs, min_size=n, max_size=n)), backend)
+    perm = tuple(draw(st.permutations(range(1, n + 1))))
+    signs = tuple(draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)))
+    return n, draw(raw), a, b, v, perm, signs
+
+
+def _assert_matches_reference(backend, n, raw, a, b, v, perm, signs):
+    assert _bits(Multivector(n, raw, backend).terms) == _bits(
+        _ref_construct(n, raw, backend))
+    assert _bits((a + b).terms) == _bits(_ref_add(a, b))
+    assert _bits(wedge(a, b).terms) == _bits(_ref_wedge(a, b))
+    assert _bits(hook(v, a).terms) == _bits(_ref_hook(v, a))
+    assert _bits(hodge_star(a).terms) == _bits(_ref_hodge_star(a))
+    assert _bits(apply_signed_permutation(a, perm, signs).terms) == _bits(
+        _ref_apply_signed_permutation(a, perm, signs))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_operations_match_the_term_by_term_reference(backend, data):
+    _assert_matches_reference(backend, *data.draw(_algebra_case(backend)))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_a_key_that_cancels_and_comes_back_goes_last(backend):
+    def form(terms):
+        return Multivector(3, terms, backend)
+
+    # (1, 2, 3) cancels against (2, 1, 3), then (2, 3, 1) brings it back
+    raw = {(1, 2, 3): 1, (3,): 7, (2, 1, 3): 1, (2, 3, 1): 2}
+    assert list(form(raw).terms) == [(3,), (1, 2, 3)]
+    # e1 ^ e2 cancels against e2 ^ e1, then 1 ^ e12 brings (1, 2) back
+    a = form({(1,): 1, (2,): 1, (): 1})
+    b = form({(2,): 1, (1,): 1, (1, 2): 1})
+    assert list(wedge(a, b).terms) == [(2,), (1,), (1, 2)]
+    # a sum keeps the order of its first term's keys, then the new ones
+    assert list((a + form({(1,): -1, (2,): -1, (3,): 1})).terms) == [(), (3,)]
+    # (1,) cancels in the first sum and comes back last in the second
+    assert list((a + form({(1,): -1}) + form({(1,): 2})).terms) == [(2,), (), (1,)]
+    v = Vector([1, 1, 0], backend)
+    _assert_matches_reference(backend, 3, raw, a, b, v, (2, 1, 3), (1, -1, 1))
+    _assert_matches_reference(backend, 3, raw, b, a, v, (3, 2, 1), (-1, 1, 1))
 
 
 # -- the 4x4 minor kernel --------------------------------------------------------

@@ -515,7 +515,8 @@ def _hook_reference(model, plane):
 @pytest.mark.parametrize("phase", [0.0, 0.7, np.pi / 2])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_minor_detector_matches_hook_contractions(m, phase):
-    model = build_model(m, phase=phase, backend=FLOAT)
+    model = build_model(m, backend=FLOAT,
+                        phase_pair=(math.cos(phase), math.sin(phase)))
     rng = np.random.default_rng(100 * m + int(10 * phase))
     for p in range(1, m):
         planes = [random_plane(2 * m, 2 * p, rng) for _ in range(6)]

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -276,6 +277,15 @@ def test_kahler_form_equivalence(phi_exact, phi_cy_exact):
     assert signs == (1, 1, 1, 1, 1, -1, -1, 1)
     pushed = apply_signed_permutation(phi_cy_exact.phi, perm, signs)
     assert (pushed - phi_exact.phi).max_abs() == 0
+
+
+def test_equivalence_search_refuses_mixed_backends():
+    # the same form on two backends: the search would try all 8! relabelings
+    # and find none, since an exact form never equals a float one
+    start = time.perf_counter()
+    with pytest.raises(BackendMismatch):
+        find_equivalence(phi0(EXACT).phi, phi0(FLOAT).phi)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_phase_family_is_still_a_calibration():
