@@ -542,7 +542,7 @@ def _suite_angles(cfg):
 
 def _suite_torus(cfg):
     K_values = tuple(range(min(cfg.K, 3) + 1))
-    summary = kernel_summary(K_values=K_values, tol=1e-8)
+    summary = kernel_summary(K_values=K_values)
     top = summary["per_K"][max(K_values)]
     dims = {name: rep.dim_complex for name, rep in top.items()}
     yield Check(
@@ -992,8 +992,7 @@ def build_parser():
     cp.add_argument("--reject", action="store_true",
                     help="reject non-orthonormal frames instead of fixing")
 
-    an = _sub("angles", help="canonical-angle checks or a frame file")
-    an.add_argument("file", nargs="?", default=None)
+    _sub("angles", help="canonical-angle checks")
 
     gv = _sub("graph-verify",
               help="verify a tilt matrix or run the graphs suite")
@@ -1038,10 +1037,7 @@ def main(argv=None):
         elif command == "classify-plane":
             report = classify_plane(args.file, cfg, reject=args.reject)
         elif command == "angles":
-            if args.file is None:
-                report = run_suite(dataclasses.replace(cfg, suite="angles"))
-            else:
-                report = classify_plane(args.file, cfg)
+            report = run_suite(dataclasses.replace(cfg, suite="angles"))
         elif command == "graph-verify":
             report = graph_verify(args.file, cfg)
         elif command == "graph-solve":

@@ -303,10 +303,6 @@ class Vector:
             raise DimensionMismatch("basis index %d out of range 1..%d" % (i, n))
         return cls([1 if j == i else 0 for j in range(1, n + 1)], backend)
 
-    @classmethod
-    def zero(cls, n, backend=EXACT):
-        return cls([0] * n, backend)
-
     def __add__(self, other):
         _same_backend(self, other)
         _same_ambient(self, other)
@@ -405,8 +401,8 @@ class Multivector:
         return cls(n, {(): value}, backend)
 
     @classmethod
-    def basis(cls, n, indices, backend=EXACT, coeff=1):
-        return cls(n, {tuple(indices): coeff}, backend)
+    def basis(cls, n, indices, backend=EXACT):
+        return cls(n, {tuple(indices): 1}, backend)
 
     def is_zero(self):
         return not self.terms
@@ -570,9 +566,10 @@ def hodge_star(a):
 
 
 def musical_flat(v):
-    """Index-lowering: vector -> 1-form (Euclidean metric)."""
+    """Index-lowering: vector -> 1-form (Euclidean metric).  Its keys are
+    sorted and a Vector's components coerced, so it skips the constructor."""
     terms = {(i + 1,): c for i, c in enumerate(v.comps) if c != 0}
-    return Multivector(v.n, terms, v.backend)
+    return Multivector._raw(v.n, terms, v.backend)
 
 
 def musical_sharp(a):

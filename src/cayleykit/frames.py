@@ -116,6 +116,3 @@ class OrientedPlane:
     def projection_matrix(self):
         r = self.matrix()
         return r.T @ r
-
-    def to_float(self):
-        return OrientedPlane(rows=tuple(v.to_float() for v in self.rows))

@@ -373,15 +373,15 @@ class CanonicalAngles:
     gap: Optional[float]     # smallest spacing between distinct cosines
     gap_warning: bool
 
-    @property
-    def p(self):
-        return len(self.angles)
-
     def plane(self):
         return OrientedPlane(rows=self.pair_frame)
 
 
-def canonical_angles(model, plane, tol=1e-9, gap_tol=1e-8):
+_COS_ZERO = 1e-9  # a pairing eigenvalue at or below this is a zero cosine
+_COS_GAP = 1e-8   # distinct cosines closer than this set gap_warning
+
+
+def canonical_angles(model, plane):
     """Adapted frame and angles of a 2p-plane against the model pairing.
 
     Produces an orthonormal frame (f_1, g_1, .., f_p, g_p) of the plane
@@ -389,7 +389,9 @@ def canonical_angles(model, plane, tol=1e-9, gap_tol=1e-8):
     theta_1 <= ... <= theta_p, the first p-1 angles in [0, pi/2], and the
     last flipped past pi/2 when needed to preserve orientation.  Pairs come
     in descending cosine, equal cosines in the order eigh returns them for
-    i A (A the antisymmetric pairing matrix), the zero block last.
+    i A (A the antisymmetric pairing matrix), the zero block, of the
+    eigenvalues at or below _COS_ZERO, last.  ``gap_warning`` is set when
+    two distinct cosines lie closer than _COS_GAP.
 
     ``plane`` must be an OrientedPlane; its frame matrix is read once.
     There is no rank test: an OrientedPlane is exactly orthonormal (exact
@@ -415,7 +417,8 @@ def canonical_angles(model, plane, tol=1e-9, gap_tol=1e-8):
     # positive eigenpairs by descending cosine; the sort is stable, so ties
     # stay in ascending eigh order
     ev = evals.tolist()
-    pos = sorted((i for i in range(2 * p) if ev[i] > tol), key=lambda i: -ev[i])
+    pos = sorted((i for i in range(2 * p) if ev[i] > _COS_ZERO),
+                 key=lambda i: -ev[i])
     npos = len(pos)
     cos = [ev[i] for i in pos] + [0.0] * (p - npos)
     # rows x_1..x_npos, y_1..y_npos of the eigenvectors u = x + i y
@@ -453,7 +456,7 @@ def canonical_angles(model, plane, tol=1e-9, gap_tol=1e-8):
     gap = None
     if len(cosines) > 1:
         gap = float(min(b - a for a, b in zip(cosines, cosines[1:])))
-    warn = gap is not None and gap < gap_tol
+    warn = gap is not None and gap < _COS_GAP
     return CanonicalAngles(
         angles=tuple(angles),
         pair_frame=vecs,
@@ -826,7 +829,7 @@ def normal_isom_inverse(model, alpha, tv):
     gamma = Vector([five_form.coeff((1, 2, 3, 4, r)) if r > 4 else 0
                     for r in range(1, 9)], model.backend)
     out = gamma.scale(-1).scale(coerce_scalar(Fraction(1, 4), model.backend))
-    return typed_vector(model.J, out, TYPE_01, tol=1e-9)
+    return typed_vector(model.J, out, TYPE_01)
 
 
 # -- decomposable-pair identities for the 7-piece over a surface -----------

@@ -158,11 +158,15 @@ class TypedVector:
     vtype: str
 
 
-def typed_vector(J, vec, vtype, tol=1e-9):
+_TYPE_TOL = 1e-9  # largest component of J v -+ i v on a float typed vector
+
+
+def typed_vector(J, vec, vtype):
     """Validate the J-eigenvector condition and tag the vector.
 
     (1,0) vectors satisfy J v = i v; (0,1) vectors satisfy J v = -i v.
-    Exact backend requires exact equality; float backend uses ``tol``.
+    Exact backend requires exact equality; float backend allows each
+    component of the difference up to _TYPE_TOL.
     """
     if vtype not in (TYPE_10, TYPE_01):
         raise TypeMismatch("unknown complex type %r" % (vtype,))
@@ -171,26 +175,25 @@ def typed_vector(J, vec, vtype, tol=1e-9):
     worst = max(abs(c) for c in diff.re.comps + diff.im.comps)
     if vec.backend == EXACT and worst != 0:
         raise TypeMismatch("vector is not exactly of type %s" % (vtype,))
-    if worst > tol:
+    if worst > _TYPE_TOL:
         raise TypeMismatch(
             "vector fails the %s condition by %.3e" % (vtype, worst)
         )
     return TypedVector(vec=vec, vtype=vtype)
 
 
-def hook_identities_check(model, k=None):
+def hook_identities_check(model):
     """Residual of the pairing identities between basis hooks of Omega.
 
     For each complex coordinate k:  e_{2k-1} -| Omega + i (J e_{2k-1}) -| Omega
     must vanish, and the conjugate identity holds for conj(Omega).
     Returns the largest Multivector.max_abs seen.
     """
-    ks = range(1, model.m + 1) if k is None else [k]
     i_unit = imag_unit(model.backend)
     worst = coerce_scalar(0, model.backend)
-    for kk in ks:
-        e_odd = Vector.basis(model.n, 2 * kk - 1, model.backend)
-        e_even = Vector.basis(model.n, 2 * kk, model.backend)
+    for k in range(1, model.m + 1):
+        e_odd = Vector.basis(model.n, 2 * k - 1, model.backend)
+        e_even = Vector.basis(model.n, 2 * k, model.backend)
         r1 = hook(e_odd, model.Omega) + hook(e_even, model.Omega).scale(i_unit)
         omb = model.Omega.conj()
         r2 = hook(e_odd, omb) - hook(e_even, omb).scale(i_unit)

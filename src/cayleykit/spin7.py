@@ -23,6 +23,7 @@ of two) is one of the verified claims, not an assumption.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -362,11 +363,15 @@ class CayleyVerdict:
     tau_norm: float
 
 
-def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
-    """Classify an oriented 4-plane by the calibration value and the
-    alternation norm.  ``plane`` is anything with orthonormal ``rows``
-    (or a plain list of 4 Vectors on the form's backend); an OrientedPlane
-    on the float backend is read through its cached frame matrix.
+_TAU_TOL = 1e-7  # the largest defect norm of a Cayley plane
+
+
+def is_cayley(Phi, plane, tol_phi=1e-9):
+    """Classify an oriented 4-plane: Cayley when the calibration value is
+    within tol_phi of 1 and the alternation norm is at most _TAU_TOL.
+    ``plane`` is anything with orthonormal ``rows`` (or a plain list of 4
+    Vectors on the form's backend); an OrientedPlane on the float backend
+    is read through its cached frame matrix.
 
     Both numbers come from the frame's 70 minors: times phi_row() for the
     value, times defect_table() for tau, by one call on cayley_table().  On
@@ -395,7 +400,7 @@ def is_cayley(Phi, plane, tol_phi=1e-9, tol_tau=1e-7):
     tau = values[:28]
     val, tn = float(values[28]), float(np.dot(tau, tau)) ** 0.5
     return CayleyVerdict(
-        is_cayley=abs(val - 1.0) <= tol_phi and tn <= tol_tau,
+        is_cayley=abs(val - 1.0) <= tol_phi and tn <= _TAU_TOL,
         phi_value=val,
         tau_norm=tn,
     )
@@ -408,41 +413,39 @@ def find_equivalence(a, b):
     tuple of +-1 such that pushing a through e_i -> signs[i]*e_perm[i]
     gives b; or None when no such relabeling exists.  Tries the identity
     relabeling first.  Forms on different backends never compare equal, so
-    they raise BackendMismatch before the search.
+    they raise BackendMismatch before the search.  Per relabeling, each
+    term of a fixes the product of the signs over its key (b's coefficient
+    on the image over a's, sorted, must be +-1), and the sign vectors are
+    tested against those products in ``itertools.product`` order.
     """
-    from .exterior import apply_signed_permutation
-
     n = a.n
     if b.n != n:
         raise DimensionMismatch("forms live in different dimensions")
     if b.backend != a.backend:
         raise BackendMismatch("mixed backends: %r vs %r" % (a.backend, b.backend))
-    support_b = frozenset(b.terms)
-
-    def try_perm(perm):
-        mapped = {}
-        for key in a.terms:
-            img = tuple(sorted(perm[i - 1] for i in key))
-            if img in mapped or img not in support_b:
-                return None
-            mapped[img] = key
-        if len(mapped) != len(support_b):
-            return None
-        # solve for signs axis by axis over all +-1 assignments of the
-        # axes that actually appear; n <= 8 keeps this tiny
-        for bits in itertools.product((1, -1), repeat=n):
-            cand = apply_signed_permutation(a, perm, bits)
-            if cand == b:
-                return tuple(bits)
+    if len(a.terms) != len(b.terms):
         return None
 
-    identity = tuple(range(1, n + 1))
-    hit = try_perm(identity)
-    if hit is not None:
-        return identity, hit
+    def try_perm(perm):
+        # keys map one to one, so equal counts make the images b's support
+        needs = []
+        for key, coeff in a.terms.items():
+            image, sign = sort_indices(tuple(perm[i - 1] for i in key))
+            target = b.terms.get(image)
+            if target == sign * coeff:
+                needs.append((key, 1))
+            elif target == -sign * coeff:
+                needs.append((key, -1))
+            else:
+                return None
+        for bits in itertools.product((1, -1), repeat=n):
+            if all(math.prod(bits[i - 1] for i in key) == need
+                   for key, need in needs):
+                return bits
+        return None
+
+    # lexicographic order, so the identity comes first
     for perm in itertools.permutations(range(1, n + 1)):
-        if perm == identity:
-            continue
         hit = try_perm(perm)
         if hit is not None:
             return perm, hit

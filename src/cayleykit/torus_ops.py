@@ -183,10 +183,10 @@ def constant_section(model, bundle, fiber):
     return FourierSection(bundle, coeffs)
 
 
-def random_section(model, bundle, rng, scale=1.0):
+def random_section(model, bundle, rng):
     shape = (model.mode_count, BUNDLE_RANK[bundle])
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return FourierSection(bundle, coeffs * (scale / np.sqrt(2.0)))
+    return FourierSection(bundle, coeffs * (1.0 / np.sqrt(2.0)))
 
 
 def section_inner(a, b):
@@ -387,7 +387,9 @@ class KernelReport:
     warning: bool
 
 
+KERNEL_TOL = 1e-8  # kernel threshold, relative to the largest singular value
 GAP_FLOOR = 1e6
+RESIDUAL_FLOOR = 1e-13  # fd residuals at or below it are roundoff
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -449,24 +451,25 @@ def block_singular_values(blocks):
     return sigma
 
 
-def kernel_report(op, tol=1e-8):
+def kernel_report(op):
     """Singular-value kernel count with a spectral-gap report.
 
     The kernel dimension is the number of singular values at or below
-    tol times the largest singular value; gap is the ratio of the smallest
-    kept singular value to the largest dropped one (inf when nothing is
-    dropped or everything dropped is exactly zero).  The singular values
+    KERNEL_TOL times the largest singular value; gap is the ratio of the
+    smallest kept singular value to the largest dropped one (inf when
+    nothing is dropped or everything dropped is exactly zero), and the
+    report warns when it is under GAP_FLOOR.  The singular values
     come from ``block_singular_values``: vector norms for the blocks with
     orthogonal columns or rows, LAPACK for the others."""
     sigma = block_singular_values(op.blocks)
-    return _report(sigma, op.blocks.shape[2], tol)
+    return _report(sigma, op.blocks.shape[2])
 
 
-def _report(sigma, r_in, tol):
+def _report(sigma, r_in):
     """KernelReport of the (modes, r) singular values of blocks with r_in
-    columns, thresholded at tol times their largest value."""
+    columns, thresholded at KERNEL_TOL times their largest value."""
     sigma_max = float(sigma.max()) if sigma.size else 0.0
-    threshold = tol * sigma_max
+    threshold = KERNEL_TOL * sigma_max
     kept = sigma > threshold
     rank = int(kept.sum())
     dim = sigma.shape[0] * r_in - rank
@@ -489,20 +492,20 @@ def _report(sigma, r_in, tol):
     )
 
 
-def kernel_dim(op, tol=1e-8):
+def kernel_dim(op):
     """Complex dimension of the kernel of a mode-diagonal operator."""
-    return kernel_report(op, tol).dim_complex
+    return kernel_report(op).dim_complex
 
 
-def joint_kernel_dim(ops, tol=1e-8):
+def joint_kernel_dim(ops):
     """Complex dimension of the common kernel of mode-diagonal operators on
     one domain: the kernel of their blocks stacked, counted by the rule of
     kernel_report."""
     blocks = np.concatenate([op.blocks for op in ops], axis=1)
-    return _report(block_singular_values(blocks), blocks.shape[2], tol).dim_complex
+    return _report(block_singular_values(blocks), blocks.shape[2]).dim_complex
 
 
-def kernel_summary(K_values=(0, 1, 2, 3), tol=1e-8, phase_pair=_DEFAULT_PHASE):
+def kernel_summary(K_values=(0, 1, 2, 3), phase_pair=_DEFAULT_PHASE):
     """Kernel dimensions of the three operators across truncations.
 
     Returns a dict with per-K reports, the adjoint-kernel count at the
@@ -514,9 +517,9 @@ def kernel_summary(K_values=(0, 1, 2, 3), tol=1e-8, phase_pair=_DEFAULT_PHASE):
     the modes with max |k_i| <= K, which in C order are exactly that
     truncation's modes() and, since the values are taken block by block,
     its singular values bit for bit.  Each report keeps its own threshold,
-    tol times the largest of its rows' values.  dbar, dbar_star and dirac
-    have orthogonal columns and the adjoint of dirac orthogonal rows, so
-    every value is a vector norm, to a relative accuracy of about
+    KERNEL_TOL times the largest of its rows' values.  dbar, dbar_star and
+    dirac have orthogonal columns and the adjoint of dirac orthogonal rows,
+    so every value is a vector norm, to a relative accuracy of about
     (m + n) eps, and no block goes to LAPACK.  Every K must be a
     nonnegative integer."""
     K_values = [_truncation(K) for K in K_values]
@@ -534,12 +537,12 @@ def kernel_summary(K_values=(0, 1, 2, 3), tol=1e-8, phase_pair=_DEFAULT_PHASE):
     worst_gap = float("inf")
     for K in K_values:
         rows = reach <= K
-        reports = {name: _report(sigma[rows], ops[name].blocks.shape[2], tol)
+        reports = {name: _report(sigma[rows], ops[name].blocks.shape[2])
                    for name, sigma in sigmas.items()}
         for rep in reports.values():
             worst_gap = min(worst_gap, rep.gap)
         per_k[K] = reports
-    adj = kernel_report(ops["dirac"].adjoint(), tol)
+    adj = kernel_report(ops["dirac"].adjoint())
     worst_gap = min(worst_gap, adj.gap)
     dirac_dim = per_k[model.K]["dirac"].dim_complex
     return {
@@ -553,18 +556,16 @@ def kernel_summary(K_values=(0, 1, 2, 3), tol=1e-8, phase_pair=_DEFAULT_PHASE):
 # grid sampling ---------------------------------------------------------------
 
 
-def grid_values(model, coefficients, grid=None):
-    """Sample a coefficient array on the uniform grid (j_1..j_4)/G.
+def grid_values(model, coefficients):
+    """Sample a coefficient array on the uniform grid (j_1..j_4)/G, G = 2K+2.
 
-    coefficients has shape (mode_count, r); the return has shape (G^4, r).
-    G defaults to 2K+2 and must be at least 2K+1.  Multiplying coefficient
-    row m by 2 pi i model.modes()[m, j] first samples the derivative along
-    the (j+1)-th real coordinate."""
+    coefficients has shape (mode_count, r); the return has shape (G^4, r),
+    and G > 2K+1, so no two modes alias.  Multiplying coefficient row m by
+    2 pi i model.modes()[m, j] first samples the derivative along the
+    (j+1)-th real coordinate."""
     K = model.K
     L = 2 * K + 1
-    G = int(grid) if grid is not None else 2 * K + 2
-    if G < L:
-        raise ValidationError("grid resolution too small for the mode band")
+    G = 2 * K + 2
     coeffs = np.asarray(coefficients, dtype=complex)
     r = coeffs.shape[1]
     cube = coeffs.reshape(L, L, L, L, r)
@@ -672,12 +673,13 @@ def linear_image_grid(model, v):
 
 @dataclass(frozen=True)
 class SlopeReport:
+    """Slopes of fd_linearization_check, nan where a sample was flagged."""
+
     slopes: tuple
     flagged_floor: tuple
     fraction_in_band: float | None  # None when every sample was flagged
     fraction_at_least_band: float | None
     band: tuple
-    residual_floor: float
 
 
 def fd_linearization_check(
@@ -686,8 +688,6 @@ def fd_linearization_check(
     t_ladder=(1e-2, 3e-3, 1e-3, 3e-4),
     seed=0,
     band=(1.9, 2.1),
-    residual_floor=1e-13,
-    scale=1.0,
 ):
     """Finite-difference slope test of the defect's linearization.
 
@@ -696,14 +696,14 @@ def fd_linearization_check(
     remainder gives slope 2, the band's centre.  On the flat torus the
     quadratic term of the defect lies in its three diagonal components, and
     the four mixed ones that F keeps are odd in the section, so their
-    remainder is cubic and the slope is 3.  Rungs below the residual floor are
-    dropped as pure roundoff, and a sample with fewer than three surviving
-    rungs is flagged instead of fitted; the two fractions count fitted
-    samples only, and are None when every sample was flagged.  Each
-    sample's derivative grids are built once and every rung evaluates the
-    same defect as ``nonlinear_F``, on the table's graph entry; rungs run
-    one call at a time, since batching them makes the arrays outgrow the
-    caches."""
+    remainder is cubic and the slope is 3.  Rungs at or below
+    RESIDUAL_FLOOR are dropped as pure roundoff, and a sample with fewer
+    than three surviving rungs is flagged instead of fitted; the two
+    fractions count fitted samples only, and are None when every sample
+    was flagged.  Each sample's derivative grids are built once and every
+    rung evaluates the same defect as ``nonlinear_F``, on the table's graph
+    entry; rungs run one call at a time, since batching them makes the
+    arrays outgrow the caches."""
     if len(t_ladder) < 3 or any(
         t_ladder[i] <= t_ladder[i + 1] for i in range(len(t_ladder) - 1)
     ):
@@ -717,8 +717,8 @@ def fd_linearization_check(
     at_least = 0
     counted = 0
     for _ in range(samples):
-        v1 = random_section(model, "normal10", rng, scale)
-        w = random_section(model, "two_form_normal", rng, scale)
+        v1 = random_section(model, "normal10", rng)
+        w = random_section(model, "two_form_normal", rng)
         lin = linear_image_grid(model, (v1, w))
         derivatives = _derivative_grids(model, (v1, w))
         pts = lin.shape[0]
@@ -728,7 +728,7 @@ def fd_linearization_check(
             r = float(np.sqrt(np.sum(np.abs(F - t * lin) ** 2) / pts))
             residuals.append(r)
         usable = [
-            (t, r) for t, r in zip(t_ladder, residuals) if r > residual_floor
+            (t, r) for t, r in zip(t_ladder, residuals) if r > RESIDUAL_FLOOR
         ]
         if len(usable) < 3:
             flagged.append(True)
@@ -750,7 +750,6 @@ def fd_linearization_check(
         fraction_in_band=(in_band / counted) if counted else None,
         fraction_at_least_band=(at_least / counted) if counted else None,
         band=tuple(band),
-        residual_floor=residual_floor,
     )
 
 
@@ -808,25 +807,26 @@ def complex_linear_op(model):
                  for name in ("A0", "A1"))
 
 
-def holomorphic_kernel_match(model, tol=1e-8):
+def holomorphic_kernel_match(model):
     """Largest deviation between the kernel projectors of the holomorphic half
     of the complex-deformation operator and of dbar, mode by mode.
 
     Both halves are (mode_count, 4, 2) block stacks.  A block's null
     projector is vh^H diag(dropped) vh, with vh its right singular vectors
-    and dropped its singular values at or below tol times its largest, so a
-    block that drops nothing has projector exactly 0.  One call of
-    ``block_singular_values`` finds the blocks that drop a value (on the
-    flat torus only the constant mode's pair; both halves have orthogonal
-    columns, so these values are vector norms); singular vectors are taken
-    by LAPACK of those blocks alone, and only the modes where either half
-    has a kernel are compared."""
+    and dropped its singular values at or below KERNEL_TOL times its
+    largest, the threshold of kernel_report, so a block that drops nothing
+    has projector exactly 0.  One call of ``block_singular_values`` finds
+    the blocks that drop a value (on the flat torus only the constant
+    mode's pair; both halves have orthogonal columns, so these values are
+    vector norms); singular vectors are taken by LAPACK of those blocks
+    alone, and only the modes where either half has a kernel are
+    compared."""
     holo = complex_linear_op(model)[0].blocks[:, :4, :2]
     blocks = np.concatenate([holo, dbar_matrix(model).blocks])
     s = block_singular_values(blocks)
-    has_kernel = (s <= tol * s.max(axis=1, keepdims=True)).any(axis=1)
+    has_kernel = (s <= KERNEL_TOL * s.max(axis=1, keepdims=True)).any(axis=1)
     _, s, vh = np.linalg.svd(blocks[has_kernel], full_matrices=False)
-    dropped = s <= tol * s.max(axis=1, keepdims=True)
+    dropped = s <= KERNEL_TOL * s.max(axis=1, keepdims=True)
     proj = np.zeros((blocks.shape[0], 2, 2), complex)
     proj[has_kernel] = np.einsum("mki,mk,mkj->mij", vh.conj(), dropped, vh)
     M = model.mode_count

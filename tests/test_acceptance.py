@@ -291,7 +291,7 @@ def test_criterion_07_complex_detector():
 
 @_criterion("08", 60.0, "flat-model kernel dimensions, cutoffs 0..3")
 def test_criterion_08_kernel_dimensions():
-    summary = kernel_summary(K_values=(0, 1, 2, 3), tol=1e-8)
+    summary = kernel_summary(K_values=(0, 1, 2, 3))
     for K, per in sorted(summary["per_K"].items()):
         dims = {name: rep.dim_complex for name, rep in per.items()}
         assert dims == {"dbar": 2, "dbar_star": 2, "dirac": 4}, K

@@ -279,6 +279,14 @@ def test_same_seed_gives_identical_reports(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_angles_takes_no_frame_file(capsys):
+    # classify-plane reads frame files; angles only runs its suite
+    with pytest.raises(SystemExit) as exc:
+        main(["angles", "frame.txt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: frame.txt" in capsys.readouterr().err
+
+
 def _strict_json(text):
     """Parse JSON, refusing the non-standard NaN/Infinity tokens."""
     def refuse(token):

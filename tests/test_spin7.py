@@ -288,6 +288,30 @@ def test_equivalence_search_refuses_mixed_backends():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_equivalence_search_rejects_one_negated_coefficient(backend):
+    # same support, so every support-preserving relabeling is tried, but
+    # no sign vector flips the one term of phi0 and none of the others
+    phi = phi0(backend).phi
+    terms = dict(phi.terms)
+    terms[(1, 2, 3, 4)] = -terms[(1, 2, 3, 4)]
+    start = time.perf_counter()
+    assert find_equivalence(phi, Multivector(8, terms, backend)) is None
+    assert time.perf_counter() - start < 5.0
+
+
+def test_equivalence_search_recovers_a_signed_relabeling():
+    phi = phi0(EXACT).phi
+    target = apply_signed_permutation(
+        phi, (3, 1, 2, 4, 6, 5, 8, 7), (1, -1, 1, 1, -1, 1, 1, -1))
+    perm, signs = find_equivalence(phi, target)
+    # phi0 has a stabilizer, so the first hit in search order is another
+    # relabeling with the same image
+    assert (perm, signs) == ((1, 2, 3, 4, 5, 8, 6, 7),
+                             (1, 1, 1, -1, 1, -1, 1, -1))
+    assert apply_signed_permutation(phi, perm, signs) == target
+
+
 def test_phase_family_is_still_a_calibration():
     from cayleykit.kahler import build_model
     from cayleykit.spin7 import phi_from_kahler

@@ -438,8 +438,8 @@ def test_grid_values_single_mode():
     modes = model.modes()
     target = 7  # some fixed mode index
     coeffs[target, 0] = 1.0
-    G = 4
-    vals = grid_values(model, coeffs, grid=G)
+    G = 4  # 2K + 2
+    vals = grid_values(model, coeffs)
     k = modes[target]
     pts = np.stack(np.meshgrid(*([np.arange(G) / G] * 4), indexing="ij"),
                    axis=-1).reshape(-1, 4)
@@ -462,20 +462,13 @@ def test_derivative_grids_differentiate_each_base_axis():
         assert np.abs(rows[:, j] - single).max() < 1e-12
 
 
-def test_grid_too_small_rejected():
-    model = TorusModel(2)
-    coeffs = np.zeros((model.mode_count, 1), complex)
-    with pytest.raises(ValidationError):
-        grid_values(model, coeffs, grid=4)  # needs at least 2K+1 = 5
-
-
 # -- the nonlinear defect map -------------------------------------------------------
 
 
-def _random_pair(model, rng, scale=1.0):
+def _random_pair(model, rng):
     return (
-        random_section(model, "normal10", rng, scale=scale),
-        random_section(model, "two_form_normal", rng, scale=scale),
+        random_section(model, "normal10", rng),
+        random_section(model, "two_form_normal", rng),
     )
 
 
@@ -531,8 +524,12 @@ def test_remainder_scales_cubically():
 
 def test_roundoff_floor_is_flagged():
     model = TorusModel(1)
-    rep = fd_linearization_check(model, samples=10, seed=5, scale=1e-4)
+    # at these rungs the cubic remainder is far below RESIDUAL_FLOOR
+    rep = fd_linearization_check(model, samples=10, seed=5,
+                                 t_ladder=(1e-7, 1e-8, 1e-9))
     assert all(rep.flagged_floor)
+    assert rep.fraction_in_band is None
+    assert rep.fraction_at_least_band is None
 
 
 def test_ladder_validation():
@@ -565,7 +562,7 @@ def test_fd_slopes_match_nonlinear_F_per_rung():
                         / lin.shape[0])
                 for t in ladder
             ]
-            assert min(residuals) > rep.residual_floor
+            assert min(residuals) > torus_ops.RESIDUAL_FLOOR
             assert slope == float(np.polyfit(np.log(ladder), np.log(residuals), 1)[0])
 
 
