@@ -2,10 +2,12 @@
 
 Every subcommand emits a single JSON report: tool metadata, the resolved
 configuration, a name-sorted list of checks (each with a status, residual,
-tolerance, and details), and a pass/warn/fail summary.  Each suite yields
-`Check` records, and a record's status is computed in one place,
-`Check.status`, from the comparison its kind names between residual and
-tolerance, its `holds` flag and its `warn` flag.  Reports are
+tolerance, and details), and a pass/warn/fail summary, on stdout or, with
+``--json PATH``, in that file and as one stdout line per check.  Every
+suite has a subcommand (``classify-plane`` without a file runs planes).
+Each suite yields `Check` records, and a record's status is computed in
+one place, `Check.status`, from the comparison its kind names between
+residual and tolerance, its `holds` flag and its `warn` flag.  Reports are
 deterministic for a fixed seed so repeated runs can be diffed byte for
 byte.  Exit status is 0 exactly when no check failed; input problems use
 dedicated codes so scripts can tell a failed verification from a bad file.
@@ -100,8 +102,6 @@ EXIT_MALFORMED = 4
 
 SUITES = ("structure", "planes", "graphs", "angles", "torus", "index", "all")
 
-_DEFAULT_LADDER = (1e-2, 3e-3, 1e-3, 3e-4)
-
 
 class CliInputError(InputFormatError):
     """A problem with user-supplied input, carrying the exit code."""
@@ -121,7 +121,7 @@ class SuiteConfig:
     seed: int = 0
     samples: int = 200
     K: int = 2
-    t_ladder: tuple = _DEFAULT_LADDER
+    t_ladder: tuple = torus_ops.FD_LADDER
     json_path: str = None
     quiet: bool = False
 
@@ -748,6 +748,8 @@ def _orthonormalize(rows):
 
 
 def classify_plane(path, cfg, reject=False):
+    if path is None:
+        return run_suite(dataclasses.replace(cfg, suite="planes"))
     rows = _read_matrix(path, FLOAT)
     k, n = len(rows), len(rows[0])
     if k % 2 != 0 or n % 2 != 0 or k > n:
@@ -869,9 +871,12 @@ def graph_verify(path, cfg):
 
 def graph_solve(path, cfg):
     if path is not None:
-        start = _lambda_from_file(path, FLOAT)
+        start = _lambda_from_file(path, cfg.backend)
     else:
         start = random_graph_coefficients(_rng(cfg, 6), radius=0.25)
+        if cfg.backend == EXACT:  # a float's Fraction is exact (dyadic)
+            start = GraphCoefficients(
+                [list(map(Fraction, row)) for row in start.entries], EXACT)
     try:
         sol = solve_tau_system(start)
     except ValidationError as exc:
@@ -926,9 +931,16 @@ def index_report(cfg, sign=None, euler=None, self_int=None,
     return _assemble("index", cfg, checks)
 
 
-
-
 # entry point -------------------------------------------------------------------
+
+
+def _cell(value):
+    """A table cell: "-" for none, %.3e for a float, else the report's."""
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return "%.3e" % value
+    return str(value)
 
 
 def _emit(report, json_path, quiet):
@@ -941,6 +953,12 @@ def _emit(report, json_path, quiet):
             print("cannot write %s: %s" % (json_path, exc), file=sys.stderr)
             return EXIT_UNREADABLE
         if not quiet:
+            checks = report["checks"]
+            width = max(len(c["name"]) for c in checks)
+            for c in checks:
+                print("%-6s %-*s residual=%-12s tol=%s" % (
+                    c["status"].upper(), width, c["name"],
+                    _cell(c["residual"]), _cell(c["tolerance"])))
             s = report["summary"]
             print("%s: %d pass, %d warn, %d fail -> %s" % (
                 report["config"]["suite"], s["pass"], s["warn"], s["fail"],
@@ -987,8 +1005,9 @@ def build_parser():
     _sub("verify-structure",
          help="exact identities of the calibration form")
 
-    cp = _sub("classify-plane", help="classify a frame file")
-    cp.add_argument("file")
+    cp = _sub("classify-plane",
+              help="classify a frame file or run the planes suite")
+    cp.add_argument("file", nargs="?", default=None)
     cp.add_argument("--reject", action="store_true",
                     help="reject non-orthonormal frames instead of fixing")
 

@@ -380,7 +380,6 @@ def dirac_matrix(model):
 @dataclass(frozen=True)
 class KernelReport:
     dim_complex: int
-    dim_real: int
     gap: float
     sigma_max: float
     threshold: float
@@ -390,6 +389,7 @@ class KernelReport:
 KERNEL_TOL = 1e-8  # kernel threshold, relative to the largest singular value
 GAP_FLOOR = 1e6
 RESIDUAL_FLOOR = 1e-13  # fd residuals at or below it are roundoff
+FD_LADDER = (1e-2, 3e-3, 1e-3, 3e-4)  # fd step sizes t, strictly decreasing
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -484,7 +484,6 @@ def _report(sigma, r_in):
         )
     return KernelReport(
         dim_complex=dim,
-        dim_real=2 * dim,
         gap=gap,
         sigma_max=sigma_max,
         threshold=threshold,
@@ -685,7 +684,7 @@ class SlopeReport:
 def fd_linearization_check(
     model,
     samples=50,
-    t_ladder=(1e-2, 3e-3, 1e-3, 3e-4),
+    t_ladder=FD_LADDER,
     seed=0,
     band=(1.9, 2.1),
 ):

@@ -279,6 +279,43 @@ def test_same_seed_gives_identical_reports(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_json_run_prints_the_per_check_table(tmp_path, capsys):
+    loud, quiet = tmp_path / "loud.json", tmp_path / "quiet.json"
+    argv = ["torus", "--K", "1", "--samples", "5"]
+    assert main(argv + ["--json", str(loud)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--json", str(quiet), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert loud.read_bytes() == quiet.read_bytes()
+    report = json.loads(loud.read_text())
+    # one line per check in report order, then the summary line
+    assert len(lines) == len(report["checks"]) + 1
+    for line, c in zip(lines, report["checks"]):
+        assert line.split()[:2] == [c["status"].upper(), c["name"]]
+    s = report["summary"]
+    assert lines[-1] == "torus: %d pass, %d warn, %d fail -> %s" % (
+        s["pass"], s["warn"], s["fail"], loud)
+
+
+def test_unwritable_json_path_prints_nothing(tmp_path, capsys):
+    # a directory cannot be opened for writing, so no table is printed
+    assert main(["index", "--json", str(tmp_path)]) == EXIT_UNREADABLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot write" in err
+
+
+def test_classify_plane_without_a_file_runs_the_planes_suite(tmp_path,
+                                                             capsys):
+    out = tmp_path / "planes.json"
+    argv = ["classify-plane", "--seed", "3", "--samples", "20",
+            "--json", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    suite = run_suite(_cfg(suite="planes", seed=3, samples=20))
+    assert json.loads(out.read_text())["checks"] == suite["checks"]
+    capsys.readouterr()
+
+
 def test_angles_takes_no_frame_file(capsys):
     # classify-plane reads frame files; angles only runs its suite
     with pytest.raises(SystemExit) as exc:
@@ -625,6 +662,22 @@ def test_graph_solve_from_file(tmp_path, capsys):
     assert by_name["newton:converged"]["status"] == "pass"
     sol = np.array(by_name["newton:converged"]["details"]["solution"])
     assert sol.shape == (4, 4)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("from_file", [True, False], ids=["file", "seed"])
+def test_graph_solve_exact_backend_solves_exactly(from_file, tmp_path, capsys):
+    start = tmp_path / "start.txt"
+    start.write_text("1/20 0 0 0\n0 1/50 0 0\n0 0 -3/100 0\n0 0 0 1/100\n")
+    source = [str(start)] if from_file else ["--seed", "7"]
+    out = tmp_path / "sol.json"
+    argv = ["graph-solve", *source, "--backend", "exact", "--json", str(out),
+            "--quiet"]
+    assert main(argv) == EXIT_OK
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("newton:converged", "graph:system-residuals",
+                 "graph:quadratic-residuals"):
+        assert by_name[name]["residual"] == 0, name
     capsys.readouterr()
 
 

@@ -57,7 +57,6 @@ def test_kernel_dimensions_and_stability():
         assert reports["dbar"].dim_complex == 2, K
         assert reports["dbar_star"].dim_complex == 2, K
         assert reports["dirac"].dim_complex == 4, K
-        assert reports["dirac"].dim_real == 8, K
     assert summary["adjoint_kernel_dim"] == 4
     assert summary["index"] == 0
     assert summary["worst_gap"] >= GAP_FLOOR
