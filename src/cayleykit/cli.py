@@ -9,8 +9,9 @@ Each suite yields `Check` records, and a record's status is computed in
 one place, `Check.status`, from the comparison its kind names between
 residual and tolerance, its `holds` flag and its `warn` flag.  Reports are
 deterministic for a fixed seed so repeated runs can be diffed byte for
-byte.  Exit status is 0 exactly when no check failed; input problems use
-dedicated codes so scripts can tell a failed verification from a bad file.
+byte.  Exit status is 0 exactly when no check failed; an option the run
+would not read is a usage error, and input problems have their own codes,
+so scripts can tell a failed verification from a bad file.
 """
 
 import argparse
@@ -33,9 +34,11 @@ from .exterior import (
     wedge,
 )
 from ._ratlinalg import rank as exact_rank
+from . import __version__
 from .errors import (
     CayleykitError,
     InputFormatError,
+    PlaneError,
     ValidationError,
 )
 from .frames import as_matrix, orthonormality_residual
@@ -92,8 +95,6 @@ from .torus_ops import (
     pointwise_linearization_check,
 )
 
-__version__ = "0.1.0"
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -122,8 +123,6 @@ class SuiteConfig:
     samples: int = 200
     K: int = 2
     t_ladder: tuple = torus_ops.FD_LADDER
-    json_path: str = None
-    quiet: bool = False
 
     def __post_init__(self):
         if self.suite not in SUITES:
@@ -270,10 +269,15 @@ def _suite_structure(cfg):
         details={"count": len(gens), "span_dimension": rk,
                  "fixed_by_projection": fixed})
 
-    scal = pi7_projection_scalar(Phi)
+    # routes that disagree are a failed check, not malformed input
+    try:
+        scal = pi7_projection_scalar(Phi)
+        res, details = abs(scal - 2), {"scalar": scal}
+    except PlaneError as exc:
+        res, details = None, {"error": str(exc)}
     yield Check(
         "two-forms:projection-scalar", "two-forms:double-contraction-scalar",
-        "exact", abs(scal - 2), 0, details={"scalar": scal})
+        "exact", res, 0, details=details, holds=res is not None)
 
     worst_norm = Fraction(0)
     for m in (1, 2, 3, 4):
@@ -978,15 +982,43 @@ def _parse_ladder(text):
     return rungs
 
 
-def _add_common(parser):
-    sup = argparse.SUPPRESS
-    parser.add_argument("--backend", choices=(EXACT, FLOAT), default=sup)
-    parser.add_argument("--tol", type=float, default=sup)
-    parser.add_argument("--seed", type=int, default=sup)
-    parser.add_argument("--samples", type=int, default=sup)
-    parser.add_argument("--json", dest="json_path", metavar="PATH",
-                        default=sup)
-    parser.add_argument("--quiet", action="store_true", default=sup)
+_INVARIANTS = ("sign", "euler", "self_int", "c1sq", "c2", "c2nu")
+_SWEEP = ("seed", "samples", "K", "t_ladder")
+
+# each subcommand's help, then the options it reads without an input and,
+# if it takes one, with it (a FILE, or for index the invariants); main
+# refuses an option the run would not read.  --json and --quiet go everywhere
+_COMMANDS = {
+    "verify-structure": ("exact identities of the calibration form", ()),
+    "classify-plane": ("classify a frame file or run the planes suite",
+                       ("seed", "samples"), ("file", "tol", "reject")),
+    "angles": ("canonical-angle checks", ("seed", "samples")),
+    "graph-verify": ("verify a tilt matrix or run the graphs suite",
+                     ("seed", "samples"), ("file", "backend")),
+    "graph-solve": ("solve the graph defect system",
+                    ("backend", "seed"), ("file", "backend")),
+    "torus": ("flat-model operator checks", _SWEEP),
+    "index": ("expected-dimension computations", ("seed",), _INVARIANTS),
+    "all": ("run every suite", _SWEEP),
+}
+
+# how each option is declared, in help order
+_OPTIONS = {
+    "file": dict(nargs="?", default=None),
+    "backend": dict(choices=(EXACT, FLOAT)),
+    "tol": dict(type=float),
+    "seed": dict(type=int),
+    "samples": dict(type=int),
+    "K": dict(type=int),
+    "t_ladder": {},
+    "reject": dict(action="store_true",
+                   help="reject non-orthonormal frames instead of fixing"),
+    **{name: dict(type=int) for name in _INVARIANTS},
+}
+
+
+def _flag(name):  # file is the positional
+    return name if name == "file" else "--" + name.replace("_", "-")
 
 
 def build_parser():
@@ -994,89 +1026,57 @@ def build_parser():
         prog="cayleykit",
         description="Verification suites for calibrated four-plane geometry.",
     )
-    _add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def _sub(name, **kw):
-        p = sub.add_parser(name, **kw)
-        _add_common(p)
-        return p
-
-    _sub("verify-structure",
-         help="exact identities of the calibration form")
-
-    cp = _sub("classify-plane",
-              help="classify a frame file or run the planes suite")
-    cp.add_argument("file", nargs="?", default=None)
-    cp.add_argument("--reject", action="store_true",
-                    help="reject non-orthonormal frames instead of fixing")
-
-    _sub("angles", help="canonical-angle checks")
-
-    gv = _sub("graph-verify",
-              help="verify a tilt matrix or run the graphs suite")
-    gv.add_argument("file", nargs="?", default=None)
-
-    gs = _sub("graph-solve", help="solve the graph defect system")
-    gs.add_argument("file", nargs="?", default=None)
-
-    to = _sub("torus", help="flat-model operator checks")
-    to.add_argument("--K", type=int, default=argparse.SUPPRESS)
-    to.add_argument("--t-ladder", dest="t_ladder",
-                    default=argparse.SUPPRESS)
-
-    ix = _sub("index", help="expected-dimension computations")
-    ix.add_argument("--sign", type=int, default=None)
-    ix.add_argument("--euler", type=int, default=None)
-    ix.add_argument("--self-int", dest="self_int", type=int, default=None)
-    ix.add_argument("--c1sq", type=int, default=None)
-    ix.add_argument("--c2", type=int, default=None)
-    ix.add_argument("--c2nu", type=int, default=None)
-
-    al = _sub("all", help="run every suite")
-    al.add_argument("--K", type=int, default=argparse.SUPPRESS)
-    al.add_argument("--t-ladder", dest="t_ladder",
-                    default=argparse.SUPPRESS)
+    for name, (help_text, *modes) in _COMMANDS.items():
+        # an option left out stays absent, so main can tell it was not given
+        p = sub.add_parser(name, help=help_text,
+                           argument_default=argparse.SUPPRESS)
+        for option, spec in _OPTIONS.items():
+            if any(option in reads for reads in modes):
+                p.add_argument(_flag(option), **spec)
+        p.add_argument("--json", dest="json_path", metavar="PATH")
+        p.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    # options left out are absent from args, so SuiteConfig supplies them
-    fields = {f.name for f in dataclasses.fields(SuiteConfig)}
-    opts = {k: v for k, v in vars(args).items() if k in fields}
+    args = vars(parser.parse_args(argv))
+    command, json_path, quiet, file = (
+        args.pop(k, None) for k in ("command", "json_path", "quiet", "file"))
+    _, *modes = _COMMANDS[command]
+    with_input = file is not None or any(k in args for k in _INVARIANTS)
+    unread = [_flag(k) for k in args if k not in modes[with_input]]
+    if unread:
+        run = command if len(modes) == 1 else "%s %s %s" % (
+            command, "with" if with_input else "without",
+            "invariants" if command == "index" else "a file")
+        parser.error("%s does not read %s" % (run, " ".join(unread)))
+    invariants = {k: args.pop(k) for k in _INVARIANTS if k in args}
+    reject = args.pop("reject", False)
     try:
-        if "t_ladder" in opts:
-            opts["t_ladder"] = _parse_ladder(opts["t_ladder"])
-        cfg = SuiteConfig(**opts)
-        command = args.command
-        if command == "verify-structure":
-            report = run_suite(dataclasses.replace(cfg, suite="structure"))
-        elif command == "classify-plane":
-            report = classify_plane(args.file, cfg, reject=args.reject)
-        elif command == "angles":
-            report = run_suite(dataclasses.replace(cfg, suite="angles"))
+        if "t_ladder" in args:
+            args["t_ladder"] = _parse_ladder(args["t_ladder"])
+        # options left out take SuiteConfig's defaults
+        cfg = SuiteConfig(**args)
+        if command == "classify-plane":
+            report = classify_plane(file, cfg, reject=reject)
         elif command == "graph-verify":
-            report = graph_verify(args.file, cfg)
+            report = graph_verify(file, cfg)
         elif command == "graph-solve":
-            report = graph_solve(args.file, cfg)
-        elif command == "torus":
-            report = run_suite(dataclasses.replace(cfg, suite="torus"))
+            report = graph_solve(file, cfg)
         elif command == "index":
-            report = index_report(
-                cfg, sign=args.sign, euler=args.euler,
-                self_int=args.self_int, c1sq=args.c1sq, c2=args.c2,
-                c2nu=args.c2nu)
-        else:
-            report = run_suite(cfg)
+            report = index_report(cfg, **invariants)
+        else:  # the other commands are named for their suites
+            report = run_suite(dataclasses.replace(cfg, suite=(
+                "structure" if command == "verify-structure" else command)))
     except CliInputError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
     except CayleykitError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MALFORMED
-    return _emit(report, cfg.json_path, cfg.quiet)
+    return _emit(report, json_path, quiet)
 
 
 if __name__ == "__main__":

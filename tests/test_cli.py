@@ -1,5 +1,6 @@
 """End-to-end checks for the command line interface and suite runner."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -15,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cayleykit
-from cayleykit import cli
+from cayleykit import EXACT, Multivector, cli, spin7
 from cayleykit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_UNREADABLE,
+    EXIT_USAGE,
     Check,
     SuiteConfig,
     classify_plane,
@@ -103,6 +105,24 @@ def test_a_nan_residual_fails_its_check(monkeypatch, suite, name, make_nan,
     for check in checks:
         assert rows[check]["status"] == "fail", check
         assert rows[check]["residual"] == "nan", check
+
+
+def test_disagreeing_pi7_routes_fail_a_check(monkeypatch, capsys):
+    # one negated coefficient makes the two pi7 routes disagree: the
+    # structure suite reports that as a failed check, not as bad input
+    terms = dict(spin7.PHI0_TERMS)
+    first = min(terms)
+    terms[first] = -terms[first]
+    monkeypatch.setattr(cli, "phi0", lambda backend=EXACT: spin7.CayleyForm(
+        Multivector(8, terms, backend)))
+    report = run_suite(_cfg(suite="structure"))
+    rows = {c["name"]: c for c in report["checks"]}
+    scalar = rows["two-forms:projection-scalar"]
+    assert scalar["status"] == "fail"
+    assert scalar["residual"] is None
+    assert "not proportional" in scalar["details"]["error"]
+    assert main(["verify-structure", "--quiet"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == ""
 
 
 def test_index_suite():
@@ -196,6 +216,7 @@ def test_warn_downgrades_a_pass_and_never_a_fail():
 
 # the suite checks whose pass rule holds more than residual against tolerance
 _SUITE_HOLDS = {
+    "two-forms:projection-scalar",
     "planes:standard-complex-plane",
     "planes:special-lagrangian-plane",
     "planes:half-dimension-counterexample",
@@ -404,7 +425,7 @@ def _strict_json(text):
 @pytest.mark.parametrize("argv, text, failing, residual", [
     (["graph-solve"], "1e200 0 0 0\n" + "0 0 0 0\n" * 3,
      "newton:converged", None),
-    (["--backend", "exact", "graph-verify"],
+    (["graph-verify", "--backend", "exact"],
      "1e300 1e300 0 0\n0 1e300 1e300 0\n0 0 1e300 0\n0 0 0 0\n",
      "graph:system-residuals", "inf"),
 ], ids=["graph-solve", "graph-verify-exact"])
@@ -472,7 +493,7 @@ def test_fuzzed_frame_file_exits_malformed(text, tmp_path_factory):
 def test_fuzzed_tilt_file_exits_malformed(text, backend, tmp_path_factory):
     tilt = tmp_path_factory.mktemp("tilt") / "tilt.txt"
     tilt.write_text(text)
-    argv = ["--backend", backend, "graph-verify", str(tilt), "--quiet"]
+    argv = ["graph-verify", "--backend", backend, str(tilt), "--quiet"]
     assert _exit_code(argv) == EXIT_MALFORMED
 
 
@@ -761,14 +782,95 @@ def test_infinite_tol_exit_code(tmp_path, capsys):
     huge.write_text("".join(
         " ".join("1e300" if i == j else "0" for i in range(8)) + "\n"
         for j in range(4)))
-    argv = ["--tol", "inf", "classify-plane", str(huge), "--quiet"]
+    argv = ["classify-plane", "--tol", "inf", str(huge), "--quiet"]
     assert main(argv) == EXIT_MALFORMED
     assert "finite and positive" in capsys.readouterr().err
 
 
-def test_global_flags_accepted_before_subcommand(capsys):
-    assert main(["--seed", "9", "--quiet", "index"]) == EXIT_OK
-    capsys.readouterr()
+def test_options_before_the_subcommand_exit_usage(capsys):
+    # options belong to a subcommand, so they follow it
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "9", "--quiet", "index"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+# -- every option is read or refused ----------------------------------------------------
+
+# the options each (subcommand, input) reads: no input, a FILE, or for index
+# the invariants; --json and --quiet go everywhere
+_SWEEP = {"--seed", "--samples", "--K", "--t-ladder"}
+_INVARIANT_FLAGS = {"--sign", "--euler", "--self-int", "--c1sq", "--c2", "--c2nu"}
+_READS = {
+    ("verify-structure", None): set(),
+    ("classify-plane", None): {"--seed", "--samples"},
+    ("classify-plane", "file"): {"--tol", "--reject"},
+    ("angles", None): {"--seed", "--samples"},
+    ("graph-verify", None): {"--seed", "--samples"},
+    ("graph-verify", "file"): {"--backend"},
+    ("graph-solve", None): {"--backend", "--seed"},
+    ("graph-solve", "file"): {"--backend"},
+    ("torus", None): _SWEEP,
+    ("index", None): {"--seed"},
+    ("index", "invariants"): _INVARIANT_FLAGS,
+    ("all", None): _SWEEP,
+}
+_INPUT = {None: [], "file": ["frame.txt"],
+          "invariants": ["--sign", "0", "--euler", "0", "--self-int", "0"]}
+_VALUES = {"--backend": ["exact"], "--tol": ["1e-3"], "--seed": ["4"],
+           "--samples": ["3"], "--K": ["1"], "--t-ladder": ["1e-2,1e-3,1e-4"],
+           "--reject": [], **{flag: ["0"] for flag in _INVARIANT_FLAGS}}
+_REFUSED = [
+    (command, mode, option)
+    for (command, mode), reads in _READS.items()
+    for option in _VALUES
+    # a given invariant puts index in its invariants mode
+    if option not in reads
+    and not ((command, mode) == ("index", None) and option in _INVARIANT_FLAGS)
+]
+
+
+@pytest.mark.parametrize("command, mode, option", _REFUSED)
+def test_an_option_the_run_would_not_read_exits_usage(command, mode, option,
+                                                       capsys):
+    # refused before any input is read: frame.txt does not exist
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_INPUT[mode], option, *_VALUES[option]])
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["angles", "--backend", "exact", "--tol", "1e-3"],
+    ["index", "--samples", "3", "--backend", "exact"],
+    ["classify-plane", "--reject"],
+    ["classify-plane", "frame.txt", "--backend", "exact"],
+])
+def test_ignored_options_used_to_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_declared_options_are_those_some_mode_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {}
+    for name, p in sub.choices.items():
+        declared[name] = {s for a in p._actions for s in a.option_strings
+                          if s.startswith("--") and s != "--help"}
+    expected = {}
+    for (command, _), reads in _READS.items():
+        expected.setdefault(command, {"--json", "--quiet"}).update(reads)
+    assert declared == expected
+    # the top-level parser declares only --help
+    assert [a.option_strings for a in parser._actions
+            if a.option_strings] == [["-h", "--help"]]
+    assert sum(map(len, declared.values())) == 42
 
 
 def test_config_validation_rejects_bad_values():
