@@ -1,7 +1,7 @@
 """Command-line verification suites and plane/graph classification tools.
 
-Every subcommand emits a single JSON report: tool metadata, the resolved
-configuration, a name-sorted list of checks (each with a status, residual,
+Every subcommand emits a single JSON report: tool metadata, the settings
+the run read, a name-sorted list of checks (each with a status, residual,
 tolerance, and details), and a pass/warn/fail summary, on stdout or, with
 ``--json PATH``, in that file and as one stdout line per check.  Every
 suite has a subcommand (``classify-plane`` without a file runs planes).
@@ -51,6 +51,7 @@ from .kahler import (
     verify_normalization,
 )
 from .spin7 import (
+    TAU_TOL,
     find_equivalence,
     is_cayley,
     lambda27_basis,
@@ -114,11 +115,9 @@ class CliInputError(InputFormatError):
 
 @dataclasses.dataclass(frozen=True)
 class SuiteConfig:
-    """Resolved knobs for one verification run."""
+    """The settings a suite run reads, checked before any suite runs."""
 
     suite: str = "all"
-    backend: str = FLOAT
-    tol: float = 1e-9
     seed: int = 0
     samples: int = 200
     K: int = 2
@@ -127,22 +126,17 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValidationError("unknown suite %r" % (self.suite,))
-        if self.backend not in (EXACT, FLOAT):
-            raise ValidationError("unknown backend %r" % (self.backend,))
         if self.samples < 1:
             raise ValidationError("samples must be positive")
-        if not 0.0 < self.tol < math.inf:
-            raise ValidationError("tol must be finite and positive")
-        if not all(0.0 < t < math.inf for t in self.t_ladder):
-            raise ValidationError("t-ladder rungs must be finite and positive")
+        torus_ops.check_ladder(self.t_ladder)
         if self.K < 0:
             raise ValidationError("K must be nonnegative")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
 
 
-def _rng(cfg, salt):
-    return np.random.default_rng([cfg.seed, salt])
+def _rng(seed, salt):
+    return np.random.default_rng([seed, salt])
 
 
 def _worst(residuals):
@@ -335,7 +329,7 @@ def _float_cayley_form():
 def _suite_planes(cfg):
     Phi = _float_cayley_form()
     model = build_model(4, backend=FLOAT)
-    rng = _rng(cfg, 1)
+    rng = _rng(cfg.seed, 1)
 
     contradictions = 0
     cayley_hits = 0
@@ -345,7 +339,7 @@ def _suite_planes(cfg):
     for plane in pool:
         verdict = is_cayley(Phi, plane)
         by_value = abs(verdict.phi_value - 1.0) < 1e-9
-        by_defect = verdict.tau_norm < 1e-7
+        by_defect = verdict.tau_norm < TAU_TOL
         if by_value != by_defect:
             contradictions += 1
         if by_value:
@@ -432,7 +426,7 @@ def _random_exact_lambda(rng):
 
 
 def _suite_graphs(cfg):
-    rng = _rng(cfg, 2)
+    rng = _rng(cfg.seed, 2)
 
     worst = Fraction(0)
     for _ in range(6):
@@ -508,7 +502,7 @@ def _suite_graphs(cfg):
 
 def _suite_angles(cfg):
     model = build_model(4, backend=FLOAT)
-    rng = _rng(cfg, 3)
+    rng = _rng(cfg.seed, 3)
 
     n = cfg.samples // 2 or 1
     errors = []
@@ -572,7 +566,7 @@ def _suite_torus(cfg):
     adj = torus_ops.dbar02_matrix(model).adjoint()
     star = torus_ops.dbar_star_matrix(model)
     adj_res = float(np.max(np.abs(adj.blocks - star.blocks)))
-    rngt = _rng(cfg, 4)
+    rngt = _rng(cfg.seed, 4)
     u = torus_ops.random_section(model, "one_form_normal", rngt)
     v = torus_ops.random_section(model, "two_form_normal", rngt)
     lhs = torus_ops.section_inner(
@@ -650,7 +644,7 @@ def _suite_index(cfg):
         "exact", abs(k3 - 4) + abs(k3c - 4), 0,
         details={"topological": k3, "chern": k3c})
 
-    rng = _rng(cfg, 5)
+    rng = _rng(cfg.seed, 5)
     triples = chern_consistency_family(100, rng)
     mismatches = sum(
         1 for c1sq, c2, c2nu in triples
@@ -661,29 +655,37 @@ def _suite_index(cfg):
         "exact", mismatches, 0, details={"triples": len(triples)})
 
 
+# each suite's builder and the SuiteConfig settings it reads
 _SUITE_BUILDERS = {
-    "structure": _suite_structure,
-    "planes": _suite_planes,
-    "graphs": _suite_graphs,
-    "angles": _suite_angles,
-    "torus": _suite_torus,
-    "index": _suite_index,
+    "structure": (_suite_structure, ()),
+    "planes": (_suite_planes, ("seed", "samples")),
+    "graphs": (_suite_graphs, ("seed", "samples")),
+    "angles": (_suite_angles, ("seed", "samples")),
+    "torus": (_suite_torus, ("seed", "samples", "K", "t_ladder")),
+    "index": (_suite_index, ("seed",)),
 }
 
 
 def run_suite(cfg):
     """Run one suite (or all of them) and return the report dict."""
-    if cfg.suite == "all":
-        names = [s for s in SUITES if s != "all"]
-    else:
-        names = [cfg.suite]
-    checks = []
-    for name in names:
-        checks.extend(_SUITE_BUILDERS[name](cfg))
-    return _assemble(cfg.suite, cfg, checks)
+    names = _SUITE_BUILDERS if cfg.suite == "all" else [cfg.suite]
+    checks = [c for name in names for c in _SUITE_BUILDERS[name][0](cfg)]
+    return _assemble(cfg.suite, cfg.suite, vars(cfg), checks)
 
 
-def _assemble(kind, cfg, checks):
+def _reads(mode):
+    """The options a mode of `_COMMANDS` reads: those it lists, or for a
+    suite the settings its builders read (all reads what every suite does)."""
+    if not isinstance(mode, str):
+        return mode
+    names = _SUITE_BUILDERS if mode == "all" else [mode]
+    return tuple(dict.fromkeys(
+        k for name in names for k in _SUITE_BUILDERS[name][1]))
+
+
+def _assemble(kind, mode, values, checks):
+    """The report of a run of ``kind`` in ``mode``: its config is each
+    setting the mode reads (the FILE aside), with its value in ``values``."""
     checks = [
         {"name": c.name, "claim": c.claim, "status": c.status,
          "residual": _num(c.residual), "tolerance": _num(c.tolerance),
@@ -693,19 +695,11 @@ def _assemble(kind, cfg, checks):
     summary = {s: sum(c["status"] == s for c in checks)
                for s in ("pass", "warn", "fail")}
     summary["total"] = len(checks)
-    config = {
-        "suite": kind,
-        "backend": cfg.backend,
-        "tol": _num(cfg.tol),
-        "seed": cfg.seed,
-        "samples": cfg.samples,
-        "K": cfg.K,
-        "t_ladder": _num(list(cfg.t_ladder)),
-    }
+    config = {k: _num(values[k]) for k in _reads(mode) if k != "file"}
     return {
         "tool": "cayleykit",
         "version": __version__,
-        "config": config,
+        "config": {"suite": kind, **config},
         "checks": checks,
         "summary": summary,
     }
@@ -751,9 +745,9 @@ def _orthonormalize(rows):
     return [list(col) for col in q.T]
 
 
-def classify_plane(path, cfg, reject=False):
-    if path is None:
-        return run_suite(dataclasses.replace(cfg, suite="planes"))
+def classify_plane(path, tol=1e-9, reject=False):
+    if not 0.0 < tol < math.inf:
+        raise ValidationError("tol must be finite and positive")
     rows = _read_matrix(path, FLOAT)
     k, n = len(rows), len(rows[0])
     if k % 2 != 0 or n % 2 != 0 or k > n:
@@ -773,7 +767,7 @@ def classify_plane(path, cfg, reject=False):
             EXIT_MALFORMED,
             "frame rows have rank %d < %d and span no %d-plane" % (rank, k, k))
     res = orthonormality_residual(rows)
-    if res > cfg.tol and reject:
+    if res > tol and reject:
         raise CliInputError(
             EXIT_MALFORMED,
             "rows not orthonormal (residual %.3g) and --reject set" % res)
@@ -783,24 +777,24 @@ def classify_plane(path, cfg, reject=False):
     # a skewed frame is repaired, not refused, so it warns and passes
     checks = [Check(
         "input:orthonormality", "frame:unit-orthogonal-rows",
-        None, res, cfg.tol,
+        None, res, tol,
         details={"action": "orthonormalized" if fixed else "accepted"},
-        warn=res > cfg.tol)]
+        warn=res > tol)]
 
     plane = OrientedPlane.from_rows(rows, backend=FLOAT)
     m = n // 2
     model = build_model(m, backend=FLOAT)
 
-    cx = is_complex_plane(model, plane, tol=cfg.tol)
+    cx = is_complex_plane(model, plane, tol=tol)
     jres = j_invariance_residual(model.J, plane)
     checks.append(Check(
         "plane:complex", "complex-criterion:hook-vs-rotation",
-        None, cx.max_sigma, cfg.tol,
+        None, cx.max_sigma, tol,
         details={"is_complex": cx.is_complex,
                  "real_part_residual": cx.max_sigma,
                  "imag_part_residual": cx.max_im,
                  "rotation_residual": jres},
-        holds=cx.is_complex == (jres < max(cfg.tol, 1e-9))))
+        holds=cx.is_complex == (jres < max(tol, 1e-9))))
 
     rec = canonical_angles(model, plane)
     checks.append(Check(
@@ -810,17 +804,18 @@ def classify_plane(path, cfg, reject=False):
 
     if (k, n) == (4, 8):
         Phi = _float_cayley_form()
-        verdict = is_cayley(Phi, plane, tol_phi=max(cfg.tol, 1e-9))
+        verdict = is_cayley(Phi, plane, tol_phi=max(tol, 1e-9))
         checks.append(Check(
             "plane:calibration", "cayley-criterion:value-vs-defect",
-            None, verdict.tau_norm, 1e-7,
+            None, verdict.tau_norm, TAU_TOL,
             details={"is_cayley": verdict.is_cayley,
                      "calibration_value": verdict.phi_value,
                      "defect_norm": verdict.tau_norm},
             holds=verdict.is_cayley == (
-                abs(verdict.phi_value - 1.0) <= max(cfg.tol, 1e-9)
-                and verdict.tau_norm <= 1e-7)))
-    return _assemble("classify-plane", cfg, checks)
+                abs(verdict.phi_value - 1.0) <= max(tol, 1e-9)
+                and verdict.tau_norm <= TAU_TOL)))
+    return _assemble("classify-plane", _COMMANDS["classify-plane"][2],
+                     {"tol": tol, "reject": reject}, checks)
 
 
 def _lambda_from_file(path, backend):
@@ -841,7 +836,10 @@ def _magnitude(x):
         return math.inf
 
 
-def _graph_report_checks(lam, tol):
+_GRAPH_TOL = 1e-8  # the bound on each graph equation's residual
+
+
+def _graph_report_checks(lam):
     Phi = phi0(backend=FLOAT)
     eqs = [_magnitude(e) for e in tau_system(lam)]
     quads = [_magnitude(q) for q in residual_quadratics(lam)]
@@ -850,58 +848,61 @@ def _graph_report_checks(lam, tol):
     with np.errstate(over="ignore", invalid="ignore"):
         defect = is_cayley(Phi, frame).tau_norm
     yield Check("graph:system-residuals", "graph-defect:mixed-components",
-                "bound", max(eqs), tol, details={"components": eqs})
+                "bound", max(eqs), _GRAPH_TOL, details={"components": eqs})
     yield Check("graph:quadratic-residuals", "graph-defect:diagonal-components",
-                "bound", max(quads), tol, details={"components": quads})
+                "bound", max(quads), _GRAPH_TOL,
+                details={"components": quads})
     yield Check("graph:defect-norm", "graph-defect:total",
-                "bound", defect, max(tol, 1e-8) * 10)
+                "bound", defect, _GRAPH_TOL * 10)
     plane = OrientedPlane.from_rows(_orthonormalize(frame), backend=FLOAT)
     verdict = is_cayley(Phi, plane)
     yield Check(
         "graph:cayley-verdict", "cayley-criterion:graph-form",
-        None, verdict.tau_norm, 1e-7,
+        None, verdict.tau_norm, TAU_TOL,
         details={"is_cayley": verdict.is_cayley,
                  "calibration_value": verdict.phi_value,
                  "defect_norm": verdict.tau_norm},
-        holds=verdict.is_cayley == (max(eqs + quads) <= tol))
+        holds=verdict.is_cayley == (max(eqs + quads) <= _GRAPH_TOL))
 
 
-def graph_verify(path, cfg):
-    if path is None:
-        return run_suite(dataclasses.replace(cfg, suite="graphs"))
-    lam = _lambda_from_file(path, cfg.backend)
-    return _assemble("graph-verify", cfg, _graph_report_checks(lam, 1e-8))
+def graph_verify(path, backend=FLOAT):
+    lam = _lambda_from_file(path, backend)
+    return _assemble("graph-verify", _COMMANDS["graph-verify"][2],
+                     {"backend": backend}, _graph_report_checks(lam))
 
 
-def graph_solve(path, cfg):
+def graph_solve(path, backend=FLOAT, seed=0):
     if path is not None:
-        start = _lambda_from_file(path, cfg.backend)
+        start = _lambda_from_file(path, backend)
     else:
-        start = random_graph_coefficients(_rng(cfg, 6), radius=0.25)
-        if cfg.backend == EXACT:  # a float's Fraction is exact (dyadic)
+        if seed < 0:
+            raise ValidationError("seed must be nonnegative")
+        start = random_graph_coefficients(_rng(seed, 6), radius=0.25)
+        if backend == EXACT:  # a float's Fraction is exact (dyadic)
             start = GraphCoefficients(
                 [list(map(Fraction, row)) for row in start.entries], EXACT)
     try:
         sol = solve_tau_system(start)
     except ValidationError as exc:
-        return _assemble("graph-solve", cfg, [Check(
+        checks = [Check(
             "newton:converged", "graph-defect:solvability",
-            None, None, 1e-12, details={"error": str(exc)}, holds=False)])
-    solved = Check(
-        "newton:converged", "graph-defect:solvability",
-        None, max(abs(float(e)) for e in tau_system(sol)), 1e-12,
-        details={"solution": [[float(x) for x in row]
-                              for row in sol.entries]})
-    return _assemble("graph-solve", cfg,
-                     [solved, *_graph_report_checks(sol, 1e-8)])
+            None, None, 1e-12, details={"error": str(exc)}, holds=False)]
+    else:
+        checks = [Check(
+            "newton:converged", "graph-defect:solvability",
+            None, max(abs(float(e)) for e in tau_system(sol)), 1e-12,
+            details={"solution": [[float(x) for x in row]
+                                  for row in sol.entries]}),
+            *_graph_report_checks(sol)]
+    mode = _COMMANDS["graph-solve"][1 + (path is not None)]
+    return _assemble("graph-solve", mode, {"backend": backend, "seed": seed},
+                     checks)
 
 
-def index_report(cfg, sign=None, euler=None, self_int=None,
+def index_report(sign=None, euler=None, self_int=None,
                  c1sq=None, c2=None, c2nu=None):
     topo_given = any(v is not None for v in (sign, euler, self_int))
     chern_given = any(v is not None for v in (c1sq, c2, c2nu))
-    if not topo_given and not chern_given:
-        return run_suite(dataclasses.replace(cfg, suite="index"))
     checks = []
     topo_idx = chern_idx = None
     if topo_given:
@@ -932,7 +933,8 @@ def index_report(cfg, sign=None, euler=None, self_int=None,
         checks.append(Check(
             "index:route-agreement", "expected-dimension:chern-equivalence",
             "exact", abs(topo_idx - chern_idx), 0))
-    return _assemble("index", cfg, checks)
+    return _assemble("index", _COMMANDS["index"][2], dict(zip(
+        _INVARIANTS, (sign, euler, self_int, c1sq, c2, c2nu))), checks)
 
 
 # entry point -------------------------------------------------------------------
@@ -974,32 +976,31 @@ def _emit(report, json_path, quiet):
 
 def _parse_ladder(text):
     try:
-        rungs = tuple(float(t) for t in text.split(","))
+        return tuple(float(t) for t in text.split(","))
     except ValueError:
         raise CliInputError(EXIT_MALFORMED, "bad --t-ladder %r" % (text,))
-    if len(rungs) < 3:
-        raise CliInputError(EXIT_MALFORMED, "--t-ladder needs >= 3 rungs")
-    return rungs
 
 
 _INVARIANTS = ("sign", "euler", "self_int", "c1sq", "c2", "c2nu")
-_SWEEP = ("seed", "samples", "K", "t_ladder")
 
-# each subcommand's help, then the options it reads without an input and,
-# if it takes one, with it (a FILE, or for index the invariants); main
-# refuses an option the run would not read.  --json and --quiet go everywhere
+# each subcommand's help, then what it reads without an input and, if it
+# takes one, with it (a FILE, or for index the invariants): the suite it
+# runs, or the options listed.  main refuses an option the run would not
+# read, and a report's config is what its mode reads.  --json and --quiet
+# go everywhere
 _COMMANDS = {
-    "verify-structure": ("exact identities of the calibration form", ()),
+    "verify-structure": ("exact identities of the calibration form",
+                         "structure"),
     "classify-plane": ("classify a frame file or run the planes suite",
-                       ("seed", "samples"), ("file", "tol", "reject")),
-    "angles": ("canonical-angle checks", ("seed", "samples")),
+                       "planes", ("file", "tol", "reject")),
+    "angles": ("canonical-angle checks", "angles"),
     "graph-verify": ("verify a tilt matrix or run the graphs suite",
-                     ("seed", "samples"), ("file", "backend")),
+                     "graphs", ("file", "backend")),
     "graph-solve": ("solve the graph defect system",
                     ("backend", "seed"), ("file", "backend")),
-    "torus": ("flat-model operator checks", _SWEEP),
-    "index": ("expected-dimension computations", ("seed",), _INVARIANTS),
-    "all": ("run every suite", _SWEEP),
+    "torus": ("flat-model operator checks", "torus"),
+    "index": ("expected-dimension computations", "index", _INVARIANTS),
+    "all": ("run every suite", "all"),
 }
 
 # how each option is declared, in help order
@@ -1032,7 +1033,7 @@ def build_parser():
         p = sub.add_parser(name, help=help_text,
                            argument_default=argparse.SUPPRESS)
         for option, spec in _OPTIONS.items():
-            if any(option in reads for reads in modes):
+            if any(option in _reads(mode) for mode in modes):
                 p.add_argument(_flag(option), **spec)
         p.add_argument("--json", dest="json_path", metavar="PATH")
         p.add_argument("--quiet", action="store_true")
@@ -1040,36 +1041,34 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        parser.error("%s: options follow the subcommand" % (argv[0],))
     args = vars(parser.parse_args(argv))
     command, json_path, quiet, file = (
         args.pop(k, None) for k in ("command", "json_path", "quiet", "file"))
     _, *modes = _COMMANDS[command]
     with_input = file is not None or any(k in args for k in _INVARIANTS)
-    unread = [_flag(k) for k in args if k not in modes[with_input]]
+    mode = modes[with_input]
+    unread = [_flag(k) for k in args if k not in _reads(mode)]
     if unread:
         run = command if len(modes) == 1 else "%s %s %s" % (
             command, "with" if with_input else "without",
             "invariants" if command == "index" else "a file")
         parser.error("%s does not read %s" % (run, " ".join(unread)))
-    invariants = {k: args.pop(k) for k in _INVARIANTS if k in args}
-    reject = args.pop("reject", False)
     try:
         if "t_ladder" in args:
             args["t_ladder"] = _parse_ladder(args["t_ladder"])
-        # options left out take SuiteConfig's defaults
-        cfg = SuiteConfig(**args)
-        if command == "classify-plane":
-            report = classify_plane(file, cfg, reject=reject)
-        elif command == "graph-verify":
-            report = graph_verify(file, cfg)
-        elif command == "graph-solve":
-            report = graph_solve(file, cfg)
+        # options left out take the defaults of SuiteConfig or of the mode
+        if isinstance(mode, str):  # a suite
+            report = run_suite(SuiteConfig(suite=mode, **args))
         elif command == "index":
-            report = index_report(cfg, **invariants)
-        else:  # the other commands are named for their suites
-            report = run_suite(dataclasses.replace(cfg, suite=(
-                "structure" if command == "verify-structure" else command)))
+            report = index_report(**args)
+        else:
+            report = {"classify-plane": classify_plane,
+                      "graph-verify": graph_verify,
+                      "graph-solve": graph_solve}[command](file, **args)
     except CliInputError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

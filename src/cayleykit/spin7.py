@@ -363,12 +363,12 @@ class CayleyVerdict:
     tau_norm: float
 
 
-_TAU_TOL = 1e-7  # the largest defect norm of a Cayley plane
+TAU_TOL = 1e-7  # the largest defect norm of a Cayley plane
 
 
 def is_cayley(Phi, plane, tol_phi=1e-9):
     """Classify an oriented 4-plane: Cayley when the calibration value is
-    within tol_phi of 1 and the alternation norm is at most _TAU_TOL.
+    within tol_phi of 1 and the alternation norm is at most TAU_TOL.
     ``plane`` is anything with orthonormal ``rows`` (or a plain list of 4
     Vectors on the form's backend); an OrientedPlane on the float backend
     is read through its cached frame matrix.
@@ -400,7 +400,7 @@ def is_cayley(Phi, plane, tol_phi=1e-9):
     tau = values[:28]
     val, tn = float(values[28]), float(np.dot(tau, tau)) ** 0.5
     return CayleyVerdict(
-        is_cayley=abs(val - 1.0) <= tol_phi and tn <= _TAU_TOL,
+        is_cayley=abs(val - 1.0) <= tol_phi and tn <= TAU_TOL,
         phi_value=val,
         tau_norm=tn,
     )

@@ -681,6 +681,17 @@ class SlopeReport:
     band: tuple
 
 
+def check_ladder(t_ladder):
+    """Refuse a t ladder the slope fit cannot use: it needs at least three
+    rungs, strictly decreasing, each finite and positive."""
+    if len(t_ladder) < 3 or any(
+        a <= b for a, b in zip(t_ladder, t_ladder[1:])
+    ):
+        raise ValidationError("t ladder must be strictly decreasing with >= 3 rungs")
+    if not all(0.0 < t < np.inf for t in t_ladder):
+        raise ValidationError("t ladder rungs must be finite and positive")
+
+
 def fd_linearization_check(
     model,
     samples=50,
@@ -703,12 +714,7 @@ def fd_linearization_check(
     rung evaluates the same defect as ``nonlinear_F``, on the table's graph
     entry; rungs run one call at a time, since batching them makes the
     arrays outgrow the caches."""
-    if len(t_ladder) < 3 or any(
-        t_ladder[i] <= t_ladder[i + 1] for i in range(len(t_ladder) - 1)
-    ):
-        raise ValidationError("t ladder must be strictly decreasing with >= 3 rungs")
-    if not all(0.0 < t < np.inf for t in t_ladder):
-        raise ValidationError("t ladder rungs must be finite and positive")
+    check_ladder(t_ladder)
     rng = np.random.default_rng(seed)
     slopes = []
     flagged = []

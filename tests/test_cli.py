@@ -137,17 +137,16 @@ def test_torus_suite_small_cutoff():
 
 
 def test_report_is_json_serializable_with_exact_entries():
-    report = run_suite(_cfg(suite="structure", backend="exact"))
+    report = run_suite(_cfg(suite="structure"))
     doc = json.dumps(report, sort_keys=True)
     assert "structure" in doc
 
 
 def test_config_echo_round_trips():
+    # the index suite reads the seed and not the sample count
     cfg = _cfg(suite="index", seed=11, samples=50)
     report = run_suite(cfg)
-    assert report["config"]["suite"] == "index"
-    assert report["config"]["seed"] == 11
-    assert report["config"]["samples"] == 50
+    assert report["config"] == {"suite": "index", "seed": 11}
 
 
 # -- check records -----------------------------------------------------------------------
@@ -282,11 +281,9 @@ def test_main_writes_json_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["tool"] == "cayleykit"
     assert report["summary"]["fail"] == 0
-    # with no flags the config echo is SuiteConfig's defaults
-    assert report["config"] == {
-        "suite": "index", "backend": "float", "tol": 1e-9, "seed": 0,
-        "samples": 200, "K": 2, "t_ladder": [1e-2, 3e-3, 1e-3, 3e-4],
-    }
+    # with no flags the config is SuiteConfig's default for the one
+    # setting the index suite reads
+    assert report["config"] == {"suite": "index", "seed": 0}
     capsys.readouterr()
 
 
@@ -343,13 +340,6 @@ def test_angles_takes_no_frame_file(capsys):
         main(["angles", "frame.txt"])
     assert exc.value.code == 2
     assert "unrecognized arguments: frame.txt" in capsys.readouterr().err
-
-
-def _strict_json(text):
-    """Parse JSON, refusing the non-standard NaN/Infinity tokens."""
-    def refuse(token):
-        raise ValueError("non-standard JSON token %s" % token)
-    return json.loads(text, parse_constant=refuse)
 
 
 def test_seeded_report_is_strict_json(tmp_path, capsys):
@@ -532,7 +522,7 @@ def test_skewed_frame_is_fixed_and_warned(tmp_path):
     skew.write_text(
         "2 0 0 0 0 0 0 0\n0 1 0 0 0 0 0 0\n"
         "0 0 1 0 0 0 0 0\n0 0 0 1 0 0 0 0\n")
-    report = classify_plane(str(skew), _cfg(suite="planes"))
+    report = classify_plane(str(skew))
     by_name = {c["name"]: c for c in report["checks"]}
     ortho = by_name["input:orthonormality"]
     assert ortho["status"] == "warn"
@@ -624,7 +614,7 @@ def test_classify_coordinate_complex_plane(tmp_path):
     frame.write_text(
         "1 0 0 0 0 0 0 0\n0 1 0 0 0 0 0 0\n"
         "0 0 1 0 0 0 0 0\n0 0 0 1 0 0 0 0\n")
-    report = classify_plane(str(frame), _cfg(suite="planes"))
+    report = classify_plane(str(frame))
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["plane:complex"]["details"]["is_complex"] is True
     calib = by_name["plane:calibration"]
@@ -635,7 +625,7 @@ def test_classify_coordinate_complex_plane(tmp_path):
 def test_classify_half_dimensional_counterexample(tmp_path):
     frame = tmp_path / "line.txt"
     frame.write_text("1 0 0 0\n0 0 0 1\n")
-    report = classify_plane(str(frame), _cfg(suite="planes"))
+    report = classify_plane(str(frame))
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["plane:complex"]["details"]["is_complex"] is False
     assert "plane:calibration" not in by_name
@@ -715,6 +705,10 @@ def test_index_flags_topology(tmp_path, capsys):
     report = json.loads(out.read_text())
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["index:from-topology"]["details"]["index"] == 4
+    # the config shows every invariant, null where not given
+    assert report["config"] == {
+        "suite": "index", "sign": -16, "euler": 24, "self_int": 0,
+        "c1sq": None, "c2": None, "c2nu": None}
     capsys.readouterr()
 
 
@@ -742,10 +736,17 @@ def test_non_integral_chern_combination(capsys):
     capsys.readouterr()
 
 
-def test_bad_ladder_values(capsys):
+def test_bad_ladder_values(monkeypatch, capsys):
+    # the whole ladder rule is checked before any suite runs
+    ran = []
+    for name, (_, reads) in list(cli._SUITE_BUILDERS.items()):
+        monkeypatch.setitem(cli._SUITE_BUILDERS, name, (
+            lambda cfg, name=name: ran.append(name) or (), reads))
     assert main(["torus", "--t-ladder", "a,b,c"]) == EXIT_MALFORMED
     assert main(["torus", "--t-ladder", "0.1,0.01"]) == EXIT_MALFORMED
-    capsys.readouterr()
+    assert main(["all", "--t-ladder", "1e-3,1e-2,1e-4"]) == EXIT_MALFORMED
+    assert "strictly decreasing" in capsys.readouterr().err
+    assert ran == []
 
 
 @pytest.mark.parametrize("ladder", [
@@ -789,10 +790,15 @@ def test_infinite_tol_exit_code(tmp_path, capsys):
 
 def test_options_before_the_subcommand_exit_usage(capsys):
     # options belong to a subcommand, so they follow it
-    with pytest.raises(SystemExit) as exc:
-        main(["--seed", "9", "--quiet", "index"])
-    assert exc.value.code == EXIT_USAGE
-    assert capsys.readouterr().out == ""
+    for argv in (["--seed", "9", "--quiet", "index"], ["--seed", "9", "index"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed: options follow the subcommand" in err
+        # the parser used to take the option's value for the subcommand
+        assert "invalid choice" not in err
 
 
 # -- every option is read or refused ----------------------------------------------------
@@ -873,16 +879,49 @@ def test_declared_options_are_those_some_mode_reads():
     assert sum(map(len, declared.values())) == 42
 
 
+# the value each option of _VALUES shows in a report's config, and the
+# suite a mode's report names where it is not the command
+_ECHOED = {"--backend": "exact", "--tol": 1e-3, "--seed": 4, "--samples": 3,
+           "--K": 1, "--t-ladder": [1e-2, 1e-3, 1e-4], "--reject": True,
+           **{flag: 0 for flag in _INVARIANT_FLAGS}}
+_SUITE_OF = {("verify-structure", None): "structure",
+             ("classify-plane", None): "planes",
+             ("graph-verify", None): "graphs"}
+_FILES = {
+    "classify-plane": "1 0 0 0 0 0 0 0\n0 0 1 0 0 0 0 0\n"
+                      "0 0 0 0 1 0 0 0\n0 0 0 0 0 0 1 0\n",
+    "graph-verify": "0 0 0 0\n" * 4,
+    "graph-solve": "0 0 0 0\n" * 4,
+}
+
+
+@pytest.mark.parametrize("command, mode", list(_READS))
+def test_config_is_what_the_run_read(command, mode, tmp_path, capsys):
+    # every option the mode reads is given, and the config shows each one
+    # with its value, and nothing else
+    argv = [command]
+    if mode == "file":
+        path = tmp_path / "input.txt"
+        path.write_text(_FILES[command])
+        argv.append(str(path))
+    reads = _READS[command, mode]
+    for option in sorted(reads):
+        argv += [option, *_VALUES[option]]
+    out = tmp_path / "report.json"
+    main(argv + ["--json", str(out), "--quiet"])
+    capsys.readouterr()
+    assert json.loads(out.read_text())["config"] == {
+        "suite": _SUITE_OF.get((command, mode), command),
+        **{flag[2:].replace("-", "_"): _ECHOED[flag] for flag in reads}}
+
+
 def test_config_validation_rejects_bad_values():
-    for kw in ({"suite": "bogus"}, {"tol": 0.0}, {"samples": 0},
-               {"K": -1}, {"backend": "decimal"}, {"tol": float("inf")},
+    for kw in ({"suite": "bogus"}, {"samples": 0}, {"K": -1},
                {"t_ladder": (float("inf"), 1e-2, 1e-3)},
-               {"t_ladder": (1e-2, 1e-3, 0.0)}):
-        try:
+               {"t_ladder": (1e-2, 1e-3, 0.0)},
+               {"t_ladder": (1e-3, 1e-2, 1e-4)}):
+        with pytest.raises(ValidationError):
             _cfg(**kw)
-        except Exception:
-            continue
-        raise AssertionError("expected rejection for %r" % (kw,))
 
 
 @pytest.mark.parametrize("argv", [
