@@ -26,8 +26,8 @@ class GradeError(CayleykitError):
 
 
 class TypeMismatch(CayleykitError):
-    """A vector or form fails the complex-type constraint it was declared
-    with (e.g. claimed (0,1) but J v != -i v)."""
+    """A vector or form is not of the complex type an operation needs
+    (e.g. a (0,1) input with J v != -i v)."""
 
 
 class PlaneError(CayleykitError):

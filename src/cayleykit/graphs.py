@@ -49,16 +49,13 @@ from .exterior import (
 )
 from .frames import OrientedPlane, as_matrix, haar_frame, random_unitary
 from .kahler import (
-    TYPE_01,
-    TYPE_10,
     ComplexStructureJ,
-    TypedVector,
     dz_form,
     dzbar_form,
     holo_vector,
     imag_unit,
+    require_type,
     to_complex_frame,
-    typed_vector,
     wedge_many,
 )
 from .spin7 import TWO_FORM_INDEX, phi0
@@ -619,19 +616,14 @@ class ComplexGraphCoefficients:
         """[v_1..v_p, w_1..w_p] as real vectors in R^{2m}."""
         labels = self.column_labels()
         out = []
-        n = 2 * self.m
-        for j in range(1, self.p + 1):
-            comps = [coerce_scalar(0, self.backend)] * n
-            comps[2 * j - 2] = coerce_scalar(1, self.backend)
-            for col, lab in enumerate(labels):
-                comps[self._real_coord(lab) - 1] = self.lam[j - 1][col]
-            out.append(Vector(comps, self.backend))
-        for j in range(1, self.p + 1):
-            comps = [coerce_scalar(0, self.backend)] * n
-            comps[2 * j - 1] = coerce_scalar(1, self.backend)
-            for col, lab in enumerate(labels):
-                comps[self._real_coord(lab) - 1] = self.mu[j - 1][col]
-            out.append(Vector(comps, self.backend))
+        # an x-row v_j has its 1 on e_{2j-1}, a y-row w_j on e_{2j}
+        for block, offset in ((self.lam, 2), (self.mu, 1)):
+            for j, row in enumerate(block, start=1):
+                comps = [coerce_scalar(0, self.backend)] * (2 * self.m)
+                comps[2 * j - offset] = coerce_scalar(1, self.backend)
+                for lab, x in zip(labels, row):
+                    comps[self._real_coord(lab) - 1] = x
+                out.append(Vector(comps, self.backend))
         return out
 
     @classmethod
@@ -662,7 +654,8 @@ def complex_graph_linear_system(model, cg):
     if cg.m != model.m:
         raise DimensionMismatch("coefficients and model disagree on m")
     if cg.backend != model.backend:
-        raise DimensionMismatch("coefficients and model use different backends")
+        raise BackendMismatch(
+            "mixed backends: %r vs %r" % (cg.backend, model.backend))
     beta = normal_volume_form(model, cg.p)
     frame = cg.frame()
     phase = model.phase_scalar()
@@ -754,15 +747,6 @@ def solve_complex_graph_linear(model, p, rng):
 # -- the normal-form isomorphism (m = 4 graphs over a surface) -------------
 
 
-@dataclass(frozen=True)
-class NormalFormImage:
-    """A decomposed element alpha (x) vector of the target bundle; alpha is
-    pinned to the unit antiholomorphic surface volume dzbar_1 ^ dzbar_2."""
-
-    alpha: Multivector
-    vector: TypedVector
-
-
 def _require_surface_model(model):
     if model.m != 4:
         raise DimensionMismatch("this construction needs the m=4 flat model")
@@ -771,65 +755,55 @@ def _require_surface_model(model):
 def _require_small(model, values, tol, message):
     """TypeMismatch(message) unless every |Re| and |Im| of the scalars
     ``values`` is zero on the exact backend, at most ``tol`` on the float
-    one."""
-    worst = max((max(abs(c.real), abs(c.imag)) for c in values), default=0)
-    if worst > (0 if model.backend == EXACT else tol):
+    one; the NaN-propagating maximum fails a NaN."""
+    worst = np.max([max(abs(c.real), abs(c.imag)) for c in values], initial=0)
+    if not worst <= (0 if model.backend == EXACT else tol):
         raise TypeMismatch(message)
 
 
-def _check_normal_01(model, tv):
-    if tv.vtype != TYPE_01:
-        raise TypeMismatch("expected a (0,1) vector")
-    _require_small(model, tv.vec.comps[:4], 1e-12,
-                   "vector has tangential components")
-
-
-def normal_isom(model, tv):
+def normal_isom(model, v):
     """Quarter of the sharpened contraction with conj(Omega).
 
-    Sends a (0,1) normal vector v to alpha (x) u with alpha the unit
-    dzbar_1 ^ dzbar_2 and u of type (1,0); all scalars are carried on u.
+    Sends a (0,1) normal vector v to dzbar_1 ^ dzbar_2 (x) u and returns
+    u, of type (1,0).  The (0,2) factor is the fixed dzbar_1 ^ dzbar_2;
+    all scalars are carried on u.
     """
     _require_surface_model(model)
-    _check_normal_01(model, tv)
-    three_form = hook(tv.vec, model.Omega.conj())
+    require_type(model.J, v, -1)
+    _require_small(model, v.comps[:4], 1e-12,
+                   "vector has tangential components")
+    three_form = hook(v, model.Omega.conj())
     cf = to_complex_frame(model, three_form)
     # frame slots: dzbar_k <-> 4 + k; surface legs are (5, 6)
     c3 = cf.coeff((5, 6, 7))
     c4 = cf.coeff((5, 6, 8))
-    _require_small(model, [v for k, v in cf.terms.items()
+    _require_small(model, [c for k, c in cf.terms.items()
                            if k not in ((5, 6, 7), (5, 6, 8))], 1e-10,
                    "contraction has unexpected components")
-    alpha = wedge(dzbar_form(model, 1), dzbar_form(model, 2))
     half = coerce_scalar(Fraction(1, 2), model.backend)
     # sharp of dzbar_b is 2 * (holomorphic coordinate vector), then / 4
-    u = holo_vector(model, 3).scale(c3).scale(half) + holo_vector(
+    return holo_vector(model, 3).scale(c3).scale(half) + holo_vector(
         model, 4
     ).scale(c4).scale(half)
-    return NormalFormImage(
-        alpha=alpha, vector=TypedVector(vec=u, vtype=TYPE_10)
-    )
 
 
-def normal_isom_inverse(model, alpha, tv):
+def normal_isom_inverse(model, u):
     """Inverse construction: alpha (x) u -> -1/4 sharp of the surface-star
-    of alpha ^ (u -| Omega)."""
+    of alpha ^ (u -| Omega), for a (1,0) vector u.  The (0,2) factor alpha
+    is the fixed dzbar_1 ^ dzbar_2; returns the (0,1) normal vector."""
     _require_surface_model(model)
-    if tv.vtype != TYPE_10:
-        raise TypeMismatch("expected a (1,0) vector")
-    # alpha must be a multiple of dzbar_1 ^ dzbar_2
-    cf = to_complex_frame(model, alpha)
-    _require_small(model, [v for k, v in cf.terms.items() if k != (5, 6)],
-                   1e-12, "alpha is not a (0,2) surface form")
-    five_form = wedge(alpha, hook(tv.vec, model.Omega))
+    require_type(model.J, u, 1)
+    alpha = wedge(dzbar_form(model, 1), dzbar_form(model, 2))
+    five_form = wedge(alpha, hook(u, model.Omega))
     # the coefficients of vol_N ^ dx_r, r in 5..8, and nothing else
-    _require_small(model, [v for k, v in five_form.terms.items()
+    _require_small(model, [c for k, c in five_form.terms.items()
                            if not (k[:4] == (1, 2, 3, 4) and len(k) == 5)],
                    1e-10, "unexpected components in the contraction")
     gamma = Vector([five_form.coeff((1, 2, 3, 4, r)) if r > 4 else 0
                     for r in range(1, 9)], model.backend)
     out = gamma.scale(-1).scale(coerce_scalar(Fraction(1, 4), model.backend))
-    return typed_vector(model.J, out, TYPE_01)
+    require_type(model.J, out, -1)
+    return out
 
 
 # -- decomposable-pair identities for the 7-piece over a surface -----------

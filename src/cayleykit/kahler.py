@@ -1,4 +1,4 @@
-"""Flat Kaehler model on R^{2m} and complex-type bookkeeping.
+"""Flat Kaehler model on R^{2m}; a vector's complex type is read off J.
 
 Complex coordinates are z_k = x_{2k-1} + i x_{2k}, so the complex structure
 acts by J e_{2k-1} = e_{2k}, J e_{2k} = -e_{2k-1}.  The model carries
@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DimensionMismatch, TypeMismatch, ValidationError
 from .exterior import (
     EXACT,
@@ -29,9 +31,6 @@ from .exterior import (
     wedge,
     wedge_many,
 )
-
-TYPE_10 = "(1,0)"
-TYPE_01 = "(0,1)"
 
 
 def imag_unit(backend):
@@ -150,36 +149,19 @@ def verify_normalization(model):
     return (lhs - rhs.scale(factor)).max_abs()
 
 
-@dataclass(frozen=True)
-class TypedVector:
-    """A complex vector tagged with its complex type."""
-
-    vec: Vector
-    vtype: str
+_TYPE_TOL = 1e-9  # largest component of J v -+ i v on a float vector
 
 
-_TYPE_TOL = 1e-9  # largest component of J v -+ i v on a float typed vector
-
-
-def typed_vector(J, vec, vtype):
-    """Validate the J-eigenvector condition and tag the vector.
-
-    (1,0) vectors satisfy J v = i v; (0,1) vectors satisfy J v = -i v.
-    Exact backend requires exact equality; float backend allows each
-    component of the difference up to _TYPE_TOL.
-    """
-    if vtype not in (TYPE_10, TYPE_01):
-        raise TypeMismatch("unknown complex type %r" % (vtype,))
-    i_unit = imag_unit(vec.backend)
-    diff = J.apply(vec) - vec.scale(i_unit if vtype == TYPE_10 else -i_unit)
-    worst = max(abs(c) for c in diff.re.comps + diff.im.comps)
-    if vec.backend == EXACT and worst != 0:
-        raise TypeMismatch("vector is not exactly of type %s" % (vtype,))
-    if worst > _TYPE_TOL:
-        raise TypeMismatch(
-            "vector fails the %s condition by %.3e" % (vtype, worst)
-        )
-    return TypedVector(vec=vec, vtype=vtype)
+def require_type(J, vec, sign):
+    """TypeMismatch unless J v = sign * i v: sign 1 is type (1,0) and
+    sign -1 type (0,1).  The exact backend requires exact equality; the
+    float one allows each component of the difference up to _TYPE_TOL, and
+    the NaN-propagating maximum fails a NaN."""
+    diff = J.apply(vec) - vec.scale(imag_unit(vec.backend) * sign)
+    worst = np.max(np.abs(diff.re.comps + diff.im.comps))
+    if not worst <= (0 if vec.backend == EXACT else _TYPE_TOL):
+        raise TypeMismatch("vector fails the %s condition by %s"
+                           % ("(1,0)" if sign == 1 else "(0,1)", worst))
 
 
 def hook_identities_check(model):
@@ -223,6 +205,9 @@ def dzbar_form(model, k):
 
 def holo_vector(model, k):
     """The (1,0) coordinate vector dual to dz_k: (e_{2k-1} - i e_{2k})/2."""
+    if not 1 <= k <= model.m:
+        raise DimensionMismatch(
+            "coordinate index %d out of range 1..%d" % (k, model.m))
     half = coerce_scalar(Fraction(1, 2), model.backend)
     comps = [0] * model.n
     comps[2 * k - 2] = half

@@ -25,6 +25,7 @@ from cayleykit.graphs import (
     GraphCoefficients,
     OrientedPlane,
     canonical_angles,
+    complex_graph_linear_system,
     cr_residual,
     e_isom_checks,
     graph_frame,
@@ -45,9 +46,6 @@ from cayleykit.graphs import (
     tau_system,
 )
 from cayleykit.kahler import (
-    TYPE_01,
-    TYPE_10,
-    TypedVector,
     antiholo_vector,
     build_model,
     holo_vector,
@@ -588,6 +586,13 @@ def test_linear_solutions_are_holomorphic_away_from_half_dimension():
         assert is_complex_plane(model, plane).is_complex
 
 
+def test_linear_system_refuses_mixed_backends():
+    cg = ComplexGraphCoefficients(1, 2, ((0, 0),), ((0, 0),), backend=EXACT)
+    with pytest.raises(BackendMismatch,
+                       match="mixed backends: 'exact' vs 'float'"):
+        complex_graph_linear_system(build_model(2, backend=FLOAT), cg)
+
+
 def test_float_graph_residuals_keep_a_nan():
     model = build_model(3, backend=FLOAT)
     lam = ((0.0, 0.5, 0.0, 0.0),)
@@ -608,35 +613,61 @@ def test_half_dimension_kernel_admits_non_holomorphic_solutions():
 # -- bundle isomorphisms ---------------------------------------------------------
 
 
+def _is_zero(diff):
+    return all(x == 0 for x in diff.re.comps + diff.im.comps)
+
+
 def test_normal_isomorphism_round_trip(exact_model):
     b3 = antiholo_vector(exact_model, 3)
     b4 = antiholo_vector(exact_model, 4)
     combo = b3.scale(ExactComplex(Fraction(1, 2), Fraction(3))) + b4.scale(
         ExactComplex(Fraction(-2), Fraction(1, 5)))
-    for cv in (b3, b4, combo):
-        tv = TypedVector(vec=cv, vtype=TYPE_01)
-        image = normal_isom(exact_model, tv)
-        back = normal_isom_inverse(exact_model, image.alpha, image.vector)
-        diff = back.vec - tv.vec
-        assert all(x == 0 for x in diff.re.comps + diff.im.comps)
+    for v in (b3, b4, combo):
+        assert _is_zero(normal_isom_inverse(
+            exact_model, normal_isom(exact_model, v)) - v)
+
+
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+def test_normal_isomorphism_inverts_its_inverse(phase):
+    model = build_model(4, backend=EXACT, phase_pair=phase)
+    h3 = holo_vector(model, 3)
+    h4 = holo_vector(model, 4)
+    combo = h3.scale(ExactComplex(Fraction(2), Fraction(-1))) + h4.scale(
+        ExactComplex(Fraction(1, 3), Fraction(5)))
+    for u in (h3, h4, combo):
+        assert _is_zero(normal_isom(model, normal_isom_inverse(model, u)) - u)
 
 
 def test_normal_isomorphism_is_linear(exact_model):
     c = ExactComplex(Fraction(2, 3), Fraction(-1, 2))
-    tv = TypedVector(vec=antiholo_vector(exact_model, 3), vtype=TYPE_01)
-    scaled = TypedVector(vec=tv.vec.scale(c), vtype=TYPE_01)
-    img = normal_isom(exact_model, tv)
-    img_scaled = normal_isom(exact_model, scaled)
-    want = img.vector.vec.scale(c)
-    diff = img_scaled.vector.vec - want
-    assert all(x == 0 for x in diff.re.comps + diff.im.comps)
-    assert (img_scaled.alpha - img.alpha).max_abs() == 0
+    v = antiholo_vector(exact_model, 3)
+    assert _is_zero(normal_isom(exact_model, v.scale(c))
+                    - normal_isom(exact_model, v).scale(c))
 
 
-def test_normal_isomorphism_rejects_wrong_type(exact_model):
-    tv = TypedVector(vec=holo_vector(exact_model, 3), vtype=TYPE_10)
-    with pytest.raises(TypeMismatch):
-        normal_isom(exact_model, tv)
+def test_normal_isomorphism_rejects_wrong_type(exact_model, float_model):
+    # a (1,0) vector into the forward map, a (0,1) one into the inverse
+    for model in (exact_model, float_model):
+        with pytest.raises(TypeMismatch, match=r"\(0,1\) condition"):
+            normal_isom(model, holo_vector(model, 3))
+        with pytest.raises(TypeMismatch, match=r"\(1,0\) condition"):
+            normal_isom_inverse(model, antiholo_vector(model, 3))
+
+
+@pytest.mark.parametrize("direction", [normal_isom, normal_isom_inverse])
+def test_normal_isomorphism_rejects_a_nan(float_model, direction):
+    v = Vector([0, 0, 0, 0, math.nan, math.nan, 0, 0], FLOAT)
+    with pytest.raises(TypeMismatch, match="by nan"):
+        direction(float_model, v)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_normal_isomorphism_rejects_tangential_components(backend):
+    model = build_model(4, backend=backend)
+    with pytest.raises(TypeMismatch, match="tangential"):
+        normal_isom(model, antiholo_vector(model, 1) + antiholo_vector(model, 3))
+    with pytest.raises(TypeMismatch, match="unexpected components"):
+        normal_isom_inverse(model, holo_vector(model, 1) + holo_vector(model, 3))
 
 
 def test_seven_piece_identities(phi_cy_exact, exact_model):

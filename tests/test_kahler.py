@@ -1,4 +1,4 @@
-"""Flat model data: forms, complex structure, typed vectors."""
+"""Flat model data: forms, complex structure, complex types of vectors."""
 
 from fractions import Fraction
 
@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from cayleykit.errors import DimensionMismatch, TypeMismatch, ValidationError
 from cayleykit.exterior import EXACT, Vector
 from cayleykit.kahler import (
-    TYPE_01,
-    TYPE_10,
     antiholo_vector,
     build_model,
     dz_form,
     dzbar_form,
     holo_vector,
     hook_identities_check,
+    require_type,
     to_complex_frame,
-    typed_vector,
     verify_normalization,
 )
 
@@ -67,10 +65,21 @@ def test_coordinate_vectors_have_the_right_type(exact_model):
     for k in range(1, 5):
         hv = holo_vector(exact_model, k)
         av = antiholo_vector(exact_model, k)
-        assert typed_vector(exact_model.J, hv, TYPE_10).vtype == TYPE_10
-        assert typed_vector(exact_model.J, av, TYPE_01).vtype == TYPE_01
+        require_type(exact_model.J, hv, 1)
+        require_type(exact_model.J, av, -1)
         with pytest.raises(TypeMismatch):
-            typed_vector(exact_model.J, hv, TYPE_01)
+            require_type(exact_model.J, hv, -1)
+        with pytest.raises(TypeMismatch):
+            require_type(exact_model.J, av, 1)
+
+
+@pytest.mark.parametrize("make", [holo_vector, antiholo_vector])
+@pytest.mark.parametrize("k", [0, 5])
+def test_coordinate_vector_index_out_of_range(exact_model, make, k):
+    # unchecked, k = 0 would wrap round to the last coordinate and k = m + 1
+    # would raise a bare IndexError
+    with pytest.raises(DimensionMismatch, match="out of range 1..4"):
+        make(exact_model, k)
 
 
 def test_coordinate_forms_occupy_their_frame_slots(exact_model):
