@@ -32,7 +32,8 @@ Cayley defect, are tables over FOUR_FORM_INDEX, evaluated on a 4-frame as
 its 70 4x4 minors times the table.  One kernel evaluates them, the fold:
 ``fold_table`` scatters a table into the Laplace expansion of the minors
 once, and ``four_form_values`` evaluates a batch of frames against it from
-their 2x2 pair minors (``pair_minors``), without forming the 70 minors.  It
+their 2x2 pair minors (those of ``pair_minors``, taken from the outer
+products of rows 1, 2 and of rows 3, 4), without forming the 70 minors.  It
 walks the batch in blocks of a few hundred frames, so its temporaries stay
 in cache however many frames a call carries.  The other modules hold their
 tables as ``FourFormTable``s, which run float and complex frames against
@@ -660,6 +661,9 @@ _LAPLACE = tuple(
 )
 _LAPLACE_LO, _LAPLACE_HI, _LAPLACE_SIGN = np.array(_LAPLACE).transpose(2, 1, 0)
 _PAIR_I, _PAIR_J = np.array(TWO_FORM_INDEX).T - 1
+# the entries x_i y_j and x_j y_i of the pairs i < j in a flattened (8, 8)
+# outer product x y^T
+_PAIR_IJ, _PAIR_JI = _PAIR_I * 8 + _PAIR_J, _PAIR_J * 8 + _PAIR_I
 # frames per block of the kernel.  Against the complex torus fold (r = 4)
 # the (block, 28 * r) product of four_form_values is 0.9 MB at 512 frames,
 # inside a 2 MB L2 share, and the (block, 15 * r) one of the graph slice
@@ -714,8 +718,12 @@ def pair_minors(x, y):
 
 
 def _frame_pair_minors(block):
-    """The 28 pair minors of rows 1, 2 and of rows 3, 4 of (n, 4, 8) frames."""
-    return pair_minors(block[:, 0], block[:, 1]), pair_minors(block[:, 2], block[:, 3])
+    """The 28 pair minors of rows 1, 2 and of rows 3, 4 of (n, 4, 8) frames:
+    pair_minors of each row pair, bit for bit, read off its outer product."""
+    outer = block[:, 0::2, :, None] * block[:, 1::2, None, :]
+    outer = outer.reshape(len(block), 2, 64)
+    minors = np.take(outer, _PAIR_IJ, axis=2) - np.take(outer, _PAIR_JI, axis=2)
+    return minors[:, 0], minors[:, 1]
 
 
 def _graph_pairs(x, y):
@@ -766,6 +774,12 @@ def four_form_values(frames, fold):
     the (P, r) array ``minors @ table``, from the kernel _contract on the
     28 pair minors of rows 1, 2 and of rows 3, 4.  The largest temporary is
     one (_BLOCK, 28 * r) array, which stays in cache however large P grows.
+
+    Float values may differ in the last bit with the batch: OpenBLAS rounds
+    ``bottom @ fold`` for one frame otherwise than for a row of a larger
+    batch, and at small batches (2 to 19 frames against the Cayley fold)
+    otherwise for C- than for Fortran-ordered minors, whatever the buffer's
+    address.  A frame's values are bitwise reproducible at a fixed batch.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3 or frames.shape[1:] != (4, 8):

@@ -97,17 +97,14 @@ def random_complex_plane(J, p, rng):
     rows = []
     for j in range(p):
         w = u[:, j]
-        rows.append(_realify(w, m))
-        rows.append(_realify(1j * w, m))
+        rows.append(_realify(w))
+        rows.append(_realify(1j * w))
     return OrientedPlane(rows=tuple(rows))
 
 
-def _realify(w, m):
-    comps = []
-    for k in range(m):
-        comps.append(float(np.real(w[k])))
-        comps.append(float(np.imag(w[k])))
-    return Vector(comps, FLOAT)
+def _realify(w):
+    """The complex vector w as the real vector (Re w_1, Im w_1, ...)."""
+    return Vector(np.column_stack((w.real, w.imag)).ravel().tolist(), FLOAT)
 
 
 # -- the graph deformation polynomial system -------------------------------
@@ -366,9 +363,14 @@ class CanonicalAngles:
     """Result of the angle extraction for an even-dimensional plane."""
 
     angles: tuple            # p values, ascending, last possibly > pi/2
-    pair_frame: tuple        # 2p Vectors (f_1, g_1, ..., f_p, g_p)
+    frame_rows: tuple        # 2p tuples of floats (f_1, g_1, ..., f_p, g_p)
     gap: Optional[float]     # smallest spacing between distinct cosines
     gap_warning: bool
+
+    @property
+    def pair_frame(self):
+        """The frame rows as 2p FLOAT Vectors, built on each access."""
+        return tuple(Vector(r, FLOAT) for r in self.frame_rows)
 
     def plane(self):
         return OrientedPlane(rows=self.pair_frame)
@@ -421,7 +423,7 @@ def canonical_angles(model, plane):
     # rows x_1..x_npos, y_1..y_npos of the eigenvectors u = x + i y
     u = evecs[:, pos].T
     xy = np.concatenate((u.real, u.imag))
-    norms = np.linalg.norm(xy, axis=1)
+    norms = np.sqrt(np.add.reduce(xy * xy, axis=1))
     if npos and norms.min() < 1e-12:
         raise PlaneError("pairing eigenvector degenerated; cannot pair")
     xy /= norms[:, None]
@@ -443,12 +445,12 @@ def canonical_angles(model, plane):
     # theta = atan2(|g - cos(theta) J f|, cos(theta)): the sine is the part of
     # g off J f, which stays accurate near 0 where arccos loses half the digits
     cos_arr = np.array(cos)
-    sin = np.linalg.norm(amb[1::2] - cos_arr[:, None] * (amb[0::2] @ jm.T), axis=1)
+    off = amb[1::2] - cos_arr[:, None] * (amb[0::2] @ jm.T)
+    sin = np.sqrt(np.add.reduce(off * off, axis=1))
     angles = np.arctan2(sin, cos_arr).tolist()
     if det < 0:
         amb[-1] = -amb[-1]
         angles[-1] = float(np.pi) - angles[-1]
-    vecs = tuple(Vector(a, FLOAT) for a in amb.tolist())
     cosines = sorted({round(c, 12) for c in cos})
     gap = None
     if len(cosines) > 1:
@@ -456,7 +458,7 @@ def canonical_angles(model, plane):
     warn = gap is not None and gap < _COS_GAP
     return CanonicalAngles(
         angles=tuple(angles),
-        pair_frame=vecs,
+        frame_rows=tuple(map(tuple, amb.tolist())),
         gap=gap,
         gap_warning=warn,
     )
@@ -482,10 +484,10 @@ def plane_from_angles(model, angles, rng):
     extra = p
     for j, theta in enumerate(angles):
         w = u[:, j]
-        f = _realify(w, m)
-        jf = _realify(1j * w, m)
+        f = _realify(w)
+        jf = _realify(1j * w)
         if sins[j]:
-            uvec = _realify(u[:, extra], m)
+            uvec = _realify(u[:, extra])
             extra += 1
             g_np = np.cos(theta) * as_matrix([jf])[0] + np.sin(theta) * as_matrix([uvec])[0]
             g = Vector(g_np.tolist(), FLOAT)
@@ -554,8 +556,8 @@ def is_complex_plane(model, plane, tol=1e-9):
     r, c = _coordinate_minor_index(p, m)
     w = np.linalg.det(z[r, c]) * complex(float(model.phase_cos),
                                          float(model.phase_sin))
-    worst = float(np.max(np.abs(w.real)))
-    worst_im = float(np.max(np.abs(w.imag)))
+    worst = float(np.abs(w.real).max())
+    worst_im = float(np.abs(w.imag).max())
     if m > p + 1:
         worst, worst_im = max(worst, worst_im), None
     return ComplexPlaneVerdict(

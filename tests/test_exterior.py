@@ -558,6 +558,53 @@ def test_pair_minors_match_leibniz_on_exact_complex(entries):
     assert list(-batch[1]) == _leibniz_minors(rows)
 
 
+def _frames_of(kind, P):
+    """P seeded (4, 8) frames of one entry kind, some entries 0.0 and -0.0
+    on the float kinds so that signed zeros reach the minors."""
+    rng = random.Random(P)
+    if kind in ("float64", "complex128"):
+        gen = np.random.default_rng(P)
+        frames = gen.standard_normal((P, 4, 8))
+        frames[gen.random((P, 4, 8)) < 0.2] = 0.0
+        frames[gen.random((P, 4, 8)) < 0.2] = -0.0
+        if kind == "complex128":
+            frames = frames + 1j * frames[:, ::-1]
+        return frames
+    if kind == "int":
+        entry = functools.partial(rng.randint, -9, 9)
+    elif kind == "fraction":
+        def entry():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    else:
+        def entry():
+            return ExactComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                                rng.randint(-3, 3))
+    frames = np.empty((P, 4, 8), dtype=object)
+    frames[...] = [[[entry() for _ in range(8)] for _ in range(4)] for _ in range(P)]
+    return frames
+
+
+@pytest.mark.parametrize("P", [1, 5, exterior._BLOCK + 1])
+@pytest.mark.parametrize(
+    "kind", ["float64", "complex128", "int", "fraction", "exact_complex"])
+def test_frame_pair_minors_match_pair_minors(kind, P):
+    # the kernel's minors of rows 1, 2 and 3, 4 are pair_minors of the same
+    # rows bit for bit: bytes on float and complex frames, since -0.0 == 0.0,
+    # and value and type on object frames
+    frames = _frames_of(kind, P)
+    got = exterior._frame_pair_minors(frames)
+    want = (pair_minors(frames[:, 0], frames[:, 1]),
+            pair_minors(frames[:, 2], frames[:, 3]))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (P, 28) and g.dtype == w.dtype
+        if g.dtype == object:
+            assert [(type(x), x) for x in g.flat] == [(type(x), x) for x in w.flat]
+        else:
+            assert g.tobytes() == np.ascontiguousarray(w).tobytes()
+    if kind == "float64":
+        assert any((np.signbit(g) & (g == 0)).any() for g in got)
+
+
 def test_pair_minors_follow_the_two_form_index():
     x, y = np.arange(1, 9), np.arange(8) ** 2
     want = [x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]

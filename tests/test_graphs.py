@@ -409,6 +409,11 @@ def test_pair_frame_contract():
     for model, plane in _angle_cases():
         rec = canonical_angles(model, plane)
         p = plane.dim // 2
+        # the pair frame: FLOAT Vectors built on access from the stored rows
+        assert all(type(x) is float for row in rec.frame_rows for x in row)
+        assert rec.pair_frame == tuple(Vector(r, FLOAT) for r in rec.frame_rows)
+        assert rec.plane() == OrientedPlane(rows=rec.pair_frame)
+        assert rec == canonical_angles(model, plane)
         frame = np.array([r.comps for r in rec.pair_frame])
         rows = plane.matrix()
         assert np.max(np.abs(frame @ frame.T - np.eye(2 * p))) < 1e-12
@@ -428,6 +433,14 @@ def test_pair_frame_contract():
         flipped.add(rec.angles[-1] > np.pi / 2)
     # the Haar planes need the orientation flip for some draws, not others
     assert flipped == {True, False}
+    # two totally real planes: every angle pi/2, exactly, on different
+    # frames, so == on the results tells them apart by the frame
+    model = build_model(4, backend=FLOAT)
+    odd, even = (canonical_angles(model, OrientedPlane.from_rows(
+        np.eye(8)[axes].tolist(), backend=FLOAT)) for axes in ([0, 2, 4, 6], [1, 3, 5, 7]))
+    assert odd.angles == even.angles == (np.pi / 2,) * 2
+    assert (odd.gap, odd.gap_warning) == (even.gap, even.gap_warning)
+    assert odd != even
 
 
 def test_angles_match_the_per_pair_loop():
