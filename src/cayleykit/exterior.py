@@ -52,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -808,18 +809,15 @@ class FourFormTable:
     def __init__(self, table):
         self.table = np.array(table)
         self.table.flags.writeable = False
-        self._float_fold = None
-        self._graph_fold = None
-        self._exact_fold = None
 
     def __call__(self, frames):
         frames = np.asarray(frames)
         one = frames.ndim == 2
         batch = frames[None] if one else frames
         if frames.dtype.kind in "fc":
-            values = four_form_values(batch, self._float())
+            values = four_form_values(batch, self._float_fold)
         else:
-            fold, den = self._exact()
+            fold, den = self._exact_fold
             nums, q = _ratlinalg.scaled(batch)
             values = _ratlinalg.unscaled(four_form_values(nums, fold), den * q**4)
         return values[0] if one else values
@@ -839,32 +837,33 @@ class FourFormTable:
                 % (blocks.shape,))
         if blocks.dtype.kind not in "fc":
             raise BackendMismatch("graph frames take float or complex normal blocks")
-        if self._graph_fold is None:
-            fold = self._float()
-            pairs = len(TWO_FORM_INDEX)
-            r = fold.shape[1] // pairs
-            graph = fold.reshape(pairs, pairs, r)[np.ix_(_GRAPH_HI, _GRAPH_LO)]
-            self._graph_fold = graph.reshape(len(_GRAPH_HI), len(_GRAPH_LO) * r)
-            self._graph_fold.flags.writeable = False
         return _contract(blocks, self._graph_fold, _graph_pair_minors)
 
-    def _float(self):
-        if self._float_fold is None:
-            table = self.table
-            if table.dtype == object:
-                real = _COMPLEX.isdisjoint(map(type, table.flat))
-                table = table.astype(float if real else complex)
-            self._float_fold = fold_table(table)
-        return self._float_fold
+    @cached_property
+    def _graph_fold(self):
+        fold = self._float_fold
+        pairs = len(TWO_FORM_INDEX)
+        r = fold.shape[1] // pairs
+        graph = fold.reshape(pairs, pairs, r)[np.ix_(_GRAPH_HI, _GRAPH_LO)]
+        graph = graph.reshape(len(_GRAPH_HI), len(_GRAPH_LO) * r)
+        graph.flags.writeable = False
+        return graph
 
-    def _exact(self):
-        if self._exact_fold is None:
-            if (self.table.dtype.kind in "fc"
-                    or not _COMPLEX.isdisjoint(map(type, self.table.flat))):
-                raise BackendMismatch("exact frames need a table of Fractions or ints")
-            nums, den = _ratlinalg.scaled(self.table)
-            self._exact_fold = fold_table(nums), den
-        return self._exact_fold
+    @cached_property
+    def _float_fold(self):
+        table = self.table
+        if table.dtype == object:
+            real = _COMPLEX.isdisjoint(map(type, table.flat))
+            table = table.astype(float if real else complex)
+        return fold_table(table)
+
+    @cached_property
+    def _exact_fold(self):
+        if (self.table.dtype.kind in "fc"
+                or not _COMPLEX.isdisjoint(map(type, self.table.flat))):
+            raise BackendMismatch("exact frames need a table of Fractions or ints")
+        nums, den = _ratlinalg.scaled(self.table)
+        return fold_table(nums), den
 
 
 def apply_signed_permutation(a, perm, signs):

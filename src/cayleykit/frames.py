@@ -1,4 +1,6 @@
-"""Oriented planes, random frames and small orthogonality utilities."""
+"""Oriented planes and float frames: a frame stays one (k, n) array until
+``OrientedPlane.from_rows`` takes it, and ``orthonormal_rows`` is the one
+orientation-preserving QR, which draws a Haar frame and repairs a skewed one."""
 
 import math
 from dataclasses import dataclass, field
@@ -9,18 +11,15 @@ from .errors import PlaneError
 from .exterior import EXACT, FLOAT, Vector
 
 
-def haar_frame(n, k, rng):
-    """k orthonormal vectors in R^n drawn from the rotation-invariant measure.
-
-    Returns a list of float-backend Vectors (the frame rows).
-    """
-    if k > n:
-        raise PlaneError("cannot fit %d orthonormal vectors in R^%d" % (k, n))
-    g = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(g)
-    # fix the residual sign ambiguity so the draw is measure-correct
-    q = q * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
-    return [Vector(q[:, j].tolist(), FLOAT) for j in range(k)]
+def orthonormal_rows(rows):
+    """The k orthonormal rows, as a (k, n) float array, that a QR of k
+    independent rows (Vectors, rows of numbers or an array) gives: row j
+    spans with the rows before it what rows 1..j span.  R's diagonal is
+    made nonnegative, so the frame keeps the rows' orientation, and a
+    Gaussian draw comes out Haar-distributed (Mezzadri, Notices AMS 54,
+    2007)."""
+    q, r = np.linalg.qr(as_matrix(rows).T)
+    return (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
 
 
 def random_unitary(m, rng):
@@ -102,6 +101,9 @@ class OrientedPlane:
 
     @classmethod
     def from_rows(cls, rows, backend=FLOAT):
+        """rows: Vectors, rows of numbers, or an array read as Python scalars."""
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
         vecs = [r if isinstance(r, Vector) else Vector(r, backend) for r in rows]
         return cls(rows=tuple(vecs))
 

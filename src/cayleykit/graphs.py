@@ -11,6 +11,9 @@ Conventions used throughout:
   p-dimensional graphs over the z_1..z_p coordinate plane carry two
   coefficient blocks (lam for the x-rows, mu for the y-rows), with normal
   labels k in {p+1..m} for x-legs and k+m for y-legs.
+* The samplers (random_plane, random_complex_plane, plane_from_angles)
+  build a float frame as one (k, n) array, a Haar draw through
+  frames.orthonormal_rows, and hand it to OrientedPlane.from_rows.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .exterior import (
     musical_sharp,
     wedge,
 )
-from .frames import OrientedPlane, as_matrix, haar_frame, random_unitary
+from .frames import OrientedPlane, orthonormal_rows, random_unitary
 from .kahler import (
     ComplexStructureJ,
     dz_form,
@@ -66,7 +69,10 @@ from .spin7 import TWO_FORM_INDEX, phi0
 
 def random_plane(n, dim, rng):
     """A uniformly random oriented plane (float backend)."""
-    return OrientedPlane(rows=tuple(haar_frame(n, dim, rng)))
+    if dim > n:
+        raise PlaneError("cannot fit %d orthonormal vectors in R^%d" % (dim, n))
+    g = rng.standard_normal((n, dim))
+    return OrientedPlane.from_rows(orthonormal_rows(g.T))
 
 
 def j_invariance_residual(J, plane):
@@ -93,18 +99,18 @@ def random_complex_plane(J, p, rng):
     m = J.m
     if p > m:
         raise PlaneError("complex dimension %d exceeds m=%d" % (p, m))
-    u = random_unitary(m, rng)
-    rows = []
-    for j in range(p):
-        w = u[:, j]
-        rows.append(_realify(w))
-        rows.append(_realify(1j * w))
-    return OrientedPlane(rows=tuple(rows))
+    return OrientedPlane.from_rows(_pair_rows(random_unitary(m, rng)[:, :p].T))
 
 
-def _realify(w):
-    """The complex vector w as the real vector (Re w_1, Im w_1, ...)."""
-    return Vector(np.column_stack((w.real, w.imag)).ravel().tolist(), FLOAT)
+def _realify(z):
+    """Complex rows (..., m) as real rows (..., 2m): (Re z_1, Im z_1, ...)."""
+    return np.stack((z.real, z.imag), axis=-1).reshape(*z.shape[:-1], -1)
+
+
+def _pair_rows(w):
+    """The (2p, 2m) real rows f_1, J f_1, f_2, J f_2, ... of p complex
+    rows w_j, f_j being w_j realified and J f_j the realified i w_j."""
+    return _realify(np.stack((w, 1j * w), axis=1).reshape(-1, w.shape[1]))
 
 
 # -- the graph deformation polynomial system -------------------------------
@@ -480,22 +486,15 @@ def plane_from_angles(model, angles, rng):
             "angles need %d complex directions but m=%d" % (needed, m)
         )
     u = random_unitary(m, rng)
-    rows = []
-    extra = p
+    rows = _pair_rows(u[:, :p].T)
+    legs = iter(_realify(u[:, p:].T))
     for j, theta in enumerate(angles):
-        w = u[:, j]
-        f = _realify(w)
-        jf = _realify(1j * w)
+        jf = rows[2 * j + 1]
         if sins[j]:
-            uvec = _realify(u[:, extra])
-            extra += 1
-            g_np = np.cos(theta) * as_matrix([jf])[0] + np.sin(theta) * as_matrix([uvec])[0]
-            g = Vector(g_np.tolist(), FLOAT)
-        else:
-            g = jf if np.cos(theta) > 0 else Vector((-as_matrix([jf])[0]).tolist(), FLOAT)
-        rows.append(f)
-        rows.append(g)
-    return OrientedPlane(rows=tuple(rows))
+            rows[2 * j + 1] = np.cos(theta) * jf + np.sin(theta) * next(legs)
+        elif not np.cos(theta) > 0:
+            rows[2 * j + 1] = -jf
+    return OrientedPlane.from_rows(rows)
 
 
 # -- complex-plane detection ----------------------------------------------

@@ -122,9 +122,6 @@ class CayleyForm:
         if phi.grades() not in ([], [4]):
             raise GradeError("calibration form must be homogeneous of grade 4")
         self.phi = phi
-        self._phi_row = None
-        self._defect = None
-        self._cayley_table = None
 
     @property
     def backend(self):
@@ -184,10 +181,11 @@ class CayleyForm:
         """phi's 70 coefficients over FOUR_FORM_INDEX, so that phi on a
         frame is the frame's minors times this row.  A float array on the
         float backend, a tuple of Fractions on the exact one."""
-        if self._phi_row is None:
-            row = tuple(self.phi.coeff(quad) for quad in FOUR_FORM_INDEX)
-            self._phi_row = self._frozen(row)
         return self._phi_row
+
+    @cached_property
+    def _phi_row(self):
+        return self._frozen(tuple(self.phi.coeff(quad) for quad in FOUR_FORM_INDEX))
 
     def defect_table(self):
         """70x28 table of tau: row c holds the TWO_FORM_INDEX coefficients
@@ -209,28 +207,29 @@ class CayleyForm:
         denominators multiplied once.  tau_eval stays the reference the
         table is tested against.
         """
-        if self._defect is None:
-            pi7 = self._pi7[1]
-            if self.backend == EXACT:
-                gathered, phi_den = self._gather(_TAU_INDEX)
-                nums, den = pi7
-                self._defect = _ratlinalg.unscaled(
-                    gathered @ nums.T, 4 * phi_den * den)
-            else:
-                # einsum's own loop, not BLAS: a matmul this small would
-                # allocate BLAS work buffers, about 0.3 MB of peak memory
-                self._defect = self._frozen(np.einsum(
-                    "cq,pq->cp", self._gather(_TAU_INDEX), pi7) * 0.25)
         return self._defect
+
+    @cached_property
+    def _defect(self):
+        pi7 = self._pi7[1]
+        if self.backend == EXACT:
+            gathered, phi_den = self._gather(_TAU_INDEX)
+            nums, den = pi7
+            return _ratlinalg.unscaled(gathered @ nums.T, 4 * phi_den * den)
+        # einsum's own loop, not BLAS: a matmul this small would allocate
+        # BLAS work buffers, about 0.3 MB of peak memory
+        return self._frozen(np.einsum(
+            "cq,pq->cp", self._gather(_TAU_INDEX), pi7) * 0.25)
 
     def cayley_table(self):
         """The FourFormTable of [defect_table() | phi_row()] (70x29): on a
         frame, columns 0..27 of its values are tau and column 28 is phi,
         exact on exact frames."""
-        if self._cayley_table is None:
-            self._cayley_table = FourFormTable(
-                np.column_stack([self.defect_table(), self.phi_row()]))
         return self._cayley_table
+
+    @cached_property
+    def _cayley_table(self):
+        return FourFormTable(np.column_stack([self.defect_table(), self.phi_row()]))
 
     def _frozen(self, values):
         if self.backend == EXACT:
@@ -369,9 +368,9 @@ TAU_TOL = 1e-7  # the largest defect norm of a Cayley plane
 def is_cayley(Phi, plane, tol_phi=1e-9):
     """Classify an oriented 4-plane: Cayley when the calibration value is
     within tol_phi of 1 and the alternation norm is at most TAU_TOL.
-    ``plane`` is anything with orthonormal ``rows`` (or a plain list of 4
-    Vectors on the form's backend); an OrientedPlane on the float backend
-    is read through its cached frame matrix.
+    ``plane`` is an OrientedPlane or a list of 4 orthonormal Vectors on
+    the form's backend; an OrientedPlane on the float backend is read
+    through its cached frame matrix.
 
     Both numbers come from the frame's 70 minors: times phi_row() for the
     value, times defect_table() for tau, by one call on cayley_table().  On
@@ -382,7 +381,7 @@ def is_cayley(Phi, plane, tol_phi=1e-9):
         rows = plane.rows
         checked = rows[:1]
     else:
-        rows = list(getattr(plane, "rows", plane))
+        rows = list(plane)
         checked = rows
     if len(rows) != 4:
         raise PlaneError("need exactly 4 frame vectors, got %d" % (len(rows),))

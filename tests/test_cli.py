@@ -107,6 +107,33 @@ def test_a_nan_residual_fails_its_check(monkeypatch, suite, name, make_nan,
         assert rows[check]["residual"] == "nan", check
 
 
+# negative controls: each corrupts the coordinate planes the planes and
+# angles suites share, and exactly the checks reading that plane must fail
+_PLANE_CORRUPTIONS = [
+    ({"_COMPLEX_PLANE": cli._LAGRANGIAN_PLANE,
+      "_LAGRANGIAN_PLANE": cli._COMPLEX_PLANE},
+     {"planes:standard-complex-plane", "planes:special-lagrangian-plane",
+      "angles:isotropic-right-angles"}),
+    ({"_COUNTER_PLANE": cli.OrientedPlane.from_rows(np.eye(4)[:2])},
+     {"planes:half-dimension-counterexample"}),
+]
+
+
+@pytest.mark.parametrize("planes, failing", _PLANE_CORRUPTIONS,
+                         ids=["swapped-r8-planes", "complex-counterexample"])
+def test_corrupted_coordinate_planes_fail_their_checks(monkeypatch, planes,
+                                                       failing):
+    for name, plane in planes.items():
+        monkeypatch.setattr(cli, name, plane)
+    statuses = {}
+    for suite in ("planes", "angles"):
+        report = run_suite(_cfg(suite=suite, samples=20, seed=3))
+        statuses.update((c["name"], c["status"]) for c in report["checks"])
+    assert {n for n, status in statuses.items() if status == "fail"} == failing
+    assert {status for n, status in statuses.items()
+            if n not in failing} == {"pass"}
+
+
 def test_disagreeing_pi7_routes_fail_a_check(monkeypatch, capsys):
     # one negated coefficient makes the two pi7 routes disagree: the
     # structure suite reports that as a failed check, not as bad input

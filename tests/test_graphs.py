@@ -19,7 +19,7 @@ from cayleykit.errors import (
 from cayleykit.exterior import (
     EXACT, FLOAT, ExactComplex, Vector, fold_table, four_form_values, hook_many,
     inner)
-from cayleykit.frames import as_matrix
+from cayleykit.frames import as_matrix, orthonormal_rows, random_unitary
 from cayleykit.graphs import (
     ComplexGraphCoefficients,
     GraphCoefficients,
@@ -227,12 +227,7 @@ def test_newton_solutions_give_cayley_planes():
     Phi = phi0(backend=FLOAT)
     for _ in range(10):
         sol = solve_tau_system(random_graph_coefficients(rng, radius=0.2))
-        mat = np.array([[float(x) for x in v.comps]
-                        for v in graph_frame(sol)])
-        q, r = np.linalg.qr(mat.T)
-        q = q * np.where(np.diag(r) < 0, -1.0, 1.0)[None, :]
-        plane = OrientedPlane.from_rows([list(c) for c in q.T],
-                                        backend=FLOAT)
+        plane = OrientedPlane.from_rows(orthonormal_rows(graph_frame(sol)))
         assert is_cayley(Phi, plane).is_cayley
 
 
@@ -290,6 +285,99 @@ def test_random_plane_is_orthonormal():
     plane = random_plane(8, 4, rng)
     mat = np.array([[float(x) for x in r.comps] for r in plane.rows])
     assert np.max(np.abs(mat @ mat.T - np.eye(4))) < 1e-12
+
+
+_SKEWED = [[1, 0.1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+           [0, 0, 1, 0, 0, 0, 0, 0], [0, -2, 3, -1, 0, 0, 0, 5]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda rows: rows,
+    lambda rows: np.array(rows, dtype=float),
+    lambda rows: [Vector(r, FLOAT) for r in rows],
+    lambda rows: [Vector(map(Fraction, r), EXACT) for r in rows],
+], ids=["lists", "array", "float-vectors", "exact-vectors"])
+@pytest.mark.parametrize("rows", [
+    _SKEWED,
+    [[-r for r in row] for row in _SKEWED],
+    np.random.default_rng(4).standard_normal((4, 8)).tolist(),
+    [[0, 3], [-2, 0]],
+], ids=["skewed", "negated", "gaussian", "R2-flipped"])
+def test_orthonormal_rows_keep_span_and_orientation(rows, make):
+    frame = make(rows)
+    mat = as_matrix(frame)
+    q = orthonormal_rows(frame)
+    assert isinstance(q, np.ndarray) and q.dtype == float and q.shape == mat.shape
+    assert np.max(np.abs(q @ q.T - np.eye(len(q)))) < 1e-12
+    # the input rows in the new ones: lower triangular, positive diagonal,
+    # so each row's span and the orientation are those of the rows given
+    coords = mat @ q.T
+    assert np.max(np.abs(np.triu(coords, 1))) < 1e-12
+    assert np.all(np.diag(coords) > 0)
+    assert np.max(np.abs(coords @ q - mat)) < 1e-12
+
+
+# -- the samplers against the Vector-based reference ---------------------------
+
+
+def _reference_haar_rows(n, k, rng):
+    """random_plane's rows as the Vector-based sampler built them; its sign
+    rule, sign(d) with 0 read as 1, is written apart from orthonormal_rows'."""
+    q, r = np.linalg.qr(rng.standard_normal((n, k)))
+    q = q * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
+    return [Vector(q[:, j].tolist(), FLOAT) for j in range(k)]
+
+
+def _reference_realify(w):
+    return Vector(np.column_stack((w.real, w.imag)).ravel().tolist(), FLOAT)
+
+
+def _reference_complex_rows(J, p, rng):
+    u = random_unitary(J.m, rng)
+    rows = []
+    for j in range(p):
+        rows += [_reference_realify(u[:, j]), _reference_realify(1j * u[:, j])]
+    return rows
+
+
+def _reference_angle_rows(model, angles, rng):
+    u = random_unitary(model.m, rng)
+    rows = []
+    extra = len(angles)
+    for j, theta in enumerate(angles):
+        f = _reference_realify(u[:, j])
+        jf = _reference_realify(1j * u[:, j])
+        if abs(np.sin(theta)) > 1e-12:
+            leg = _reference_realify(u[:, extra])
+            extra += 1
+            g = Vector((np.cos(theta) * as_matrix([jf])[0]
+                        + np.sin(theta) * as_matrix([leg])[0]).tolist(), FLOAT)
+        else:
+            g = jf if np.cos(theta) > 0 else Vector(
+                (-as_matrix([jf])[0]).tolist(), FLOAT)
+        rows += [f, g]
+    return rows
+
+
+@pytest.mark.parametrize("sample, reference", [
+    (lambda model, rng: random_plane(8, 4, rng),
+     lambda model, rng: _reference_haar_rows(8, 4, rng)),
+    (lambda model, rng: random_complex_plane(model.J, 2, rng),
+     lambda model, rng: _reference_complex_rows(model.J, 2, rng)),
+] + [
+    (lambda model, rng, a=angles: plane_from_angles(model, a, rng),
+     lambda model, rng, a=angles: _reference_angle_rows(model, a, rng))
+    for angles in ((0.3, 0.9), (0.0, 1.2), (np.pi / 2, 3.0), (0.0, np.pi))
+], ids=["haar", "complex", "angles-0.3-0.9", "angles-0-1.2",
+        "angles-pi/2-3", "angles-0-pi"])
+def test_samplers_draw_the_reference_rows_bit_for_bit(float_model, sample,
+                                                      reference):
+    for seed in range(20):
+        plane = sample(float_model, np.random.default_rng(seed))
+        want = reference(float_model, np.random.default_rng(seed))
+        assert all(type(x) is float for r in plane.rows for x in r.comps)
+        assert (np.array([r.comps for r in plane.rows]).tobytes()
+                == np.array([r.comps for r in want]).tobytes()), seed
 
 
 # -- canonical angles ----------------------------------------------------------
@@ -591,11 +679,7 @@ def test_linear_solutions_are_holomorphic_away_from_half_dimension():
     for _ in range(5):
         cg = solve_complex_graph_linear(model, 1, rng)
         assert cr_residual(cg) < 1e-9
-        frame = [[float(x) for x in v.comps] for v in cg.frame()]
-        q, r = np.linalg.qr(np.array(frame).T)
-        q = q * np.where(np.diag(r) < 0, -1.0, 1.0)[None, :]
-        plane = OrientedPlane.from_rows([list(c) for c in q.T],
-                                        backend=FLOAT)
+        plane = OrientedPlane.from_rows(orthonormal_rows(cg.frame()))
         assert is_complex_plane(model, plane).is_complex
 
 
