@@ -832,26 +832,18 @@ def e_isom_checks(Phi, model):
     _require_surface_model(model)
     quarter = coerce_scalar(Fraction(1, 4), model.backend)
     worst_i = 0.0
-    # (i) antiholomorphic surface x normal pairs
+    # (i) antiholomorphic surface x normal pairs against Omega, and the
+    # conjugate flavor: holomorphic pairs against conj(Omega)
     for a in (1, 2):
         for c in (3, 4):
-            v = dzbar_form(model, a)
-            w = dzbar_form(model, c)
-            vs = musical_sharp(v)
-            ws = musical_sharp(w)
-            corr = hook_many([vs, ws], model.Omega).scale(quarter)
-            lhs = Phi.pi7_apply(wedge(v, w))
-            diff = lhs - (wedge(v, w) + corr)
-            worst_i = max(worst_i, float(diff.max_abs()))
-            # conjugate flavor: holomorphic pairs against conj(Omega)
-            vb = dz_form(model, a)
-            wb = dz_form(model, c)
-            corr_b = hook_many(
-                [musical_sharp(vb), musical_sharp(wb)], model.Omega.conj()
-            ).scale(quarter)
-            lhs_b = Phi.pi7_apply(wedge(vb, wb))
-            diff_b = lhs_b - (wedge(vb, wb) + corr_b)
-            worst_i = max(worst_i, float(diff_b.max_abs()))
+            for form, Omega in ((dzbar_form, model.Omega),
+                                (dz_form, model.Omega.conj())):
+                v = form(model, a)
+                w = form(model, c)
+                corr = hook_many(
+                    [musical_sharp(v), musical_sharp(w)], Omega).scale(quarter)
+                diff = Phi.pi7_apply(wedge(v, w)) - (wedge(v, w) + corr)
+                worst_i = max(worst_i, float(diff.max_abs()))
     # (ii) mixed-type surface x normal pairs are annihilated
     worst_ii = 0.0
     for a in (1, 2):

@@ -818,14 +818,18 @@ def holomorphic_kernel_match(model):
 
     Both halves are (mode_count, 4, 2) block stacks.  A block's null
     projector is vh^H diag(dropped) vh, with vh its right singular vectors
-    and dropped its singular values at or below KERNEL_TOL times its
-    largest, the threshold of kernel_report, so a block that drops nothing
-    has projector exactly 0.  One call of ``block_singular_values`` finds
-    the blocks that drop a value (on the flat torus only the constant
-    mode's pair; both halves have orthogonal columns, so these values are
-    vector norms); singular vectors are taken by LAPACK of those blocks
-    alone, and only the modes where either half has a kernel are
-    compared."""
+    and dropped its singular values at or below KERNEL_TOL times that
+    block's own largest value, so a block that drops nothing has projector
+    exactly 0.  This per-block rule is not kernel_report's, which
+    thresholds every value against the largest over all modes.  On the
+    flat torus both rules drop exactly the constant mode's values, which
+    are 0: every nonzero mode's values are one fixed multiple of 2 pi |k|
+    per half, equal within a block and far above either threshold.  One
+    call of ``block_singular_values`` finds the blocks that drop a value
+    (on the flat torus only the constant mode's pair; both halves have
+    orthogonal columns, so these values are vector norms); singular
+    vectors are taken by LAPACK of those blocks alone, and only the modes
+    where either half has a kernel are compared."""
     holo = complex_linear_op(model)[0].blocks[:, :4, :2]
     blocks = np.concatenate([holo, dbar_matrix(model).blocks])
     s = block_singular_values(blocks)

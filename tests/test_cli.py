@@ -514,11 +514,60 @@ def test_fuzzed_tilt_file_exits_malformed(text, backend, tmp_path_factory):
     assert _exit_code(argv) == EXIT_MALFORMED
 
 
-@pytest.mark.parametrize("command", ["classify-plane", "graph-verify"])
+_FILE_COMMANDS = ["classify-plane", "graph-verify", "graph-solve"]
+
+
+@pytest.mark.parametrize("command", _FILE_COMMANDS)
 def test_missing_or_directory_file_exits_unreadable(command, tmp_path, capsys):
-    assert main([command, str(tmp_path / "nope.txt")]) == EXIT_UNREADABLE
-    assert main([command, str(tmp_path)]) == EXIT_UNREADABLE
-    capsys.readouterr()
+    for path in (str(tmp_path / "nope.txt"), str(tmp_path)):
+        assert main([command, path]) == EXIT_UNREADABLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cannot read %s: " % (path,))
+
+
+# a frame or tilt file that is not UTF-8 text
+_NOT_UTF8 = b"\xff\xfe 1 0\n"
+
+
+@pytest.mark.parametrize("command", _FILE_COMMANDS)
+def test_non_utf8_file_exits_malformed(command, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_NOT_UTF8)
+    assert main([command, str(bad)]) == EXIT_MALFORMED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and str(bad) in err
+
+
+def test_non_utf8_file_prints_no_traceback(tmp_path, cli_env):
+    # the decode error escaped main as a traceback with exit 1, the code
+    # of a failed check
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_NOT_UTF8)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleykit.cli", "graph-verify", str(bad)],
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=120,
+        env=cli_env)
+    assert proc.returncode == EXIT_MALFORMED, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_classify_plane_lets_the_open_error_through(tmp_path):
+    # main, not the library call, turns it into exit 3
+    with pytest.raises(FileNotFoundError):
+        classify_plane(str(tmp_path / "nope.txt"))
+
+
+@pytest.mark.parametrize("command", ["graph-verify", "graph-solve"])
+def test_graph_help_says_why_there_is_no_tol(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # no line breaks inside a name
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "fixed bound %g" % cli._GRAPH_TOL in help_text
+    assert "graph-system:newton-batch" in help_text
 
 
 def test_ragged_rows_exit_code(tmp_path, capsys):
