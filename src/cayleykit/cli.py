@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import operator
 import sys
 from fractions import Fraction
@@ -118,6 +119,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValidationError("unknown suite %r" % (self.suite,))
+        for name in ("seed", "samples", "K"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError("%s must be an integer, not %r" % (name, value))
         if self.samples < 1:
             raise ValidationError("samples must be positive")
         torus_ops.check_ladder(self.t_ladder)

@@ -18,6 +18,13 @@ Two backends:
   degrade.
 * ``float``  -- plain Python floats, or ``complex``.
 
+The policy between them is stated here once.  A constant, such as
+``Fraction(1, 2)``, is coerced by the call that takes it (``coerce_scalar``,
+through ``scale``, ``Vector`` and ``Multivector``).  Objects on two
+backends never mix: ``_same_backend`` raises BackendMismatch.  An identity
+holds when its residual is exactly 0 on the exact backend and at most its
+tolerance on the float one (``_negligible``), and never for a NaN.
+
 Complex forms, such as the holomorphic volume form, are Multivectors with
 complex coefficients and complex vectors are Vectors with complex
 components: every operation runs the same code on real and complex scalars,
@@ -181,6 +188,15 @@ _COMPLEX = frozenset((ExactComplex, complex))
 _FLOATS = frozenset((float,))
 
 
+def _coerce_all(values, backend):
+    """coerce_scalar of each value, as a tuple; Python floats are already
+    what it makes on FLOAT, so an all-float tuple is kept as it is."""
+    values = tuple(values)
+    if backend == FLOAT and _FLOATS.issuperset(map(type, values)):
+        return values
+    return tuple(coerce_scalar(v, backend) for v in values)
+
+
 def coerce_scalar(value, backend):
     """Coerce a scalar onto a backend, refusing lossy conversions.  Complex
     scalars are ExactComplex on the exact backend and complex on the float
@@ -239,6 +255,12 @@ def _same_backend(a, b):
         )
 
 
+def _negligible(residual, backend, tol):
+    """Whether a residual (or, elementwise, an array of them) is exactly 0
+    on the exact backend, at most tol on the float one; a NaN never is."""
+    return residual <= (0 if backend == EXACT else tol)
+
+
 def _same_ambient(a, b):
     if a.n != b.n:
         raise DimensionMismatch("ambient dimensions differ: %d vs %d" % (a.n, b.n))
@@ -286,10 +308,7 @@ class Vector:
 
     def __init__(self, comps, backend=EXACT):
         _check_backend(backend)
-        comps = tuple(comps)
-        # Python floats are already what coerce_scalar makes on FLOAT
-        if backend != FLOAT or not _FLOATS.issuperset(map(type, comps)):
-            comps = tuple(coerce_scalar(c, backend) for c in comps)
+        comps = _coerce_all(comps, backend)
         if not 1 <= len(comps) <= 8:
             raise DimensionMismatch("supported ambient dimensions are 1..8")
         object.__setattr__(self, "n", len(comps))

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import _ratlinalg
 from .errors import (
-    BackendMismatch,
     DimensionMismatch,
     PlaneError,
     TypeMismatch,
@@ -37,12 +36,14 @@ from .errors import (
 )
 from .exterior import (
     _COMPLEX,
-    _FLOATS,
     EXACT,
     FLOAT,
     FourFormTable,
     Multivector,
     Vector,
+    _coerce_all,
+    _negligible,
+    _same_backend,
     coerce_scalar,
     hodge_star,
     hook,
@@ -53,6 +54,7 @@ from .exterior import (
 from .frames import OrientedPlane, orthonormal_rows, random_unitary
 from .kahler import (
     ComplexStructureJ,
+    _require_surface_model,
     dz_form,
     dzbar_form,
     holo_vector,
@@ -125,13 +127,9 @@ class GraphCoefficients:
     backend: str = FLOAT
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+        # a float solve's new tilt (replace_first_row) is not coerced again
+        rows = tuple(_coerce_all(row, self.backend) for row in self.entries)
         flat = itertools.chain.from_iterable
-        # Python floats are already what coerce_scalar makes on FLOAT, so a
-        # float solve's new tilt (replace_first_row) is not coerced again
-        if self.backend != FLOAT or not _FLOATS.issuperset(map(type, flat(rows))):
-            rows = tuple(tuple(coerce_scalar(x, self.backend) for x in row)
-                         for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValidationError("graph coefficients must be a 4x4 array")
         if not _COMPLEX.isdisjoint(map(type, flat(rows))):
@@ -547,14 +545,11 @@ def is_complex_plane(model, plane, tol=1e-9):
         return ComplexPlaneVerdict(
             is_complex=full, max_sigma=0.0, max_im=None, p=p, m=m
         )
-    if plane.backend != model.backend:
-        raise BackendMismatch(
-            "mixed backends: %r vs %r" % (plane.backend, model.backend))
+    _same_backend(plane, model)
     rows = plane.matrix()
     z = rows[:, 0::2] + 1j * rows[:, 1::2]
     r, c = _coordinate_minor_index(p, m)
-    w = np.linalg.det(z[r, c]) * complex(float(model.phase_cos),
-                                         float(model.phase_sin))
+    w = np.linalg.det(z[r, c]) * complex(model.phase)
     worst = float(np.abs(w.real).max())
     worst_im = float(np.abs(w.imag).max())
     if m > p + 1:
@@ -589,12 +584,8 @@ class ComplexGraphCoefficients:
 
     def __post_init__(self):
         width = 2 * (self.m - self.p)
-        lam = tuple(
-            tuple(coerce_scalar(x, self.backend) for x in row) for row in self.lam
-        )
-        mu = tuple(
-            tuple(coerce_scalar(x, self.backend) for x in row) for row in self.mu
-        )
+        lam = tuple(_coerce_all(row, self.backend) for row in self.lam)
+        mu = tuple(_coerce_all(row, self.backend) for row in self.mu)
         if len(lam) != self.p or len(mu) != self.p:
             raise ValidationError("need p rows in each coefficient block")
         if any(len(r) != width for r in lam + mu):
@@ -654,15 +645,12 @@ def complex_graph_linear_system(model, cg):
       Re[e^{i phase}(w_j -| beta  -  i v_j -| beta)]."""
     if cg.m != model.m:
         raise DimensionMismatch("coefficients and model disagree on m")
-    if cg.backend != model.backend:
-        raise BackendMismatch(
-            "mixed backends: %r vs %r" % (cg.backend, model.backend))
+    _same_backend(cg, model)
     beta = normal_volume_form(model, cg.p)
     frame = cg.frame()
-    phase = model.phase_scalar()
     i_unit = imag_unit(cg.backend)
     return [(hook(frame[cg.p + j], beta) - hook(frame[j], beta).scale(i_unit))
-            .scale(phase).re for j in range(cg.p)]
+            .scale(model.phase).re for j in range(cg.p)]
 
 
 def hook_coefficient_oracle(model, cg):
@@ -748,17 +736,12 @@ def solve_complex_graph_linear(model, p, rng):
 # -- the normal-form isomorphism (m = 4 graphs over a surface) -------------
 
 
-def _require_surface_model(model):
-    if model.m != 4:
-        raise DimensionMismatch("this construction needs the m=4 flat model")
-
-
 def _require_small(model, values, tol, message):
     """TypeMismatch(message) unless every |Re| and |Im| of the scalars
     ``values`` is zero on the exact backend, at most ``tol`` on the float
     one; the NaN-propagating maximum fails a NaN."""
     worst = np.max([max(abs(c.real), abs(c.imag)) for c in values], initial=0)
-    if not worst <= (0 if model.backend == EXACT else tol):
+    if not _negligible(worst, model.backend, tol):
         raise TypeMismatch(message)
 
 
@@ -781,11 +764,9 @@ def normal_isom(model, v):
     _require_small(model, [c for k, c in cf.terms.items()
                            if k not in ((5, 6, 7), (5, 6, 8))], 1e-10,
                    "contraction has unexpected components")
-    half = coerce_scalar(Fraction(1, 2), model.backend)
     # sharp of dzbar_b is 2 * (holomorphic coordinate vector), then / 4
-    return holo_vector(model, 3).scale(c3).scale(half) + holo_vector(
-        model, 4
-    ).scale(c4).scale(half)
+    return (holo_vector(model, 3).scale(c3).scale(Fraction(1, 2))
+            + holo_vector(model, 4).scale(c4).scale(Fraction(1, 2)))
 
 
 def normal_isom_inverse(model, u):
@@ -802,7 +783,7 @@ def normal_isom_inverse(model, u):
                    1e-10, "unexpected components in the contraction")
     gamma = Vector([five_form.coeff((1, 2, 3, 4, r)) if r > 4 else 0
                     for r in range(1, 9)], model.backend)
-    out = gamma.scale(-1).scale(coerce_scalar(Fraction(1, 4), model.backend))
+    out = gamma.scale(-1).scale(Fraction(1, 4))
     require_type(model.J, out, -1)
     return out
 
@@ -830,7 +811,6 @@ def e_isom_checks(Phi, model):
     surface z_3 = z_4 = 0.  Returns maximal residuals; all are zero on the
     exact backend when the identities hold."""
     _require_surface_model(model)
-    quarter = coerce_scalar(Fraction(1, 4), model.backend)
     worst_i = 0.0
     # (i) antiholomorphic surface x normal pairs against Omega, and the
     # conjugate flavor: holomorphic pairs against conj(Omega)
@@ -840,8 +820,8 @@ def e_isom_checks(Phi, model):
                                 (dz_form, model.Omega.conj())):
                 v = form(model, a)
                 w = form(model, c)
-                corr = hook_many(
-                    [musical_sharp(v), musical_sharp(w)], Omega).scale(quarter)
+                corr = hook_many([musical_sharp(v), musical_sharp(w)],
+                                 Omega).scale(Fraction(1, 4))
                 diff = Phi.pi7_apply(wedge(v, w)) - (wedge(v, w) + corr)
                 worst_i = max(worst_i, float(diff.max_abs()))
     # (ii) mixed-type surface x normal pairs are annihilated
@@ -862,13 +842,12 @@ def e_isom_checks(Phi, model):
             surface_pairs.append(wedge(dz_form(model, a), dz_form(model, b)))
             surface_pairs.append(wedge(dz_form(model, a), dzbar_form(model, b)))
             surface_pairs.append(wedge(dzbar_form(model, a), dzbar_form(model, b)))
-    half = coerce_scalar(Fraction(1, 2), model.backend)
     for pair in surface_pairs:
         if pair.is_zero():
             continue
         lhs = _restrict_to_surface(Phi.pi7_apply(pair))
         restricted = _restrict_to_surface(pair)
-        rhs = (restricted + hodge_star(restricted)).scale(half)
+        rhs = (restricted + hodge_star(restricted)).scale(Fraction(1, 2))
         diff = lhs - rhs
         worst_iii = max(worst_iii, float(diff.max_abs()))
     return SevenPieceIdentityReport(

@@ -7,9 +7,9 @@ acts by J e_{2k-1} = e_{2k}, J e_{2k} = -e_{2k-1}.  The model carries
 * Omega  = e^{i phase} prod_k (dx_{2k-1} + i dx_{2k})   (the volume form of
   type (m, 0), with an overall phase).
 
-The phase is given and stored as its (cos, sin) pair, ``phase_pair``:
-exact on the exact backend, such as (3/5, 4/5), and floats on the float
-one.
+The phase is given as its (cos, sin) pair on the unit circle, exact on the
+exact backend, such as (3/5, 4/5), and floats on the float one.  It is
+stored once, as the model's complex scalar ``phase``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .exterior import (
     ExactComplex,
     Multivector,
     Vector,
+    _negligible,
     coerce_scalar,
     hook,
     wedge,
@@ -68,12 +69,12 @@ class ComplexStructureJ:
 
 @dataclass(frozen=True)
 class CalabiYauModel:
-    """Flat model data: dimension, backend, phase, and the two forms."""
+    """Flat model data: dimension, backend, phase (the complex scalar
+    e^{i phase}), and the two forms."""
 
     m: int
     backend: str
-    phase_cos: object
-    phase_sin: object
+    phase: object
     J: ComplexStructureJ
     omega: Multivector
     Omega: Multivector
@@ -82,22 +83,19 @@ class CalabiYauModel:
     def n(self):
         return 2 * self.m
 
-    def phase_scalar(self):
-        if self.backend == EXACT:
-            return ExactComplex(self.phase_cos, self.phase_sin)
-        return complex(self.phase_cos, self.phase_sin)
-
 
 def _phase_components(phase_pair, backend):
-    c = coerce_scalar(phase_pair[0], backend)
-    s = coerce_scalar(phase_pair[1], backend)
-    r = c * c + s * s
-    if backend == EXACT:
-        if r != 1:
-            raise ValidationError("phase pair %r is not on the unit circle" % (phase_pair,))
-    elif abs(r - 1.0) > 1e-12:
+    """The (cos, sin) pair on the backend, or ValidationError unless it is
+    on the unit circle: exactly, or within 1e-12 on the float backend."""
+    c, s = (coerce_scalar(x, backend) for x in phase_pair)
+    if not _negligible(abs(c * c + s * s - 1), backend, 1e-12):
         raise ValidationError("phase pair %r is not on the unit circle" % (phase_pair,))
     return c, s
+
+
+def _require_surface_model(model):
+    if model.m != 4:
+        raise DimensionMismatch("this construction needs the m=4 flat model")
 
 
 def build_model(m, backend=EXACT, phase_pair=(1, 0)):
@@ -106,16 +104,15 @@ def build_model(m, backend=EXACT, phase_pair=(1, 0)):
     if not 1 <= m <= 4:
         raise DimensionMismatch("m must be between 1 and 4")
     c, s = _phase_components(phase_pair, backend)
+    phase = coerce_scalar(ExactComplex(c, s), backend)
     n = 2 * m
     omega_terms = {(2 * k + 1, 2 * k + 2): 1 for k in range(m)}
     omega = Multivector(n, omega_terms, backend)
-    phase_scalar = ExactComplex(c, s) if backend == EXACT else complex(c, s)
-    big = wedge_many([_dz(n, k, backend) for k in range(1, m + 1)]).scale(phase_scalar)
+    big = wedge_many([_dz(n, k, backend) for k in range(1, m + 1)]).scale(phase)
     return CalabiYauModel(
         m=m,
         backend=backend,
-        phase_cos=c,
-        phase_sin=s,
+        phase=phase,
         J=ComplexStructureJ(m),
         omega=omega,
         Omega=big,
@@ -137,8 +134,7 @@ def verify_normalization(model):
     Fraction on the exact backend, the largest modulus as a float otherwise.
     """
     m = model.m
-    lhs = omega_power(model, m).scale(
-        coerce_scalar(Fraction(1, math.factorial(m)), model.backend))
+    lhs = omega_power(model, m).scale(Fraction(1, math.factorial(m)))
     rhs = wedge(model.Omega, model.Omega.conj())
     half_i = imag_unit(model.backend) * coerce_scalar(Fraction(1, 2), model.backend)
     factor = half_i
@@ -159,7 +155,7 @@ def require_type(J, vec, sign):
     the NaN-propagating maximum fails a NaN."""
     diff = J.apply(vec) - vec.scale(imag_unit(vec.backend) * sign)
     worst = np.max(np.abs(diff.re.comps + diff.im.comps))
-    if not worst <= (0 if vec.backend == EXACT else _TYPE_TOL):
+    if not _negligible(worst, vec.backend, _TYPE_TOL):
         raise TypeMismatch("vector fails the %s condition by %s"
                            % ("(1,0)" if sign == 1 else "(0,1)", worst))
 
@@ -232,13 +228,12 @@ def _substitute(model, a, images):
 def to_complex_frame(model, a):
     """Rewrite a form over dz/dzbar slots (see the frame convention above)."""
     m, n = model.m, model.n
-    half = coerce_scalar(Fraction(1, 2), model.backend)
     i_unit = imag_unit(model.backend)
     images = {}
     for k in range(1, m + 1):
         fz = Multivector.basis(n, (k,), model.backend)
         fzb = Multivector.basis(n, (m + k,), model.backend)
         # dx_{2k-1} = (dz_k + dzbar_k)/2 ; dx_{2k} = -i (dz_k - dzbar_k)/2
-        images[2 * k - 1] = (fz + fzb).scale(half)
-        images[2 * k] = (fz - fzb).scale(half).scale(-i_unit)
+        images[2 * k - 1] = (fz + fzb).scale(Fraction(1, 2))
+        images[2 * k] = (fz - fzb).scale(Fraction(1, 2)).scale(-i_unit)
     return _substitute(model, a, images)

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _ratlinalg
-from .errors import BackendMismatch, DimensionMismatch, GradeError, PlaneError
+from .errors import DimensionMismatch, GradeError, PlaneError
 from .exterior import (
     EXACT,
     FLOAT,
@@ -42,6 +42,8 @@ from .exterior import (
     FourFormTable,
     Multivector,
     Vector,
+    _negligible,
+    _same_backend,
     coerce_scalar,
     hodge_star,
     hook,
@@ -52,6 +54,7 @@ from .exterior import (
     wedge,
 )
 from .frames import OrientedPlane
+from .kahler import _require_surface_model
 
 _QUAD_AT = {quad: c for c, quad in enumerate(FOUR_FORM_INDEX)}
 
@@ -248,9 +251,7 @@ class CayleyForm:
         column, ExactComplex for a complex one."""
         if a.grades() not in ([], [2]):
             raise GradeError("two-form operator applied to grades %s" % (a.grades(),))
-        if a.backend != self.backend:
-            raise BackendMismatch(
-                "mixed backends: %r vs %r" % (a.backend, self.backend))
+        _same_backend(a, self)
         col = self._two_form_to_column(a)
         if a.backend == FLOAT:
             out = np.einsum("rc,c->r", operator[1], np.array(col)).tolist()
@@ -276,10 +277,8 @@ def phi0(backend=EXACT):
 
 def phi_from_kahler(model):
     """Build the calibration form omega^2/2 + Re(Omega) from an m=4 model."""
-    if model.m != 4:
-        raise DimensionMismatch("need the m=4 flat model")
-    half = Fraction(1, 2) if model.backend == EXACT else 0.5
-    four = wedge(model.omega, model.omega).scale(half) + model.Omega.re
+    _require_surface_model(model)
+    four = wedge(model.omega, model.omega).scale(Fraction(1, 2)) + model.Omega.re
     return CayleyForm(four)
 
 
@@ -295,8 +294,7 @@ def pi7_projection_scalar(Phi):
         raise PlaneError("splitting routes have different supports")
     ratios = p[support] / q[support]
     c = ratios.item(0)
-    apart = ratios != c if Phi.backend == EXACT else abs(ratios - c) > 1e-12
-    if apart.any():
+    if not _negligible(abs(ratios - c), Phi.backend, 1e-12).all():
         raise PlaneError("splitting routes are not proportional")
     return c
 
@@ -337,13 +335,12 @@ def tau_eval(Phi, x, u, v, w):
 
     Value lands in the 7-dimensional piece.
     """
-    quarter = Fraction(1, 4) if Phi.backend == EXACT else 0.25
     t1 = Phi.pi7_apply(wedge(_slot_one_form(Phi, u, v, w), musical_flat(x)))
     t2 = Phi.pi7_apply(wedge(_slot_one_form(Phi, v, w, x), musical_flat(u)))
     t3 = Phi.pi7_apply(wedge(_slot_one_form(Phi, w, x, u), musical_flat(v)))
     t4 = Phi.pi7_apply(wedge(_slot_one_form(Phi, x, u, v), musical_flat(w)))
     val = t1 - t2 + t3 - t4
-    return val.scale(quarter)
+    return val.scale(Fraction(1, 4))
 
 
 def tau_norm_sq(value):
@@ -388,9 +385,7 @@ def is_cayley(Phi, plane, tol_phi=1e-9):
     for v in checked:
         if not isinstance(v, Vector) or not v.is_real():
             raise PlaneError("frame rows must be real Vectors, got %r" % (type(v),))
-        if v.backend != Phi.backend:
-            raise BackendMismatch(
-                "mixed backends: %r vs %r" % (v.backend, Phi.backend))
+        _same_backend(v, Phi)
         if v.n != 8:
             raise DimensionMismatch("frame vectors must live in R^8")
     frame = (plane.matrix() if isinstance(plane, OrientedPlane) and Phi.backend == FLOAT
@@ -420,8 +415,7 @@ def find_equivalence(a, b):
     n = a.n
     if b.n != n:
         raise DimensionMismatch("forms live in different dimensions")
-    if b.backend != a.backend:
-        raise BackendMismatch("mixed backends: %r vs %r" % (a.backend, b.backend))
+    _same_backend(a, b)
     if len(a.terms) != len(b.terms):
         return None
 

@@ -69,7 +69,7 @@ from .exterior import (
     FourFormTable,
     pair_minors,
 )
-from .kahler import antiholo_vector, build_model
+from .kahler import _phase_components, antiholo_vector, build_model
 from .spin7 import phi_from_kahler
 
 # bundle tags and fiber ranks ------------------------------------------------
@@ -123,7 +123,7 @@ class TorusModel:
     K bounds each of the four integer mode components by |k_i| <= K, so a
     scalar component carries (2K+1)^4 coefficients.  phase_pair is an exact
     rational point (cos, sin) on the unit circle fixing the phase of the
-    holomorphic volume form.
+    holomorphic volume form; as on the exact backend, a float is refused.
     """
 
     K: int
@@ -131,11 +131,8 @@ class TorusModel:
 
     def __post_init__(self):
         object.__setattr__(self, "K", _truncation(self.K))
-        c, s = self.phase_pair
-        c, s = Fraction(c), Fraction(s)
-        if c * c + s * s != 1:
-            raise ValidationError("phase pair must lie on the unit circle")
-        object.__setattr__(self, "phase_pair", (c, s))
+        object.__setattr__(self, "phase_pair",
+                           _phase_components(self.phase_pair, EXACT))
 
     @property
     def mode_count(self):
@@ -718,9 +715,6 @@ def fd_linearization_check(
     rng = np.random.default_rng(seed)
     slopes = []
     flagged = []
-    in_band = 0
-    at_least = 0
-    counted = 0
     for _ in range(samples):
         v1 = random_section(model, "normal10", rng)
         w = random_section(model, "two_form_normal", rng)
@@ -744,16 +738,14 @@ def fd_linearization_check(
         slope = float(np.polyfit(ts, rs, 1)[0])
         slopes.append(slope)
         flagged.append(False)
-        counted += 1
-        if band[0] <= slope <= band[1]:
-            in_band += 1
-        if slope >= band[0]:
-            at_least += 1
+    fitted = [s for s, f in zip(slopes, flagged) if not f]
+    in_band = sum(band[0] <= s <= band[1] for s in fitted)
+    at_least = sum(s >= band[0] for s in fitted)
     return SlopeReport(
         slopes=tuple(slopes),
         flagged_floor=tuple(flagged),
-        fraction_in_band=(in_band / counted) if counted else None,
-        fraction_at_least_band=(at_least / counted) if counted else None,
+        fraction_in_band=(in_band / len(fitted)) if fitted else None,
+        fraction_at_least_band=(at_least / len(fitted)) if fitted else None,
         band=tuple(band),
     )
 
@@ -777,7 +769,7 @@ def pointwise_linearization_check(phase_pair=(Fraction(3, 5), Fraction(4, 5))):
     result must be the matching column of dirac's symbol along x_{j+1}:
     both are the tables the float blocks and grids read.  Returns
     (matches, total) over all 64 component comparisons."""
-    phase_pair = (Fraction(phase_pair[0]), Fraction(phase_pair[1]))
+    phase_pair = _phase_components(phase_pair, EXACT)
     symbols = _exact_symbols(phase_pair)
     table = _defect_table_exact(phase_pair)
     base = table[FOUR_FORM_INDEX.index(_BASE_AXES)]

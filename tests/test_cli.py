@@ -995,7 +995,9 @@ def test_config_validation_rejects_bad_values():
     for kw in ({"suite": "bogus"}, {"samples": 0}, {"K": -1},
                {"t_ladder": (float("inf"), 1e-2, 1e-3)},
                {"t_ladder": (1e-2, 1e-3, 0.0)},
-               {"t_ladder": (1e-3, 1e-2, 1e-4)}):
+               {"t_ladder": (1e-3, 1e-2, 1e-4)},
+               {"samples": 2.5}, {"seed": 1.5}, {"K": 1.5}, {"samples": True},
+               {"seed": False}, {"K": "2"}):
         with pytest.raises(ValidationError):
             _cfg(**kw)
 
@@ -1009,6 +1011,11 @@ def test_negative_seed_exits_malformed(argv, capsys):
     assert "seed must be nonnegative" in capsys.readouterr().err
     with pytest.raises(ValidationError):
         _cfg(seed=-1)
+
+
+def test_config_takes_numpy_integer_settings():
+    cfg = _cfg(seed=np.int64(1), samples=np.int32(3), K=np.uint8(1))
+    assert (cfg.seed, cfg.samples, cfg.K) == (1, 3, 1)
 
 
 def test_replace_keeps_frozen_config_usable():

@@ -648,10 +648,10 @@ def test_detector_on_exact_model_and_exact_planes():
 
 
 def test_detector_rejects_mixed_backends(float_model, exact_model):
-    rows = [[float(j == i) for j in range(8)] for i in range(4)]
-    with pytest.raises(BackendMismatch):
+    rows = [[int(j == i) for j in range(8)] for i in range(4)]
+    with pytest.raises(BackendMismatch, match="mixed backends: 'float' vs 'exact'"):
         is_complex_plane(exact_model, OrientedPlane.from_rows(rows, backend=FLOAT))
-    with pytest.raises(BackendMismatch):
+    with pytest.raises(BackendMismatch, match="mixed backends: 'exact' vs 'float'"):
         is_complex_plane(float_model, OrientedPlane.from_rows(rows, backend=EXACT))
 
 
@@ -688,6 +688,10 @@ def test_linear_system_refuses_mixed_backends():
     with pytest.raises(BackendMismatch,
                        match="mixed backends: 'exact' vs 'float'"):
         complex_graph_linear_system(build_model(2, backend=FLOAT), cg)
+    cg = ComplexGraphCoefficients(1, 2, ((0, 0),), ((0, 0),), backend=FLOAT)
+    with pytest.raises(BackendMismatch,
+                       match="mixed backends: 'float' vs 'exact'"):
+        complex_graph_linear_system(build_model(2, backend=EXACT), cg)
 
 
 def test_float_graph_residuals_keep_a_nan():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cayleykit.errors import DimensionMismatch, TypeMismatch, ValidationError
-from cayleykit.exterior import EXACT, Vector
+from cayleykit.exterior import EXACT, FLOAT, Vector
 from cayleykit.kahler import (
     antiholo_vector,
     build_model,
@@ -44,6 +44,10 @@ def test_invalid_phase_pair_rejected():
     with pytest.raises(ValidationError):
         build_model(4, backend=EXACT,
                     phase_pair=(Fraction(1, 2), Fraction(1, 2)))
+    # a NaN radius is within no tolerance of 1
+    for pair in ((float("nan"), 0.0), (1.0, float("nan"))):
+        with pytest.raises(ValidationError):
+            build_model(4, backend=FLOAT, phase_pair=pair)
 
 
 def test_model_dimension_bounds():

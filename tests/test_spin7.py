@@ -126,6 +126,14 @@ def test_projection_scalar_on_both_backends(backend):
         pi7_projection_scalar(skew)
 
 
+def test_projection_scalar_refuses_a_nan_coefficient():
+    # a NaN ratio is within no tolerance of the others, so no constant works
+    terms = {key: float(c) for key, c in dict(spin7.PHI0_TERMS).items()}
+    terms[(1, 2, 5, 6)] = float("nan")
+    with pytest.raises(PlaneError):
+        pi7_projection_scalar(spin7.CayleyForm(Multivector(8, terms, FLOAT)))
+
+
 def test_generators_span_the_small_piece(phi_exact):
     gens = lambda27_basis(phi_exact)
     assert len(gens) == 28
@@ -283,7 +291,7 @@ def test_equivalence_search_refuses_mixed_backends():
     # the same form on two backends: the search would try all 8! relabelings
     # and find none, since an exact form never equals a float one
     start = time.perf_counter()
-    with pytest.raises(BackendMismatch):
+    with pytest.raises(BackendMismatch, match="mixed backends: 'exact' vs 'float'"):
         find_equivalence(phi0(EXACT).phi, phi0(FLOAT).phi)
     assert time.perf_counter() - start < 0.5
 
@@ -487,7 +495,7 @@ def test_is_cayley_reads_an_oriented_plane_like_its_rows(phi_exact, phi_float):
 
 def test_is_cayley_rejects_mixed_frames(phi_exact):
     rows = [Vector.basis(8, i, FLOAT) for i in (1, 2, 3, 4)]
-    with pytest.raises(BackendMismatch):
+    with pytest.raises(BackendMismatch, match="mixed backends: 'float' vs 'exact'"):
         is_cayley(phi_exact, rows)
     with pytest.raises(PlaneError):
         is_cayley(phi_exact, rows[:3])
@@ -497,7 +505,8 @@ def test_two_form_operators_reject_the_other_backend(phi_exact, phi_float):
     for Phi, backend in ((phi_exact, FLOAT), (phi_float, EXACT)):
         a = Multivector.basis(8, (1, 2), backend)
         for apply in (Phi.pi7_apply, Phi.proj7_apply):
-            with pytest.raises(BackendMismatch, match="mixed backends"):
+            with pytest.raises(BackendMismatch, match="mixed backends: %r vs %r"
+                               % (backend, Phi.backend)):
                 apply(a)
 
 

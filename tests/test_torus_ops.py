@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from cayleykit.errors import (
+    BackendMismatch,
+    InputFormatError,
     NonIntegralError,
     ValidationError,
 )
@@ -797,6 +799,13 @@ def test_model_validation():
             TorusModel(K)
     with pytest.raises(ValidationError):
         TorusModel(1, phase_pair=(Fraction(1, 2), Fraction(1, 2)))
+    # the phase is exact: a float, even 1.0, is refused as on the exact backend
+    for pair, error in (((float("nan"), 0), BackendMismatch),
+                        ((float("inf"), 0), BackendMismatch),
+                        ((None, 0), BackendMismatch), (("x", 0), InputFormatError),
+                        ((1.0, 0.0), BackendMismatch)):
+        with pytest.raises(error):
+            TorusModel(1, phase_pair=pair)
 
 
 def test_model_accepts_numpy_integers():
