@@ -86,8 +86,17 @@ class CalabiYauModel:
 
 def _phase_components(phase_pair, backend):
     """The (cos, sin) pair on the backend, or ValidationError unless it is
-    on the unit circle: exactly, or within 1e-12 on the float backend."""
-    c, s = (coerce_scalar(x, backend) for x in phase_pair)
+    two real components on the unit circle: exactly, or within 1e-12 on the
+    float backend."""
+    try:
+        pair = tuple(phase_pair)
+    except TypeError:
+        pair = ()
+    if len(pair) != 2:
+        raise ValidationError("phase pair %r is not a (cos, sin) pair" % (phase_pair,))
+    if any(isinstance(x, (complex, ExactComplex)) for x in pair):
+        raise ValidationError("phase pair %r has a complex component" % (phase_pair,))
+    c, s = (coerce_scalar(x, backend) for x in pair)
     if not _negligible(abs(c * c + s * s - 1), backend, 1e-12):
         raise ValidationError("phase pair %r is not on the unit circle" % (phase_pair,))
     return c, s

@@ -35,7 +35,8 @@ artifacts.  The module provides:
   phase, whose kernel never forms the minors, skips the 13 of 28 pair
   minors of each row pair that are 0 on a graph frame, and walks the
   grid's frames in cache-sized blocks.  The frames are graphs [I_4 | t A],
-  and the blocks A come from one inverse FFT per section, of the
+  and the blocks A come from one grid synthesis per section (four small
+  products with a cached DFT matrix, one per base axis), of the
   derivatives of the displacement's four normal components along the four
   base axes, which one exact displacement matrix per phase gives.  The
   certificate needs no minors at all, since a frame tilted in one row has
@@ -552,24 +553,43 @@ def kernel_summary(K_values=(0, 1, 2, 3), phase_pair=_DEFAULT_PHASE):
 # grid sampling ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _synthesis_matrix(K):
+    """The read-only (G, 2K+1) matrix E[j, k] = exp(2 pi i j k / G) of one
+    base axis, G = 2K + 2 and k = -K..K.  Its entries come from one table of
+    the G-th roots of unity indexed by (j k) mod G, in which 1, i, -1 and -i
+    are exact: the constant mode's column is all ones, and a mode whose
+    phase steps by quarter turns is sampled exactly."""
+    G = 2 * K + 2
+    turns = np.arange(G)
+    roots = np.exp(2j * np.pi * turns / G)
+    quarter = (4 * turns) % G == 0
+    roots[quarter] = np.array([1, 1j, -1, -1j])[4 * turns[quarter] // G]
+    synthesis = roots[np.outer(turns, np.arange(-K, K + 1)) % G]
+    synthesis.flags.writeable = False
+    return synthesis
+
+
 def grid_values(model, coefficients):
     """Sample a coefficient array on the uniform grid (j_1..j_4)/G, G = 2K+2.
 
     coefficients has shape (mode_count, r); the return has shape (G^4, r),
     and G > 2K+1, so no two modes alias.  Multiplying coefficient row m by
     2 pi i model.modes()[m, j] first samples the derivative along the
-    (j+1)-th real coordinate."""
-    K = model.K
-    L = 2 * K + 1
-    G = 2 * K + 2
-    coeffs = np.asarray(coefficients, dtype=complex)
-    r = coeffs.shape[1]
-    cube = coeffs.reshape(L, L, L, L, r)
-    slots = np.arange(-K, K + 1) % G
-    emb = np.zeros((G, G, G, G, r), complex)
-    emb[np.ix_(slots, slots, slots, slots, np.arange(r))] = cube
-    vals = np.fft.ifftn(emb, axes=(0, 1, 2, 3)) * G**4
-    return vals.reshape(G**4, r)
+    (j+1)-th real coordinate.
+
+    The sum over modes is taken one base axis at a time, as four small
+    matrix products with the axis's synthesis matrix (_synthesis_matrix):
+    at G <= 10 a dense DFT beats an FFT.  Each product synthesizes the last
+    mode axis of the array and moves it to the front, so after four the
+    grid axes are in C order with the r components last."""
+    L = 2 * model.K + 1
+    synthesis = _synthesis_matrix(model.K)
+    vals = np.asarray(coefficients, dtype=complex).T
+    r = vals.shape[0]
+    for _ in range(4):
+        vals = synthesis @ vals.reshape(-1, L).T
+    return vals.reshape(-1, r)
 
 
 # geometric defect evaluation --------------------------------------------------
@@ -625,8 +645,8 @@ def _derivative_grids(model, v):
     so the graph's tangent frame there at scale t is [I_4 | t A] for the
     (4, 4) block A of these rows.  The derivatives of the four normal
     components along the four base axes form one (M, 16) coefficient array,
-    sampled by a single inverse FFT.  The normal components are the pair's
-    coefficients times the displacement matrix of _exact_symbols."""
+    sampled by a single call of grid_values.  The normal components are the
+    pair's coefficients times the displacement matrix of _exact_symbols."""
     v1, w = v
     if v1.bundle != "normal10" or w.bundle != "two_form_normal":
         raise ValidationError("expected a (normal10, two_form_normal) pair")
@@ -800,8 +820,12 @@ def complex_linear_op(model):
     input).  Returns the pair (A_0, A_1); the two differ only by the scalar
     prefactor and the relative sign between the halves, so their kernels
     coincide with the joint kernel."""
-    return tuple(_operator(model, name, "complexified_normal", "type_pair_forms")
-                 for name in ("A0", "A1"))
+    return tuple(_complex_op(model, name) for name in ("A0", "A1"))
+
+
+def _complex_op(model, name):
+    """The complex-deformation operator of symbol name, A0 or A1."""
+    return _operator(model, name, "complexified_normal", "type_pair_forms")
 
 
 def holomorphic_kernel_match(model):
@@ -822,7 +846,7 @@ def holomorphic_kernel_match(model):
     orthogonal columns, so these values are vector norms); singular
     vectors are taken by LAPACK of those blocks alone, and only the modes
     where either half has a kernel are compared."""
-    holo = complex_linear_op(model)[0].blocks[:, :4, :2]
+    holo = _complex_op(model, "A0").blocks[:, :4, :2]
     blocks = np.concatenate([holo, dbar_matrix(model).blocks])
     s = block_singular_values(blocks)
     has_kernel = (s <= KERNEL_TOL * s.max(axis=1, keepdims=True)).any(axis=1)

@@ -852,6 +852,21 @@ def test_slope_check_fails_with_every_sample_at_roundoff(tmp_path, capsys):
     assert slope["details"]["fraction_at_least_band"] is None
 
 
+def test_torus_at_K_0_runs_the_slope_check_at_K_1(tmp_path, capsys):
+    # at K = 0 every section is constant and every remainder 0, so the fd
+    # check runs at K = 1 and warns on its slope 3, as at every other K
+    out = tmp_path / "torus0.json"
+    assert main(["torus", "--K", "0", "--json", str(out), "--quiet"]) == EXIT_OK
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    by_name = {c["name"]: c for c in report["checks"]}
+    slope = by_name["torus:linearization-slope"]
+    assert slope["status"] == "warn"
+    assert slope["details"]["flagged_roundoff"] == 0
+    assert by_name["torus:kernel-dimensions"]["details"]["K"] == 0
+    assert report["summary"]["fail"] == 0
+
+
 def test_infinite_tol_exit_code(tmp_path, capsys):
     # with tol inf every tolerance-gated check would pass, this frame's
     # orthonormality included

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cayleykit.errors import DimensionMismatch, TypeMismatch, ValidationError
-from cayleykit.exterior import EXACT, FLOAT, Vector
+from cayleykit.exterior import EXACT, FLOAT, ExactComplex, Vector
 from cayleykit.kahler import (
     antiholo_vector,
     build_model,
@@ -48,6 +48,21 @@ def test_invalid_phase_pair_rejected():
     for pair in ((float("nan"), 0.0), (1.0, float("nan"))):
         with pytest.raises(ValidationError):
             build_model(4, backend=FLOAT, phase_pair=pair)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_phase_pair_of_another_length_rejected(backend):
+    for pair in ((1, 0, 0), (1,), (), 1):
+        with pytest.raises(ValidationError, match="not a \\(cos, sin\\) pair"):
+            build_model(4, backend=backend, phase_pair=pair)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_complex_phase_component_rejected(backend):
+    # on the unit circle as complex numbers, but the components are real
+    for pair in ((ExactComplex(1, 0), 0), (0, ExactComplex(1, 0)), (1 + 0j, 0)):
+        with pytest.raises(ValidationError, match="complex component"):
+            build_model(4, backend=backend, phase_pair=pair)
 
 
 def test_model_dimension_bounds():

@@ -430,7 +430,73 @@ def test_block_values_run_on_numpy_1(monkeypatch):
     _assert_near_lapack(_generic(np.random.default_rng(36), 8, (4, 2)))
 
 
+@pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+def test_block_values_take_the_closed_form(phase):
+    # sigma(xi)^# sigma(xi) = c |xi|^2 I: on mode k dbar's values are
+    # 0.5 * 2 pi |k|, dbar_star's 2 pi |k| and dirac's both, and the
+    # constant mode's are exactly 0
+    model = TorusModel(2, phase)
+    radius = 2 * np.pi * np.linalg.norm(model.modes(), axis=1)[:, None]
+    zero = model.zero_mode()
+    nonzero = np.arange(model.mode_count) != zero
+    for build, factors in ((dbar_matrix, [0.5, 0.5]), (dbar_star_matrix, [1, 1]),
+                           (dirac_matrix, [1, 1, 0.5, 0.5])):
+        got = block_singular_values(build(model).blocks)
+        want = radius * np.array(factors)
+        assert np.all(got[zero] == 0.0)
+        err = np.abs(got[nonzero] - want[nonzero])
+        assert np.all(err <= 4 * np.spacing(want[nonzero])), build.__name__
+
+
 # -- grid sampling ----------------------------------------------------------------
+
+
+def _padded_ifft(model, coeffs):
+    """The grid by zero-padding the (2K+1)^4 coefficient cube into G^4 and
+    one inverse FFT over the four base axes."""
+    K, r = model.K, coeffs.shape[1]
+    L, G = 2 * K + 1, 2 * K + 2
+    slots = np.arange(-K, K + 1) % G
+    padded = np.zeros((G, G, G, G, r), complex)
+    padded[np.ix_(slots, slots, slots, slots, np.arange(r))] = (
+        coeffs.reshape(L, L, L, L, r))
+    return (np.fft.ifftn(padded, axes=(0, 1, 2, 3)) * G**4).reshape(G**4, r)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+@pytest.mark.parametrize("r", [1, 4, 16])
+def test_grid_values_match_a_padded_inverse_fft(K, r):
+    model = TorusModel(K)
+    rng = np.random.default_rng(100 + 10 * K + r)
+    coeffs = (rng.standard_normal((model.mode_count, r))
+              + 1j * rng.standard_normal((model.mode_count, r)))
+    want = _padded_ifft(model, coeffs)
+    got = grid_values(model, coeffs)
+    assert got.shape == want.shape == ((2 * K + 2) ** 4, r)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_grid_values_of_a_constant_section_are_exact(K):
+    # the synthesis matrices' constant-mode column is exactly 1
+    model = TorusModel(K)
+    fiber = (0.1 + 0.7j, -1.0 / 3.0, 2.5e-17j, -4.0e9 + 1.0j)
+    vals = grid_values(model, constant_section(model, "one_form_normal", fiber)
+                       .coefficients)
+    assert np.array_equal(vals, np.broadcast_to(np.array(fiber), vals.shape))
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_grid_values_of_a_quarter_turn_mode_are_exact(K):
+    # G = 2K + 2 is a multiple of 4, so the mode G/4 along x_1 takes the
+    # values i^j at the grid points j/G, each exactly
+    model = TorusModel(K)
+    G = 2 * K + 2
+    coeffs = np.zeros((model.mode_count, 1), complex)
+    coeffs[(model.modes() == [G // 4, 0, 0, 0]).all(axis=1)] = 1.0
+    vals = grid_values(model, coeffs).reshape(G, -1)
+    want = np.array([1, 1j, -1, -1j])[np.arange(G) % 4, None]
+    assert np.array_equal(vals, np.broadcast_to(want, vals.shape))
 
 
 def test_grid_values_single_mode():
@@ -449,7 +515,7 @@ def test_grid_values_single_mode():
 
 
 def test_derivative_grids_differentiate_each_base_axis():
-    # one inverse FFT of the (M, 16) stack gives, in row j, the derivative
+    # one grid synthesis of the (M, 16) stack gives, in row j, the derivative
     # along x_{j+1} of the displacement's components on the normal axes
     model = TorusModel(1)
     rng = np.random.default_rng(21)
@@ -712,17 +778,37 @@ def test_complex_operator_kernels():
     assert holomorphic_kernel_match(model) == 0.0
 
 
+def _zero_holomorphic_half(monkeypatch, rows):
+    """Zero the holomorphic half of A0 on the modes rows, where A0 is built
+    for complex_linear_op and for the kernel match alike."""
+    build = torus_ops._complex_op
+
+    def zeroed(model, name):
+        op = build(model, name)
+        if name != "A0":
+            return op
+        blocks = op.blocks.copy()
+        blocks[rows, :4, :2] = 0.0
+        return dataclasses.replace(op, blocks=blocks)
+
+    monkeypatch.setattr(torus_ops, "_complex_op", zeroed)
+
+
 def test_kernel_match_reads_the_complex_operator(monkeypatch):
     # with its holomorphic half zeroed the operator's kernel is everything,
     # which the match must notice
-    def zeroed(model):
-        A0, A1 = complex_linear_op(model)
-        blocks = A0.blocks.copy()
-        blocks[:, :4, :2] = 0.0
-        return dataclasses.replace(A0, blocks=blocks), A1
-
-    monkeypatch.setattr(torus_ops, "complex_linear_op", zeroed)
+    _zero_holomorphic_half(monkeypatch, slice(None))
+    assert not complex_linear_op(TorusModel(1))[0].blocks[:, :4, :2].any()
     assert holomorphic_kernel_match(TorusModel(1)) >= 0.5
+
+
+def test_kernel_match_builds_only_the_holomorphic_operator(monkeypatch):
+    built = []
+    build = torus_ops._complex_op
+    monkeypatch.setattr(torus_ops, "_complex_op",
+                        lambda model, name: built.append(name) or build(model, name))
+    assert holomorphic_kernel_match(TorusModel(1)) == 0.0
+    assert built == ["A0"]
 
 
 def _match_reference(model, tol=1e-8):
@@ -754,13 +840,7 @@ def test_kernel_match_matches_lapack_values(monkeypatch, K):
 def test_kernel_match_takes_vectors_where_some_blocks_lose_rank(monkeypatch):
     # zeroing the holomorphic half on every third mode gives those blocks a
     # full kernel, so the match takes vectors of some blocks but not all
-    def zeroed_in_part(model):
-        A0, A1 = complex_linear_op(model)
-        blocks = A0.blocks.copy()
-        blocks[::3, :4, :2] = 0.0
-        return dataclasses.replace(A0, blocks=blocks), A1
-
-    monkeypatch.setattr(torus_ops, "complex_linear_op", zeroed_in_part)
+    _zero_holomorphic_half(monkeypatch, slice(None, None, 3))
     for K in (1, 2):
         model = TorusModel(K)
         assert holomorphic_kernel_match(model) == _match_reference(model) == 1.0
@@ -805,6 +885,10 @@ def test_model_validation():
                         ((None, 0), BackendMismatch), (("x", 0), InputFormatError),
                         ((1.0, 0.0), BackendMismatch)):
         with pytest.raises(error):
+            TorusModel(1, phase_pair=pair)
+    # a complex component or a pair of another length is no (cos, sin) pair
+    for pair in ((ExactComplex(1, 0), 0), (1 + 0j, 0), (1, 0, 0), (1,)):
+        with pytest.raises(ValidationError):
             TorusModel(1, phase_pair=pair)
 
 
