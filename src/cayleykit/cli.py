@@ -119,12 +119,11 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValidationError("unknown suite %r" % (self.suite,))
-        for name in ("seed", "samples", "K"):
+        for name in ("seed", "K"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValidationError("%s must be an integer, not %r" % (name, value))
-        if self.samples < 1:
-            raise ValidationError("samples must be positive")
+        torus_ops.check_samples(self.samples)
         torus_ops.check_ladder(self.t_ladder)
         if self.K < 0:
             raise ValidationError("K must be nonnegative")

@@ -52,6 +52,10 @@ the fold of the table's own numerators, and divided once.  Graph frames
 of such a frame vanish off the axes 1, 2, 5..8 and rows 3, 4 off 3, 4,
 5..8, so 13 of the 28 pair minors of each row pair are exactly 0, and the
 same kernel runs on the 15 others against a (15, 15 r) slice of the fold.
+It copies each block of A once component-major, each entry of A one
+contiguous row over the block's frames, fills both row pairs' 15 minors
+with whole-row operations, and hands the kernel the row-major minors by
+one transposed copy: the products of a column-by-column fill, bit for bit.
 """
 
 from __future__ import annotations
@@ -687,8 +691,10 @@ _PAIR_IJ, _PAIR_JI = _PAIR_I * 8 + _PAIR_J, _PAIR_J * 8 + _PAIR_I
 # frames per block of the kernel.  Against the complex torus fold (r = 4)
 # the (block, 28 * r) product of four_form_values is 0.9 MB at 512 frames,
 # inside a 2 MB L2 share, and the (block, 15 * r) one of the graph slice
-# 0.5 MB.  A sweep on a 2-core Xeon ran 1296 to 10000 frames 2.2 to 2.7
-# times faster than unblocked, flat from 256 to 1024 frames (CHANGES.md)
+# 0.5 MB; the graph entry's component-major copy of a block of normal
+# blocks and its (2, 15, block) minors are 0.13 and 0.25 MB complex.  A
+# sweep on a 2-core Xeon ran 1296 to 10000 frames 2.2 to 2.7 times faster
+# than unblocked, flat from 256 to 1024 frames (CHANGES.md)
 _BLOCK = 512
 
 # On a graph frame [I_4 | A], rows 1, 2 are zero off the axes 1, 2, 5..8 and
@@ -746,24 +752,26 @@ def _frame_pair_minors(block):
     return minors[:, 0], minors[:, 1]
 
 
-def _graph_pairs(x, y):
-    """The pair minors of the rows e_a + x and e_b + y, a < b <= 4, of a
-    graph frame on the six axes a, b, 5..8, in the order of TWO_FORM_INDEX:
-    (a, b) gives 1, (a, 4 + n) gives y_n, (b, 4 + n) gives -x_n, and the
-    pairs of normal axes the 2x2 minors of x and y.  x and y are (n, 4)."""
-    out = np.empty((len(x), len(_GRAPH_LO)), np.result_type(x.dtype, y.dtype))
+def _graph_pair_minors(block):
+    """The 15 pair minors on _GRAPH_LO of rows 1, 2 and on _GRAPH_HI of rows
+    3, 4 of the graph frames [I_4 | A] of (n, 4, 4) normal blocks A, as two
+    C-contiguous (n, 15) arrays.  The rows e_a + x and e_b + y, a < b <= 4,
+    of a graph frame on the six axes a, b, 5..8 give, in the order of
+    TWO_FORM_INDEX: (a, b) 1, (a, 4 + m) y_m, (b, 4 + m) -x_m, and the pairs
+    of normal axes the 2x2 minors of x and y.  The block is copied once
+    component-major, each entry of A a contiguous length-n row, so both row
+    pairs are filled at once with whole-row operations into one (2, 15, n)
+    array, and one transposed copy hands the kernel its row-major operands."""
+    a = np.ascontiguousarray(block.transpose(1, 2, 0))
+    x, y = a[0::2], a[1::2]
+    out = np.empty((2, len(_GRAPH_LO), len(block)), a.dtype)
     out[:, 0] = 1
     out[:, 1:5] = y
     np.negative(x, out=out[:, 5:9])
     np.subtract(x[:, _NORMAL_I] * y[:, _NORMAL_J], x[:, _NORMAL_J] * y[:, _NORMAL_I],
                 out=out[:, 9:])
-    return out
-
-
-def _graph_pair_minors(block):
-    """The 15 pair minors on _GRAPH_LO of rows 1, 2 and on _GRAPH_HI of rows
-    3, 4 of the graph frames [I_4 | A] of (n, 4, 4) normal blocks A."""
-    return _graph_pairs(block[:, 0], block[:, 1]), _graph_pairs(block[:, 2], block[:, 3])
+    top, bottom = out.transpose(0, 2, 1).copy()
+    return top, bottom
 
 
 def _contract(frames, fold, minors):
@@ -848,7 +856,10 @@ class FourFormTable:
         28 pair minors of each row pair can be nonzero on such a frame
         (_GRAPH_LO, _GRAPH_HI), so the kernel runs on the (15, 15 * r) slice
         of the float fold that meets them, 225 of its 784 (l, h) pairs,
-        built on first use; the minors it skips are exactly 0."""
+        built on first use; the minors it skips are exactly 0.  Each block
+        of A is copied once component-major, so the 15 minors of both row
+        pairs are filled by whole-row operations (_graph_pair_minors), the
+        same products as a column-by-column fill, bit for bit."""
         blocks = np.asarray(normal_blocks)
         if blocks.ndim != 3 or blocks.shape[1:] != (4, 4):
             raise DimensionMismatch(

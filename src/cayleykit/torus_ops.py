@@ -52,6 +52,7 @@ artifacts.  The module provides:
   numbers, with a consistency family generator.
 """
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -181,6 +182,14 @@ def constant_section(model, bundle, fiber):
     return FourierSection(bundle, coeffs)
 
 
+def _check_modes(section, mode_count):
+    """Refuse a section whose mode count is not ``mode_count``."""
+    if section.coefficients.shape[0] != mode_count:
+        raise ValidationError(
+            "a %r section with %d modes does not fit a truncation of %d modes"
+            % (section.bundle, section.coefficients.shape[0], mode_count))
+
+
 def random_section(model, bundle, rng):
     shape = (model.mode_count, BUNDLE_RANK[bundle])
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -230,6 +239,7 @@ class OperatorMatrix:
                 "operator domain %r does not accept %r sections"
                 % (self.domain, section.bundle)
             )
+        _check_modes(section, self.mode_count)
         out = np.einsum("mij,mj->mi", self.blocks, section.coefficients)
         return FourierSection(self.codomain, out)
 
@@ -650,6 +660,8 @@ def _derivative_grids(model, v):
     v1, w = v
     if v1.bundle != "normal10" or w.bundle != "two_form_normal":
         raise ValidationError("expected a (normal10, two_form_normal) pair")
+    _check_modes(v1, model.mode_count)
+    _check_modes(w, model.mode_count)
     pair = np.concatenate([v1.coefficients, w.coefficients], axis=1)
     normal = pair @ _float_symbols(model.phase_pair)["displacement"]
     d_dx = 2j * np.pi * model.modes()  # (M, 4) multipliers of d/dx_1..d/dx_4
@@ -676,7 +688,10 @@ def nonlinear_F(model, v, t=1.0):
     point without forming the frames' 70 minors.  The result has shape
     (G^4, 4) on the grid G = 2K + 2 of ``grid_values``, components ordered
     (1,3), (1,4), (2,3), (2,4); the map extends the real geometric defect
-    complex-multilinearly in the frame vectors."""
+    complex-multilinearly in the frame vectors.  t must be a finite real
+    number."""
+    if not _finite_real(t):
+        raise ValidationError("scale t must be a finite real number, not %r" % (t,))
     return _defect_on_grids(model, _derivative_grids(model, v), t)
 
 
@@ -709,6 +724,33 @@ def check_ladder(t_ladder):
         raise ValidationError("t ladder rungs must be finite and positive")
 
 
+def _finite_real(value):
+    """Whether value is a finite real number (numpy floats included,
+    booleans not)."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def check_samples(samples):
+    """Refuse a sample count that is not an integer (numpy integers
+    included, booleans not) of at least 1."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise ValidationError("samples must be an integer, not %r" % (samples,))
+    if samples < 1:
+        raise ValidationError("samples must be positive")
+
+
+def _check_band(band):
+    """Refuse a slope band that is not two finite real numbers low < high."""
+    try:
+        low, high = band
+    except (TypeError, ValueError):
+        raise ValidationError("band must be a (low, high) pair, not %r" % (band,)) from None
+    if not (_finite_real(low) and _finite_real(high) and low < high):
+        raise ValidationError(
+            "band must be two finite numbers with low < high, not %r" % (band,))
+
+
 def fd_linearization_check(
     model,
     samples=50,
@@ -730,7 +772,10 @@ def fd_linearization_check(
     was flagged.  Each sample's derivative grids are built once and every
     rung evaluates the same defect as ``nonlinear_F``, on the table's graph
     entry; rungs run one call at a time, since batching them makes the
-    arrays outgrow the caches."""
+    arrays outgrow the caches.  ``samples`` must be a positive integer and
+    ``band`` two finite numbers, low < high."""
+    check_samples(samples)
+    _check_band(band)
     check_ladder(t_ladder)
     rng = np.random.default_rng(seed)
     slopes = []

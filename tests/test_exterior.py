@@ -502,6 +502,64 @@ def test_graph_entry_matches_the_generic_kernel(count, kind):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def _row_major_graph_pairs(x, y):
+    # the graph pair minors filled column by column into a row-major (n, 15)
+    # array, the oracle for the component-major fill of _graph_pair_minors
+    out = np.empty((len(x), 15), np.result_type(x.dtype, y.dtype))
+    out[:, 0] = 1
+    out[:, 1:5] = y
+    np.negative(x, out=out[:, 5:9])
+    i, j = exterior._NORMAL_I, exterior._NORMAL_J
+    np.subtract(x[:, i] * y[:, j], x[:, j] * y[:, i], out=out[:, 9:])
+    return out
+
+
+def _row_major_graph_pair_minors(block):
+    return (_row_major_graph_pairs(block[:, 0], block[:, 1]),
+            _row_major_graph_pairs(block[:, 2], block[:, 3]))
+
+
+def _graph_blocks(count, kind, layout):
+    rng = np.random.default_rng(count)
+    rows = 2 * count if layout == "strided" else count
+    blocks = rng.standard_normal((rows, 4, 4))
+    if kind == "complex":
+        blocks = blocks + 1j * rng.standard_normal((rows, 4, 4))
+    if layout == "strided":
+        return blocks[::2]
+    return np.asfortranarray(blocks) if layout == "fortran" else blocks
+
+
+@pytest.mark.parametrize("layout", ["C", "strided", "fortran"])
+@pytest.mark.parametrize("count", [1, _B - 1, _B, _B + 1, 3 * _B + 5],
+                         ids=["1", "B-1", "B", "B+1", "3B+5"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_graph_pair_minors_match_the_row_major_fill(count, kind, layout):
+    # the same products in the same order, so bit for bit, and both halves
+    # C-contiguous as the kernel's matmuls take them
+    blocks = _graph_blocks(count, kind, layout)
+    got = exterior._graph_pair_minors(blocks)
+    want = _row_major_graph_pair_minors(blocks)
+    for g, w in zip(got, want):
+        assert g.flags.c_contiguous and w.flags.c_contiguous
+        assert g.dtype == w.dtype == blocks.dtype
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("layout", ["C", "strided", "fortran"])
+@pytest.mark.parametrize("count", [1, _B + 1, 3 * _B + 5], ids=["1", "B+1", "3B+5"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_graph_entry_is_the_kernel_on_the_row_major_fill(count, kind, layout):
+    rng = np.random.default_rng(count + 1)
+    table = rng.standard_normal((70, 4))
+    if kind == "complex":
+        table = table + 1j * rng.standard_normal((70, 4))
+    table = FourFormTable(table)
+    blocks = _graph_blocks(count, kind, layout)
+    want = exterior._contract(blocks, table._graph_fold, _row_major_graph_pair_minors)
+    assert np.array_equal(table.graph_values(blocks), want)
+
+
 def test_graph_entry_rejects_bad_shapes():
     tab = FourFormTable(np.ones((70, 2)))
     for shape in ((4, 4), (3, 4, 8), (3, 3, 4)):

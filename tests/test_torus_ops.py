@@ -612,6 +612,59 @@ def test_ladder_validation():
             fd_linearization_check(model, samples=2, t_ladder=ladder)
 
 
+@pytest.mark.parametrize("samples", [True, 0, -3, 2.5, "2", None])
+def test_fd_check_rejects_bad_sample_counts(samples):
+    # True ran one sample, 0 and -3 gave an empty report, 2.5 a TypeError
+    with pytest.raises(ValidationError):
+        fd_linearization_check(TorusModel(1), samples=samples)
+
+
+@pytest.mark.parametrize("band", [
+    (2.1, 1.9), (2.0, 2.0), (float("nan"), 2.1), (1.9, float("inf")),
+    (1.9,), (1.9, 2.0, 2.1), 2.0, ("1.9", "2.1"), (True, 2.0), (1.9, 2.1j)])
+def test_fd_check_rejects_malformed_bands(band):
+    # (2.1, 1.9) and (nan, 2.1) reported fraction_in_band 0.0 over 50 fits
+    with pytest.raises(ValidationError):
+        fd_linearization_check(TorusModel(1), samples=1, band=band)
+
+
+def test_fd_check_takes_numpy_sample_counts_and_bands():
+    rep = fd_linearization_check(TorusModel(1), samples=np.int32(2),
+                                 band=(np.float64(2.9), 3.1))
+    assert len(rep.slopes) == 2 and rep.fraction_in_band == 1.0
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 1j, "1", True])
+def test_nonlinear_F_rejects_a_scale_that_is_not_finite_and_real(t):
+    model = TorusModel(1)
+    v = _random_pair(model, np.random.default_rng(2))
+    with pytest.raises(ValidationError):
+        nonlinear_F(model, v, t=t)
+
+
+@pytest.mark.parametrize("K", [0, 2])
+def test_grid_maps_reject_sections_of_another_truncation(K):
+    # K = 2 sections at TorusModel(1) failed numpy's broadcasting
+    model = TorusModel(1)
+    v = _random_pair(TorusModel(K), np.random.default_rng(K))
+    with pytest.raises(ValidationError):
+        nonlinear_F(model, v)
+    with pytest.raises(ValidationError):
+        linear_image_grid(model, v)
+    with pytest.raises(ValidationError):
+        torus_ops._derivative_grids(model, v)
+
+
+@pytest.mark.parametrize("K", [0, 2])
+def test_operator_rejects_sections_of_another_truncation(K):
+    op = dbar_matrix(TorusModel(1))
+    with pytest.raises(ValidationError):
+        op.apply(random_section(TorusModel(K), "normal10", np.random.default_rng(0)))
+    # a section of the operator's own truncation still applies
+    out = op.apply(random_section(TorusModel(1), "normal10", np.random.default_rng(0)))
+    assert out.coefficients.shape == (op.mode_count, 4)
+
+
 def test_fd_slopes_match_nonlinear_F_per_rung():
     # the check builds each sample's derivative grids once; recomputing every
     # rung through nonlinear_F with the same draws gives the same slopes, on
