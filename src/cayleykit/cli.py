@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import math
-import numbers
 import operator
 import sys
 from fractions import Fraction
@@ -30,6 +29,7 @@ import numpy as np
 from .exterior import (
     EXACT,
     FLOAT,
+    TWO_FORM_INDEX,
     ExactComplex,
     hodge_star,
     inner,
@@ -119,16 +119,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValidationError("unknown suite %r" % (self.suite,))
-        for name in ("seed", "K"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError("%s must be an integer, not %r" % (name, value))
-        torus_ops.check_samples(self.samples)
+        torus_ops.check_integer(self.samples, "samples", least=1)
         torus_ops.check_ladder(self.t_ladder)
-        if self.K < 0:
-            raise ValidationError("K must be nonnegative")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        torus_ops.check_integer(self.K, "K")
+        torus_ops.check_integer(self.seed, "seed")
 
 
 def _rng(seed, salt):
@@ -237,21 +231,15 @@ def _suite_structure(cfg):
 
     P = Phi.proj7_matrix()
     r7 = exact_rank(P)
-    eye = [[Fraction(int(i == j)) for j in range(28)] for i in range(28)]
-    comp = [[eye[i][j] - P[i][j] for j in range(28)] for i in range(28)]
-    r21 = exact_rank(comp)
+    r21 = exact_rank(np.eye(28, dtype=int) - np.array(P, dtype=object))
     yield Check(
         "two-forms:rank-split", "two-forms:7-21-split",
         "exact", abs(r7 - 7) + abs(r21 - 21), 0,
         details={"rank_small": r7, "rank_large": r21})
 
     gens = lambda27_basis(Phi)
-    fixed = True
-    for b in gens:
-        if (Phi.proj7_apply(b) - b).max_abs() != 0:
-            fixed = False
-    gram = [[inner(a, b) for b in gens] for a in gens]
-    rk = exact_rank(gram)
+    fixed = all((Phi.proj7_apply(b) - b).is_zero() for b in gens)
+    rk = exact_rank([[b.coeff(pair) for pair in TWO_FORM_INDEX] for b in gens])
     span_ok = len(gens) == 28 and fixed and rk == 7
     yield Check(
         "two-forms:spanning-set", "two-forms:small-piece-generators",
@@ -850,8 +838,7 @@ def graph_solve(path, backend=FLOAT, seed=0):
     if path is not None:
         start = _lambda_from_file(path, backend)
     else:
-        if seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        torus_ops.check_integer(seed, "seed")
         start = random_graph_coefficients(_rng(seed, 6), radius=0.25)
         if backend == EXACT:  # a float's Fraction is exact (dyadic)
             start = GraphCoefficients(

@@ -108,14 +108,24 @@ BUNDLE_RANK = {bundle: len(weights) for bundle, weights in BUNDLE_WEIGHTS.items(
 _DEFAULT_PHASE = (Fraction(1), Fraction(0))
 
 
-def _truncation(K):
-    """K as a Python int, or ValidationError unless it is a nonnegative
-    integer (numpy integers included, booleans not)."""
-    if isinstance(K, bool) or not isinstance(K, numbers.Integral):
-        raise ValidationError("mode truncation must be an integer, not %r" % (K,))
-    if K < 0:
-        raise ValidationError("mode truncation must be nonnegative")
-    return int(K)
+def check_integer(value, what, least=0):
+    """int(value), or ValidationError naming it what unless value is an
+    integer (numpy ones too, booleans not) >= least, 0 or 1: the one rule
+    for a mode truncation K, a sample count and a seed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError("%s must be an integer, not %r" % (what, value))
+    if value < least:
+        raise ValidationError("%s must be %s"
+                              % (what, "positive" if least else "nonnegative"))
+    return int(value)
+
+
+def _rank(bundle):
+    """The fiber rank of a bundle tag; ValidationError for an unknown one."""
+    try:
+        return BUNDLE_RANK[bundle]
+    except (KeyError, TypeError):
+        raise ValidationError("unknown bundle tag %r" % (bundle,)) from None
 
 
 @dataclass(frozen=True)
@@ -132,7 +142,7 @@ class TorusModel:
     phase_pair: tuple = _DEFAULT_PHASE
 
     def __post_init__(self):
-        object.__setattr__(self, "K", _truncation(self.K))
+        object.__setattr__(self, "K", check_integer(self.K, "mode truncation"))
         object.__setattr__(self, "phase_pair",
                            _phase_components(self.phase_pair, EXACT))
 
@@ -160,24 +170,21 @@ class FourierSection:
     coefficients: np.ndarray  # (mode_count, rank) complex
 
     def __post_init__(self):
-        if self.bundle not in BUNDLE_RANK:
-            raise ValidationError("unknown bundle tag %r" % (self.bundle,))
+        rank = _rank(self.bundle)
         arr = np.asarray(self.coefficients, dtype=complex)
-        if arr.ndim != 2 or arr.shape[1] != BUNDLE_RANK[self.bundle]:
+        if arr.ndim != 2 or arr.shape[1] != rank:
             raise ValidationError(
-                "coefficient array must have shape (modes, %d)"
-                % BUNDLE_RANK[self.bundle]
-            )
+                "coefficient array must have shape (modes, %d)" % rank)
         object.__setattr__(self, "coefficients", arr)
 
 
 def zero_section(model, bundle):
-    return FourierSection(bundle, np.zeros((model.mode_count, BUNDLE_RANK[bundle]), complex))
+    return FourierSection(bundle, np.zeros((model.mode_count, _rank(bundle)), complex))
 
 
 def constant_section(model, bundle, fiber):
     """Section equal to the given fiber vector at every point."""
-    coeffs = np.zeros((model.mode_count, BUNDLE_RANK[bundle]), complex)
+    coeffs = np.zeros((model.mode_count, _rank(bundle)), complex)
     coeffs[model.zero_mode()] = np.asarray(fiber, dtype=complex)
     return FourierSection(bundle, coeffs)
 
@@ -191,15 +198,16 @@ def _check_modes(section, mode_count):
 
 
 def random_section(model, bundle, rng):
-    shape = (model.mode_count, BUNDLE_RANK[bundle])
+    shape = (model.mode_count, _rank(bundle))
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return FourierSection(bundle, coeffs * (1.0 / np.sqrt(2.0)))
 
 
 def section_inner(a, b):
-    """Weighted L2 pairing of two sections of the same bundle."""
+    """Weighted L2 pairing of two sections of one bundle and truncation."""
     if a.bundle != b.bundle:
         raise ValidationError("sections live in different bundles")
+    _check_modes(b, a.coefficients.shape[0])
     w = np.asarray(BUNDLE_WEIGHTS[a.bundle])
     return complex(np.sum(a.coefficients * np.conj(b.coefficients) * w))
 
@@ -225,7 +233,7 @@ class OperatorMatrix:
         arr = np.asarray(self.blocks, dtype=complex)
         if arr.ndim != 3:
             raise ValidationError("blocks must be a 3-d array")
-        if arr.shape[1] != BUNDLE_RANK[self.codomain] or arr.shape[2] != BUNDLE_RANK[self.domain]:
+        if arr.shape[1:] != (_rank(self.codomain), _rank(self.domain)):
             raise ValidationError("block shape does not match bundle ranks")
         object.__setattr__(self, "blocks", arr)
 
@@ -347,7 +355,7 @@ def _operator(model, name, domain, codomain):
     blocks *= 2j * np.pi
     blocks.flags.writeable = False
     return OperatorMatrix(
-        blocks.reshape(-1, BUNDLE_RANK[codomain], BUNDLE_RANK[domain]),
+        blocks.reshape(-1, _rank(codomain), _rank(domain)),
         domain=domain, codomain=codomain)
 
 
@@ -529,7 +537,7 @@ def kernel_summary(K_values=(0, 1, 2, 3), phase_pair=_DEFAULT_PHASE):
     so every value is a vector norm, to a relative accuracy of about
     (m + n) eps, and no block goes to LAPACK.  Every K must be a
     nonnegative integer."""
-    K_values = [_truncation(K) for K in K_values]
+    K_values = [check_integer(K, "mode truncation") for K in K_values]
     if not K_values:
         raise ValidationError("no mode truncation given")
     model = TorusModel(max(K_values), phase_pair)
@@ -647,6 +655,21 @@ def _defect_table(phase_pair):
     return FourFormTable(_defect_table_exact(phase_pair))
 
 
+def _pair(model, v):
+    """The sections (v1, w) of v, or ValidationError unless v is a (normal10,
+    two_form_normal) pair of sections with the model's mode count."""
+    try:
+        v1, w = v
+    except (TypeError, ValueError):
+        v1 = w = None
+    if not (isinstance(v1, FourierSection) and isinstance(w, FourierSection)
+            and (v1.bundle, w.bundle) == ("normal10", "two_form_normal")):
+        raise ValidationError("expected a (normal10, two_form_normal) pair")
+    _check_modes(v1, model.mode_count)
+    _check_modes(w, model.mode_count)
+    return v1, w
+
+
 def _derivative_grids(model, v):
     """(G^4, 4, 4) samples of the displacement's derivatives, G = 2K + 2.
 
@@ -657,11 +680,7 @@ def _derivative_grids(model, v):
     components along the four base axes form one (M, 16) coefficient array,
     sampled by a single call of grid_values.  The normal components are the
     pair's coefficients times the displacement matrix of _exact_symbols."""
-    v1, w = v
-    if v1.bundle != "normal10" or w.bundle != "two_form_normal":
-        raise ValidationError("expected a (normal10, two_form_normal) pair")
-    _check_modes(v1, model.mode_count)
-    _check_modes(w, model.mode_count)
+    v1, w = _pair(model, v)
     pair = np.concatenate([v1.coefficients, w.coefficients], axis=1)
     normal = pair @ _float_symbols(model.phase_pair)["displacement"]
     d_dx = 2j * np.pi * model.modes()  # (M, 4) multipliers of d/dx_1..d/dx_4
@@ -697,7 +716,7 @@ def nonlinear_F(model, v, t=1.0):
 
 def linear_image_grid(model, v):
     """Grid samples of the first-order operator applied to the pair v."""
-    v1, w = v
+    v1, w = _pair(model, v)
     image = dbar_matrix(model).apply(v1).coefficients + dbar_star_matrix(model).apply(w).coefficients
     return grid_values(model, image)
 
@@ -729,15 +748,6 @@ def _finite_real(value):
     booleans not)."""
     return (not isinstance(value, bool) and isinstance(value, numbers.Real)
             and math.isfinite(value))
-
-
-def check_samples(samples):
-    """Refuse a sample count that is not an integer (numpy integers
-    included, booleans not) of at least 1."""
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
-        raise ValidationError("samples must be an integer, not %r" % (samples,))
-    if samples < 1:
-        raise ValidationError("samples must be positive")
 
 
 def _check_band(band):
@@ -772,12 +782,12 @@ def fd_linearization_check(
     was flagged.  Each sample's derivative grids are built once and every
     rung evaluates the same defect as ``nonlinear_F``, on the table's graph
     entry; rungs run one call at a time, since batching them makes the
-    arrays outgrow the caches.  ``samples`` must be a positive integer and
-    ``band`` two finite numbers, low < high."""
-    check_samples(samples)
+    arrays outgrow the caches.  ``samples`` must be a positive integer,
+    ``seed`` a nonnegative one and ``band`` two finite numbers low < high."""
+    check_integer(samples, "samples", least=1)
     _check_band(band)
     check_ladder(t_ladder)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed"))
     slopes = []
     flagged = []
     for _ in range(samples):

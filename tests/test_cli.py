@@ -717,6 +717,25 @@ def test_fraction_tokens_and_comments_accepted(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_frame_file_of_comments_only_exits_malformed(tmp_path, capsys):
+    frame = tmp_path / "empty.txt"
+    frame.write_text("# no rows here\n")
+    assert main(["classify-plane", str(frame)]) == EXIT_MALFORMED
+    out, err = capsys.readouterr()
+    assert out == "" and "no data rows in %s" % frame in err
+
+
+def test_classify_plane_table_shows_a_dash_for_no_residual(tmp_path, capsys):
+    frame = tmp_path / "frame.txt"
+    frame.write_text("".join(" ".join("1" if j == i else "0" for j in range(8))
+                             + "\n" for i in range(4)))
+    assert main(["classify-plane", str(frame),
+                 "--json", str(tmp_path / "plane.json")]) == EXIT_OK
+    line, = [row for row in capsys.readouterr().out.splitlines()
+             if "plane:canonical-angles" in row]
+    assert "residual=- " in line and line.endswith("tol=-")
+
+
 def test_graph_verify_solution_file(tmp_path, capsys):
     tilt = tmp_path / "zero.txt"
     tilt.write_text("\n".join("0 0 0 0" for _ in range(4)) + "\n")
@@ -766,6 +785,25 @@ def test_graph_solve_exact_backend_solves_exactly(from_file, tmp_path, capsys):
                  "graph:quadratic-residuals"):
         assert by_name[name]["residual"] == 0, name
     capsys.readouterr()
+
+
+def test_graph_solve_fails_a_start_past_its_radius(tmp_path, capsys):
+    start = tmp_path / "ones.txt"
+    start.write_text("1 1 1 1\n" * 4)
+    out = tmp_path / "sol.json"
+    code = main(["graph-solve", str(start), "--json", str(out), "--quiet"])
+    assert code == EXIT_CHECK_FAILED
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("newton:converged", "fail")]
+    assert checks[0]["details"] == {
+        "error": "starting coefficients have norm 4 > 0.30"}
+
+
+def test_index_refuses_a_partial_chern_triple(capsys):
+    assert main(["index", "--c1sq", "0"]) == EXIT_MALFORMED
+    out, err = capsys.readouterr()
+    assert out == "" and "need all of --c1sq --c2 --c2nu together" in err
 
 
 def test_graph_solve_seeded(capsys):

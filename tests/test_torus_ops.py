@@ -87,6 +87,19 @@ def test_kernel_matches_dense_assembly():
             assert abs(rep.sigma_max - sig.max()) <= 1e-12 * sig.max()
 
 
+def test_kernel_report_warns_inside_a_weak_gap():
+    # singular values {1, 1e-4} and {1e-9, 0}: the threshold 1e-8 drops
+    # 1e-9 and 0 and keeps 1e-4, a gap of 1e5 < GAP_FLOOR
+    blocks = np.zeros((2, 4, 2))
+    blocks[0, 0, 0], blocks[0, 1, 1], blocks[1, 0, 0] = 1.0, 1e-4, 1e-9
+    op = torus_ops.OperatorMatrix(blocks, domain="normal10",
+                                  codomain="one_form_normal")
+    with pytest.warns(UserWarning, match="weak spectral gap"):
+        rep = kernel_report(op)
+    assert rep.warning and rep.dim_complex == 2
+    assert rep.gap == pytest.approx(1e5)
+
+
 def test_operator_blocks_are_built_once_per_model_and_read_only():
     for build in (dbar_matrix, dbar_star_matrix):
         op = build(TorusModel(1))
@@ -619,6 +632,19 @@ def test_fd_check_rejects_bad_sample_counts(samples):
         fd_linearization_check(TorusModel(1), samples=samples)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+def test_fd_check_rejects_bad_seeds(seed):
+    # -1 and 1.5 let numpy's errors out, True ran as seed 1
+    with pytest.raises(ValidationError):
+        fd_linearization_check(TorusModel(1), samples=1, seed=seed)
+
+
+def test_fd_check_takes_numpy_seeds():
+    model = TorusModel(1)
+    rep = fd_linearization_check(model, samples=1, seed=np.int64(3))
+    assert rep == fd_linearization_check(model, samples=1, seed=3)
+
+
 @pytest.mark.parametrize("band", [
     (2.1, 1.9), (2.0, 2.0), (float("nan"), 2.1), (1.9, float("inf")),
     (1.9,), (1.9, 2.0, 2.1), 2.0, ("1.9", "2.1"), (True, 2.0), (1.9, 2.1j)])
@@ -653,6 +679,18 @@ def test_grid_maps_reject_sections_of_another_truncation(K):
         linear_image_grid(model, v)
     with pytest.raises(ValidationError):
         torus_ops._derivative_grids(model, v)
+
+
+@pytest.mark.parametrize("shape", ["one", "lone", "none", "three"])
+def test_grid_maps_reject_what_is_not_a_deformation_pair(shape):
+    # unpacking them raised a ValueError or TypeError
+    model = TorusModel(1)
+    v1, w = _random_pair(model, np.random.default_rng(0))
+    v = {"one": (v1,), "lone": v1, "none": None, "three": (v1, w, v1)}[shape]
+    with pytest.raises(ValidationError):
+        nonlinear_F(model, v)
+    with pytest.raises(ValidationError):
+        linear_image_grid(model, v)
 
 
 @pytest.mark.parametrize("K", [0, 2])
@@ -922,6 +960,47 @@ def test_section_inner_requires_same_bundle():
     b = zero_section(model, "two_form_normal")
     with pytest.raises(ValidationError):
         section_inner(a, b)
+
+
+def test_section_inner_requires_same_truncation():
+    # numpy's broadcasting refused the pairing
+    a = zero_section(TorusModel(1), "normal10")
+    b = zero_section(TorusModel(2), "normal10")
+    with pytest.raises(ValidationError):
+        section_inner(a, b)
+    with pytest.raises(ValidationError):
+        section_inner(b, a)
+
+
+@pytest.mark.parametrize("build", [
+    lambda model, tag: zero_section(model, tag),
+    lambda model, tag: constant_section(model, tag, (1, 0)),
+    lambda model, tag: random_section(model, tag, np.random.default_rng(0)),
+    lambda model, tag: torus_ops.OperatorMatrix(
+        np.zeros((model.mode_count, 4, 2)), domain=tag, codomain="one_form_normal"),
+    lambda model, tag: torus_ops.OperatorMatrix(
+        np.zeros((model.mode_count, 4, 2)), domain="normal10", codomain=tag),
+], ids=["zero", "constant", "random", "operator-domain", "operator-codomain"])
+@pytest.mark.parametrize("tag", ["normal01", ["normal10"]], ids=["unknown", "unhashable"])
+def test_section_and_operator_builders_reject_unknown_tags(build, tag):
+    # all but FourierSection itself raised a bare KeyError
+    with pytest.raises(ValidationError, match="unknown bundle tag"):
+        build(TorusModel(1), tag)
+
+
+def test_check_integer_states_each_rule_once():
+    assert torus_ops.check_integer(np.int64(3), "seed") == 3
+    assert type(torus_ops.check_integer(np.uint8(0), "K")) is int
+    assert torus_ops.check_integer(1, "samples", least=1) == 1
+    for value, least, message in [
+            (True, 0, "seed must be an integer, not True"),
+            (1.5, 0, "seed must be an integer, not 1.5"),
+            ("1", 1, "seed must be an integer, not '1'"),
+            (-1, 0, "seed must be nonnegative"),
+            (0, 1, "seed must be positive")]:
+        with pytest.raises(ValidationError) as info:
+            torus_ops.check_integer(value, "seed", least)
+        assert str(info.value) == message
 
 
 def test_model_validation():
