@@ -31,7 +31,6 @@ from .exterior import (
 from .kahler import build_model, to_complex_frame
 from .spin7 import (
     CayleyForm,
-    decompose_two_form,
     find_equivalence,
     is_cayley,
     phi0,
@@ -88,7 +87,6 @@ __all__ = [
     "Vector",
     "build_model",
     "canonical_angles",
-    "decompose_two_form",
     "fd_linearization_check",
     "find_equivalence",
     "graph_frame",

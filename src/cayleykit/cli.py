@@ -43,6 +43,7 @@ from .errors import (
     InputFormatError,
     PlaneError,
     ValidationError,
+    check_integer,
 )
 from .frames import orthonormal_rows, orthonormality_residual
 from .kahler import (
@@ -52,6 +53,7 @@ from .kahler import (
     verify_normalization,
 )
 from .spin7 import (
+    PHI_TOL,
     TAU_TOL,
     find_equivalence,
     is_cayley,
@@ -119,10 +121,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValidationError("unknown suite %r" % (self.suite,))
-        torus_ops.check_integer(self.samples, "samples", least=1)
+        check_integer(self.samples, "samples", least=1)
         torus_ops.check_ladder(self.t_ladder)
-        torus_ops.check_integer(self.K, "K")
-        torus_ops.check_integer(self.seed, "seed")
+        check_integer(self.K, "K")
+        check_integer(self.seed, "seed")
 
 
 def _rng(seed, salt):
@@ -342,7 +344,7 @@ def _suite_planes(cfg):
     pool = list(_sample_planes(model.J, cfg.samples, rng))
     for plane, _ in pool:
         verdict = is_cayley(Phi, plane)
-        by_value = abs(verdict.phi_value - 1.0) < 1e-9
+        by_value = abs(verdict.phi_value - 1.0) < PHI_TOL
         by_defect = verdict.tau_norm < TAU_TOL
         if by_value != by_defect:
             contradictions += 1
@@ -360,7 +362,7 @@ def _suite_planes(cfg):
     c_std = is_complex_plane(model, _COMPLEX_PLANE)
     yield Check(
         "planes:standard-complex-plane", "cayley-criterion:complex-planes",
-        None, max(abs(v_std.phi_value - 1.0), v_std.tau_norm), 1e-9,
+        None, max(abs(v_std.phi_value - 1.0), v_std.tau_norm), PHI_TOL,
         details={"phi_value": v_std.phi_value, "tau_norm": v_std.tau_norm},
         holds=v_std.is_cayley and c_std.is_complex)
 
@@ -368,7 +370,7 @@ def _suite_planes(cfg):
     c_sl = is_complex_plane(model, _LAGRANGIAN_PLANE)
     yield Check(
         "planes:special-lagrangian-plane", "cayley-criterion:lagrangian-branch",
-        None, max(abs(v_sl.phi_value - 1.0), v_sl.tau_norm), 1e-9,
+        None, max(abs(v_sl.phi_value - 1.0), v_sl.tau_norm), PHI_TOL,
         details={"phi_value": v_sl.phi_value, "tau_norm": v_sl.tau_norm,
                  "is_complex": c_sl.is_complex},
         holds=v_sl.is_cayley and not c_sl.is_complex)
@@ -778,8 +780,7 @@ def classify_plane(path, tol=1e-9, reject=False):
         warn=rec.gap_warning))
 
     if (k, n) == (4, 8):
-        verdict = is_cayley(phi_from_kahler(model), plane,
-                            tol_phi=max(tol, 1e-9))
+        verdict = is_cayley(phi_from_kahler(model), plane)
         checks.append(_cayley_verdict_check(
             "plane:calibration", "cayley-criterion:value-vs-defect", verdict))
     return _assemble("classify-plane", _COMMANDS["classify-plane"][2],
@@ -838,7 +839,7 @@ def graph_solve(path, backend=FLOAT, seed=0):
     if path is not None:
         start = _lambda_from_file(path, backend)
     else:
-        torus_ops.check_integer(seed, "seed")
+        check_integer(seed, "seed")
         start = random_graph_coefficients(_rng(seed, 6), radius=0.25)
         if backend == EXACT:  # a float's Fraction is exact (dyadic)
             start = GraphCoefficients(

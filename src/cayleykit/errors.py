@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, and the package's one integer rule.
 
 Everything raised on purpose by this package derives from CayleykitError,
 so callers can catch one base class at CLI boundaries.
 """
+
+import numbers
 
 
 class CayleykitError(Exception):
@@ -48,3 +50,15 @@ class NonIntegralError(CayleykitError):
 class InputFormatError(CayleykitError):
     """A file or serialized payload could not be parsed into the expected
     structure."""
+
+
+def check_integer(value, what, least=0):
+    """int(value), or ValidationError naming it what unless value is an
+    integer (numpy ones too, booleans not) >= least: 0, 1, or None for an
+    integer of either sign."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError("%s must be an integer, not %r" % (what, value))
+    if least is not None and value < least:
+        raise ValidationError("%s must be %s"
+                              % (what, "positive" if least else "nonnegative"))
+    return int(value)

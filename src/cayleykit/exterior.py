@@ -73,6 +73,7 @@ from .errors import (
     DimensionMismatch,
     GradeError,
     InputFormatError,
+    check_integer,
 )
 
 EXACT = "exact"
@@ -324,6 +325,7 @@ class Vector:
 
     @classmethod
     def basis(cls, n, i, backend=EXACT):
+        n, i = check_integer(n, "ambient dimension"), check_integer(i, "basis index")
         if not 1 <= i <= n:
             raise DimensionMismatch("basis index %d out of range 1..%d" % (i, n))
         return cls([1 if j == i else 0 for j in range(1, n + 1)], backend)
@@ -394,13 +396,14 @@ class Multivector:
 
     def __init__(self, n, terms=None, backend=EXACT):
         _check_backend(backend)
+        n = check_integer(n, "ambient dimension")
         if not 1 <= n <= 8:
             raise DimensionMismatch("supported ambient dimensions are 1..8")
         # each coefficient is coerced before its key is sorted, so a term
         # with a repeated index, which is 0, is still refused on a bad value
         pairs = []
         for indices, coeff in (terms or {}).items():
-            indices = tuple(int(i) for i in indices)
+            indices = tuple(check_integer(i, "index") for i in indices)
             for i in indices:
                 if not 1 <= i <= n:
                     raise DimensionMismatch(
@@ -524,6 +527,7 @@ class Multivector:
 
 
 def volume_form(n, backend=EXACT):
+    n = check_integer(n, "ambient dimension")
     return Multivector.basis(n, tuple(range(1, n + 1)), backend)
 
 
@@ -902,8 +906,8 @@ def apply_signed_permutation(a, perm, signs):
     ``perm`` is a sequence of length n with 1-based targets forming a
     permutation; ``signs`` is a sequence of +-1.
     """
-    perm = tuple(int(p) for p in perm)
-    signs = tuple(int(s) for s in signs)
+    perm = tuple(check_integer(p, "perm entry", least=None) for p in perm)
+    signs = tuple(check_integer(s, "sign", least=None) for s in signs)
     if sorted(perm) != list(range(1, a.n + 1)):
         raise DimensionMismatch("perm %r is not a permutation of 1..%d" % (perm, a.n))
     if len(signs) != a.n or any(s not in (-1, 1) for s in signs):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, TypeMismatch, ValidationError
+from .errors import DimensionMismatch, TypeMismatch, ValidationError, check_integer
 from .exterior import (
     EXACT,
     ExactComplex,
@@ -110,6 +110,7 @@ def _require_surface_model(model):
 def build_model(m, backend=EXACT, phase_pair=(1, 0)):
     """Construct the flat model on R^{2m} (1 <= m <= 4), with the phase of
     Omega given as its (cos, sin) pair on the unit circle."""
+    m = check_integer(m, "m")
     if not 1 <= m <= 4:
         raise DimensionMismatch("m must be between 1 and 4")
     c, s = _phase_components(phase_pair, backend)
@@ -210,6 +211,7 @@ def dzbar_form(model, k):
 
 def holo_vector(model, k):
     """The (1,0) coordinate vector dual to dz_k: (e_{2k-1} - i e_{2k})/2."""
+    k = check_integer(k, "coordinate index")
     if not 1 <= k <= model.m:
         raise DimensionMismatch(
             "coordinate index %d out of range 1..%d" % (k, model.m))

@@ -23,7 +23,6 @@ of two) is one of the verified claims, not an assumption.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -299,18 +298,6 @@ def pi7_projection_scalar(Phi):
     return c
 
 
-@dataclass(frozen=True)
-class TwoFormDecomposition:
-    part7: Multivector
-    part21: Multivector
-
-
-def decompose_two_form(Phi, a):
-    """Split a two-form into its 7-part and 21-part (orthogonal pieces)."""
-    small = Phi.proj7_apply(a)
-    return TwoFormDecomposition(part7=small, part21=a - small)
-
-
 def lambda27_basis(Phi):
     """The 28 generators e^i ^ e^j - e_i -| (e_j -| phi); they span the 7-part."""
     out = []
@@ -360,11 +347,16 @@ class CayleyVerdict:
 
 
 TAU_TOL = 1e-7  # the largest defect norm of a Cayley plane
+# the largest |value - 1| of a Cayley plane.  value^2 + |tau|^2 = det(f f^T),
+# so on a frame orthonormal to 1e-10 (classify_plane repairs any worse) a
+# defect within TAU_TOL puts the value within 1e-9 of +1 or of -1: a looser
+# bound could only call a value -1 plane Cayley
+PHI_TOL = 1e-9
 
 
-def is_cayley(Phi, plane, tol_phi=1e-9):
+def is_cayley(Phi, plane):
     """Classify an oriented 4-plane: Cayley when the calibration value is
-    within tol_phi of 1 and the alternation norm is at most TAU_TOL.
+    within PHI_TOL of 1 and the alternation norm is at most TAU_TOL.
     ``plane`` is an OrientedPlane or a list of 4 orthonormal Vectors on
     the form's backend; an OrientedPlane on the float backend is read
     through its cached frame matrix.
@@ -394,7 +386,7 @@ def is_cayley(Phi, plane, tol_phi=1e-9):
     tau = values[:28]
     val, tn = float(values[28]), float(np.dot(tau, tau)) ** 0.5
     return CayleyVerdict(
-        is_cayley=abs(val - 1.0) <= tol_phi and tn <= TAU_TOL,
+        is_cayley=abs(val - 1.0) <= PHI_TOL and tn <= TAU_TOL,
         phi_value=val,
         tau_norm=tn,
     )
@@ -409,8 +401,8 @@ def find_equivalence(a, b):
     relabeling first.  Forms on different backends never compare equal, so
     they raise BackendMismatch before the search.  Per relabeling, each
     term of a fixes the product of the signs over its key (b's coefficient
-    on the image over a's, sorted, must be +-1), and the sign vectors are
-    tested against those products in ``itertools.product`` order.
+    on the image over a's, sorted, must be +-1): a linear system over GF(2),
+    solved for the first sign vector in ``itertools.product`` order.
     """
     n = a.n
     if b.n != n:
@@ -419,23 +411,34 @@ def find_equivalence(a, b):
     if len(a.terms) != len(b.terms):
         return None
 
+    # per term of a: its key, the key's bits, and the two values b may show
+    terms = [(key, sum(1 << (i - 1) for i in key), coeff, -coeff)
+             for key, coeff in a.terms.items()]
+
     def try_perm(perm):
-        # keys map one to one, so equal counts make the images b's support
-        needs = []
-        for key, coeff in a.terms.items():
+        # keys map one to one, so equal counts make the images b's support.
+        # Sign vector = bits of x (-1 where set); each term asks an XOR of
+        # them over its key, kept as a row by its highest bit
+        rows = {}
+        for key, mask, coeff, neg in terms:
             image, sign = sort_indices(tuple(perm[i - 1] for i in key))
             target = b.terms.get(image)
-            if target == sign * coeff:
-                needs.append((key, 1))
-            elif target == -sign * coeff:
-                needs.append((key, -1))
-            else:
+            if target is None or target != coeff and target != neg:
                 return None
-        for bits in itertools.product((1, -1), repeat=n):
-            if all(math.prod(bits[i - 1] for i in key) == need
-                   for key, need in needs):
-                return bits
-        return None
+            flip = (sign < 0) == (target == coeff)
+            while mask and (top := mask.bit_length() - 1) in rows:
+                mask, flip = mask ^ rows[top][0], flip ^ rows[top][1]
+            if mask:
+                rows[top] = mask, flip
+            elif flip:
+                return None
+        # itertools.product's first solution leaves every free bit 0; each
+        # row then fixes its highest bit from the lower ones, set before it
+        x = 0
+        for top in sorted(rows):
+            mask, flip = rows[top]
+            x |= (flip ^ (mask & x).bit_count() & 1) << top
+        return tuple(-1 if x >> i & 1 else 1 for i in range(n))
 
     # lexicographic order, so the identity comes first
     for perm in itertools.permutations(range(1, n + 1)):

@@ -63,7 +63,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _ratlinalg
-from .errors import NonIntegralError, ValidationError
+from .errors import NonIntegralError, ValidationError, check_integer
 from .exterior import (
     EXACT,
     ExactComplex,
@@ -106,18 +106,6 @@ BUNDLE_WEIGHTS = {
 BUNDLE_RANK = {bundle: len(weights) for bundle, weights in BUNDLE_WEIGHTS.items()}
 
 _DEFAULT_PHASE = (Fraction(1), Fraction(0))
-
-
-def check_integer(value, what, least=0):
-    """int(value), or ValidationError naming it what unless value is an
-    integer (numpy ones too, booleans not) >= least, 0 or 1: the one rule
-    for a mode truncation K, a sample count and a seed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError("%s must be an integer, not %r" % (what, value))
-    if value < least:
-        raise ValidationError("%s must be %s"
-                              % (what, "positive" if least else "nonnegative"))
-    return int(value)
 
 
 def _rank(bundle):
@@ -178,17 +166,6 @@ class FourierSection:
         object.__setattr__(self, "coefficients", arr)
 
 
-def zero_section(model, bundle):
-    return FourierSection(bundle, np.zeros((model.mode_count, _rank(bundle)), complex))
-
-
-def constant_section(model, bundle, fiber):
-    """Section equal to the given fiber vector at every point."""
-    coeffs = np.zeros((model.mode_count, _rank(bundle)), complex)
-    coeffs[model.zero_mode()] = np.asarray(fiber, dtype=complex)
-    return FourierSection(bundle, coeffs)
-
-
 def _check_modes(section, mode_count):
     """Refuse a section whose mode count is not ``mode_count``."""
     if section.coefficients.shape[0] != mode_count:
@@ -210,10 +187,6 @@ def section_inner(a, b):
     _check_modes(b, a.coefficients.shape[0])
     w = np.asarray(BUNDLE_WEIGHTS[a.bundle])
     return complex(np.sum(a.coefficients * np.conj(b.coefficients) * w))
-
-
-def section_norm(a):
-    return float(np.sqrt(max(section_inner(a, a).real, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -928,9 +901,11 @@ class TopologicalInvariants:
     chern: tuple = None  # optional (c1^2, c2, c2(normal))
 
     def __post_init__(self):
+        for field in ("signature", "euler", "self_intersection"):
+            object.__setattr__(self, field, check_integer(getattr(self, field), field, None))
         if self.chern is not None:
             c1sq, c2, c2nu = self.chern
-            if Fraction(c1sq - 2 * c2, 3) != self.signature:
+            if c1sq - 2 * c2 != 3 * self.signature:
                 raise ValidationError(
                     "signature inconsistent with (c1^2 - 2 c2) / 3"
                 )
@@ -944,33 +919,36 @@ class TopologicalInvariants:
 
 def index_from_topology(inv):
     """Index = signature/2 + euler/2 - self-intersection, as an exact integer."""
-    value = (
-        Fraction(inv.signature, 2)
-        + Fraction(inv.euler, 2)
-        - Fraction(inv.self_intersection)
-    )
-    if value.denominator != 1:
+    half, odd = divmod(inv.signature + inv.euler, 2)
+    if odd:
         raise NonIntegralError(
             "half-integer combination: signature + euler must be even"
         )
-    return int(value)
+    return half - inv.self_intersection
+
+
+def _chern_numbers(*triple):
+    """c1sq, c2 and c2nu, each checked an integer of either sign."""
+    return [check_integer(c, what, None) for c, what in zip(triple, ("c1sq", "c2", "c2nu"))]
 
 
 def index_from_chern(c1sq, c2, c2nu):
     """Index = (c1^2 + c2)/6 - c2(normal bundle), as an exact integer."""
-    value = Fraction(c1sq + c2, 6) - Fraction(c2nu)
-    if value.denominator != 1:
+    c1sq, c2, c2nu = _chern_numbers(c1sq, c2, c2nu)
+    sixth, rest = divmod(c1sq + c2, 6)
+    if rest:
         raise NonIntegralError("(c1^2 + c2) must be divisible by 6")
-    return int(value)
+    return sixth - c2nu
 
 
 def invariants_from_chern(c1sq, c2, c2nu):
     """Convert Chern numbers to (signature, euler, self-intersection)."""
-    sig = Fraction(c1sq - 2 * c2, 3)
-    if sig.denominator != 1:
+    c1sq, c2, c2nu = _chern_numbers(c1sq, c2, c2nu)
+    sig, rest = divmod(c1sq - 2 * c2, 3)
+    if rest:
         raise NonIntegralError("(c1^2 - 2 c2) must be divisible by 3")
     return TopologicalInvariants(
-        signature=int(sig),
+        signature=sig,
         euler=c2,
         self_intersection=c2nu,
         chern=(c1sq, c2, c2nu),

@@ -698,6 +698,22 @@ def test_classify_coordinate_complex_plane(tmp_path):
     assert abs(calib["details"]["calibration_value"] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.5, 5.0])
+@pytest.mark.parametrize("first, value", [("1 0", 1.0), ("0 1", -1.0)],
+                         ids=["cayley", "reversed"])
+def test_classify_plane_tol_leaves_the_cayley_verdict_alone(tmp_path, tol,
+                                                            first, value):
+    # the reversed frame e2, e1, e3, e4 has calibration value -1; a value
+    # bound that followed --tol once called it Cayley from tol 2 on
+    frame = tmp_path / "frame.txt"
+    frame.write_text(first + " 0 0 0 0 0 0\n" + first[::-1] + " 0 0 0 0 0 0\n"
+                     "0 0 1 0 0 0 0 0\n0 0 0 1 0 0 0 0\n")
+    calib, = [c for c in classify_plane(str(frame), tol=tol)["checks"]
+              if c["name"] == "plane:calibration"]
+    assert calib["details"]["calibration_value"] == value
+    assert calib["details"]["is_cayley"] is (value == 1.0)
+
+
 def test_classify_half_dimensional_counterexample(tmp_path):
     frame = tmp_path / "line.txt"
     frame.write_text("1 0 0 0\n0 0 0 1\n")

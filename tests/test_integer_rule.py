@@ -1,0 +1,100 @@
+"""The package's one integer rule, errors.check_integer, at every public
+parameter that takes an integer."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cayleykit import cli, errors, torus_ops
+from cayleykit.errors import ValidationError
+from cayleykit.exterior import (
+    Multivector, Vector, apply_signed_permutation, volume_form)
+from cayleykit.kahler import antiholo_vector, build_model, holo_vector
+from cayleykit.torus_ops import (
+    TopologicalInvariants,
+    TorusModel,
+    fd_linearization_check,
+    index_from_chern,
+    invariants_from_chern,
+    kernel_summary,
+)
+
+# a bool, a fractional float, NaN, None and a numeral string: none is an
+# integer, and before the rule some passed as one (True as 1, 1.5 as 1)
+NOT_INTEGERS = (True, 1.5, math.nan, None, "1")
+
+_MODEL = build_model(4)
+_FORM = Multivector(3, {(1, 2): 1, (3,): 2})
+_ONE_TO = {n: st.integers(1, n) for n in (4, 8)}
+_ANY = st.integers(-60, 60)
+
+
+def _multiple(k):
+    return _ANY.map(lambda j: k * j)
+
+
+# id, the call with the integer x in one place, and the x it accepts
+SITES = [
+    ("Multivector-n", lambda x: Multivector(x, {(1,): 1}), _ONE_TO[8]),
+    ("Multivector-index", lambda x: Multivector(8, {(x, 8): 1}), _ONE_TO[8]),
+    ("Multivector.basis-n", lambda x: Multivector.basis(x, (1,)), _ONE_TO[8]),
+    ("Multivector.basis-index", lambda x: Multivector.basis(8, (x, 1)), _ONE_TO[8]),
+    ("Vector.basis-n", lambda x: Vector.basis(x, 1), _ONE_TO[8]),
+    ("Vector.basis-i", lambda x: Vector.basis(8, x), _ONE_TO[8]),
+    ("volume_form", volume_form, _ONE_TO[8]),
+    ("apply_signed_permutation-perm",
+     lambda x: apply_signed_permutation(_FORM, (2, x, 3), (1, 1, 1)), st.just(1)),
+    ("apply_signed_permutation-signs",
+     lambda x: apply_signed_permutation(_FORM, (2, 1, 3), (1, x, 1)),
+     st.sampled_from((1, -1))),
+    ("build_model", build_model, _ONE_TO[4]),
+    ("holo_vector", lambda x: holo_vector(_MODEL, x), _ONE_TO[4]),
+    ("antiholo_vector", lambda x: antiholo_vector(_MODEL, x), _ONE_TO[4]),
+    ("TopologicalInvariants-signature",
+     lambda x: TopologicalInvariants(x, 0, 0), _ANY),
+    ("TopologicalInvariants-euler", lambda x: TopologicalInvariants(0, x, 0), _ANY),
+    ("TopologicalInvariants-self_intersection",
+     lambda x: TopologicalInvariants(0, 0, x), _ANY),
+    ("index_from_chern-c1sq", lambda x: index_from_chern(x, 0, 0), _multiple(6)),
+    ("index_from_chern-c2", lambda x: index_from_chern(0, x, 0), _multiple(6)),
+    ("index_from_chern-c2nu", lambda x: index_from_chern(0, 0, x), _ANY),
+    ("invariants_from_chern-c1sq",
+     lambda x: invariants_from_chern(x, 0, 0), _multiple(3)),
+    ("invariants_from_chern-c2",
+     lambda x: invariants_from_chern(0, x, 0), _multiple(3)),
+    ("invariants_from_chern-c2nu", lambda x: invariants_from_chern(0, 0, x), _ANY),
+    ("TorusModel", TorusModel, st.integers(0, 3)),
+    ("kernel_summary", lambda x: kernel_summary(K_values=(x,)), st.integers(0, 1)),
+    ("fd_linearization_check-samples",
+     lambda x: fd_linearization_check(TorusModel(1), samples=x), st.integers(1, 2)),
+    ("fd_linearization_check-seed",
+     lambda x: fd_linearization_check(TorusModel(1), samples=1, seed=x),
+     st.integers(0, 2**32)),
+    ("SuiteConfig-samples", lambda x: cli.SuiteConfig(samples=x), st.integers(1, 500)),
+    ("SuiteConfig-K", lambda x: cli.SuiteConfig(K=x), st.integers(0, 4)),
+    ("SuiteConfig-seed", lambda x: cli.SuiteConfig(seed=x), st.integers(0, 2**62)),
+]
+
+
+@pytest.mark.parametrize("call, valid", [site[1:] for site in SITES],
+                         ids=[site[0] for site in SITES])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_integer_parameters_refuse_non_integers_and_take_numpy_ones(call, valid,
+                                                                    data):
+    for value in NOT_INTEGERS:
+        with pytest.raises(ValidationError, match="must be an integer, not"):
+            call(value)
+    v = data.draw(valid)
+    assert call(np.int64(v)) == call(v)
+
+
+def test_one_integer_rule_for_the_package():
+    assert torus_ops.check_integer is errors.check_integer
+    assert errors.check_integer(np.int16(-7), "c2", least=None) == -7
+    for value in NOT_INTEGERS:
+        with pytest.raises(ValidationError):
+            errors.check_integer(value, "c2", least=None)

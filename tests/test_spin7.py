@@ -3,6 +3,7 @@
 import functools
 import itertools
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,6 @@ from cayleykit.graphs import OrientedPlane, random_complex_plane, random_plane
 from cayleykit.kahler import build_model
 from cayleykit.spin7 import (
     TWO_FORM_INDEX,
-    decompose_two_form,
     find_equivalence,
     is_cayley,
     lambda27_basis,
@@ -45,6 +45,19 @@ from cayleykit.spin7 import (
     tau_eval,
     tau_norm,
 )
+
+
+@dataclass(frozen=True)
+class TwoFormDecomposition:
+    part7: Multivector
+    part21: Multivector
+
+
+def decompose_two_form(Phi, a):
+    """Split a two-form into its 7-part and 21-part (orthogonal pieces)."""
+    small = Phi.proj7_apply(a)
+    return TwoFormDecomposition(part7=small, part21=a - small)
+
 
 # the four-form's full coefficient table in the standard coordinates
 EXPECTED_TERMS = {
@@ -318,6 +331,41 @@ def test_equivalence_search_recovers_a_signed_relabeling():
     assert (perm, signs) == ((1, 2, 3, 4, 5, 8, 6, 7),
                              (1, 1, 1, -1, 1, -1, 1, -1))
     assert apply_signed_permutation(phi, perm, signs) == target
+
+
+def _first_equivalence(a, b):
+    """The search walked in full: each relabeling in order, and under it
+    each sign vector in itertools.product order, until one carries a to b."""
+    for perm in itertools.permutations(range(1, a.n + 1)):
+        for signs in itertools.product((1, -1), repeat=a.n):
+            if apply_signed_permutation(a, perm, signs) == b:
+                return perm, signs
+    return None
+
+
+@st.composite
+def _form_pairs(draw):
+    """A small exact form a and a signed relabeling b of it, with one
+    coefficient of b negated half the time."""
+    n = draw(st.integers(3, 5))
+    keys = st.lists(st.integers(1, n), unique=True, max_size=n).map(
+        lambda key: tuple(sorted(key)))
+    a = Multivector(n, draw(st.dictionaries(
+        keys, st.sampled_from([1, -1, 2, Fraction(1, 2)]), min_size=1, max_size=6)))
+    b = apply_signed_permutation(
+        a, draw(st.permutations(range(1, n + 1))),
+        draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(b.terms)))
+        b = Multivector(n, {**b.terms, key: -b.terms[key]})
+    return a, b
+
+
+@given(_form_pairs())
+@settings(max_examples=40, deadline=None)
+def test_equivalence_search_returns_the_first_hit_of_the_full_walk(pair):
+    a, b = pair
+    assert find_equivalence(a, b) == _first_equivalence(a, b)
 
 
 def test_phase_family_is_still_a_calibration():

@@ -26,7 +26,6 @@ from cayleykit.torus_ops import (
     TorusModel,
     chern_consistency_family,
     complex_linear_op,
-    constant_section,
     dbar02_matrix,
     dbar_matrix,
     dbar_star_matrix,
@@ -45,9 +44,25 @@ from cayleykit.torus_ops import (
     pointwise_linearization_check,
     random_section,
     section_inner,
-    section_norm,
-    zero_section,
 )
+
+
+# section builders only these tests use; the fiber rank comes from the
+# library's one bundle-tag rule
+def zero_section(model, bundle):
+    return FourierSection(
+        bundle, np.zeros((model.mode_count, torus_ops._rank(bundle)), complex))
+
+
+def constant_section(model, bundle, fiber):
+    """Section equal to the given fiber vector at every point."""
+    coeffs = np.zeros((model.mode_count, torus_ops._rank(bundle)), complex)
+    coeffs[model.zero_mode()] = np.asarray(fiber, dtype=complex)
+    return FourierSection(bundle, coeffs)
+
+
+def section_norm(a):
+    return float(np.sqrt(max(section_inner(a, a).real, 0.0)))
 
 
 # -- kernels ---------------------------------------------------------------------
