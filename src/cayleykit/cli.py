@@ -63,6 +63,7 @@ from .spin7 import (
     pi7_projection_scalar,
 )
 from .graphs import (
+    COMPLEX_TOL,
     ComplexGraphCoefficients,
     GraphCoefficients,
     OrientedPlane,
@@ -333,23 +334,30 @@ def _cayley_verdict_check(name, claim, verdict, holds=True):
         holds=holds)
 
 
+def _complex_verdicts_agree(verdict, jres):
+    """Whether is_complex_plane and j_invariance_residual agree at COMPLEX_TOL."""
+    return verdict.is_complex == (jres < COMPLEX_TOL)
+
+
 def _suite_planes(cfg):
     model = build_model(4, backend=FLOAT)
     Phi = phi_from_kahler(model)
     rng = _rng(cfg.seed, 1)
 
-    contradictions = cayley_hits = 0
-    # the whole sample is drawn before is_cayley runs: interleaving the
+    contradictions = cayley_hits = disagreements = 0
+    # the whole sample is drawn before it is classified: interleaving the
     # two measured about 5% slower (2-core Xeon, numpy 2.4)
     pool = list(_sample_planes(model.J, cfg.samples, rng))
-    for plane, _ in pool:
+    for plane, built_complex in pool:
         verdict = is_cayley(Phi, plane)
         by_value = abs(verdict.phi_value - 1.0) < PHI_TOL
         by_defect = verdict.tau_norm < TAU_TOL
-        if by_value != by_defect:
-            contradictions += 1
-        if by_value:
-            cayley_hits += 1
+        contradictions += by_value != by_defect
+        cayley_hits += by_value
+        sigma = is_complex_plane(model, plane)
+        jres = j_invariance_residual(model.J, plane)
+        disagreements += (not _complex_verdicts_agree(sigma, jres)
+                          or (built_complex and not sigma.is_complex))
     yield Check(
         "planes:calibration-defect-equivalence",
         "cayley-criterion:value-vs-defect",
@@ -358,36 +366,25 @@ def _suite_planes(cfg):
 
     # the two coordinate planes pass on is_cayley's own verdicts, whose
     # defect bound is not the tolerance shown
-    v_std = is_cayley(Phi, _COMPLEX_PLANE)
-    c_std = is_complex_plane(model, _COMPLEX_PLANE)
-    yield Check(
-        "planes:standard-complex-plane", "cayley-criterion:complex-planes",
-        None, max(abs(v_std.phi_value - 1.0), v_std.tau_norm), PHI_TOL,
-        details={"phi_value": v_std.phi_value, "tau_norm": v_std.tau_norm},
-        holds=v_std.is_cayley and c_std.is_complex)
+    for name, claim, plane, complex_ in (
+            ("planes:standard-complex-plane", "cayley-criterion:complex-planes",
+             _COMPLEX_PLANE, True),
+            ("planes:special-lagrangian-plane",
+             "cayley-criterion:lagrangian-branch", _LAGRANGIAN_PLANE, False)):
+        verdict = is_cayley(Phi, plane)
+        is_complex = is_complex_plane(model, plane).is_complex
+        details = {"phi_value": verdict.phi_value, "tau_norm": verdict.tau_norm}
+        if not complex_:
+            # the Lagrangian branch shows the complex verdict it rules out
+            details["is_complex"] = is_complex
+        yield Check(
+            name, claim, None, max(abs(verdict.phi_value - 1.0),
+                                   verdict.tau_norm), PHI_TOL,
+            details=details, holds=verdict.is_cayley and is_complex == complex_)
 
-    v_sl = is_cayley(Phi, _LAGRANGIAN_PLANE)
-    c_sl = is_complex_plane(model, _LAGRANGIAN_PLANE)
-    yield Check(
-        "planes:special-lagrangian-plane", "cayley-criterion:lagrangian-branch",
-        None, max(abs(v_sl.phi_value - 1.0), v_sl.tau_norm), PHI_TOL,
-        details={"phi_value": v_sl.phi_value, "tau_norm": v_sl.tau_norm,
-                 "is_complex": c_sl.is_complex},
-        holds=v_sl.is_cayley and not c_sl.is_complex)
-
-    disagreements = tested = 0
-    for plane, built_complex in _sample_planes(model.J, cfg.samples, rng):
-        sigma = is_complex_plane(model, plane)
-        jres = j_invariance_residual(model.J, plane)
-        if built_complex:
-            wrong = not sigma.is_complex or jres > 1e-9
-        else:
-            wrong = sigma.is_complex != (jres < 1e-9)
-        disagreements += int(wrong)
-        tested += 1
     yield Check(
         "planes:complex-detector-agreement", "complex-criterion:hook-vs-rotation",
-        "exact", disagreements, 0, details={"planes": tested})
+        "exact", disagreements, 0, details={"planes": len(pool)})
 
     small = build_model(2, backend=FLOAT)
     verdict = is_complex_plane(small, _COUNTER_PLANE)
@@ -403,7 +400,8 @@ def _suite_planes(cfg):
                  "angle": angle},
         holds=(verdict.max_im is not None
                and abs(verdict.max_im - 1.0) < 1e-12 and not verdict.is_complex
-               and jres > 1e-6 and abs(angle - np.pi / 2) < 1e-9))
+               and _complex_verdicts_agree(verdict, jres)
+               and abs(angle - np.pi / 2) < 1e-9))
 
 
 # graphs suite -----------------------------------------------------------------
@@ -762,16 +760,16 @@ def classify_plane(path, tol=1e-9, reject=False):
     m = n // 2
     model = build_model(m, backend=FLOAT)
 
-    cx = is_complex_plane(model, plane, tol=tol)
+    cx = is_complex_plane(model, plane)
     jres = j_invariance_residual(model.J, plane)
     checks.append(Check(
         "plane:complex", "complex-criterion:hook-vs-rotation",
-        None, cx.max_sigma, tol,
+        None, cx.max_sigma, COMPLEX_TOL,
         details={"is_complex": cx.is_complex,
                  "real_part_residual": cx.max_sigma,
                  "imag_part_residual": cx.max_im,
                  "rotation_residual": jres},
-        holds=cx.is_complex == (jres < max(tol, 1e-9))))
+        holds=_complex_verdicts_agree(cx, jres)))
 
     rec = canonical_angles(model, plane)
     checks.append(Check(

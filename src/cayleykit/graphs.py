@@ -290,13 +290,6 @@ def _component_table():
     return FourFormTable(_ratlinalg.matmul(Phi.defect_table(), basis))
 
 
-@lru_cache(maxsize=None)
-def _mixed_table():
-    """The FourFormTable of the first four columns of _component_table(),
-    the mixed components: the graph equations solve_tau_system reads."""
-    return FourFormTable(_component_table().table[:, :4])
-
-
 def tau_graph_components(lam):
     """The seven components of tau on the graph frame of ``lam`` in the
     adapted orthonormal basis of the 7-piece (seven_basis): returns (mixed
@@ -331,10 +324,10 @@ def solve_tau_system(lam0):
     rows.  Only row 1, e1 + sum_c x_c e_{4+c}, holds x = (lam^1_5..lam^1_8),
     so the equations are affine in x: A x + b, with b their value on the
     frame (e1; v2; v3; v4) and column c of A their value on (e_{4+c}; v2;
-    v3; v4), v2..v4 the graph rows 2-4.  One call on _mixed_table() for
-    those five frames gives A and b, and one linear solve the solution:
-    Fractions on the exact backend (_ratlinalg.solve), np.linalg.solve on
-    the float one.  tau_system, the hand-expanded
+    v3; v4), v2..v4 the graph rows 2-4.  The mixed columns of one call on
+    _component_table() for those five frames give A and b, and one linear
+    solve the solution: Fractions on the exact backend (_ratlinalg.solve),
+    np.linalg.solve on the float one.  tau_system, the hand-expanded
     oracle, is not called; the tests hold the solution against it.
 
     The start must lie in the Frobenius ball of radius 0.3, else
@@ -350,7 +343,7 @@ def solve_tau_system(lam0):
     exact = lam0.backend == EXACT
     frames = _SOLVE_FRAMES.astype(object if exact else float)
     frames[:, 1:, 4:] = lam0.entries[1:]
-    values = _mixed_table()(frames)
+    values = np.asarray(_component_table()(frames))[:, :4]
     if exact:
         b, *columns = values
         x = _ratlinalg.solve(list(zip(*columns)), [-v for v in b])
@@ -382,6 +375,10 @@ class CanonicalAngles:
 
 _COS_ZERO = 1e-9  # a pairing eigenvalue at or below this is a zero cosine
 _COS_GAP = 1e-8   # distinct cosines closer than this set gap_warning
+# a complex plane's bound on its minors and j_invariance_residual: a complex
+# float 4-plane in R^8 reads <= 1.3e-15, a Haar one >= 0.2; no caller sets it,
+# as a minor of unit rows is at most 1, so a bound of 1 calls all complex
+COMPLEX_TOL = 1e-9
 
 
 def canonical_angles(model, plane):
@@ -518,7 +515,7 @@ def _coordinate_minor_index(p, m):
             np.tile(cols, (len(rows), 1))[:, None, :])
 
 
-def is_complex_plane(model, plane, tol=1e-9):
+def is_complex_plane(model, plane):
     """Decide J-invariance of a 2p-plane from the contractions v_S -| Omega.
 
     Let Z = rows[:, 0::2] + i rows[:, 1::2] be the plane's 2p x m complex
@@ -529,8 +526,9 @@ def is_complex_plane(model, plane, tol=1e-9):
     ``max_sigma`` is the largest of |Re w| and |Im w| over all minors; when
     m = p+1 the contraction is the 0-form w itself, ``max_sigma`` is the
     largest |Re w| and ``max_im`` the largest |Im w|.  Either way the plane
-    is J-complex iff every minor vanishes, i.e. iff rank_C Z = p.  All
-    minors come from one batched determinant, in floats on both backends.
+    is J-complex iff every minor vanishes, i.e. iff rank_C Z = p, read as
+    every figure at most COMPLEX_TOL.  All minors come from one batched
+    determinant, in floats on both backends.
     """
     if plane.dim % 2 != 0:
         raise PlaneError("complex-plane test needs an even-dimensional plane")
@@ -555,7 +553,8 @@ def is_complex_plane(model, plane, tol=1e-9):
     if m > p + 1:
         worst, worst_im = max(worst, worst_im), None
     return ComplexPlaneVerdict(
-        is_complex=worst <= tol and (worst_im is None or worst_im <= tol),
+        is_complex=(worst <= COMPLEX_TOL
+                    and (worst_im is None or worst_im <= COMPLEX_TOL)),
         max_sigma=worst,
         max_im=worst_im,
         p=p,

@@ -904,7 +904,8 @@ class TopologicalInvariants:
         for field in ("signature", "euler", "self_intersection"):
             object.__setattr__(self, field, check_integer(getattr(self, field), field, None))
         if self.chern is not None:
-            c1sq, c2, c2nu = self.chern
+            c1sq, c2, c2nu = chern = tuple(_chern_numbers(*self.chern))
+            object.__setattr__(self, "chern", chern)
             if c1sq - 2 * c2 != 3 * self.signature:
                 raise ValidationError(
                     "signature inconsistent with (c1^2 - 2 c2) / 3"
@@ -929,7 +930,8 @@ def index_from_topology(inv):
 
 def _chern_numbers(*triple):
     """c1sq, c2 and c2nu, each checked an integer of either sign."""
-    return [check_integer(c, what, None) for c, what in zip(triple, ("c1sq", "c2", "c2nu"))]
+    return [check_integer(c, what, None)
+            for c, what in zip(triple, ("c1sq", "c2", "c2nu"), strict=True)]
 
 
 def index_from_chern(c1sq, c2, c2nu):

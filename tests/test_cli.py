@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cayleykit
-from cayleykit import EXACT, Multivector, cli, spin7
+from cayleykit import EXACT, Multivector, cli, graphs, spin7
 from cayleykit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
@@ -56,6 +56,22 @@ def test_checks_are_sorted_and_well_formed():
 
 def test_planes_suite_small_sample():
     report = run_suite(_cfg(suite="planes", samples=40, seed=3))
+    assert report["summary"]["fail"] == 0
+
+
+def test_planes_suite_draws_its_pool_once(monkeypatch):
+    # every check classifies the one pool: a second draw for the complex
+    # detectors once made 40 Haar draws at 20 samples
+    original = cli.random_plane
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "random_plane", counted)
+    report = run_suite(_cfg(suite="planes", samples=20, seed=3))
+    assert len(calls) == 20
     assert report["summary"]["fail"] == 0
 
 
@@ -712,6 +728,23 @@ def test_classify_plane_tol_leaves_the_cayley_verdict_alone(tmp_path, tol,
               if c["name"] == "plane:calibration"]
     assert calib["details"]["calibration_value"] == value
     assert calib["details"]["is_cayley"] is (value == 1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.5, 1.0, 5.0])
+@pytest.mark.parametrize("axes, is_complex", [((0, 2, 4, 6), False),
+                                              ((0, 1, 2, 3), True)],
+                         ids=["lagrangian", "complex"])
+def test_classify_plane_tol_leaves_the_complex_verdict_alone(tmp_path, tol,
+                                                             axes, is_complex):
+    # a minor of unit rows is at most 1 in size, so a complex bound that
+    # followed --tol once called e1, e3, e5, e7 complex from tol 1 on
+    frame = tmp_path / "frame.txt"
+    frame.write_text("".join(" ".join("1" if c == a else "0" for c in range(8))
+                             + "\n" for a in axes))
+    cx, = [c for c in classify_plane(str(frame), tol=tol)["checks"]
+           if c["name"] == "plane:complex"]
+    assert cx["details"]["is_complex"] is is_complex
+    assert (cx["status"], cx["tolerance"]) == ("pass", graphs.COMPLEX_TOL)
 
 
 def test_classify_half_dimensional_counterexample(tmp_path):

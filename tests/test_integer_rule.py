@@ -58,6 +58,12 @@ SITES = [
     ("TopologicalInvariants-euler", lambda x: TopologicalInvariants(0, x, 0), _ANY),
     ("TopologicalInvariants-self_intersection",
      lambda x: TopologicalInvariants(0, 0, x), _ANY),
+    ("TopologicalInvariants-chern-c1sq",
+     lambda x: TopologicalInvariants(0, 0, 0, chern=(x, 0, 0)), st.just(0)),
+    ("TopologicalInvariants-chern-c2",
+     lambda x: TopologicalInvariants(0, 0, 0, chern=(0, x, 0)), st.just(0)),
+    ("TopologicalInvariants-chern-c2nu",
+     lambda x: TopologicalInvariants(0, 0, 0, chern=(0, 0, x)), st.just(0)),
     ("index_from_chern-c1sq", lambda x: index_from_chern(x, 0, 0), _multiple(6)),
     ("index_from_chern-c2", lambda x: index_from_chern(0, x, 0), _multiple(6)),
     ("index_from_chern-c2nu", lambda x: index_from_chern(0, 0, x), _ANY),
@@ -90,6 +96,15 @@ def test_integer_parameters_refuse_non_integers_and_take_numpy_ones(call, valid,
             call(value)
     v = data.draw(valid)
     assert call(np.int64(v)) == call(v)
+
+
+def test_chern_triple_is_checked_and_kept_as_plain_ints():
+    for bad in ((None, 0, 0), ("0", 0, 0), (0.0, 0.0, 0.0), (True, 0, 0)):
+        with pytest.raises(ValidationError, match="c1sq must be an integer"):
+            TopologicalInvariants(0, 0, 0, chern=bad)
+    inv = TopologicalInvariants(-16, 24, 0, chern=tuple(map(np.int64, (0, 24, 0))))
+    assert inv.chern == (0, 24, 0)
+    assert {type(c) for c in inv.chern} == {int}
 
 
 def test_one_integer_rule_for_the_package():
