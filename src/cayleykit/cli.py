@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
     check_integer,
 )
-from .frames import orthonormal_rows, orthonormality_residual
+from .frames import ORTHONORMAL_TOL, orthonormal_rows, orthonormality_residual
 from .kahler import (
     antiholo_vector,
     build_model,
@@ -746,7 +746,7 @@ def classify_plane(path, tol=1e-9, reject=False):
     if res > tol and reject:
         raise InputFormatError(
             "rows not orthonormal (residual %.3g) and --reject set" % res)
-    fixed = res > 1e-10
+    fixed = res > ORTHONORMAL_TOL
     if fixed:
         frame = orthonormal_rows(frame)
     # a skewed frame is repaired, not refused, so it warns and passes

@@ -363,12 +363,6 @@ class Vector:
         imaginary part."""
         return _COMPLEX.isdisjoint(map(type, self.comps))
 
-    def dot(self, other):
-        _same_backend(self, other)
-        _same_ambient(self, other)
-        return sum((a * b for a, b in zip(self.comps, other.comps)),
-                   coerce_scalar(0, self.backend))
-
     def to_float(self):
         if self.backend == FLOAT:
             return self

@@ -7,8 +7,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _ratlinalg
 from .errors import PlaneError
-from .exterior import EXACT, FLOAT, Vector
+from .exterior import EXACT, FLOAT, Vector, _negligible
+
+# the one bound on max|M M^T - I| of a float frame, which OrientedPlane
+# enforces and classify-plane repairs to: every plane source reads <= 1.5e-15,
+# and within 1e-10 a calibrated plane's value is within 2e-10 of 1 (PHI_TOL)
+ORTHONORMAL_TOL = 1e-10
 
 
 def orthonormal_rows(rows):
@@ -33,11 +39,10 @@ def random_unitary(m, rng):
 
 def as_matrix(rows):
     """Stack Vectors or rows of numbers into a (k, n) float numpy array;
-    a numpy array is taken as it is (as float)."""
-    if isinstance(rows, np.ndarray):
-        return rows.astype(float, copy=False)
-    rows = [r.comps if isinstance(r, Vector) else r for r in rows]
-    return np.array([[float(c) for c in r] for r in rows])
+    an array is taken as float, and a complex entry raises TypeError."""
+    if not isinstance(rows, np.ndarray):
+        rows = [r.comps if isinstance(r, Vector) else r for r in rows]
+    return np.asarray(rows, dtype=float)
 
 
 def orthonormality_residual(rows):
@@ -69,21 +74,19 @@ class OrientedPlane:
                 raise PlaneError("frame vectors must be real")
         if len(rows) > n:
             raise PlaneError("more frame vectors than ambient dimensions")
-        mat = None
         if backend == EXACT:
-            for i, vi in enumerate(rows):
-                for j, vj in enumerate(rows):
-                    want = 1 if i == j else 0
-                    if vi.dot(vj) != want:
-                        raise PlaneError("frame is not exactly orthonormal")
+            # floats only once it passes: a refused frame may overflow them
+            comps = [r.comps for r in rows]
+            gram = np.array(_ratlinalg.matmul(comps, list(zip(*comps))))
+            res = np.abs(gram - np.eye(len(rows), dtype=int)).max()
+            mat = as_matrix(rows) if res == 0 else None
         else:
             mat = as_matrix(rows)
             res = orthonormality_residual(mat)
-            if res > 1e-8:
-                raise PlaneError(
-                    "frame is not orthonormal (residual %.3e)" % (res,)
-                )
-            mat.flags.writeable = False
+        if not _negligible(res, backend, ORTHONORMAL_TOL):
+            raise PlaneError("frame is not orthonormal (residual %.3e)"
+                             % (res if res < 1e300 else math.inf))
+        mat.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_matrix", mat)
 
@@ -108,12 +111,9 @@ class OrientedPlane:
         return cls(rows=tuple(vecs))
 
     def matrix(self):
-        """The frame rows as a (k, n) float array.  A float plane returns the
-        read-only array its orthonormality check was run on, built once at
-        construction; an exact plane converts its Fractions on each call."""
-        if self._matrix is not None:
-            return self._matrix
-        return as_matrix(self.rows)
+        """The frame rows as one read-only (k, n) float array, built at
+        construction on both backends."""
+        return self._matrix
 
     def projection_matrix(self):
         r = self.matrix()

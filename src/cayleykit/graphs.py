@@ -33,6 +33,7 @@ from .errors import (
     PlaneError,
     TypeMismatch,
     ValidationError,
+    check_integer,
 )
 from .exterior import (
     _COMPLEX,
@@ -71,6 +72,7 @@ from .spin7 import TWO_FORM_INDEX, phi0
 
 def random_plane(n, dim, rng):
     """A uniformly random oriented plane (float backend)."""
+    n, dim = check_integer(n, "n", least=1), check_integer(dim, "dim", least=1)
     if dim > n:
         raise PlaneError("cannot fit %d orthonormal vectors in R^%d" % (dim, n))
     g = rng.standard_normal((n, dim))
@@ -83,9 +85,10 @@ def j_invariance_residual(J, plane):
     Computes ||(I - P) J P||_2 with P the orthogonal projection onto the
     plane; zero exactly when the plane is closed under J.
     """
+    if plane.n != 2 * J.m:
+        raise DimensionMismatch("plane and model dimensions disagree")
     p = plane.projection_matrix()
-    n = p.shape[0]
-    return float(np.linalg.norm((np.eye(n) - p) @ _float_j(J.m) @ p, 2))
+    return float(np.linalg.norm((np.eye(plane.n) - p) @ _float_j(J.m) @ p, 2))
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +101,7 @@ def _float_j(m):
 
 def random_complex_plane(J, p, rng):
     """A random J-invariant 2p-dimensional plane in R^{2m} (float)."""
-    m = J.m
+    m, p = J.m, check_integer(p, "p", least=1)
     if p > m:
         raise PlaneError("complex dimension %d exceeds m=%d" % (p, m))
     return OrientedPlane.from_rows(_pair_rows(random_unitary(m, rng)[:, :p].T))
@@ -395,9 +398,9 @@ def canonical_angles(model, plane):
 
     ``plane`` must be an OrientedPlane; its frame matrix is read once.
     There is no rank test: an OrientedPlane is exactly orthonormal (exact
-    backend) or has max|M M^T - I| <= 1e-8 with at most 8 rows (float
-    backend), so |M M^T - I|_2 <= 8e-8 and every singular value of M is at
-    least sqrt(1 - 8e-8) > 0.9999999, far above any rank cutoff.
+    backend) or within frames.ORTHONORMAL_TOL with at most 8 rows, so
+    |M M^T - I|_2 <= 8 ORTHONORMAL_TOL = 8e-10 and every singular value of M
+    is at least sqrt(1 - 8e-10) > 0.9999999, far above any rank cutoff.
     """
     if not isinstance(plane, OrientedPlane):
         raise PlaneError(
@@ -408,6 +411,7 @@ def canonical_angles(model, plane):
     p = plane.dim // 2
     if plane.n != 2 * model.m:
         raise DimensionMismatch("plane and model dimensions disagree")
+    _same_backend(plane, model)
     rows = plane.matrix()
     jm = _float_j(model.m)
     # pairing matrix A_ab = omega(f_a, f_b) = <J f_a, f_b>
@@ -530,6 +534,7 @@ def is_complex_plane(model, plane):
     every figure at most COMPLEX_TOL.  All minors come from one batched
     determinant, in floats on both backends.
     """
+    _same_backend(plane, model)
     if plane.dim % 2 != 0:
         raise PlaneError("complex-plane test needs an even-dimensional plane")
     p = plane.dim // 2
@@ -543,7 +548,6 @@ def is_complex_plane(model, plane):
         return ComplexPlaneVerdict(
             is_complex=full, max_sigma=0.0, max_im=None, p=p, m=m
         )
-    _same_backend(plane, model)
     rows = plane.matrix()
     z = rows[:, 0::2] + 1j * rows[:, 1::2]
     r, c = _coordinate_minor_index(p, m)

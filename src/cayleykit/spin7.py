@@ -348,18 +348,18 @@ class CayleyVerdict:
 
 TAU_TOL = 1e-7  # the largest defect norm of a Cayley plane
 # the largest |value - 1| of a Cayley plane.  value^2 + |tau|^2 = det(f f^T),
-# so on a frame orthonormal to 1e-10 (classify_plane repairs any worse) a
-# defect within TAU_TOL puts the value within 1e-9 of +1 or of -1: a looser
-# bound could only call a value -1 plane Cayley
+# so on an OrientedPlane, every one orthonormal to frames.ORTHONORMAL_TOL =
+# 1e-10, a defect within TAU_TOL puts the value within 1e-9 of +1 or of -1: a
+# looser bound could only call a value -1 plane Cayley
 PHI_TOL = 1e-9
 
 
 def is_cayley(Phi, plane):
     """Classify an oriented 4-plane: Cayley when the calibration value is
     within PHI_TOL of 1 and the alternation norm is at most TAU_TOL.
-    ``plane`` is an OrientedPlane or a list of 4 orthonormal Vectors on
-    the form's backend; an OrientedPlane on the float backend is read
-    through its cached frame matrix.
+    ``plane`` is an OrientedPlane, or 4 Vectors on the form's backend read
+    as a raw frame, orthonormal or not: the graph reports pass their graph
+    frames so and read only ``tau_norm``.
 
     Both numbers come from the frame's 70 minors: times phi_row() for the
     value, times defect_table() for tau, by one call on cayley_table().  On

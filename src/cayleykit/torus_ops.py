@@ -904,7 +904,7 @@ class TopologicalInvariants:
         for field in ("signature", "euler", "self_intersection"):
             object.__setattr__(self, field, check_integer(getattr(self, field), field, None))
         if self.chern is not None:
-            c1sq, c2, c2nu = chern = tuple(_chern_numbers(*self.chern))
+            c1sq, c2, c2nu = chern = tuple(_chern_numbers(self.chern))
             object.__setattr__(self, "chern", chern)
             if c1sq - 2 * c2 != 3 * self.signature:
                 raise ValidationError(
@@ -928,15 +928,17 @@ def index_from_topology(inv):
     return half - inv.self_intersection
 
 
-def _chern_numbers(*triple):
-    """c1sq, c2 and c2nu, each checked an integer of either sign."""
+def _chern_numbers(triple):
+    """c1sq, c2 and c2nu of a triple, each checked an integer of either sign."""
+    if not isinstance(triple, (tuple, list)) or len(triple) != 3:
+        raise ValidationError("chern must be a triple, not %r" % (triple,))
     return [check_integer(c, what, None)
-            for c, what in zip(triple, ("c1sq", "c2", "c2nu"), strict=True)]
+            for c, what in zip(triple, ("c1sq", "c2", "c2nu"))]
 
 
 def index_from_chern(c1sq, c2, c2nu):
     """Index = (c1^2 + c2)/6 - c2(normal bundle), as an exact integer."""
-    c1sq, c2, c2nu = _chern_numbers(c1sq, c2, c2nu)
+    c1sq, c2, c2nu = _chern_numbers((c1sq, c2, c2nu))
     sixth, rest = divmod(c1sq + c2, 6)
     if rest:
         raise NonIntegralError("(c1^2 + c2) must be divisible by 6")
@@ -945,7 +947,7 @@ def index_from_chern(c1sq, c2, c2nu):
 
 def invariants_from_chern(c1sq, c2, c2nu):
     """Convert Chern numbers to (signature, euler, self-intersection)."""
-    c1sq, c2, c2nu = _chern_numbers(c1sq, c2, c2nu)
+    c1sq, c2, c2nu = _chern_numbers((c1sq, c2, c2nu))
     sig, rest = divmod(c1sq - 2 * c2, 3)
     if rest:
         raise NonIntegralError("(c1^2 - 2 c2) must be divisible by 3")
@@ -963,7 +965,7 @@ def chern_consistency_family(count, rng):
     Writing c1^2 = 5 c2 + 6 r makes both (c1^2 + c2)/6 = c2 + r and
     (c1^2 - 2 c2)/3 = c2 + 2 r integers for every integer r."""
     triples = []
-    for _ in range(count):
+    for _ in range(check_integer(count, "count", least=1)):
         c2 = int(rng.integers(-30, 31))
         r = int(rng.integers(-20, 21))
         c2nu = int(rng.integers(-25, 26))

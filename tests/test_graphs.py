@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cayleykit import _ratlinalg, graphs
 from cayleykit.errors import (
     BackendMismatch,
+    DimensionMismatch,
     PlaneError,
     TypeMismatch,
     ValidationError,
@@ -19,7 +20,8 @@ from cayleykit.errors import (
 from cayleykit.exterior import (
     EXACT, FLOAT, ExactComplex, Vector, fold_table, four_form_values, hook_many,
     inner)
-from cayleykit.frames import as_matrix, orthonormal_rows, random_unitary
+from cayleykit.frames import (
+    ORTHONORMAL_TOL, as_matrix, orthonormal_rows, random_unitary)
 from cayleykit.graphs import (
     ComplexGraphCoefficients,
     GraphCoefficients,
@@ -259,13 +261,41 @@ def test_float_plane_caches_a_read_only_frame():
     assert np.array_equal(mat, as_matrix(plane.rows))
 
 
-def test_exact_plane_matrix_is_converted_on_each_call():
-    rows = [Vector.basis(8, i, EXACT) for i in (1, 3, 5, 7)]
-    plane = OrientedPlane(rows=tuple(rows))
+@pytest.mark.parametrize("backend", [FLOAT, EXACT])
+def test_plane_matrix_is_one_read_only_array_on_both_backends(backend):
+    plane = OrientedPlane.from_rows(np.eye(8, dtype=int)[[0, 2, 4, 6]], backend)
     mat = plane.matrix()
-    assert mat is not plane.matrix()
-    assert mat.flags.writeable
+    assert mat is plane.matrix()
+    assert not mat.flags.writeable
+    assert mat.dtype == float
     assert np.array_equal(mat, np.eye(8)[[0, 2, 4, 6]])
+    # the exact backend's bound is 0: a frame off by 1/10**12 is refused
+    off = [[Fraction(int(i == j)) for j in range(8)] for i in range(4)]
+    off[0][0] += Fraction(1, 10**12)
+    with pytest.raises(PlaneError, match="not orthonormal"):
+        OrientedPlane.from_rows(off, EXACT)
+
+
+def test_float_plane_bound_is_orthonormal_tol():
+    # e1..e4 scaled by 1 + d has residual 2d + d^2: past the bound at
+    # d = 4e-9, within it at d = 2e-11
+    with pytest.raises(PlaneError, match="residual 8.000e-09"):
+        OrientedPlane.from_rows(np.eye(8)[:4] * (1 + 4e-9))
+    OrientedPlane.from_rows(np.eye(8)[:4] * (1 + 2e-11))
+    assert ORTHONORMAL_TOL == 1e-10
+
+
+def test_exact_frame_past_float_range_is_refused_not_overflowed():
+    rows = [[10**400 if i == j else 0 for j in range(8)] for i in range(4)]
+    with pytest.raises(PlaneError, match="residual inf"):
+        OrientedPlane.from_rows(rows, EXACT)
+
+
+def test_as_matrix_refuses_complex_entries():
+    with pytest.raises(TypeError):
+        as_matrix([[1.0, 1j]])
+    with pytest.raises(TypeError):
+        as_matrix([Vector([1, ExactComplex(0, 1)], EXACT)])
 
 
 @pytest.mark.parametrize("rows", [
@@ -556,6 +586,19 @@ def test_j_invariance_residual_matches_the_direct_formula(float_model):
         assert j_invariance_residual(float_model.J, plane) == float(direct)
 
 
+def test_j_classifiers_refuse_a_plane_of_another_dimension(float_model):
+    small = build_model(2, backend=FLOAT)
+    plane = random_plane(8, 4, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatch, match="plane and model dimensions"):
+        j_invariance_residual(small.J, plane)
+
+
+def test_canonical_angles_rejects_mixed_backends(exact_model):
+    plane = random_plane(8, 4, np.random.default_rng(0))
+    with pytest.raises(BackendMismatch, match="mixed backends"):
+        canonical_angles(exact_model, plane)
+
+
 def test_angle_constructor_rejects_impossible_requests(float_model):
     rng = np.random.default_rng(1)
     small = build_model(2, backend=FLOAT)
@@ -653,6 +696,9 @@ def test_detector_rejects_mixed_backends(float_model, exact_model):
         is_complex_plane(exact_model, OrientedPlane.from_rows(rows, backend=FLOAT))
     with pytest.raises(BackendMismatch, match="mixed backends: 'exact' vs 'float'"):
         is_complex_plane(float_model, OrientedPlane.from_rows(rows, backend=EXACT))
+    # a plane with p + 1 > m, which has no minors to test, is refused too
+    with pytest.raises(BackendMismatch, match="mixed backends: 'float' vs 'exact'"):
+        is_complex_plane(build_model(2, EXACT), OrientedPlane.from_rows(np.eye(4)))
 
 
 # -- the complex-graph linear system -------------------------------------------

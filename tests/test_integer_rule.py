@@ -12,10 +12,12 @@ from cayleykit import cli, errors, torus_ops
 from cayleykit.errors import ValidationError
 from cayleykit.exterior import (
     Multivector, Vector, apply_signed_permutation, volume_form)
+from cayleykit.graphs import random_complex_plane, random_plane
 from cayleykit.kahler import antiholo_vector, build_model, holo_vector
 from cayleykit.torus_ops import (
     TopologicalInvariants,
     TorusModel,
+    chern_consistency_family,
     fd_linearization_check,
     index_from_chern,
     invariants_from_chern,
@@ -34,6 +36,11 @@ _ANY = st.integers(-60, 60)
 
 def _multiple(k):
     return _ANY.map(lambda j: k * j)
+
+
+def _rng():
+    # each call draws from the same seed, so equal integers give equal draws
+    return np.random.default_rng(0)
 
 
 # id, the call with the integer x in one place, and the x it accepts
@@ -79,6 +86,12 @@ SITES = [
     ("fd_linearization_check-seed",
      lambda x: fd_linearization_check(TorusModel(1), samples=1, seed=x),
      st.integers(0, 2**32)),
+    ("random_plane-n", lambda x: random_plane(x, 1, _rng()), _ONE_TO[8]),
+    ("random_plane-dim", lambda x: random_plane(8, x, _rng()), _ONE_TO[8]),
+    ("random_complex_plane-p",
+     lambda x: random_complex_plane(_MODEL.J, x, _rng()), _ONE_TO[4]),
+    ("chern_consistency_family-count",
+     lambda x: chern_consistency_family(x, _rng()), st.integers(1, 5)),
     ("SuiteConfig-samples", lambda x: cli.SuiteConfig(samples=x), st.integers(1, 500)),
     ("SuiteConfig-K", lambda x: cli.SuiteConfig(K=x), st.integers(0, 4)),
     ("SuiteConfig-seed", lambda x: cli.SuiteConfig(seed=x), st.integers(0, 2**62)),
@@ -102,9 +115,23 @@ def test_chern_triple_is_checked_and_kept_as_plain_ints():
     for bad in ((None, 0, 0), ("0", 0, 0), (0.0, 0.0, 0.0), (True, 0, 0)):
         with pytest.raises(ValidationError, match="c1sq must be an integer"):
             TopologicalInvariants(0, 0, 0, chern=bad)
+    for bad in ((0, 0), (0, 0, 0, 0), 5):
+        with pytest.raises(ValidationError, match="chern must be a triple"):
+            TopologicalInvariants(0, 0, 0, chern=bad)
     inv = TopologicalInvariants(-16, 24, 0, chern=tuple(map(np.int64, (0, 24, 0))))
     assert inv.chern == (0, 24, 0)
     assert {type(c) for c in inv.chern} == {int}
+
+
+def test_samplers_refuse_sizes_below_one():
+    # before the rule p = -1 sliced off one column, and True read as 1
+    for call in (lambda x: random_complex_plane(_MODEL.J, x, _rng()),
+                 lambda x: random_plane(8, x, _rng()),
+                 lambda x: random_plane(x, 1, _rng()),
+                 lambda x: chern_consistency_family(x, _rng())):
+        for value in (0, -1):
+            with pytest.raises(ValidationError, match="must be positive"):
+                call(value)
 
 
 def test_one_integer_rule_for_the_package():

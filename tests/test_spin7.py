@@ -32,7 +32,9 @@ from cayleykit.exterior import (
     volume_form,
     wedge,
 )
-from cayleykit.graphs import OrientedPlane, random_complex_plane, random_plane
+from cayleykit.frames import ORTHONORMAL_TOL
+from cayleykit.graphs import (
+    OrientedPlane, is_complex_plane, random_complex_plane, random_plane)
 from cayleykit.kahler import build_model
 from cayleykit.spin7 import (
     TWO_FORM_INDEX,
@@ -501,6 +503,20 @@ def test_is_cayley_matches_form_value_and_tau_eval(phi_cy_float, float_model):
         assert abs(verdict.tau_norm - norm) <= 1e-12
         calibrated += verdict.is_cayley
     assert calibrated == 100
+
+
+def test_every_accepted_complex_plane_is_cayley(phi_cy_float, float_model):
+    # Wirtinger: a complex plane is calibrated, so is_cayley must call every
+    # OrientedPlane spanning one Cayley, however far off orthonormal the
+    # plane bound lets its frame be: scaled by 1 + eps, the residual is
+    # about 2 |eps|, kept within ORTHONORMAL_TOL
+    rng = np.random.default_rng(38)
+    for _ in range(50):
+        plane = random_complex_plane(float_model.J, 2, rng)
+        eps = rng.uniform(-0.49, 0.49) * ORTHONORMAL_TOL
+        scaled = OrientedPlane.from_rows(plane.matrix() * (1 + eps))
+        assert is_complex_plane(float_model, scaled).is_complex
+        assert is_cayley(phi_cy_float, scaled).is_cayley
 
 
 def test_is_cayley_is_exact_on_exact_forms(phi_cy_exact):
