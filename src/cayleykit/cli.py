@@ -45,7 +45,12 @@ from .errors import (
     ValidationError,
     check_integer,
 )
-from .frames import ORTHONORMAL_TOL, orthonormal_rows, orthonormality_residual
+from .frames import (
+    ORTHONORMAL_TOL,
+    haar_unitary,
+    orthonormal_rows,
+    orthonormality_residual,
+)
 from .kahler import (
     antiholo_vector,
     build_model,
@@ -67,7 +72,9 @@ from .graphs import (
     ComplexGraphCoefficients,
     GraphCoefficients,
     OrientedPlane,
+    angle_frame,
     canonical_angles,
+    complex_frames,
     cr_residual,
     e_isom_checks,
     graph_frame,
@@ -76,10 +83,7 @@ from .graphs import (
     j_invariance_residual,
     normal_isom,
     normal_isom_inverse,
-    plane_from_angles,
-    random_complex_plane,
     random_graph_coefficients,
-    random_plane,
     residual_quadratics,
     solve_complex_graph_linear,
     solve_tau_system,
@@ -314,14 +318,20 @@ _LAGRANGIAN_PLANE = OrientedPlane.from_rows(np.eye(8)[[0, 2, 4, 6]])
 _COUNTER_PLANE = OrientedPlane.from_rows(np.eye(4)[[0, 3]])
 
 
-def _sample_planes(J, samples, rng):
-    """The planes suite's sample, drawn one plane at a time: ``samples``
-    Haar 4-planes in R^8, then max(2, samples // 10) planes complex for J,
-    each paired with whether it was built complex."""
-    for _ in range(samples):
-        yield random_plane(8, 4, rng), False
-    for _ in range(max(2, samples // 10)):
-        yield random_complex_plane(J, 2, rng), True
+def _complex_sample(count, rng):
+    """``count`` frames of 4-planes complex for the standard J on R^8, each
+    bit for bit what random_complex_plane draws, by one stacked QR."""
+    return complex_frames(haar_unitary(rng.standard_normal((count, 2, 4, 4))), 2)
+
+
+def _sample_frames(samples, rng):
+    """The planes suite's sample as one (P, 4, 8) stack of frames, and a (P,)
+    mask of the planes built complex: ``samples`` Haar 4-planes in R^8, each
+    bit for bit what random_plane draws, by one stacked QR, then
+    max(2, samples // 10) planes complex for the standard J."""
+    haar = orthonormal_rows(rng.standard_normal((samples, 8, 4)).swapaxes(1, 2))
+    frames = np.concatenate((haar, _complex_sample(max(2, samples // 10), rng)))
+    return frames, np.arange(len(frames)) >= samples
 
 
 def _cayley_verdict_check(name, claim, verdict, holds=True):
@@ -344,25 +354,21 @@ def _suite_planes(cfg):
     Phi = phi_from_kahler(model)
     rng = _rng(cfg.seed, 1)
 
-    contradictions = cayley_hits = disagreements = 0
-    # the whole sample is drawn before it is classified: interleaving the
-    # two measured about 5% slower (2-core Xeon, numpy 2.4)
-    pool = list(_sample_planes(model.J, cfg.samples, rng))
-    for plane, built_complex in pool:
-        verdict = is_cayley(Phi, plane)
-        by_value = abs(verdict.phi_value - 1.0) < PHI_TOL
-        by_defect = verdict.tau_norm < TAU_TOL
-        contradictions += by_value != by_defect
-        cayley_hits += by_value
-        sigma = is_complex_plane(model, plane)
-        jres = j_invariance_residual(model.J, plane)
-        disagreements += (not _complex_verdicts_agree(sigma, jres)
-                          or (built_complex and not sigma.is_complex))
+    # one call per classifier on the whole sample
+    frames, built_complex = _sample_frames(cfg.samples, rng)
+    verdict = is_cayley(Phi, frames)
+    by_value = np.abs(verdict.phi_value - 1.0) < PHI_TOL
+    by_defect = verdict.tau_norm < TAU_TOL
+    sigma = is_complex_plane(model, frames)
+    jres = j_invariance_residual(model.J, frames)
+    disagreements = (~_complex_verdicts_agree(sigma, jres)
+                     | (built_complex & ~sigma.is_complex))
     yield Check(
         "planes:calibration-defect-equivalence",
         "cayley-criterion:value-vs-defect",
-        "exact", contradictions, 0,
-        details={"planes": len(pool), "cayley_in_sample": cayley_hits})
+        "exact", int(np.count_nonzero(by_value != by_defect)), 0,
+        details={"planes": len(frames),
+                 "cayley_in_sample": int(np.count_nonzero(by_value))})
 
     # the two coordinate planes pass on is_cayley's own verdicts, whose
     # defect bound is not the tolerance shown
@@ -384,7 +390,8 @@ def _suite_planes(cfg):
 
     yield Check(
         "planes:complex-detector-agreement", "complex-criterion:hook-vs-rotation",
-        "exact", disagreements, 0, details={"planes": len(pool)})
+        "exact", int(np.count_nonzero(disagreements)), 0,
+        details={"planes": len(frames)})
 
     small = build_model(2, backend=FLOAT)
     verdict = is_complex_plane(small, _COUNTER_PLANE)
@@ -488,25 +495,24 @@ def _suite_angles(cfg):
     model = build_model(4, backend=FLOAT)
     rng = _rng(cfg.seed, 3)
 
+    # the targets and unitaries interleave in the stream, so each plane is
+    # drawn on its own; each pool is classified by one call
     n = cfg.samples // 2 or 1
-    errors = []
+    targets, frames = [], []
     for _ in range(n):
-        target = np.sort(rng.uniform(0.1, 1.4, size=2))
-        plane = plane_from_angles(model, tuple(target), rng)
-        rec = canonical_angles(model, plane)
-        errors.extend(np.abs(np.array(rec.angles) - target))
+        targets.append(np.sort(rng.uniform(0.1, 1.4, size=2)))
+        frames.append(angle_frame(model, tuple(targets[-1]), rng))
+    rec = canonical_angles(model, np.stack(frames))
     yield Check(
         "angles:round-trip", "canonical-angles:recovery",
-        "below", _worst(errors), 1e-9, details={"planes": n})
+        "below", _worst(np.abs(rec.angles - targets)), 1e-9,
+        details={"planes": n})
 
-    angles = []
-    for _ in range(10):
-        plane = random_complex_plane(model.J, 2, rng)
-        angles.extend(canonical_angles(model, plane).angles)
+    angles = canonical_angles(model, _complex_sample(10, rng)).angles
     yield Check(
         "angles:complex-plane-zeros", "canonical-angles:complex-degenerate",
         "below", _worst(np.abs(angles)), 1e-7,
-        details={"cosine_defect": _worst([1.0 - np.cos(a) for a in angles])})
+        details={"cosine_defect": _worst(1.0 - np.cos(angles))})
 
     rec = canonical_angles(model, _LAGRANGIAN_PLANE)
     yield Check(

@@ -746,7 +746,7 @@ def _frame_pair_minors(block):
     pair_minors of each row pair, bit for bit, read off its outer product."""
     outer = block[:, 0::2, :, None] * block[:, 1::2, None, :]
     outer = outer.reshape(len(block), 2, 64)
-    minors = np.take(outer, _PAIR_IJ, axis=2) - np.take(outer, _PAIR_JI, axis=2)
+    minors = outer.take(_PAIR_IJ, axis=2) - outer.take(_PAIR_JI, axis=2)
     return minors[:, 0], minors[:, 1]
 
 

@@ -13,7 +13,13 @@ Conventions used throughout:
   labels k in {p+1..m} for x-legs and k+m for y-legs.
 * The samplers (random_plane, random_complex_plane, plane_from_angles)
   build a float frame as one (k, n) array, a Haar draw through
-  frames.orthonormal_rows, and hand it to OrientedPlane.from_rows.
+  frames.orthonormal_rows, and hand it to OrientedPlane.from_rows;
+  complex_frames and angle_frame give those frames without the plane.
+* The classifiers (spin7.is_cayley and, here, j_invariance_residual,
+  is_complex_plane and canonical_angles) take one OrientedPlane or a
+  (P, k, n) float stack of frames (frames.frame_stack), and run one
+  implementation on a stack, one plane being a stack of one: a stack's
+  result holds (P, ...) arrays where one plane's holds Python values.
 """
 
 from __future__ import annotations
@@ -52,7 +58,12 @@ from .exterior import (
     musical_sharp,
     wedge,
 )
-from .frames import OrientedPlane, orthonormal_rows, random_unitary
+from .frames import (
+    OrientedPlane,
+    frame_stack,
+    orthonormal_rows,
+    random_unitary,
+)
 from .kahler import (
     ComplexStructureJ,
     _require_surface_model,
@@ -79,24 +90,50 @@ def random_plane(n, dim, rng):
     return OrientedPlane.from_rows(orthonormal_rows(g.T))
 
 
+def _stack(plane, m, model=None, what=None):
+    """The (P, k, n) float frames a J classifier on R^{2m} runs on, and
+    whether ``plane`` was one OrientedPlane, whose frame is a stack of one.
+    A ``model``, when given, must share the plane's backend; a stack is
+    float (frames.frame_stack).  A plane needs n = 2m (DimensionMismatch),
+    and ``what``, when given, names a classifier that needs k even
+    (PlaneError)."""
+    one = isinstance(plane, OrientedPlane)
+    if one:
+        if model is not None:
+            _same_backend(plane, model)
+        frames = plane.matrix()[None]
+    else:
+        frames = frame_stack(plane, FLOAT if model is None else model.backend)
+    if what and frames.shape[1] % 2 != 0:
+        raise PlaneError("%s needs an even-dimensional plane" % (what,))
+    if frames.shape[2] != 2 * m:
+        raise DimensionMismatch("plane and model dimensions disagree")
+    return frames, one
+
+
 def j_invariance_residual(J, plane):
     """Operator-norm distance of the plane from J-invariance.
 
     Computes ||(I - P) J P||_2 with P the orthogonal projection onto the
-    plane; zero exactly when the plane is closed under J.
+    plane; zero exactly when the plane is closed under J.  A float for one
+    OrientedPlane, on either backend, and a (P,) array for a stack, whose
+    norms come from one stacked SVD.
     """
-    if plane.n != 2 * J.m:
-        raise DimensionMismatch("plane and model dimensions disagree")
-    p = plane.projection_matrix()
-    return float(np.linalg.norm((np.eye(plane.n) - p) @ _float_j(J.m) @ p, 2))
+    frames, one = _stack(plane, J.m)
+    p = frames.swapaxes(1, 2) @ frames
+    res = np.linalg.norm((np.eye(2 * J.m) - p) @ _float_j(J.m)[0] @ p, 2,
+                         axis=(-2, -1))
+    return float(res[0]) if one else res
 
 
 @lru_cache(maxsize=None)
 def _float_j(m):
-    """The standard J on R^{2m} as one read-only float array."""
+    """The standard J on R^{2m} and its transpose as read-only C-ordered
+    float arrays: a product with a transposed view is slower on a stack."""
     jm = np.array(ComplexStructureJ(m).matrix(), dtype=float)
-    jm.flags.writeable = False
-    return jm
+    jt = np.ascontiguousarray(jm.T)
+    jm.flags.writeable = jt.flags.writeable = False
+    return jm, jt
 
 
 def random_complex_plane(J, p, rng):
@@ -104,18 +141,22 @@ def random_complex_plane(J, p, rng):
     m, p = J.m, check_integer(p, "p", least=1)
     if p > m:
         raise PlaneError("complex dimension %d exceeds m=%d" % (p, m))
-    return OrientedPlane.from_rows(_pair_rows(random_unitary(m, rng)[:, :p].T))
+    return OrientedPlane.from_rows(complex_frames(random_unitary(m, rng), p))
+
+
+def complex_frames(u, p):
+    """The (..., 2p, 2m) real frames f_1, J f_1, .., f_p, J f_p of the first
+    p columns w_j of (..., m, m) unitaries u (frames.haar_unitary), f_j
+    being w_j realified and J f_j the realified i w_j: the frame
+    random_complex_plane builds from its draw."""
+    w = u[..., :p].swapaxes(-1, -2)
+    pairs = np.stack((w, 1j * w), axis=-2)
+    return _realify(pairs.reshape(*w.shape[:-2], -1, w.shape[-1]))
 
 
 def _realify(z):
     """Complex rows (..., m) as real rows (..., 2m): (Re z_1, Im z_1, ...)."""
     return np.stack((z.real, z.imag), axis=-1).reshape(*z.shape[:-1], -1)
-
-
-def _pair_rows(w):
-    """The (2p, 2m) real rows f_1, J f_1, f_2, J f_2, ... of p complex
-    rows w_j, f_j being w_j realified and J f_j the realified i w_j."""
-    return _realify(np.stack((w, 1j * w), axis=1).reshape(-1, w.shape[1]))
 
 
 # -- the graph deformation polynomial system -------------------------------
@@ -360,7 +401,9 @@ def solve_tau_system(lam0):
 
 @dataclass(frozen=True)
 class CanonicalAngles:
-    """Result of the angle extraction for an even-dimensional plane."""
+    """Result of the angle extraction for an even-dimensional plane, or
+    for a stack of them with arrays in each field (canonical_angles);
+    pair_frame and plane() are a one-plane result's."""
 
     angles: tuple            # p values, ascending, last possibly > pi/2
     frame_rows: tuple        # 2p tuples of floats (f_1, g_1, ..., f_p, g_p)
@@ -396,81 +439,93 @@ def canonical_angles(model, plane):
     eigenvalues at or below _COS_ZERO, last.  ``gap_warning`` is set when
     two distinct cosines lie closer than _COS_GAP.
 
-    ``plane`` must be an OrientedPlane; its frame matrix is read once.
-    There is no rank test: an OrientedPlane is exactly orthonormal (exact
-    backend) or within frames.ORTHONORMAL_TOL with at most 8 rows, so
-    |M M^T - I|_2 <= 8 ORTHONORMAL_TOL = 8e-10 and every singular value of M
-    is at least sqrt(1 - 8e-10) > 0.9999999, far above any rank cutoff.
+    ``plane`` is an OrientedPlane, whose frame matrix is read once, or a
+    (P, 2p, 2m) float stack of frames (frames.frame_stack), classified by
+    one stacked eigh; only the planes with a zero block take an SVD each.
+    A stack gives (P, p) angles, (P, 2p, 2m) frame_rows, (P,) gap_warning
+    and a (P,) gap that is nan where one plane's gap is None.  There is no
+    rank test: every frame is exactly orthonormal (exact backend) or within
+    frames.ORTHONORMAL_TOL with at most 8 rows, so |M M^T - I|_2 <= 8
+    ORTHONORMAL_TOL = 8e-10 and every singular value of M is at least
+    sqrt(1 - 8e-10) > 0.9999999, far above any rank cutoff.
     """
-    if not isinstance(plane, OrientedPlane):
-        raise PlaneError(
-            "canonical_angles needs an OrientedPlane, got %s"
-            % (type(plane).__name__,))
-    if plane.dim % 2 != 0:
-        raise PlaneError("angle extraction needs an even-dimensional plane")
-    p = plane.dim // 2
-    if plane.n != 2 * model.m:
-        raise DimensionMismatch("plane and model dimensions disagree")
-    _same_backend(plane, model)
-    rows = plane.matrix()
-    jm = _float_j(model.m)
-    # pairing matrix A_ab = omega(f_a, f_b) = <J f_a, f_b>
-    amat = rows @ jm.T @ rows.T
-    amat = 0.5 * (amat - amat.T)
+    rows, one = _stack(plane, model.m, model, "angle extraction")
+    count, dim, _ = rows.shape
+    p = dim // 2
+    _, jt = _float_j(model.m)
+    # pairing matrices A_ab = omega(f_a, f_b) = <J f_a, f_b>
+    amat = rows @ jt @ rows.swapaxes(1, 2)
+    amat = 0.5 * (amat - amat.swapaxes(1, 2))
     evals, evecs = np.linalg.eigh(1j * amat)
-    # positive eigenpairs by descending cosine; the sort is stable, so ties
-    # stay in ascending eigh order
-    ev = evals.tolist()
-    pos = sorted((i for i in range(2 * p) if ev[i] > _COS_ZERO),
-                 key=lambda i: -ev[i])
-    npos = len(pos)
-    cos = [ev[i] for i in pos] + [0.0] * (p - npos)
-    # rows x_1..x_npos, y_1..y_npos of the eigenvectors u = x + i y
-    u = evecs[:, pos].T
-    xy = np.concatenate((u.real, u.imag))
-    norms = np.sqrt(np.add.reduce(xy * xy, axis=1))
-    if npos and norms.min() < 1e-12:
+    # per plane the first p eigenpairs by descending eigenvalue, the sort
+    # stable so that ties stay in ascending eigh order: the positive ones
+    # come first, then the zero block's
+    pick = (np.arange(count)[:, None], (-evals).argsort(kind="stable")[:, :p])
+    cos = evals[pick]
+    # frame coordinates (f_1, g_1, ..) with f = y/|y|, g = x/|x| for the
+    # eigenvectors u = x + i y
+    u = evecs.swapaxes(1, 2)[pick]
+    coords = np.empty((count, dim, dim))
+    coords[:, 0::2] = u.imag
+    coords[:, 1::2] = u.real
+    norms = np.sqrt(np.add.reduce(coords * coords, axis=-1))
+    # the planes with a zero block, fewer than p positive eigenvalues
+    zero = [i for i, c in enumerate(cos[:, -1].tolist()) if not c > _COS_ZERO]
+    if zero:
+        positive = cos > _COS_ZERO
+        cos[~positive] = 0.0
+        norms.reshape(count, p, 2)[~positive] = 1.0
+    if norms.min(initial=math.inf) < 1e-12:
         raise PlaneError("pairing eigenvector degenerated; cannot pair")
-    xy /= norms[:, None]
-    # frame coordinates (f_1, g_1, ..) with f = y/|y|, g = x/|x|
-    coords = np.empty((2 * p, 2 * p))
-    coords[0:2 * npos:2] = xy[npos:]
-    coords[1:2 * npos:2] = xy[:npos]
+    coords /= norms[..., None]
     # zero block: real kernel of the pairing matrix, paired in order
-    if npos < p:
-        _, s_svd, vt = np.linalg.svd(amat)
-        order = np.argsort(np.abs(s_svd))
-        null = vt[order[:2 * (p - npos)], :]
+    for i in zero:
+        paired = 2 * np.count_nonzero(cos[i])
+        _, s_svd, vt = np.linalg.svd(amat[i])
+        null = vt[np.argsort(np.abs(s_svd))[:dim - paired], :]
         # orthonormalize the kernel block
         q, _ = np.linalg.qr(null.T)
-        coords[2 * npos:] = q.T
+        coords[i, paired:] = q.T
     # frame vectors in ambient coordinates
     amb = coords @ rows
-    det = float(np.linalg.det(coords))
+    flip = [i for i, d in enumerate(np.linalg.det(coords).tolist()) if d < 0]
     # theta = atan2(|g - cos(theta) J f|, cos(theta)): the sine is the part of
     # g off J f, which stays accurate near 0 where arccos loses half the digits
-    cos_arr = np.array(cos)
-    off = amb[1::2] - cos_arr[:, None] * (amb[0::2] @ jm.T)
-    sin = np.sqrt(np.add.reduce(off * off, axis=1))
-    angles = np.arctan2(sin, cos_arr).tolist()
-    if det < 0:
-        amb[-1] = -amb[-1]
-        angles[-1] = float(np.pi) - angles[-1]
-    cosines = sorted({round(c, 12) for c in cos})
-    gap = None
-    if len(cosines) > 1:
-        gap = float(min(b - a for a, b in zip(cosines, cosines[1:])))
-    warn = gap is not None and gap < _COS_GAP
+    off = amb[:, 1::2] - cos[..., None] * (amb[:, 0::2] @ jt)
+    angles = np.arctan2(np.sqrt(np.add.reduce(off * off, axis=-1)), cos)
+    # orientation: the last vector and angle of each plane with det < 0
+    for i in flip:
+        amb[i, -1] *= -1.0
+        angles[i, -1] = np.pi - angles[i, -1]
+    gaps = []
+    for row in cos.tolist():
+        cosines = sorted({round(c, 12) for c in row})
+        gaps.append(min([b - a for a, b in zip(cosines, cosines[1:])])
+                    if len(cosines) > 1 else None)
+    warns = [gap is not None and gap < _COS_GAP for gap in gaps]
+    if one:
+        return CanonicalAngles(
+            angles=tuple(angles[0].tolist()),
+            frame_rows=tuple(map(tuple, amb[0].tolist())),
+            gap=gaps[0],
+            gap_warning=warns[0],
+        )
     return CanonicalAngles(
-        angles=tuple(angles),
-        frame_rows=tuple(map(tuple, amb.tolist())),
-        gap=gap,
-        gap_warning=warn,
+        angles=angles,
+        frame_rows=amb,
+        gap=np.array([math.nan if gap is None else gap for gap in gaps]),
+        gap_warning=np.array(warns, dtype=bool),
     )
 
 
 def plane_from_angles(model, angles, rng):
-    """Sample a plane realizing the requested angles.
+    """Sample a plane realizing the requested angles: the OrientedPlane of
+    angle_frame."""
+    return OrientedPlane.from_rows(angle_frame(model, angles, rng))
+
+
+def angle_frame(model, angles, rng):
+    """The (2p, 2m) float frame of a plane realizing the requested angles.
 
     Uses a random unitary to place the pairs: each angle theta_j consumes
     one complex direction for f_j and (when sin(theta_j) != 0) one more for
@@ -485,7 +540,7 @@ def plane_from_angles(model, angles, rng):
             "angles need %d complex directions but m=%d" % (needed, m)
         )
     u = random_unitary(m, rng)
-    rows = _pair_rows(u[:, :p].T)
+    rows = complex_frames(u, p)
     legs = iter(_realify(u[:, p:].T))
     for j, theta in enumerate(angles):
         jf = rows[2 * j + 1]
@@ -493,7 +548,7 @@ def plane_from_angles(model, angles, rng):
             rows[2 * j + 1] = np.cos(theta) * jf + np.sin(theta) * next(legs)
         elif not np.cos(theta) > 0:
             rows[2 * j + 1] = -jf
-    return OrientedPlane.from_rows(rows)
+    return rows
 
 
 # -- complex-plane detection ----------------------------------------------
@@ -501,6 +556,8 @@ def plane_from_angles(model, angles, rng):
 
 @dataclass(frozen=True)
 class ComplexPlaneVerdict:
+    """is_complex_plane's verdict; a stack's holds (P,) arrays but in p, m."""
+
     is_complex: bool
     max_sigma: float
     max_im: Optional[float]
@@ -532,33 +589,33 @@ def is_complex_plane(model, plane):
     largest |Re w| and ``max_im`` the largest |Im w|.  Either way the plane
     is J-complex iff every minor vanishes, i.e. iff rank_C Z = p, read as
     every figure at most COMPLEX_TOL.  All minors come from one batched
-    determinant, in floats on both backends.
+    determinant, in floats on both backends.  ``plane`` is an OrientedPlane
+    or a (P, 2p, 2m) float stack of frames (frames.frame_stack), whose
+    verdict holds (P,) arrays of is_complex, max_sigma and max_im (still
+    None when m > p+1) and the stack's p and m.
     """
-    _same_backend(plane, model)
-    if plane.dim % 2 != 0:
-        raise PlaneError("complex-plane test needs an even-dimensional plane")
-    p = plane.dim // 2
+    rows, one = _stack(plane, model.m, model, "complex-plane test")
+    p = rows.shape[1] // 2
     m = model.m
-    if plane.n != 2 * m:
-        raise DimensionMismatch("plane and model dimensions disagree")
     if p + 1 > m:
         # hooks of more than m vectors vanish identically: nothing to test,
-        # and a 2m-dimensional plane is the whole space (J-invariant).
-        full = plane.dim == 2 * m
-        return ComplexPlaneVerdict(
-            is_complex=full, max_sigma=0.0, max_im=None, p=p, m=m
-        )
-    rows = plane.matrix()
-    z = rows[:, 0::2] + 1j * rows[:, 1::2]
-    r, c = _coordinate_minor_index(p, m)
-    w = np.linalg.det(z[r, c]) * complex(model.phase)
-    worst = float(np.abs(w.real).max())
-    worst_im = float(np.abs(w.imag).max())
-    if m > p + 1:
-        worst, worst_im = max(worst, worst_im), None
+        # and p = m, as 2p orthonormal rows fit in R^{2m}: the plane is the
+        # whole space (J-invariant).
+        worst, worst_im = np.zeros(len(rows)), None
+    else:
+        # each row's pairs (x_{2k-1}, x_{2k}) read as the complex z_k
+        z = np.ascontiguousarray(rows).view(complex)
+        r, c = _coordinate_minor_index(p, m)
+        w = np.linalg.det(z[:, r, c]) * complex(model.phase)
+        worst = np.abs(w.real).max(axis=-1)
+        worst_im = np.abs(w.imag).max(axis=-1)
+        if m > p + 1:
+            worst, worst_im = np.maximum(worst, worst_im), None
+    if one:
+        worst, worst_im = worst.item(), None if worst_im is None else worst_im.item()
     return ComplexPlaneVerdict(
-        is_complex=(worst <= COMPLEX_TOL
-                    and (worst_im is None or worst_im <= COMPLEX_TOL)),
+        is_complex=((worst <= COMPLEX_TOL)
+                    & (worst_im is None or worst_im <= COMPLEX_TOL)),
         max_sigma=worst,
         max_im=worst_im,
         p=p,

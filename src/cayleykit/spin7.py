@@ -22,7 +22,7 @@ of two) is one of the verified claims, not an assumption.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,7 +52,7 @@ from .exterior import (
     sort_indices,
     wedge,
 )
-from .frames import OrientedPlane
+from .frames import OrientedPlane, frame_stack
 from .kahler import _require_surface_model
 
 _QUAD_AT = {quad: c for c, quad in enumerate(FOUR_FORM_INDEX)}
@@ -336,11 +336,14 @@ def tau_norm_sq(value):
 
 
 def tau_norm(value):
-    return float(tau_norm_sq(value)) ** 0.5
+    return math.sqrt(tau_norm_sq(value))
 
 
 @dataclass(frozen=True)
 class CayleyVerdict:
+    """is_cayley's verdict: Python scalars for one plane, (P,) arrays for a
+    stack of P."""
+
     is_cayley: bool
     phi_value: float
     tau_norm: float
@@ -355,16 +358,28 @@ PHI_TOL = 1e-9
 
 
 def is_cayley(Phi, plane):
-    """Classify an oriented 4-plane: Cayley when the calibration value is
+    """Classify oriented 4-planes: Cayley when the calibration value is
     within PHI_TOL of 1 and the alternation norm is at most TAU_TOL.
-    ``plane`` is an OrientedPlane, or 4 Vectors on the form's backend read
-    as a raw frame, orthonormal or not: the graph reports pass their graph
-    frames so and read only ``tau_norm``.
+    ``plane`` is an OrientedPlane; 4 Vectors on the form's backend read as
+    a raw frame, orthonormal or not (the graph reports pass their graph
+    frames so and read only ``tau_norm``); or a (P, 4, 8) float array of
+    frames, each held to the OrientedPlane rule by frames.frame_stack, on a
+    float form.  One plane gives a CayleyVerdict of Python scalars, a stack
+    one of (P,) arrays.
 
-    Both numbers come from the frame's 70 minors: times phi_row() for the
-    value, times defect_table() for tau, by one call on cayley_table().  On
-    the exact backend that call is exact, and only the two results become
-    floats."""
+    Both numbers come from each frame's 70 minors: times phi_row() for the
+    value, times defect_table() for tau, by one call on cayley_table() for
+    the whole stack, one plane being a stack of one.  On the exact backend
+    that call is exact, and only the two results become floats.  A frame's
+    floats may differ in the last bit between a stack and a call of its
+    own (exterior.four_form_values)."""
+    if isinstance(plane, np.ndarray):
+        frames = frame_stack(plane, Phi.backend)
+        if frames.shape[1] != 4:
+            raise PlaneError("need exactly 4 frame vectors, got %d" % (frames.shape[1],))
+        if frames.shape[2] != 8:
+            raise DimensionMismatch("frame vectors must live in R^8")
+        return _cayley_verdict(*_cayley_values(Phi, frames))
     if isinstance(plane, OrientedPlane):
         # rows already checked real, of one backend and one dimension
         rows = plane.rows
@@ -381,15 +396,26 @@ def is_cayley(Phi, plane):
         if v.n != 8:
             raise DimensionMismatch("frame vectors must live in R^8")
     frame = (plane.matrix() if isinstance(plane, OrientedPlane) and Phi.backend == FLOAT
-             else [v.comps for v in rows])
-    values = Phi.cayley_table()(frame)
-    tau = values[:28]
-    val, tn = float(values[28]), float(np.dot(tau, tau)) ** 0.5
-    return CayleyVerdict(
-        is_cayley=abs(val - 1.0) <= PHI_TOL and tn <= TAU_TOL,
-        phi_value=val,
-        tau_norm=tn,
-    )
+             else np.array([v.comps for v in rows]))
+    val, tn = _cayley_values(Phi, frame[None])
+    return _cayley_verdict(val.item(), tn.item())
+
+
+def _cayley_values(Phi, frames):
+    """The (P,) calibration values and defect norms of a (P, 4, 8) float or
+    exact stack, floats either way."""
+    values = np.asarray(Phi.cayley_table()(frames))
+    tau = values[:, :28]
+    # one dot product per frame (matmul takes each as a dot), exact on exact
+    # frames; a norm is the correctly rounded root
+    sq = np.matmul(tau[:, None], tau[:, :, None])[:, 0, 0]
+    return values[:, 28].astype(float, copy=False), np.sqrt(sq.astype(float, copy=False))
+
+
+def _cayley_verdict(val, tn):
+    """The one statement of the Cayley rule, on floats or on arrays."""
+    return CayleyVerdict(is_cayley=(abs(val - 1.0) <= PHI_TOL) & (tn <= TAU_TOL),
+                         phi_value=val, tau_norm=tn)
 
 
 def find_equivalence(a, b):
@@ -399,10 +425,14 @@ def find_equivalence(a, b):
     tuple of +-1 such that pushing a through e_i -> signs[i]*e_perm[i]
     gives b; or None when no such relabeling exists.  Tries the identity
     relabeling first.  Forms on different backends never compare equal, so
-    they raise BackendMismatch before the search.  Per relabeling, each
-    term of a fixes the product of the signs over its key (b's coefficient
-    on the image over a's, sorted, must be +-1): a linear system over GF(2),
-    solved for the first sign vector in ``itertools.product`` order.
+    they raise BackendMismatch before the search.  The relabelings are
+    walked in ``itertools.permutations`` order by backtracking, axis by
+    axis, past every branch where a placed term of a misses b's support:
+    for phi0 only its 1344 support-preserving relabelings of the 40320
+    reach the sign test.  Per relabeling, each term of a fixes the product
+    of the signs over its key (b's coefficient on the image over a's,
+    sorted, must be +-1): a linear system over GF(2), solved for the first
+    sign vector in ``itertools.product`` order.
     """
     n = a.n
     if b.n != n:
@@ -416,16 +446,14 @@ def find_equivalence(a, b):
              for key, coeff in a.terms.items()]
 
     def try_perm(perm):
+        # every term lands on b's support with +-coeff (maps_into_b), and
         # keys map one to one, so equal counts make the images b's support.
         # Sign vector = bits of x (-1 where set); each term asks an XOR of
         # them over its key, kept as a row by its highest bit
         rows = {}
-        for key, mask, coeff, neg in terms:
+        for key, mask, coeff, _ in terms:
             image, sign = sort_indices(tuple(perm[i - 1] for i in key))
-            target = b.terms.get(image)
-            if target is None or target != coeff and target != neg:
-                return None
-            flip = (sign < 0) == (target == coeff)
+            flip = (sign < 0) == (b.terms[image] == coeff)
             while mask and (top := mask.bit_length() - 1) in rows:
                 mask, flip = mask ^ rows[top][0], flip ^ rows[top][1]
             if mask:
@@ -440,9 +468,39 @@ def find_equivalence(a, b):
             x |= (flip ^ (mask & x).bit_count() & 1) << top
         return tuple(-1 if x >> i & 1 else 1 for i in range(n))
 
+    # a term's image is known once its largest axis is placed: per axis (0
+    # for a scalar term) the terms it places, each with the bit masks of
+    # b's keys that hold its coefficient up to sign
+    placed_by = [[] for _ in range(n + 1)]
+    for key, _, coeff, neg in terms:
+        allowed = {sum(1 << (i - 1) for i in k) for k, v in b.terms.items()
+                   if v == coeff or v == neg}
+        placed_by[max(key, default=0)].append((key, allowed))
+    perm = [0] * n
+    bits = [0] * (n + 1)  # bits[i]: the bit of axis i's image
+
+    def maps_into_b(axis):
+        # every term placed by axis lands on b's support, +-coeff
+        return all(sum(bits[i] for i in key) in allowed
+                   for key, allowed in placed_by[axis])
+
+    def extend(axis):
+        # the first hit among the relabelings extending perm[:axis], in
+        # lexicographic order, skipping a branch once a placed term misses
+        # b's support: no relabeling in it could carry a onto b
+        if axis == n:
+            hit = try_perm(perm)
+            return None if hit is None else (tuple(perm), hit)
+        for target in range(1, n + 1):
+            if target in perm[:axis]:
+                continue
+            perm[axis] = target
+            bits[axis + 1] = 1 << (target - 1)
+            if maps_into_b(axis + 1):
+                hit = extend(axis + 1)
+                if hit is not None:
+                    return hit
+        return None
+
     # lexicographic order, so the identity comes first
-    for perm in itertools.permutations(range(1, n + 1)):
-        hit = try_perm(perm)
-        if hit is not None:
-            return perm, hit
-    return None
+    return extend(0) if maps_into_b(0) else None

@@ -60,19 +60,76 @@ def test_planes_suite_small_sample():
 
 
 def test_planes_suite_draws_its_pool_once(monkeypatch):
-    # every check classifies the one pool: a second draw for the complex
-    # detectors once made 40 Haar draws at 20 samples
-    original = cli.random_plane
-    calls = []
+    # every check classifies the one pool, drawn by one stacked draw of the
+    # Haar frames and one of the complex planes' unitaries: a second draw
+    # for the complex detectors once made 40 Haar draws at 20 samples
+    shapes = {name: [] for name in ("orthonormal_rows", "haar_unitary", "is_cayley",
+                                    "is_complex_plane", "j_invariance_residual")}
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def recorded(name, original):
+        def call(*args):
+            shapes[name].append(getattr(args[-1], "shape", None))
+            return original(*args)
+        return call
 
-    monkeypatch.setattr(cli, "random_plane", counted)
+    for name in shapes:
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
     report = run_suite(_cfg(suite="planes", samples=20, seed=3))
-    assert len(calls) == 20
+    assert shapes.pop("orthonormal_rows") == [(20, 4, 8)]
+    assert shapes.pop("haar_unitary") == [(2, 2, 4, 4)]
+    for name, got in shapes.items():
+        # the pool in one call; the coordinate planes are OrientedPlanes
+        assert [shape for shape in got if shape is not None] == [(22, 4, 8)], name
     assert report["summary"]["fail"] == 0
+
+
+def _reference_checks(suite, seed):
+    """The planes or angles suite's checks on the pool, recomputed by the
+    one-plane-at-a-time loop the suites ran before they took stacks: each
+    plane drawn by its sampler and classified by one-plane calls."""
+    model = cayleykit.build_model(4, backend="float")
+    if suite == "planes":
+        Phi = spin7.phi_from_kahler(model)
+        rng = cli._rng(seed, 1)
+        pool = [(graphs.random_plane(8, 4, rng), False) for _ in range(200)]
+        pool += [(graphs.random_complex_plane(model.J, 2, rng), True) for _ in range(20)]
+        contradictions = hits = disagreements = 0
+        for plane, built_complex in pool:
+            verdict = spin7.is_cayley(Phi, plane)
+            by_value = abs(verdict.phi_value - 1.0) < spin7.PHI_TOL
+            contradictions += by_value != (verdict.tau_norm < spin7.TAU_TOL)
+            hits += by_value
+            sigma = graphs.is_complex_plane(model, plane)
+            jres = graphs.j_invariance_residual(model.J, plane)
+            disagreements += (sigma.is_complex != (jres < graphs.COMPLEX_TOL)
+                              or (built_complex and not sigma.is_complex))
+        return {"planes:calibration-defect-equivalence":
+                (contradictions, {"planes": 220, "cayley_in_sample": hits}),
+                "planes:complex-detector-agreement":
+                (disagreements, {"planes": 220})}
+    rng = cli._rng(seed, 3)
+    errors = []
+    for _ in range(100):
+        target = np.sort(rng.uniform(0.1, 1.4, size=2))
+        plane = graphs.plane_from_angles(model, tuple(target), rng)
+        errors.extend(np.abs(np.array(graphs.canonical_angles(model, plane).angles)
+                             - target))
+    angles = []
+    for _ in range(10):
+        plane = graphs.random_complex_plane(model.J, 2, rng)
+        angles.extend(graphs.canonical_angles(model, plane).angles)
+    return {"angles:round-trip": (max(errors), {"planes": 100}),
+            "angles:complex-plane-zeros":
+            (max(np.abs(angles)),
+             {"cosine_defect": max(1.0 - np.cos(a) for a in angles)})}
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+@pytest.mark.parametrize("suite", ["planes", "angles"])
+def test_stacked_suites_match_the_one_plane_loop(suite, seed):
+    rows = {c["name"]: c for c in run_suite(_cfg(suite=suite, seed=seed))["checks"]}
+    for name, (residual, details) in _reference_checks(suite, seed).items():
+        assert (rows[name]["residual"], rows[name]["details"]) == (residual, details), name
 
 
 def test_graphs_suite_small_sample():
@@ -86,7 +143,13 @@ def test_angles_suite_small_sample():
 
 
 def _nan_grade(rec):
-    return dataclasses.replace(rec, angles=rec.angles[:-1] + (math.nan,))
+    """The last angle NaN: of one plane's tuple, or of the second plane of a
+    stack's (P, p) array, so that the NaN is not a maximum's first value."""
+    if isinstance(rec.angles, tuple):
+        return dataclasses.replace(rec, angles=rec.angles[:-1] + (math.nan,))
+    angles = rec.angles.copy()
+    angles[1, -1] = math.nan
+    return dataclasses.replace(rec, angles=angles)
 
 
 # (suite, function cli calls, its result made NaN, calls made NaN, checks):
@@ -98,8 +161,9 @@ _NAN_CASES = [
      ["complex-graph:cauchy-riemann"]),
     ("graphs", "is_cayley", lambda v: dataclasses.replace(v, tau_norm=math.nan),
      {1}, ["graph-system:newton-batch"]),
-    # 10 round trips, 10 complex planes, then the isotropic plane
-    ("angles", "canonical_angles", _nan_grade, {1, 11, 20},
+    # the 10 round trips and the 10 complex planes, each one stack, then
+    # the isotropic plane
+    ("angles", "canonical_angles", _nan_grade, {0, 1, 2},
      ["angles:round-trip", "angles:complex-plane-zeros",
       "angles:isotropic-right-angles"]),
 ]

@@ -581,7 +581,7 @@ def test_j_invariance_residual_matches_the_direct_formula(float_model):
     rng = np.random.default_rng(8)
     jm = np.array(float_model.J.matrix(), dtype=float)
     for plane in [random_plane(8, 4, rng) for _ in range(10)]:
-        proj = plane.projection_matrix()
+        proj = plane.matrix().T @ plane.matrix()
         direct = np.linalg.norm((np.eye(8) - proj) @ jm @ proj, 2)
         assert j_invariance_residual(float_model.J, plane) == float(direct)
 
