@@ -440,7 +440,6 @@ def _suite_graphs(cfg):
     n_newton = max(5, min(50, cfg.samples // 4))
     quads, taus = [], []
     failures = 0
-    Phif = phi0(backend=FLOAT)
     for _ in range(n_newton):
         start = random_graph_coefficients(rng, radius=0.25)
         try:
@@ -449,7 +448,7 @@ def _suite_graphs(cfg):
             failures += 1
             continue
         quads.extend(abs(float(q)) for q in residual_quadratics(sol))
-        taus.append(is_cayley(Phif, graph_frame(sol)).tau_norm)
+        taus.append(_graph_defect_norm(sol))
     worst_quad, worst_tau = _worst(quads), _worst(taus)
     yield Check(
         "graph-system:newton-batch", "graph-defect:solutions-are-calibrated",
@@ -808,29 +807,35 @@ def _magnitude(x):
         return math.inf
 
 
+def _graph_defect_norm(lam):
+    """|tau| on the graph frame of ``lam``: the root of the sum of the
+    squares of its seven components (tau_graph_components), summed in the
+    tilt's own arithmetic and rounded once, exact on an exact tilt.  A tilt
+    past float range gives an inf or nan norm, which fails its check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed, diagonal = tau_graph_components(lam)
+    return math.sqrt(_magnitude(sum(c * c for c in mixed + diagonal)))
+
+
 _GRAPH_TOL = 1e-8  # each graph equation's bound, in the suite and on a FILE
 
 
 def _graph_report_checks(lam):
-    Phi = phi0(backend=FLOAT)
     eqs = [_magnitude(e) for e in tau_system(lam)]
     quads = [_magnitude(q) for q in residual_quadratics(lam)]
-    frame = graph_frame(lam.to_float() if lam.backend == EXACT else lam)
-    # a frame past float range gives an inf or nan defect, which fails below
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = is_cayley(Phi, frame).tau_norm
+    defect = _graph_defect_norm(lam)
     yield Check("graph:system-residuals", "graph-defect:mixed-components",
-                "bound", max(eqs), _GRAPH_TOL, details={"components": eqs})
+                "bound", _worst(eqs), _GRAPH_TOL, details={"components": eqs})
     yield Check("graph:quadratic-residuals", "graph-defect:diagonal-components",
-                "bound", max(quads), _GRAPH_TOL,
+                "bound", _worst(quads), _GRAPH_TOL,
                 details={"components": quads})
     yield Check("graph:defect-norm", "graph-defect:total",
                 "bound", defect, _GRAPH_TOL * 10)
-    plane = OrientedPlane.from_rows(orthonormal_rows(frame))
-    verdict = is_cayley(Phi, plane)
+    plane = OrientedPlane.from_rows(orthonormal_rows(graph_frame(lam)))
+    verdict = is_cayley(phi0(backend=FLOAT), plane)
     yield _cayley_verdict_check(
         "graph:cayley-verdict", "cayley-criterion:graph-form", verdict,
-        holds=verdict.is_cayley == (max(eqs + quads) <= _GRAPH_TOL))
+        holds=verdict.is_cayley == (_worst(eqs + quads) <= _GRAPH_TOL))
 
 
 def graph_verify(path, backend=FLOAT):

@@ -49,11 +49,15 @@ def haar_unitary(g):
 
 def as_matrix(rows):
     """Stack Vectors or rows of numbers into a (k, n) float numpy array;
-    an array, of any shape, is taken as float, and a complex entry raises
-    TypeError."""
+    an array, of any shape, is taken as float, and a complex entry or a
+    complex array raises TypeError."""
     if not isinstance(rows, np.ndarray):
         rows = [r.comps if isinstance(r, Vector) else r for r in rows]
-    return np.asarray(rows, dtype=float)
+    mat = np.asarray(rows)
+    if mat.dtype.kind == "c":
+        # a cast to float would drop the imaginary parts with a warning
+        raise TypeError("frame entries must be real, got a complex array")
+    return mat.astype(float, copy=False)
 
 
 def orthonormality_residual(rows):
@@ -77,19 +81,20 @@ def _not_orthonormal(res, which=""):
 
 def frame_stack(frames, backend):
     """``frames`` as the (P, k, n) float stack a classifier of a form or
-    model on ``backend`` runs on.  A stack is float, so an exact form or
-    model raises BackendMismatch; an input that is not an array of real
-    numbers, or a frame of no rows, raises PlaneError, and an array that is
-    not (P, k, n) DimensionMismatch.  Every frame is held to the rule an
-    OrientedPlane keeps, orthonormal within ORTHONORMAL_TOL, and the first
-    that is not raises its PlaneError, naming its index; a nan or inf entry
-    reads as residual inf."""
-    if backend != FLOAT:
-        raise BackendMismatch("mixed backends: %r vs %r" % (FLOAT, backend))
+    model on ``backend`` runs on.  An input that is not an array of real
+    numbers raises PlaneError, on either backend; a stack is float, so an
+    exact form or model then raises BackendMismatch; an array that is not
+    (P, k, n) raises DimensionMismatch, and a frame of no rows PlaneError.
+    Every frame is held to the rule an OrientedPlane keeps, orthonormal
+    within ORTHONORMAL_TOL, and the first that is not raises its
+    PlaneError, naming its index; a nan or inf entry reads as residual
+    inf."""
     if not isinstance(frames, np.ndarray) or frames.dtype.kind not in "fiu":
         raise PlaneError(
             "need an OrientedPlane or a float array of frames, got %s"
             % (getattr(frames, "dtype", type(frames).__name__),))
+    if backend != FLOAT:
+        raise BackendMismatch("mixed backends: %r vs %r" % (FLOAT, backend))
     if frames.ndim != 3:
         raise DimensionMismatch(
             "need a (P, k, n) stack of frames, got shape %s" % (frames.shape,))

@@ -195,12 +195,6 @@ class GraphCoefficients:
         new = (tuple(row),) + self.entries[1:]
         return GraphCoefficients(entries=new, backend=self.backend)
 
-    def to_float(self):
-        return GraphCoefficients(
-            entries=tuple(tuple(float(x) for x in row) for row in self.entries),
-            backend=FLOAT,
-        )
-
 
 def random_graph_coefficients(rng, radius=0.25):
     """Random coefficients with Frobenius norm scaled to ``radius``."""
@@ -342,7 +336,9 @@ def tau_graph_components(lam):
     The frame's 70 minors times the defect table contracted with the basis
     once, by one call on _component_table(): exact on exact input, floats
     on float input.  tau_eval is the reference the tests hold this
-    against."""
+    against.  The basis is orthonormal, so the squares of the seven sum to
+    |tau|^2: the graph reports (cli) read their defect norm from them, in
+    the tilt's own arithmetic."""
     rows = [v.comps for v in graph_frame(lam)]
     # Python floats or Fractions
     comps = np.asarray(_component_table()(rows)).tolist()

@@ -360,12 +360,10 @@ PHI_TOL = 1e-9
 def is_cayley(Phi, plane):
     """Classify oriented 4-planes: Cayley when the calibration value is
     within PHI_TOL of 1 and the alternation norm is at most TAU_TOL.
-    ``plane`` is an OrientedPlane; 4 Vectors on the form's backend read as
-    a raw frame, orthonormal or not (the graph reports pass their graph
-    frames so and read only ``tau_norm``); or a (P, 4, 8) float array of
-    frames, each held to the OrientedPlane rule by frames.frame_stack, on a
-    float form.  One plane gives a CayleyVerdict of Python scalars, a stack
-    one of (P,) arrays.
+    ``plane`` is an OrientedPlane on the form's backend, or a (P, 4, 8)
+    float array of frames on a float form, each held to the OrientedPlane
+    rule by frames.frame_stack, which refuses anything else.  One plane
+    gives a CayleyVerdict of Python scalars, a stack one of (P,) arrays.
 
     Both numbers come from each frame's 70 minors: times phi_row() for the
     value, times defect_table() for tau, by one call on cayley_table() for
@@ -373,47 +371,27 @@ def is_cayley(Phi, plane):
     that call is exact, and only the two results become floats.  A frame's
     floats may differ in the last bit between a stack and a call of its
     own (exterior.four_form_values)."""
-    if isinstance(plane, np.ndarray):
-        frames = frame_stack(plane, Phi.backend)
-        if frames.shape[1] != 4:
-            raise PlaneError("need exactly 4 frame vectors, got %d" % (frames.shape[1],))
-        if frames.shape[2] != 8:
-            raise DimensionMismatch("frame vectors must live in R^8")
-        return _cayley_verdict(*_cayley_values(Phi, frames))
-    if isinstance(plane, OrientedPlane):
-        # rows already checked real, of one backend and one dimension
-        rows = plane.rows
-        checked = rows[:1]
+    one = isinstance(plane, OrientedPlane)
+    if one:
+        _same_backend(plane, Phi)
+        # an exact plane's minors run on its Fractions
+        frames = (plane.matrix() if Phi.backend == FLOAT
+                  else np.array([v.comps for v in plane.rows]))[None]
     else:
-        rows = list(plane)
-        checked = rows
-    if len(rows) != 4:
-        raise PlaneError("need exactly 4 frame vectors, got %d" % (len(rows),))
-    for v in checked:
-        if not isinstance(v, Vector) or not v.is_real():
-            raise PlaneError("frame rows must be real Vectors, got %r" % (type(v),))
-        _same_backend(v, Phi)
-        if v.n != 8:
-            raise DimensionMismatch("frame vectors must live in R^8")
-    frame = (plane.matrix() if isinstance(plane, OrientedPlane) and Phi.backend == FLOAT
-             else np.array([v.comps for v in rows]))
-    val, tn = _cayley_values(Phi, frame[None])
-    return _cayley_verdict(val.item(), tn.item())
-
-
-def _cayley_values(Phi, frames):
-    """The (P,) calibration values and defect norms of a (P, 4, 8) float or
-    exact stack, floats either way."""
+        frames = frame_stack(plane, Phi.backend)
+    if frames.shape[1] != 4:
+        raise PlaneError("need exactly 4 frame vectors, got %d" % (frames.shape[1],))
+    if frames.shape[2] != 8:
+        raise DimensionMismatch("frame vectors must live in R^8")
     values = np.asarray(Phi.cayley_table()(frames))
     tau = values[:, :28]
     # one dot product per frame (matmul takes each as a dot), exact on exact
     # frames; a norm is the correctly rounded root
     sq = np.matmul(tau[:, None], tau[:, :, None])[:, 0, 0]
-    return values[:, 28].astype(float, copy=False), np.sqrt(sq.astype(float, copy=False))
-
-
-def _cayley_verdict(val, tn):
-    """The one statement of the Cayley rule, on floats or on arrays."""
+    val = values[:, 28].astype(float, copy=False)
+    tn = np.sqrt(sq.astype(float, copy=False))
+    if one:
+        val, tn = val.item(), tn.item()
     return CayleyVerdict(is_cayley=(abs(val - 1.0) <= PHI_TOL) & (tn <= TAU_TOL),
                          phi_value=val, tau_norm=tn)
 

@@ -159,8 +159,10 @@ _NAN_CASES = [
      ["complex-graph:first-order-system"]),
     ("graphs", "cr_residual", lambda r: math.nan, {1},
      ["complex-graph:cauchy-riemann"]),
-    ("graphs", "is_cayley", lambda v: dataclasses.replace(v, tau_norm=math.nan),
-     {1}, ["graph-system:newton-batch"]),
+    # the six exact tilts of the component identity come first, then the
+    # Newton solutions: the second solution's last component
+    ("graphs", "tau_graph_components", lambda c: (c[0], c[1][:-1] + (math.nan,)),
+     {7}, ["graph-system:newton-batch"]),
     # the 10 round trips and the 10 complex planes, each one stack, then
     # the isotropic plane
     ("angles", "canonical_angles", _nan_grade, {0, 1, 2},
@@ -525,7 +527,14 @@ def _strict_json(text):
     (["graph-verify", "--backend", "exact"],
      "1e300 1e300 0 0\n0 1e300 1e300 0\n0 0 1e300 0\n0 0 0 0\n",
      "graph:system-residuals", "inf"),
-], ids=["graph-solve", "graph-verify-exact"])
+    (["graph-verify"],
+     "1e300 1e300 0 0\n0 1e300 1e300 0\n0 0 1e300 0\n0 0 0 0\n",
+     "graph:defect-norm", "nan"),
+    # nan only after a 0 in the components: a running max would read 0
+    (["graph-verify"],
+     "0 0 -1e200 1e200\n0 0 0 0\n1e200 1e200 0 0\n0 1e200 0 0\n",
+     "graph:system-residuals", "nan"),
+], ids=["graph-solve", "graph-verify-exact", "graph-verify", "graph-verify-nan"])
 def test_overflowing_tilt_fails_a_check(tmp_path, cli_env, argv, text,
                                         failing, residual):
     # every entry fits a float, but the norm or the cubic residuals do not:
@@ -854,6 +863,33 @@ def test_graph_verify_solution_file(tmp_path, capsys):
     tilt.write_text("\n".join("0 0 0 0" for _ in range(4)) + "\n")
     assert main(["graph-verify", str(tilt), "--quiet"]) == EXIT_OK
     capsys.readouterr()
+
+
+# the exactly calibrated tilt CI verifies on the exact backend
+_EXACT_TILT = ("1/2 -1/3 1/4 2/5\n-1/3 -1/2 2/5 -1/4\n"
+               "1/5 0 -1/2 1/3\n0 -1/5 1/3 1/2\n")
+
+
+def test_graph_verify_reads_an_exact_defect_norm_on_an_exact_tilt(tmp_path):
+    tilt = tmp_path / "tilt.txt"
+    tilt.write_text(_EXACT_TILT)
+    report = cli.graph_verify(str(tilt), backend=EXACT)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["graph:defect-norm"]["residual"] == 0.0
+    assert report["summary"]["fail"] == 0
+
+
+def test_graph_defect_norm_is_tau_evals_exactly():
+    # seven_basis is orthonormal, so the squares of the seven components sum
+    # to |tau|^2 exactly, and the report's norm is tau_eval's, rounded once
+    rng = np.random.default_rng(40)
+    Phi = spin7.phi0(EXACT)
+    for _ in range(6):
+        lam = cli._random_exact_lambda(rng)
+        mixed, diagonal = graphs.tau_graph_components(lam)
+        value = spin7.tau_eval(Phi, *graphs.graph_frame(lam))
+        assert sum(c * c for c in mixed + diagonal) == spin7.tau_norm_sq(value)
+        assert cli._graph_defect_norm(lam) == spin7.tau_norm(value) > 0
 
 
 def test_graph_verify_non_solution_fails(tmp_path, capsys):

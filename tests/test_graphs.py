@@ -21,7 +21,8 @@ from cayleykit.exterior import (
     EXACT, FLOAT, ExactComplex, Vector, fold_table, four_form_values, hook_many,
     inner)
 from cayleykit.frames import (
-    ORTHONORMAL_TOL, as_matrix, orthonormal_rows, random_unitary)
+    ORTHONORMAL_TOL, as_matrix, orthonormal_rows, orthonormality_residual,
+    random_unitary)
 from cayleykit.graphs import (
     ComplexGraphCoefficients,
     GraphCoefficients,
@@ -292,10 +293,14 @@ def test_exact_frame_past_float_range_is_refused_not_overflowed():
 
 
 def test_as_matrix_refuses_complex_entries():
-    with pytest.raises(TypeError):
-        as_matrix([[1.0, 1j]])
-    with pytest.raises(TypeError):
-        as_matrix([Vector([1, ExactComplex(0, 1)], EXACT)])
+    # a complex array too: a cast to float would drop its imaginary parts
+    # with only a warning, and the frame functions read through as_matrix
+    frame = np.eye(4, 8) + 0j
+    for read in (as_matrix, orthonormal_rows, orthonormality_residual):
+        for rows in ([[1.0, 1j]], [Vector([1, ExactComplex(0, 1)], EXACT)],
+                     frame, frame[None], list(frame)):
+            with pytest.raises(TypeError):
+                read(rows)
 
 
 @pytest.mark.parametrize("rows", [

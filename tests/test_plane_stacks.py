@@ -151,7 +151,7 @@ _BAD_STACKS = [
     (_haar_stack() + 0j, PlaneError, "float array of frames"),
     (_haar_stack().astype(object), PlaneError, "float array of frames"),
     (_haar_stack() > 0, PlaneError, "float array of frames"),
-    # nested lists are no stack (is_cayley reads a list as frame rows)
+    # nested lists are no stack
     ([list(map(list, f)) for f in _haar_stack()], PlaneError, None),
     (_haar_stack()[0], DimensionMismatch, r"need a \(P, k, n\) stack"),
     (_haar_stack()[..., None], DimensionMismatch, r"need a \(P, k, n\) stack"),
@@ -196,6 +196,18 @@ def test_a_stack_on_an_exact_form_or_model_is_refused(exact_model):
     for classify in (is_complex_plane, canonical_angles):
         with pytest.raises(BackendMismatch, match="mixed backends: 'float' vs 'exact'"):
             classify(exact_model, stack)
+
+
+def test_a_list_is_refused_by_its_type_on_either_backend(exact_model, float_model):
+    # the type is read before the backend: a list of frame rows is no plane
+    rows = [list(row) for row in np.eye(4, 8)]
+    for model in (exact_model, float_model):
+        for classify in (lambda s: is_cayley(phi0(model.backend), s),
+                         lambda s: is_complex_plane(model, s),
+                         lambda s: canonical_angles(model, s),
+                         lambda s: j_invariance_residual(model.J, s)):
+            with pytest.raises(PlaneError, match="float array of frames, got list"):
+                classify(rows)
 
 
 def test_an_empty_stack_gives_empty_verdicts(float_model, phi_cy_float):

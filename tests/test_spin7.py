@@ -547,7 +547,10 @@ def test_is_cayley_reads_an_oriented_plane_like_its_rows(phi_exact, phi_float):
     rng = np.random.default_rng(12)
     for plane in (random_plane(8, 4, rng),
                   random_complex_plane(build_model(4, backend=FLOAT).J, 2, rng)):
-        assert is_cayley(phi_float, plane) == is_cayley(phi_float, list(plane.rows))
+        # one plane is the stack of its one frame, bit for bit
+        stack = is_cayley(phi_float, plane.matrix()[None])
+        assert is_cayley(phi_float, plane) == spin7.CayleyVerdict(
+            *(column.item() for column in vars(stack).values()))
     plane = random_plane(8, 4, rng)
     with pytest.raises(BackendMismatch):
         is_cayley(phi_exact, plane)
@@ -557,12 +560,15 @@ def test_is_cayley_reads_an_oriented_plane_like_its_rows(phi_exact, phi_float):
         is_cayley(phi_float, random_plane(6, 4, rng))
 
 
-def test_is_cayley_rejects_mixed_frames(phi_exact):
+def test_is_cayley_rejects_mixed_frames(phi_exact, phi_float):
     rows = [Vector.basis(8, i, FLOAT) for i in (1, 2, 3, 4)]
     with pytest.raises(BackendMismatch, match="mixed backends: 'float' vs 'exact'"):
-        is_cayley(phi_exact, rows)
-    with pytest.raises(PlaneError):
-        is_cayley(phi_exact, rows[:3])
+        is_cayley(phi_exact, OrientedPlane(rows=tuple(rows)))
+    # a list of Vectors is no plane, whatever the backends
+    for Phi in (phi_exact, phi_float):
+        for frame in (rows, rows[:3]):
+            with pytest.raises(PlaneError, match="float array of frames, got list"):
+                is_cayley(Phi, frame)
 
 
 def test_two_form_operators_reject_the_other_backend(phi_exact, phi_float):
