@@ -1,24 +1,38 @@
 """Exterior algebra on R^n (n <= 8) with two numeric backends.
 
-Multivectors are stored sparsely: a dict from strictly increasing 1-based
-index tuples to nonzero coefficients.  Terms handed in with out-of-order or
-repeated indices are canonicalized on construction, e.g. {(2, 1): 5} becomes
-{(1, 2): -5}.  There is one sign rule and one sum.  Every sign is that of
-sorting an index tuple (``sort_indices``): a handed-in key, the keys of a
-wedge's two terms put together, a key and its complement in the Hodge star,
-the image of a key under a relabeling of the axes.  Construction, ``+``,
-``wedge``, ``hook`` and ``apply_signed_permutation`` hand their (sorted key,
-coefficient) pairs, in order, to one accumulator (``_sum_terms``), which
-adds them up per key and drops a key whose sum is 0.
+A Multivector keeps its terms as a dict from blades to nonzero coefficients.
+A blade is an 8-bit mask, bit i - 1 standing for the axis e_i, as in the
+bitmap representation of Dorst, Fontijne and Mann, *Geometric Algebra for
+Computer Science* (2007), Ch. 19.  Terms handed in with out-of-order or
+repeated indices are canonicalized on construction, e.g. {(2, 1): 5}
+becomes {(1, 2): -5}: ``sort_indices`` parses the tuple keys callers hand
+in, and nothing else.  Every other sign is read off masks by popcounts:
+that of a wedge of two blades, of a blade and its complement in the Hodge
+star, of dropping one axis in a hook and of relabeling the axes.
+Construction, ``+``, ``wedge``, ``hook`` and ``apply_signed_permutation``
+hand their (mask, coefficient) pairs, in order, to one accumulator
+(``_sum``), which adds them up per mask and drops a mask whose sum is 0.
 
 Two backends:
 
-* ``exact``  -- coefficients are ``fractions.Fraction``, or ``ExactComplex``
-  for complex ones; floats are rejected so exactness cannot silently
-  degrade.
-* ``float``  -- plain Python floats, or ``complex``.
+* ``exact``  -- a form keeps Python-int numerators over one positive
+  denominator: an int for a real coefficient, a Gaussian-integer pair
+  (re, im) for a complex one.  Each operation runs on the integers and
+  divides out the gcd of the result's numerators and denominator once.
+  At the API the coefficients are ``fractions.Fraction``, or
+  ``ExactComplex`` for complex ones; floats are rejected so exactness
+  cannot silently degrade.
+* ``float``  -- plain Python floats, or ``complex``, over no denominator.
 
-The policy between them is stated here once.  A constant, such as
+``terms`` is the public view: a dict from strictly increasing 1-based index
+tuples to Fractions, ExactComplex, floats or complexes, built from the
+blades on first use and kept on the immutable form.  Its keys come in the
+order the accumulator made them, a key that cancels and comes back going
+last; each value keeps the type its terms give it (complex if a complex
+term reached it since it last cancelled) and, on the float backend, the
+bits of the operations written out term by term.
+
+The policy between the backends is stated here once.  A constant, such as
 ``Fraction(1, 2)``, is coerced by the call that takes it (``coerce_scalar``,
 through ``scale``, ``Vector`` and ``Multivector``).  Objects on two
 backends never mix: ``_same_backend`` raises BackendMismatch.  An identity
@@ -33,6 +47,10 @@ and ``re``, ``im`` and ``conj()`` take them apart.  ``inner`` and
 
 The metric is Euclidean with orthonormal basis e_1..e_n and orientation
 e_1 ^ ... ^ e_n.  All operations return new objects; nothing mutates.
+Other modules read a form through the functions here (``numerators``,
+``from_numerators``, ``substitute``, ``relabel_blade`` and the methods
+``blades``, ``coefficients``, ``without`` and ``restrict``), never through
+its masks or numerators.
 
 Alternating 4-linear maps on R^8, such as the calibration value and the
 Cayley defect, are tables over FOUR_FORM_INDEX, evaluated on a 4-frame as
@@ -60,8 +78,10 @@ one transposed copy: the products of a column-by-column fill, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 
@@ -128,9 +148,11 @@ class ExactComplex:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExactComplex._of(self.re * other, self.im * other)
+        # ExactComplex is tested first: isinstance against Fraction, an
+        # abstract base class's subclass, is the slow check
         if not isinstance(other, ExactComplex):
+            if isinstance(other, (int, Fraction)):
+                return ExactComplex._of(self.re * other, self.im * other)
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b:
@@ -175,10 +197,10 @@ class ExactComplex:
     __complex__ = as_complex
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, ExactComplex):
             return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
         return NotImplemented
 
     __hash__ = None
@@ -275,6 +297,8 @@ def sort_indices(indices):
     """Sort an index tuple, returning (sorted_tuple, sign).
 
     sign is the parity of the sorting permutation, or 0 if an index repeats.
+    It parses the tuple keys that callers hand in; the operations take
+    their signs from masks.
     """
     idx = list(indices)
     sign = 1
@@ -290,18 +314,159 @@ def sort_indices(indices):
     return tuple(idx), sign
 
 
-def _sum_terms(pairs, backend, terms=()):
-    """The one sum of the exterior algebra: a copy of ``terms`` plus each
-    (sorted key, coefficient) pair in turn, added onto its key; a key whose
-    sum is 0 is dropped, and if it comes back it comes back last."""
-    zero = coerce_scalar(0, backend)
-    out = dict(terms)
-    for key, coeff in pairs:
-        val = out.get(key, zero) + coeff
-        if val == 0:
-            out.pop(key, None)
+# -- blades and their signs ---------------------------------------------------
+#
+# A blade is a mask, bit i - 1 for the axis e_i, and _KEY[m] its sorted
+# 1-based index tuple.  Putting a sorted blade a before a disjoint sorted
+# blade b and sorting takes one swap per pair (i in a, j in b) with i > j,
+# so its sign is the parity of the sum over j in b of popcount(a & the
+# bits above j): the parity of popcount(a & _ABOVE[b]), _ABOVE[b] being the
+# XOR of those masks of bits above, one table of 256 entries.
+
+
+def _mask(key):
+    """The blade of a sorted index tuple."""
+    return sum(1 << (i - 1) for i in key)
+
+
+_KEY = tuple(tuple(i + 1 for i in range(8) if m >> i & 1) for m in range(256))
+_ABOVE = tuple(
+    functools.reduce(operator.xor, (0xFF ^ ((2 << i) - 1) for i in range(8) if m >> i & 1), 0)
+    for m in range(256))
+
+
+# _DROPS[m]: per axis of the blade m, in increasing order, the blade less
+# that axis, the parity of the axis's position and its 0-based index
+_DROPS = tuple(tuple((m ^ (1 << (i - 1)), pos & 1, i - 1) for pos, i in enumerate(_KEY[m]))
+               for m in range(256))
+
+
+def _merge_sign(a, b):
+    """The sign of sorting blade a followed by the disjoint blade b."""
+    return -1 if (a & _ABOVE[b]).bit_count() & 1 else 1
+
+
+def relabel_blade(mask, perm):
+    """The image of a blade under the relabeling e_i -> e_perm[i-1]: the
+    image blade, and the sign of sorting the images of its axes taken in
+    increasing order.  Only the entries of ``perm`` on the blade's axes are
+    read, 1-based targets, distinct on them."""
+    image, swaps = 0, 0
+    for i in _KEY[mask]:
+        bit = 1 << (perm[i - 1] - 1)
+        # each image already placed above this one is a swap
+        swaps += (image & -(bit << 1)).bit_count()
+        image |= bit
+    return image, -1 if swaps & 1 else 1
+
+
+# -- exact numerators ---------------------------------------------------------
+#
+# On the exact backend a coefficient c is stored as a numerator over the
+# form's denominator: an int for a Fraction, an (re, im) pair of ints for an
+# ExactComplex.  The sums and products below take both kinds; a pair is
+# only ever met where an ExactComplex was, so each value keeps its type, and
+# a pair that sums to 0 becomes the int 0.
+
+
+def _denominator(c):
+    if isinstance(c, ExactComplex):
+        return math.lcm(c.re.denominator, c.im.denominator)
+    return c.denominator
+
+
+def _numerator(c, den):
+    """c * den for a Fraction or ExactComplex c whose denominator divides
+    den: an int, or an (re, im) pair."""
+    if isinstance(c, ExactComplex):
+        return (c.re.numerator * (den // c.re.denominator),
+                c.im.numerator * (den // c.im.denominator))
+    return c.numerator * (den // c.denominator)
+
+
+def _gadd(x, y):
+    if type(x) is int:
+        if type(y) is int:
+            return x + y
+        re, im = x + y[0], y[1]
+    elif type(y) is int:
+        re, im = x[0] + y, x[1]
+    else:
+        re, im = x[0] + y[0], x[1] + y[1]
+    return (re, im) if re or im else 0
+
+
+def _gmul(x, y):
+    if type(x) is int:
+        if type(y) is int:
+            return x * y
+        return (x * y[0], x * y[1])
+    a, b = x
+    if type(y) is int:
+        return (a * y, b * y)
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _arith(*groups):
+    """(add, mul) for the values in ``groups``: Python's own + and * on
+    ints, floats and complexes, the pair arithmetic once a Gaussian-integer
+    pair is among them."""
+    for values in groups:
+        for v in values:
+            if type(v) is tuple:
+                return _gadd, _gmul
+    return operator.add, operator.mul
+
+
+def _reduce(blades, den):
+    """Divide the numerators and den by their gcd, once per result."""
+    parts = [den]
+    for v in blades.values():
+        if type(v) is tuple:
+            parts += v
         else:
-            out[key] = val
+            parts.append(v)
+    g = math.gcd(*parts)
+    if g == 1:
+        return blades, den
+    return {m: (v[0] // g, v[1] // g) if type(v) is tuple else v // g
+            for m, v in blades.items()}, den // g
+
+
+def _scalar(v, den, backend):
+    """The public coefficient of a stored value."""
+    if backend == FLOAT:
+        return v
+    if type(v) is tuple:
+        return ExactComplex._of(Fraction(v[0], den), Fraction(v[1], den))
+    return Fraction(v, den)
+
+
+def _vector_numerators(v):
+    """A vector's components as numerators over one denominator, a 0
+    component as the int 0; floats over 1 on the float backend."""
+    if v.backend == FLOAT:
+        return v.comps, 1
+    den = math.lcm(*map(_denominator, v.comps))
+    return [_numerator(c, den) if c != 0 else 0 for c in v.comps], den
+
+
+_ZERO = {EXACT: 0, FLOAT: 0.0}
+
+
+def _sum(pairs, add, zero, start=()):
+    """The one sum of the exterior algebra: a copy of ``start`` plus each
+    (mask, value) pair in turn, added onto its mask; a mask whose sum is 0
+    is dropped, and if it comes back it comes back last."""
+    out = dict(start)
+    get, pop = out.get, out.pop
+    for mask, value in pairs:
+        value = add(get(mask, zero), value)
+        if value == 0:
+            pop(mask, None)
+        else:
+            out[mask] = value
     return out
 
 
@@ -382,11 +547,16 @@ class Vector:
         return "Vector(%s, %s)" % (list(self.comps), self.backend)
 
 
+# the stored value types of a complex coefficient: an exact numerator pair
+# and a float complex
+_COMPLEX_VALUES = frozenset((tuple, complex))
+
+
 class Multivector:
     """Element of the exterior algebra of R^n, or of its complexification
     when coefficients are complex."""
 
-    __slots__ = ("n", "backend", "terms")
+    __slots__ = ("n", "backend", "_blades", "_den", "_terms")
 
     def __init__(self, n, terms=None, backend=EXACT):
         _check_backend(backend)
@@ -406,13 +576,24 @@ class Multivector:
             coeff = coerce_scalar(coeff, backend)
             key, sign = sort_indices(indices)
             if sign:
-                pairs.append((key, sign * coeff))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "terms", _sum_terms(pairs, backend))
+                pairs.append((_mask(key), sign, coeff))
+        den = 1
+        if backend == EXACT:
+            den = math.lcm(*[_denominator(c) for _, _, c in pairs])
+            pairs = [(m, s, _numerator(c, den)) for m, s, c in pairs]
+        add, mul = _arith([c for _, _, c in pairs])
+        blades = _sum([(m, mul(s, c)) for m, s, c in pairs], add, _ZERO[backend])
+        _init(self, n, backend, blades, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
+
+    @classmethod
+    def _of(cls, n, backend, blades, den=1):
+        """Internal: build from mask-keyed values over den, reduced once."""
+        obj = cls.__new__(cls)
+        _init(obj, n, backend, blades, den)
+        return obj
 
     @classmethod
     def zero(cls, n, backend=EXACT):
@@ -426,86 +607,140 @@ class Multivector:
     def basis(cls, n, indices, backend=EXACT):
         return cls(n, {tuple(indices): 1}, backend)
 
+    @property
+    def terms(self):
+        """The public view: sorted index tuple -> coefficient, in the order
+        of the blades, built on first use."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", {
+                _KEY[m]: c for m, c in self.blades().items()})
+        return self._terms
+
+    def blades(self):
+        """The terms keyed by blade, bit i - 1 for the axis e_i, in the
+        order of ``terms``: a new dict of public coefficients."""
+        den, backend = self._den, self.backend
+        if backend == FLOAT:
+            return dict(self._blades)
+        return {m: _scalar(v, den, backend) for m, v in self._blades.items()}
+
+    def coefficients(self):
+        """The coefficients in the order of ``terms``, as a tuple."""
+        return tuple(self.blades().values())
+
     def is_zero(self):
-        return not self.terms
+        return not self._blades
 
     def is_real(self):
         """True when no coefficient is a complex scalar, whatever its
         imaginary part."""
-        return _COMPLEX.isdisjoint(map(type, self.terms.values()))
+        return _COMPLEX_VALUES.isdisjoint(map(type, self._blades.values()))
 
     def grades(self):
-        return sorted({len(k) for k in self.terms})
+        return sorted({m.bit_count() for m in self._blades})
 
     def coeff(self, indices):
         key, sign = sort_indices(tuple(indices))
+        zero = coerce_scalar(0, self.backend)
         if sign == 0:
-            return coerce_scalar(0, self.backend)
-        return sign * self.terms.get(key, coerce_scalar(0, self.backend))
+            return zero
+        value = (self._blades.get(_mask(key)) if all(1 <= i <= self.n for i in key)
+                 else None)
+        return sign * (zero if value is None else _scalar(value, self._den, self.backend))
+
+    def without(self, keys):
+        """This form less its terms on the sorted index tuples ``keys``."""
+        drop = {_mask(key) for key in keys}
+        return Multivector._of(self.n, self.backend, {
+            m: v for m, v in self._blades.items() if m not in drop}, self._den)
+
+    def restrict(self, m):
+        """The terms on the axes 1..m alone, as a form on R^m."""
+        m = check_integer(m, "ambient dimension")
+        if not 1 <= m <= self.n:
+            raise DimensionMismatch("cannot restrict R^%d to R^%d" % (self.n, m))
+        return Multivector._of(m, self.backend, {
+            b: v for b, v in self._blades.items() if b >> m == 0}, self._den)
 
     def __add__(self, other):
         _same_backend(self, other)
         _same_ambient(self, other)
-        return self._raw(
-            self.n, _sum_terms(other.terms.items(), self.backend, self.terms), self.backend)
+        den = math.lcm(self._den, other._den)
+        a, b = _rescaled(self, den), _rescaled(other, den)
+        add, _ = _arith(a.values(), b.values())
+        return Multivector._of(
+            self.n, self.backend, _sum(b.items(), add, _ZERO[self.backend], a), den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._raw(self.n, {k: -v for k, v in self.terms.items()}, self.backend)
+        return Multivector._of(self.n, self.backend, {
+            m: (-v[0], -v[1]) if type(v) is tuple else -v
+            for m, v in self._blades.items()}, self._den)
 
     def scale(self, c):
         c = coerce_scalar(c, self.backend)
         if c == 0:
             return Multivector.zero(self.n, self.backend)
-        return self._raw(self.n, {k: c * v for k, v in self.terms.items()}, self.backend)
+        den = 1
+        if self.backend == EXACT:
+            den = _denominator(c)
+            c = _numerator(c, den)
+        _, mul = _arith(self._blades.values(), [c])
+        return Multivector._of(self.n, self.backend, {
+            m: mul(c, v) for m, v in self._blades.items()}, self._den * den)
 
     def conj(self):
-        return self._raw(
-            self.n, {k: v.conjugate() for k, v in self.terms.items()}, self.backend)
+        if self.backend == FLOAT:
+            blades = {m: v.conjugate() for m, v in self._blades.items()}
+        else:
+            blades = {m: (v[0], -v[1]) if type(v) is tuple else v
+                      for m, v in self._blades.items()}
+        return Multivector._of(self.n, self.backend, blades, self._den)
 
     @property
     def re(self):
-        return self._part(lambda v: v.real)
+        return self._part(0)
 
     @property
     def im(self):
-        return self._part(lambda v: v.imag)
+        return self._part(1)
 
-    def _part(self, part):
+    def _part(self, which):
+        """The real (0) or imaginary (1) parts, each a real coefficient,
+        the parts that are 0 dropped."""
         out = {}
-        for k, v in self.terms.items():
-            p = part(v)
+        for m, v in self._blades.items():
+            if type(v) is tuple:
+                p = v[which]
+            elif self.backend == FLOAT:
+                p = v.imag if which else v.real
+            else:
+                p = 0 if which else v
             if p != 0:
-                out[k] = p
-        return self._raw(self.n, out, self.backend)
-
-    @classmethod
-    def _raw(cls, n, canon_terms, backend):
-        """Internal: build from already-canonical terms without rework."""
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "backend", backend)
-        object.__setattr__(obj, "terms", canon_terms)
-        return obj
+                out[m] = p
+        return Multivector._of(self.n, self.backend, out, self._den)
 
     def max_abs(self):
         """Largest coefficient size (see _size): a Fraction on the exact
         backend, a float on the float one, NaN if any size is NaN (max
         keeps whichever of a NaN and a number comes first)."""
-        if not self.terms:
+        if not self._blades:
             return coerce_scalar(0, self.backend)
-        sizes = [_size(v) for v in self.terms.values()]
-        return float(np.max(sizes)) if self.backend == FLOAT else max(sizes)
+        if self.backend == FLOAT:
+            return float(np.max([_size(v) for v in self._blades.values()]))
+        return Fraction(max(max(abs(v[0]), abs(v[1])) if type(v) is tuple else abs(v)
+                            for v in self._blades.values()), self._den)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Multivector)
-            and self.n == other.n
-            and self.backend == other.backend
-            and self.terms == other.terms
-        )
+        if not (isinstance(other, Multivector) and self.n == other.n
+                and self.backend == other.backend):
+            return False
+        if self._den == other._den and self._blades == other._blades:
+            return True
+        # a Fraction equals an ExactComplex with imaginary part 0
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -520,6 +755,25 @@ class Multivector:
         return "Multivector(n=%d, %s, %s)" % (self.n, self.backend, " + ".join(bits))
 
 
+def _init(obj, n, backend, blades, den):
+    if den != 1:
+        blades, den = _reduce(blades, den)
+    object.__setattr__(obj, "n", n)
+    object.__setattr__(obj, "backend", backend)
+    object.__setattr__(obj, "_blades", blades)
+    object.__setattr__(obj, "_den", den)
+    object.__setattr__(obj, "_terms", None)
+
+
+def _rescaled(a, den):
+    """a's values over den, a multiple of a's denominator."""
+    k = den // a._den
+    if k == 1:
+        return a._blades
+    return {m: (v[0] * k, v[1] * k) if type(v) is tuple else v * k
+            for m, v in a._blades.items()}
+
+
 def volume_form(n, backend=EXACT):
     n = check_integer(n, "ambient dimension")
     return Multivector.basis(n, tuple(range(1, n + 1)), backend)
@@ -529,17 +783,21 @@ def volume_form(n, backend=EXACT):
 
 
 def wedge(a, b):
-    """Exterior product: each pair of terms on disjoint keys ka, kb gives
-    the product of their coefficients on ka + kb, with the sign of sorting
-    ka + kb."""
+    """Exterior product: each pair of terms on disjoint blades ma, mb gives
+    the product of their coefficients on ma | mb, with the sign of sorting
+    ma's axes followed by mb's (_merge_sign)."""
     _same_backend(a, b)
     _same_ambient(a, b)
+    add, mul = _arith(a._blades.values(), b._blades.values())
+    # (-1 * va) * vb, as the term-by-term product writes a sign -1
+    left = [(ma, (va, mul(-1, va))) for ma, va in a._blades.items()]
+    right = [(mb, _ABOVE[mb], vb) for mb, vb in b._blades.items()]
     products = [
-        (key, sign * va * vb)
-        for ka, va in a.terms.items() for axes in [set(ka)]
-        for kb, vb in b.terms.items() if axes.isdisjoint(kb)
-        for key, sign in [sort_indices(ka + kb)]]
-    return Multivector._raw(a.n, _sum_terms(products, a.backend), a.backend)
+        (ma | mb, mul(signed[(ma & above).bit_count() & 1], vb))
+        for ma, signed in left
+        for mb, above, vb in right if not ma & mb]
+    return Multivector._of(a.n, a.backend, _sum(products, add, _ZERO[a.backend]),
+                           a._den * b._den)
 
 
 def wedge_many(forms):
@@ -553,18 +811,22 @@ def wedge_many(forms):
 
 
 def hook(v, a):
-    """Interior product v -| a.  Dropping the index at position pos of a
-    sorted key leaves it sorted, with the sign (-1)**pos."""
+    """Interior product v -| a.  Dropping the axis at position pos of a
+    blade's sorted axes gives the sign (-1)**pos."""
     _same_backend(v, a)
     if v.n != a.n:
         raise DimensionMismatch("vector and form live in different dimensions")
-    comps = v.comps
+    comps, den = _vector_numerators(v)
+    add, mul = _arith(a._blades.values(), comps)
+    # (-1 * comp) * coeff at the odd positions, as the term-by-term
+    # product writes a sign -1
+    signed = (comps, [mul(-1, c) for c in comps])
     contractions = [
-        (key[:pos] + key[pos + 1:], (-1 if pos % 2 else 1) * comp * coeff)
-        for key, coeff in a.terms.items()
-        for pos, idx in enumerate(key)
-        for comp in [comps[idx - 1]] if comp != 0]
-    return Multivector._raw(a.n, _sum_terms(contractions, a.backend), a.backend)
+        (sub, mul(signed[odd][k], coeff))
+        for m, coeff in a._blades.items()
+        for sub, odd, k in _DROPS[m] if comps[k] != 0]
+    return Multivector._of(a.n, a.backend, _sum(contractions, add, _ZERO[a.backend]),
+                           a._den * den)
 
 
 def hook_many(vectors, a):
@@ -577,22 +839,22 @@ def hook_many(vectors, a):
 
 def hodge_star(a):
     """Hodge star for the Euclidean metric and orientation e_1^...^e_n,
-    extended complex-linearly: e_K goes to sign * e_C, where C is the
-    increasing tuple of the axes not in K and sign that of sorting K + C
-    (sort_indices), so that e_K ^ *e_K = vol.  Distinct keys have distinct
-    complements, so nothing is summed."""
-    out = {}
-    for key, coeff in a.terms.items():
-        comp = tuple(i for i in range(1, a.n + 1) if i not in key)
-        out[comp] = sort_indices(key + comp)[1] * coeff
-    return Multivector._raw(a.n, out, a.backend)
+    extended complex-linearly: the blade m goes to sign * its complement c,
+    sign that of sorting m's axes followed by c's (_merge_sign), so that
+    e_m ^ *e_m = vol.  Distinct blades have distinct complements, so
+    nothing is summed."""
+    full = (1 << a.n) - 1
+    _, mul = _arith(a._blades.values())
+    out = {full ^ m: mul(_merge_sign(m, full ^ m), coeff)
+           for m, coeff in a._blades.items()}
+    return Multivector._of(a.n, a.backend, out, a._den)
 
 
 def musical_flat(v):
-    """Index-lowering: vector -> 1-form (Euclidean metric).  Its keys are
-    sorted and a Vector's components coerced, so it skips the constructor."""
-    terms = {(i + 1,): c for i, c in enumerate(v.comps) if c != 0}
-    return Multivector._raw(v.n, terms, v.backend)
+    """Index-lowering: vector -> 1-form (Euclidean metric)."""
+    comps, den = _vector_numerators(v)
+    return Multivector._of(v.n, v.backend, {
+        1 << i: c for i, c in enumerate(comps) if c != 0}, den)
 
 
 def musical_sharp(a):
@@ -601,8 +863,8 @@ def musical_sharp(a):
     if gs not in ([], [1]):
         raise GradeError("musical_sharp needs a 1-form, got grades %s" % (gs,))
     comps = [coerce_scalar(0, a.backend)] * a.n
-    for key, coeff in a.terms.items():
-        comps[key[0] - 1] = coeff
+    for m, coeff in a.blades().items():
+        comps[m.bit_length() - 1] = coeff
     return Vector(comps, a.backend)
 
 
@@ -618,8 +880,10 @@ def inner(a, b):
         raise GradeError("inner needs homogeneous inputs (grades %s, %s)" % (ga, gb))
     if ga and gb and ga != gb:
         raise GradeError("grade mismatch in inner: %s vs %s" % (ga, gb))
-    zero = coerce_scalar(0, a.backend)
-    return sum((v * b.terms[k] for k, v in a.terms.items() if k in b.terms), zero)
+    other = b._blades
+    total = sum((v * other[m] for m, v in a._blades.items() if m in other),
+                _ZERO[a.backend])
+    return Fraction(total, a._den * b._den) if a.backend == EXACT else total
 
 
 def form_value(a, vectors):
@@ -642,13 +906,82 @@ def form_value(a, vectors):
         if v.n != a.n:
             raise DimensionMismatch("vector/form dimension mismatch")
     if a.backend == EXACT:
-        return sum((coeff * _ratlinalg.det([[v.comps[i - 1] for i in key]
-                                            for v in vectors])
-                    for key, coeff in a.terms.items()), Fraction(0))
-    cols = np.array(list(a.terms), dtype=int).reshape(len(a.terms), k) - 1
+        return sum((num * _ratlinalg.det([[v.comps[i - 1] for i in _KEY[m]]
+                                          for v in vectors])
+                    for m, num in a._blades.items()), Fraction(0)) / a._den
+    cols = np.array([_KEY[m] for m in a._blades], dtype=int).reshape(len(a._blades), k) - 1
     frame = np.array([v.comps for v in vectors], dtype=float).reshape(k, a.n)
     minors = np.linalg.det(frame[:, cols].transpose(1, 0, 2))
-    return float(np.array(list(a.terms.values()), dtype=float) @ minors)
+    return float(np.array(list(a._blades.values()), dtype=float) @ minors)
+
+
+def substitute(a, images):
+    """The form a with each basis 1-form e^i replaced by the 1-form
+    images[i], extended multiplicatively: the sum over a's terms, by grade
+    and then by axes, of the wedge of their axes' images times the
+    coefficient."""
+    out = Multivector.zero(a.n, a.backend)
+    terms = a.blades()
+    for m in sorted(terms, key=lambda m: (m.bit_count(), _KEY[m])):
+        prod = (wedge_many([images[i] for i in _KEY[m]]) if m
+                else Multivector.scalar(a.n, 1, a.backend))
+        out = out + prod.scale(terms[m])
+    return out
+
+
+# the blades of TWO_FORM_INDEX (grade 2) and FOUR_FORM_INDEX (grade 4)
+_INDEX_BLADES = {
+    k: tuple(_mask(key) for key in itertools.combinations(range(1, 9), k))
+    for k in (2, 4)}
+
+
+def numerators(a, grade):
+    """A form's coefficients over TWO_FORM_INDEX (grade 2) or
+    FOUR_FORM_INDEX (grade 4) on R^8, as (values, denominator).  On the
+    exact backend values is an object array of Python-int numerators over
+    the form's own denominator, one row (real part, imaginary part) per
+    key; on the float one it is the float or complex array of the
+    coefficients themselves, over 1."""
+    blades = a._blades
+    keys = _INDEX_BLADES[grade]
+    if a.backend == FLOAT:
+        return np.array([blades.get(m, 0.0) for m in keys]), 1
+    out = np.empty((len(keys), 2), dtype=object)
+    out[:] = [v if type(v) is tuple else (v, 0)
+              for v in map(blades.get, keys, itertools.repeat(0))]
+    return out, a._den
+
+
+def coefficient_matrix(forms, grade):
+    """Real forms' coefficients over TWO_FORM_INDEX (grade 2) or
+    FOUR_FORM_INDEX (grade 4) on R^8 as one matrix, a column per form: a
+    float array on the float backend, (object array of integer numerators,
+    their common denominator) on the exact one, where a complex form raises
+    TypeError."""
+    cols = [numerators(f, grade) for f in forms]
+    if all(f.backend == FLOAT for f in forms):
+        return np.array([col for col, _ in cols]).T
+    if not all(f.is_real() for f in forms):
+        raise TypeError("coefficient_matrix takes real forms")
+    den = math.lcm(*(d for _, d in cols))
+    return np.stack([col[:, 0] * (den // d) for col, d in cols], axis=1), den
+
+
+def from_numerators(values, den, grade, real=True):
+    """The form on R^8 with coefficients values / den over TWO_FORM_INDEX
+    (grade 2) or FOUR_FORM_INDEX (grade 4), values as numerators gives
+    them.  A float or complex array is a float form's coefficients, over
+    den 1.  An object array holds an exact form's (real part, imaginary
+    part) integer numerators per key: Fractions if ``real``, the imaginary
+    parts being 0, else ExactComplex.  A coefficient 0 is left out."""
+    if values.dtype.kind in "fc":
+        return Multivector._of(8, FLOAT, {
+            m: c for m, c in zip(_INDEX_BLADES[grade], values.tolist()) if c != 0})
+    blades = {}
+    for m, (re, im) in zip(_INDEX_BLADES[grade], values):
+        if re or im:
+            blades[m] = int(re) if real else (int(re), int(im))
+    return Multivector._of(8, EXACT, blades, den)
 
 
 # -- 4x4 minors of 4-frames in R^8 -------------------------------------------
@@ -898,7 +1231,9 @@ def apply_signed_permutation(a, perm, signs):
     """Push a multivector through the isometry e_i -> signs[i-1] * e_perm[i-1].
 
     ``perm`` is a sequence of length n with 1-based targets forming a
-    permutation; ``signs`` is a sequence of +-1.
+    permutation; ``signs`` is a sequence of +-1.  Each blade goes to its
+    relabel_blade image, times the sort's sign and the product of the signs
+    on its axes, -1 to the number of its axes with sign -1.
     """
     perm = tuple(check_integer(p, "perm entry", least=None) for p in perm)
     signs = tuple(check_integer(s, "sign", least=None) for s in signs)
@@ -906,8 +1241,12 @@ def apply_signed_permutation(a, perm, signs):
         raise DimensionMismatch("perm %r is not a permutation of 1..%d" % (perm, a.n))
     if len(signs) != a.n or any(s not in (-1, 1) for s in signs):
         raise DimensionMismatch("signs must be +-1 of length %d" % (a.n,))
-    images = [
-        (image, math.prod(signs[i - 1] for i in key) * sign * coeff)
-        for key, coeff in a.terms.items()
-        for image, sign in [sort_indices(tuple(perm[i - 1] for i in key))]]
-    return Multivector._raw(a.n, _sum_terms(images, a.backend), a.backend)
+    flipped = _mask(i for i, s in enumerate(signs, 1) if s < 0)
+    add, mul = _arith(a._blades.values())
+    images = []
+    for m, coeff in a._blades.items():
+        image, sign = relabel_blade(m, perm)
+        if (m & flipped).bit_count() & 1:
+            sign = -sign
+        images.append((image, mul(sign, coeff)))
+    return Multivector._of(a.n, a.backend, _sum(images, add, _ZERO[a.backend]), a._den)

@@ -51,6 +51,7 @@ from .exterior import (
     _coerce_all,
     _negligible,
     _same_backend,
+    coefficient_matrix,
     coerce_scalar,
     hodge_star,
     hook,
@@ -75,7 +76,7 @@ from .kahler import (
     to_complex_frame,
     wedge_many,
 )
-from .spin7 import TWO_FORM_INDEX, phi0
+from .spin7 import phi0
 
 
 # -- oriented planes -------------------------------------------------------
@@ -319,13 +320,13 @@ def seven_basis(Phi):
 def _component_table():
     """The FourFormTable of the seven adapted components of tau: the exact
     (70, 7) table of defect_table() times the (28, 7) matrix of the mixed
-    then diagonal seven_basis two-forms, by one scaled integer product
-    (_ratlinalg.matmul).  Built once per process; it serves both
-    backends."""
+    then diagonal seven_basis two-forms, by one product of their integer
+    numerators.  Built once per process; it serves both backends."""
     Phi = phi0(EXACT)
     mixed, diagonal = seven_basis(Phi)
-    basis = [[b.coeff(pair) for b in mixed + diagonal] for pair in TWO_FORM_INDEX]
-    return FourFormTable(_ratlinalg.matmul(Phi.defect_table(), basis))
+    basis, basis_den = coefficient_matrix(mixed + diagonal, 2)
+    nums, den = Phi.defect_numerators()
+    return FourFormTable(_ratlinalg.unscaled(nums @ basis, den * basis_den))
 
 
 def tau_graph_components(lam):
@@ -817,8 +818,7 @@ def normal_isom(model, v):
     # frame slots: dzbar_k <-> 4 + k; surface legs are (5, 6)
     c3 = cf.coeff((5, 6, 7))
     c4 = cf.coeff((5, 6, 8))
-    _require_small(model, [c for k, c in cf.terms.items()
-                           if k not in ((5, 6, 7), (5, 6, 8))], 1e-10,
+    _require_small(model, cf.without([(5, 6, 7), (5, 6, 8)]).coefficients(), 1e-10,
                    "contraction has unexpected components")
     # sharp of dzbar_b is 2 * (holomorphic coordinate vector), then / 4
     return (holo_vector(model, 3).scale(c3).scale(Fraction(1, 2))
@@ -834,8 +834,8 @@ def normal_isom_inverse(model, u):
     alpha = wedge(dzbar_form(model, 1), dzbar_form(model, 2))
     five_form = wedge(alpha, hook(u, model.Omega))
     # the coefficients of vol_N ^ dx_r, r in 5..8, and nothing else
-    _require_small(model, [c for k, c in five_form.terms.items()
-                           if not (k[:4] == (1, 2, 3, 4) and len(k) == 5)],
+    _require_small(model, five_form.without(
+                       [(1, 2, 3, 4, r) for r in range(5, 9)]).coefficients(),
                    1e-10, "unexpected components in the contraction")
     gamma = Vector([five_form.coeff((1, 2, 3, 4, r)) if r > 4 else 0
                     for r in range(1, 9)], model.backend)
@@ -852,14 +852,6 @@ class SevenPieceIdentityReport:
     antiholomorphic_residual: float
     mixed_kill_residual: float
     surface_residual: float
-
-
-def _restrict_to_surface(a):
-    """Keep only terms supported on coordinates 1..4, reindexed to R^4."""
-    terms = {
-        key: val for key, val in a.terms.items() if all(i <= 4 for i in key)
-    }
-    return Multivector(4, terms, a.backend)
 
 
 def e_isom_checks(Phi, model):
@@ -901,8 +893,8 @@ def e_isom_checks(Phi, model):
     for pair in surface_pairs:
         if pair.is_zero():
             continue
-        lhs = _restrict_to_surface(Phi.pi7_apply(pair))
-        restricted = _restrict_to_surface(pair)
+        lhs = Phi.pi7_apply(pair).restrict(4)
+        restricted = pair.restrict(4)
         rhs = (restricted + hodge_star(restricted)).scale(Fraction(1, 2))
         diff = lhs - rhs
         worst_iii = max(worst_iii, float(diff.max_abs()))

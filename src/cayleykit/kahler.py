@@ -29,6 +29,7 @@ from .exterior import (
     _negligible,
     coerce_scalar,
     hook,
+    substitute,
     wedge,
     wedge_many,
 )
@@ -226,16 +227,6 @@ def antiholo_vector(model, k):
     return holo_vector(model, k).conj()
 
 
-def _substitute(model, a, images):
-    """Linear substitution on basis 1-forms, extended multiplicatively."""
-    out = Multivector.zero(model.n, model.backend)
-    for key in sorted(a.terms, key=lambda t: (len(t), t)):
-        prod = (wedge_many([images[i] for i in key]) if key
-                else Multivector.scalar(model.n, 1, model.backend))
-        out = out + prod.scale(a.terms[key])
-    return out
-
-
 def to_complex_frame(model, a):
     """Rewrite a form over dz/dzbar slots (see the frame convention above)."""
     m, n = model.m, model.n
@@ -247,4 +238,4 @@ def to_complex_frame(model, a):
         # dx_{2k-1} = (dz_k + dzbar_k)/2 ; dx_{2k} = -i (dz_k - dzbar_k)/2
         images[2 * k - 1] = (fz + fzb).scale(Fraction(1, 2))
         images[2 * k] = (fz - fzb).scale(Fraction(1, 2)).scale(-i_unit)
-    return _substitute(model, a, images)
+    return substitute(a, images)

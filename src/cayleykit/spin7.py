@@ -30,25 +30,27 @@ from functools import cached_property
 import numpy as np
 
 from . import _ratlinalg
-from .errors import DimensionMismatch, GradeError, PlaneError
+from .errors import BackendMismatch, DimensionMismatch, GradeError, PlaneError
 from .exterior import (
     EXACT,
     FLOAT,
     FOUR_FORM_INDEX,
     PAIR_POS,
     TWO_FORM_INDEX,
-    ExactComplex,
     FourFormTable,
     Multivector,
     Vector,
     _negligible,
     _same_backend,
-    coerce_scalar,
+    coefficient_matrix,
+    from_numerators,
     hodge_star,
     hook,
     hook_many,
     inner,
     musical_flat,
+    numerators,
+    relabel_blade,
     sort_indices,
     wedge,
 )
@@ -116,7 +118,9 @@ class CayleyForm:
     """A calibration four-form on R^8 with cached two-form operators, each
     built once and kept once: a read-only float array on the float backend,
     rows of Fractions on the exact one (an exact two-form operator also
-    keeps the numerators and denominator its products run on)."""
+    keeps the numerators and denominator its products run on).  The exact
+    operators are built from the form's own integer numerators and applied
+    to a two-form's (exterior.numerators), with no Fraction in between."""
 
     def __init__(self, phi):
         if phi.n != 8:
@@ -129,10 +133,6 @@ class CayleyForm:
     def backend(self):
         return self.phi.backend
 
-    def _two_form_to_column(self, a):
-        zero = coerce_scalar(0, self.backend)
-        return [a.terms.get(pair, zero) for pair in TWO_FORM_INDEX]
-
     def pi7_matrix(self):
         """28x28 matrix of the decomposable-pair splitting formula: column
         ij is (e^i ^ e^j + phi(e_i, e_j, ., .)) / 2, the identity plus
@@ -144,28 +144,37 @@ class CayleyForm:
         column ij of T being *(phi ^ e^i ^ e^j)."""
         return self._proj7[0]
 
+    def proj7_numerators(self):
+        """proj7_matrix() on the exact backend as (integer numerators,
+        denominator), the numerators its products run on."""
+        if self.backend != EXACT:
+            raise BackendMismatch("projection numerators are exact")
+        return self._proj7[1]
+
     @cached_property
     def _pi7(self):
         return self._operator(self._gather(_PI7_INDEX), 2)
 
     @cached_property
     def _proj7(self):
-        cols = [self._two_form_to_column(hodge_star(wedge(
-                    self.phi, Multivector.basis(8, pair, self.backend))))
-                for pair in TWO_FORM_INDEX]
-        t = list(zip(*cols))
-        return self._operator(
-            _ratlinalg.scaled(t) if self.backend == EXACT else np.array(t), 4)
+        return self._operator(coefficient_matrix(
+            [hodge_star(wedge(self.phi, Multivector.basis(8, pair, self.backend)))
+             for pair in TWO_FORM_INDEX], 2), 4)
 
     def _gather(self, index):
         """The signed row [phi_row(), 0, -phi_row()] gathered by index: a
         float array on the float backend, (integer numerators, denominator)
-        on the exact one."""
+        on the exact one, read off the form's own numerators."""
         if self.backend == EXACT:
-            phi, den = _ratlinalg.scaled(self.phi_row())
+            phi, den = self._phi_numerators
             return np.concatenate([phi, [0], -phi])[index], den
         row = self.phi_row()
         return np.concatenate([row, [0.0], -row])[index]
+
+    @cached_property
+    def _phi_numerators(self):
+        nums, den = coefficient_matrix([self.phi], 4)
+        return nums[:, 0], den
 
     def _operator(self, part, scale):
         """The operator (1 + part) / scale as (matrix, what products take).
@@ -187,7 +196,9 @@ class CayleyForm:
 
     @cached_property
     def _phi_row(self):
-        return self._frozen(tuple(self.phi.coeff(quad) for quad in FOUR_FORM_INDEX))
+        if self.backend == EXACT:
+            return _ratlinalg.unscaled(*self._phi_numerators)
+        return self._frozen(coefficient_matrix([self.phi], 4)[:, 0])
 
     def defect_table(self):
         """70x28 table of tau: row c holds the TWO_FORM_INDEX coefficients
@@ -207,9 +218,23 @@ class CayleyForm:
         backend the product is one np.einsum.  On the exact one the gather
         runs on phi's integer numerators and the product on pi7's, with the
         denominators multiplied once.  tau_eval stays the reference the
-        table is tested against.
+        table is tested against.  The exact table's Fractions are built on
+        first use; the exact products run on defect_numerators().
         """
+        if self.backend == EXACT:
+            return self._defect_fractions
         return self._defect
+
+    def defect_numerators(self):
+        """defect_table() on the exact backend as (integer numerators,
+        denominator), the product it is divided out of."""
+        if self.backend != EXACT:
+            raise BackendMismatch("defect numerators are exact")
+        return self._defect
+
+    @cached_property
+    def _defect_fractions(self):
+        return _ratlinalg.unscaled(*self._defect)
 
     @cached_property
     def _defect(self):
@@ -217,7 +242,7 @@ class CayleyForm:
         if self.backend == EXACT:
             gathered, phi_den = self._gather(_TAU_INDEX)
             nums, den = pi7
-            return _ratlinalg.unscaled(gathered @ nums.T, 4 * phi_den * den)
+            return gathered @ nums.T, 4 * phi_den * den
         # einsum's own loop, not BLAS: a matmul this small would allocate
         # BLAS work buffers, about 0.3 MB of peak memory
         return self._frozen(np.einsum(
@@ -251,16 +276,13 @@ class CayleyForm:
         if a.grades() not in ([], [2]):
             raise GradeError("two-form operator applied to grades %s" % (a.grades(),))
         _same_backend(a, self)
-        col = self._two_form_to_column(a)
+        col, den = numerators(a, 2)
         if a.backend == FLOAT:
-            out = np.einsum("rc,c->r", operator[1], np.array(col)).tolist()
+            values = np.einsum("rc,c->r", operator[1], col)
         else:
-            nums, den = operator[1]
-            col_nums, col_den = _ratlinalg.scaled([[c.real, c.imag] for c in col])
-            re, im = _ratlinalg.unscaled((nums @ col_nums).T, den * col_den)
-            out = re if a.is_real() else [ExactComplex(x, y) for x, y in zip(re, im)]
-        return Multivector(8, {pair: c for pair, c in zip(TWO_FORM_INDEX, out)
-                               if c != 0}, a.backend)
+            nums, nums_den = operator[1]
+            values, den = nums @ col, nums_den * den
+        return from_numerators(values, den, 2, real=a.is_real())
 
     def pi7_apply(self, a):
         return self._apply(self._pi7, a)
@@ -416,22 +438,19 @@ def find_equivalence(a, b):
     if b.n != n:
         raise DimensionMismatch("forms live in different dimensions")
     _same_backend(a, b)
-    if len(a.terms) != len(b.terms):
+    a_terms, b_terms = a.blades(), b.blades()
+    if len(a_terms) != len(b_terms):
         return None
-
-    # per term of a: its key, the key's bits, and the two values b may show
-    terms = [(key, sum(1 << (i - 1) for i in key), coeff, -coeff)
-             for key, coeff in a.terms.items()]
 
     def try_perm(perm):
         # every term lands on b's support with +-coeff (maps_into_b), and
-        # keys map one to one, so equal counts make the images b's support.
-        # Sign vector = bits of x (-1 where set); each term asks an XOR of
-        # them over its key, kept as a row by its highest bit
+        # blades map one to one, so equal counts make the images b's
+        # support.  Sign vector = bits of x (-1 where set); each term asks
+        # an XOR of them over its blade, kept as a row by its highest bit
         rows = {}
-        for key, mask, coeff, _ in terms:
-            image, sign = sort_indices(tuple(perm[i - 1] for i in key))
-            flip = (sign < 0) == (b.terms[image] == coeff)
+        for mask, coeff in a_terms.items():
+            image, sign = relabel_blade(mask, perm)
+            flip = (sign < 0) == (b_terms[image] == coeff)
             while mask and (top := mask.bit_length() - 1) in rows:
                 mask, flip = mask ^ rows[top][0], flip ^ rows[top][1]
             if mask:
@@ -447,20 +466,18 @@ def find_equivalence(a, b):
         return tuple(-1 if x >> i & 1 else 1 for i in range(n))
 
     # a term's image is known once its largest axis is placed: per axis (0
-    # for a scalar term) the terms it places, each with the bit masks of
-    # b's keys that hold its coefficient up to sign
+    # for a scalar term) the blades it places, each with the blades of b
+    # that hold its coefficient up to sign
     placed_by = [[] for _ in range(n + 1)]
-    for key, _, coeff, neg in terms:
-        allowed = {sum(1 << (i - 1) for i in k) for k, v in b.terms.items()
-                   if v == coeff or v == neg}
-        placed_by[max(key, default=0)].append((key, allowed))
+    for mask, coeff in a_terms.items():
+        allowed = {m for m, v in b_terms.items() if v == coeff or v == -coeff}
+        placed_by[mask.bit_length()].append((mask, allowed))
     perm = [0] * n
-    bits = [0] * (n + 1)  # bits[i]: the bit of axis i's image
 
     def maps_into_b(axis):
         # every term placed by axis lands on b's support, +-coeff
-        return all(sum(bits[i] for i in key) in allowed
-                   for key, allowed in placed_by[axis])
+        return all(relabel_blade(mask, perm)[0] in allowed
+                   for mask, allowed in placed_by[axis])
 
     def extend(axis):
         # the first hit among the relabelings extending perm[:axis], in
@@ -473,7 +490,6 @@ def find_equivalence(a, b):
             if target in perm[:axis]:
                 continue
             perm[axis] = target
-            bits[axis + 1] = 1 << (target - 1)
             if maps_into_b(axis + 1):
                 hit = extend(axis + 1)
                 if hit is not None:

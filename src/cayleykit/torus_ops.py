@@ -27,10 +27,10 @@ artifacts.  The module provides:
   first-order operator.  All three read one exact (70, 4) table, the Cayley
   form's defect table followed by the normal-valued (0,1)-part, whose value
   on a tangent frame is the frame's 70 4x4 minors times the table.  It is
-  one scaled-integer product (``_ratlinalg.matmul``) of the defect table
-  with psi, the (0,1)-part as a (28, 4) matrix, which does not depend on
-  the phase and is built once per process from 2x2 minors
-  (``exterior.pair_minors``).  Float grids are evaluated by one call of the
+  one integer product of the defect table's numerators, as the Cayley form
+  builds them (``CayleyForm.defect_numerators``), with those of psi, the
+  (0,1)-part as a (28, 4) matrix, which does not depend on the phase and
+  is built once per process from 2x2 minors (``exterior.pair_minors``).  Float grids are evaluated by one call of the
   graph entry of the table's ``exterior.FourFormTable``, built once per
   phase, whose kernel never forms the minors, skips the 13 of 28 pair
   minors of each row pair that are 0 on a graph frame, and walks the
@@ -589,7 +589,8 @@ def grid_values(model, coefficients):
 def _psi():
     """psi, the map from two-form coordinates (TWO_FORM_INDEX) to the
     normal-valued (0,1)-components _ONE_FORM_ROWS, as the (28, 8) real
-    matrix [Re psi | Im psi] of Fractions.  It does not depend on the phase.
+    matrix [Re psi | Im psi], in integer numerators over one denominator
+    (_ratlinalg.scaled).  It does not depend on the phase.
 
     Write x_i for the conj(dz) coefficients of the one-form dx_i; x_ik is
     dx_i of the dual vector d/dzbar_k (antiholo_vector), its i-th entry.
@@ -600,8 +601,8 @@ def _psi():
     dzbar = _dzbar()
     b, a = (np.array(_ONE_FORM_ROWS) - 1).T
     psi = 2 * pair_minors(dzbar[b], dzbar[a]).T
-    return tuple(tuple(Fraction(z.real) for z in row)
-                 + tuple(Fraction(z.imag) for z in row) for row in psi)
+    return _ratlinalg.scaled([[z.real for z in row] + [z.imag for z in row]
+                              for row in psi])
 
 
 @lru_cache(maxsize=8)
@@ -610,12 +611,14 @@ def _defect_table_exact(phase_pair):
 
     Row c is the normal-valued (0,1)-part, components _ONE_FORM_ROWS, of the
     rank-7 defect on the basis frame FOUR_FORM_INDEX[c]: the Cayley form's
-    defect_table() times psi (_psi, built once per process), by one scaled
-    integer product (_ratlinalg.matmul) of the real table with the real and
+    defect_table() times psi (_psi, built once per process), by one integer
+    product of the real table's numerators with those of the real and
     imaginary parts of psi side by side.  The defect on a frame is the
     frame's 70 minors times this table."""
     model = build_model(4, backend=EXACT, phase_pair=phase_pair)
-    both = _ratlinalg.matmul(phi_from_kahler(model).defect_table(), _psi())
+    nums, den = phi_from_kahler(model).defect_numerators()
+    psi, psi_den = _psi()
+    both = _ratlinalg.unscaled(nums @ psi, den * psi_den)
     r = len(_ONE_FORM_ROWS)
     return tuple(tuple(ExactComplex(re, im) if re or im else _NIL
                        for re, im in zip(row[:r], row[r:]))

@@ -411,6 +411,45 @@ def test_a_key_that_cancels_and_comes_back_goes_last(backend):
     _assert_matches_reference(backend, 3, raw, b, a, v, (3, 2, 1), (-1, 1, 1))
 
 
+# -- the blade sign rules, exhaustively on R^8 ----------------------------------
+#
+# The operations read their signs off bit masks by popcounts.  On unit
+# blades every sign is a whole coefficient, so running each operation on
+# every blade of R^8 against the reference above checks each rule on every
+# case it has.
+
+_UNIT_BLADES = [Multivector.basis(8, key) for k in range(9)
+                for key in itertools.combinations(range(1, 9), k)]
+
+
+def test_wedge_sign_matches_the_reference_on_every_disjoint_pair():
+    # each axis lies in the left blade, the right one or neither: 3^8 pairs
+    pairs = [(a, b) for a in _UNIT_BLADES for b in _UNIT_BLADES
+             if not set(*a.terms) & set(*b.terms)]
+    assert len(pairs) == 3**8
+    for a, b in pairs:
+        ka, kb = *a.terms, *b.terms
+        assert wedge(a, b).terms == {tuple(sorted(ka + kb)): _ref_merge_sign(ka, kb)}
+
+
+def test_star_sign_matches_the_reference_on_every_blade():
+    assert len(_UNIT_BLADES) == 256
+    for a in _UNIT_BLADES:
+        comp, sign = _ref_star_sign(*a.terms, 8)
+        assert hodge_star(a).terms == {comp: sign}
+
+
+def test_hook_parity_on_every_blade_and_axis():
+    for i in range(1, 9):
+        e = Vector.basis(8, i)
+        for a in _UNIT_BLADES:
+            key, = a.terms
+            out = hook(e, a).terms
+            assert out == _ref_hook(e, a)
+            assert out == ({key[:key.index(i)] + key[key.index(i) + 1:]:
+                            -1 if key.index(i) % 2 else 1} if i in key else {})
+
+
 # -- the 4x4 minor kernel --------------------------------------------------------
 
 

@@ -49,6 +49,7 @@ SITES = [
     ("Multivector-index", lambda x: Multivector(8, {(x, 8): 1}), _ONE_TO[8]),
     ("Multivector.basis-n", lambda x: Multivector.basis(x, (1,)), _ONE_TO[8]),
     ("Multivector.basis-index", lambda x: Multivector.basis(8, (x, 1)), _ONE_TO[8]),
+    ("Multivector.restrict", lambda x: _FORM.restrict(x), st.integers(1, 3)),
     ("Vector.basis-n", lambda x: Vector.basis(x, 1), _ONE_TO[8]),
     ("Vector.basis-i", lambda x: Vector.basis(8, x), _ONE_TO[8]),
     ("volume_form", volume_form, _ONE_TO[8]),
