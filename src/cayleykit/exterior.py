@@ -331,7 +331,8 @@ def _mask(key):
 
 _KEY = tuple(tuple(i + 1 for i in range(8) if m >> i & 1) for m in range(256))
 _ABOVE = tuple(
-    functools.reduce(operator.xor, (0xFF ^ ((2 << i) - 1) for i in range(8) if m >> i & 1), 0)
+    functools.reduce(operator.xor,
+                     (0xFF ^ ((2 << i) - 1) for i in range(8) if m >> i & 1), 0)
     for m in range(256))
 
 
@@ -641,12 +642,9 @@ class Multivector:
 
     def coeff(self, indices):
         key, sign = sort_indices(tuple(indices))
-        zero = coerce_scalar(0, self.backend)
         if sign == 0:
-            return zero
-        value = (self._blades.get(_mask(key)) if all(1 <= i <= self.n for i in key)
-                 else None)
-        return sign * (zero if value is None else _scalar(value, self._den, self.backend))
+            return coerce_scalar(0, self.backend)
+        return sign * self.terms.get(key, coerce_scalar(0, self.backend))
 
     def without(self, keys):
         """This form less its terms on the sorted index tuples ``keys``."""

@@ -30,11 +30,12 @@ artifacts.  The module provides:
   one integer product of the defect table's numerators, as the Cayley form
   builds them (``CayleyForm.defect_numerators``), with those of psi, the
   (0,1)-part as a (28, 4) matrix, which does not depend on the phase and
-  is built once per process from 2x2 minors (``exterior.pair_minors``).  Float grids are evaluated by one call of the
-  graph entry of the table's ``exterior.FourFormTable``, built once per
-  phase, whose kernel never forms the minors, skips the 13 of 28 pair
-  minors of each row pair that are 0 on a graph frame, and walks the
-  grid's frames in cache-sized blocks.  The frames are graphs [I_4 | t A],
+  is built once per process from 2x2 minors (``exterior.pair_minors``).
+  Float grids are evaluated by one call of the graph entry of the table's
+  ``exterior.FourFormTable``, built once per phase, whose kernel never
+  forms the minors, skips the 13 of 28 pair minors of each row pair that
+  are 0 on a graph frame, and walks the grid's frames in cache-sized
+  blocks.  The frames are graphs [I_4 | t A],
   and the blocks A come from one grid synthesis per section (four small
   products with a cached DFT matrix, one per base axis), of the
   derivatives of the displacement's four normal components along the four
