@@ -48,9 +48,9 @@ and ``re``, ``im`` and ``conj()`` take them apart.  ``inner`` and
 The metric is Euclidean with orthonormal basis e_1..e_n and orientation
 e_1 ^ ... ^ e_n.  All operations return new objects; nothing mutates.
 Other modules read a form through the functions here (``numerators``,
-``from_numerators``, ``substitute``, ``relabel_blade`` and the methods
-``blades``, ``coefficients``, ``without`` and ``restrict``), never through
-its masks or numerators.
+``coefficient_matrix``, ``from_numerators``, ``substitute``,
+``relabel_blade`` and the methods ``blades``, ``coefficients``, ``without``
+and ``restrict``), never through its masks or numerators.
 
 Alternating 4-linear maps on R^8, such as the calibration value and the
 Cayley defect, are tables over FOUR_FORM_INDEX, evaluated on a 4-frame as
