@@ -15,7 +15,7 @@ from .exterior import EXACT, FLOAT, Vector, _negligible
 
 # the one bound on max|M M^T - I| of a float frame, which OrientedPlane
 # enforces and classify-plane repairs to: every plane source reads <= 1.5e-15,
-# and within 1e-10 a calibrated plane's value is within 2e-10 of 1 (PHI_TOL)
+# and within 1e-10 a calibrated plane's value is within 2e-10 of 1
 ORTHONORMAL_TOL = 1e-10
 
 

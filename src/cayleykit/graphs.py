@@ -45,13 +45,10 @@ from .exterior import (
     _COMPLEX,
     EXACT,
     FLOAT,
-    FourFormTable,
-    Multivector,
     Vector,
     _coerce_all,
     _negligible,
     _same_backend,
-    coefficient_matrix,
     coerce_scalar,
     hodge_star,
     hook,
@@ -302,47 +299,22 @@ def residual_quadratics(lam):
     return (q1, q2, q3)
 
 
-# orthonormal basis of the 7-dimensional two-form piece adapted to the
-# splitting R^4 + R^4: four "mixed" directions and three "diagonal" ones
-def seven_basis(Phi):
-    mixed = [
-        Phi.pi7_apply(Multivector.basis(8, (1, 4 + i), Phi.backend))
-        for i in range(1, 5)
-    ]
-    diagonal = [
-        Phi.pi7_apply(Multivector.basis(8, (1, 1 + a), Phi.backend))
-        for a in range(1, 4)
-    ]
-    return mixed, diagonal
-
-
-@lru_cache(maxsize=None)
-def _component_table():
-    """The FourFormTable of the seven adapted components of tau: the exact
-    (70, 7) table of defect_table() times the (28, 7) matrix of the mixed
-    then diagonal seven_basis two-forms, by one product of their integer
-    numerators.  Built once per process; it serves both backends."""
-    Phi = phi0(EXACT)
-    mixed, diagonal = seven_basis(Phi)
-    basis, basis_den = coefficient_matrix(mixed + diagonal, 2)
-    nums, den = Phi.defect_numerators()
-    return FourFormTable(_ratlinalg.unscaled(nums @ basis, den * basis_den))
+_PHI0 = phi0(EXACT)  # its exact component_table() serves float frames too
 
 
 def tau_graph_components(lam):
-    """The seven components of tau on the graph frame of ``lam`` in the
-    adapted orthonormal basis of the 7-piece (seven_basis): returns (mixed
+    """The seven components of tau on the graph frame of ``lam`` in phi0's
+    adapted orthonormal basis of the 7-piece (seven_basis()): returns (mixed
     4-tuple, diagonal 3-tuple) in the coefficients' own arithmetic.
 
-    The frame's 70 minors times the defect table contracted with the basis
-    once, by one call on _component_table(): exact on exact input, floats
-    on float input.  tau_eval is the reference the tests hold this
-    against.  The basis is orthonormal, so the squares of the seven sum to
-    |tau|^2: the graph reports (cli) read their defect norm from them, in
-    the tilt's own arithmetic."""
+    The frame's 70 minors times phi0's component_table(), by one call:
+    exact on exact input, floats on float input.  tau_eval is the reference
+    the tests hold this against.  The basis is orthonormal, so the squares
+    of the seven sum to |tau|^2: the graph reports (cli) read their defect
+    norm from them, in the tilt's own arithmetic."""
     rows = [v.comps for v in graph_frame(lam)]
     # Python floats or Fractions
-    comps = np.asarray(_component_table()(rows)).tolist()
+    comps = np.asarray(_PHI0.component_table()(rows)).tolist()
     return tuple(comps[:4]), tuple(comps[4:])
 
 
@@ -366,10 +338,11 @@ def solve_tau_system(lam0):
     so the equations are affine in x: A x + b, with b their value on the
     frame (e1; v2; v3; v4) and column c of A their value on (e_{4+c}; v2;
     v3; v4), v2..v4 the graph rows 2-4.  The mixed columns of one call on
-    _component_table() for those five frames give A and b, and one linear
-    solve the solution: Fractions on the exact backend (_ratlinalg.solve),
-    np.linalg.solve on the float one.  tau_system, the hand-expanded
-    oracle, is not called; the tests hold the solution against it.
+    phi0's component_table() for those five frames give A and b, and one
+    linear solve the solution: Fractions on the exact backend
+    (_ratlinalg.solve), np.linalg.solve on the float one.  tau_system, the
+    hand-expanded oracle, is not called; the tests hold the solution
+    against it.
 
     The start must lie in the Frobenius ball of radius 0.3, else
     ValidationError.  There A = I + E, since every cubic minor of
@@ -384,7 +357,7 @@ def solve_tau_system(lam0):
     exact = lam0.backend == EXACT
     frames = _SOLVE_FRAMES.astype(object if exact else float)
     frames[:, 1:, 4:] = lam0.entries[1:]
-    values = np.asarray(_component_table()(frames))[:, :4]
+    values = np.asarray(_PHI0.component_table()(frames))[:, :4]
     if exact:
         b, *columns = values
         x = _ratlinalg.solve(list(zip(*columns)), [-v for v in b])

@@ -91,6 +91,7 @@ def _tau_gather():
 
 
 _TAU_INDEX = _tau_gather()
+_SEVEN_COLUMNS = [PAIR_POS[(1, j)] for j in (5, 6, 7, 8, 2, 3, 4)]
 # entry (kl, ij) of 2 pi7 - 1 is phi(e_i, e_j, e_k, e_l): phi's coefficient
 # on the sorted axes with the sort's sign, 0 when the pairs meet
 _PI7_INDEX = np.array([[_signed(*sort_indices(ij + kl)) for ij in TWO_FORM_INDEX]
@@ -219,18 +220,44 @@ class CayleyForm:
         runs on phi's integer numerators and the product on pi7's, with the
         denominators multiplied once.  tau_eval stays the reference the
         table is tested against.  The exact table's Fractions are built on
-        first use; the exact products run on defect_numerators().
+        first use; the exact products run on its numerators (defect_times).
         """
         if self.backend == EXACT:
             return self._defect_fractions
         return self._defect
 
-    def defect_numerators(self):
-        """defect_table() on the exact backend as (integer numerators,
-        denominator), the product it is divided out of."""
+    def seven_basis(self):
+        """The adapted orthonormal basis of the 7-piece on the exact backend,
+        four mixed then three diagonal two-forms, as ((28, 7) integer
+        numerators, denominator): the columns (1, 5)..(1, 8), (1, 2)..(1, 4)
+        of pi7_matrix(), read off its cached numerators.  pi7 is twice the
+        orthogonal projection, so the Gram matrix of its columns is 2 pi7,
+        whose entry (1j, 1k) is delta_jk + phi(e_1, e_j, e_1, e_k) =
+        delta_jk: phi vanishes on a repeated axis."""
         if self.backend != EXACT:
-            raise BackendMismatch("defect numerators are exact")
-        return self._defect
+            raise BackendMismatch("the adapted basis is exact")
+        nums, den = self._pi7[1]
+        return nums[:, _SEVEN_COLUMNS], den
+
+    def defect_times(self, nums, den):
+        """The exact (70, r) table defect_table() times the (28, r) matrix
+        nums / den of integer numerators, by one product with the table's
+        own: rows of Fractions (_ratlinalg.unscaled).  Every exact linear
+        image of tau is read through here."""
+        if self.backend != EXACT:
+            raise BackendMismatch("defect products are exact")
+        table, table_den = self._defect
+        return _ratlinalg.unscaled(table @ nums, table_den * den)
+
+    def component_table(self):
+        """The FourFormTable of tau's seven components in seven_basis(),
+        defect_times(*seven_basis()), built once: exact on exact frames,
+        floats on float ones."""
+        return self._component_table
+
+    @cached_property
+    def _component_table(self):
+        return FourFormTable(self.defect_times(*self.seven_basis()))
 
     @cached_property
     def _defect_fractions(self):
@@ -371,17 +398,16 @@ class CayleyVerdict:
     tau_norm: float
 
 
-TAU_TOL = 1e-7  # the largest defect norm of a Cayley plane
-# the largest |value - 1| of a Cayley plane.  value^2 + |tau|^2 = det(f f^T),
+# the largest defect norm of a Cayley plane.  value^2 + |tau|^2 = det(f f^T),
 # so on an OrientedPlane, every one orthonormal to frames.ORTHONORMAL_TOL =
-# 1e-10, a defect within TAU_TOL puts the value within 1e-9 of +1 or of -1: a
-# looser bound could only call a value -1 plane Cayley
-PHI_TOL = 1e-9
+# 1e-10, a defect within TAU_TOL puts the value within about 2e-10 of +1 or
+# of -1, and its sign tells the two apart
+TAU_TOL = 1e-7
 
 
 def is_cayley(Phi, plane):
-    """Classify oriented 4-planes: Cayley when the calibration value is
-    within PHI_TOL of 1 and the alternation norm is at most TAU_TOL.
+    """Classify oriented 4-planes: Cayley when the alternation norm is at
+    most TAU_TOL and the calibration value is positive.
     ``plane`` is an OrientedPlane on the form's backend, or a (P, 4, 8)
     float array of frames on a float form, each held to the OrientedPlane
     rule by frames.frame_stack, which refuses anything else.  One plane
@@ -414,7 +440,7 @@ def is_cayley(Phi, plane):
     tn = np.sqrt(sq.astype(float, copy=False))
     if one:
         val, tn = val.item(), tn.item()
-    return CayleyVerdict(is_cayley=(abs(val - 1.0) <= PHI_TOL) & (tn <= TAU_TOL),
+    return CayleyVerdict(is_cayley=(val > 0) & (tn <= TAU_TOL),
                          phi_value=val, tau_norm=tn)
 
 

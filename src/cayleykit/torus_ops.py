@@ -27,10 +27,10 @@ artifacts.  The module provides:
   first-order operator.  All three read one exact (70, 4) table, the Cayley
   form's defect table followed by the normal-valued (0,1)-part, whose value
   on a tangent frame is the frame's 70 4x4 minors times the table.  It is
-  one integer product of the defect table's numerators, as the Cayley form
-  builds them (``CayleyForm.defect_numerators``), with those of psi, the
-  (0,1)-part as a (28, 4) matrix, which does not depend on the phase and
-  is built once per process from 2x2 minors (``exterior.pair_minors``).
+  the Cayley form's defect table times psi, the (0,1)-part as a (28, 4)
+  matrix, by the form's one exact product (``CayleyForm.defect_times``);
+  psi does not depend on the phase and is built once per process from 2x2
+  minors (``exterior.pair_minors``).
   Float grids are evaluated by one call of the graph entry of the table's
   ``exterior.FourFormTable``, built once per phase, whose kernel never
   forms the minors, skips the 13 of 28 pair minors of each row pair that
@@ -612,14 +612,11 @@ def _defect_table_exact(phase_pair):
 
     Row c is the normal-valued (0,1)-part, components _ONE_FORM_ROWS, of the
     rank-7 defect on the basis frame FOUR_FORM_INDEX[c]: the Cayley form's
-    defect_table() times psi (_psi, built once per process), by one integer
-    product of the real table's numerators with those of the real and
-    imaginary parts of psi side by side.  The defect on a frame is the
-    frame's 70 minors times this table."""
+    defect_table() times psi (_psi, built once per process), by one call of
+    its defect_times on the real and imaginary parts of psi side by side.
+    The defect on a frame is the frame's 70 minors times this table."""
     model = build_model(4, backend=EXACT, phase_pair=phase_pair)
-    nums, den = phi_from_kahler(model).defect_numerators()
-    psi, psi_den = _psi()
-    both = _ratlinalg.unscaled(nums @ psi, den * psi_den)
+    both = phi_from_kahler(model).defect_times(*_psi())
     r = len(_ONE_FORM_ROWS)
     return tuple(tuple(ExactComplex(re, im) if re or im else _NIL
                        for re, im in zip(row[:r], row[r:]))

@@ -96,7 +96,7 @@ def _reference_checks(suite, seed):
         contradictions = hits = disagreements = 0
         for plane, built_complex in pool:
             verdict = spin7.is_cayley(Phi, plane)
-            by_value = abs(verdict.phi_value - 1.0) < spin7.PHI_TOL
+            by_value = abs(verdict.phi_value - 1.0) < cli.PHI_TOL
             contradictions += by_value != (verdict.tau_norm < spin7.TAU_TOL)
             hits += by_value
             sigma = graphs.is_complex_plane(model, plane)
@@ -880,8 +880,8 @@ def test_graph_verify_reads_an_exact_defect_norm_on_an_exact_tilt(tmp_path):
 
 
 def test_graph_defect_norm_is_tau_evals_exactly():
-    # seven_basis is orthonormal, so the squares of the seven components sum
-    # to |tau|^2 exactly, and the report's norm is tau_eval's, rounded once
+    # the adapted basis is orthonormal, so the squares of the seven components
+    # sum to |tau|^2 exactly, and the report's norm is tau_eval's, rounded once
     rng = np.random.default_rng(40)
     Phi = spin7.phi0(EXACT)
     for _ in range(6):

@@ -18,8 +18,8 @@ from cayleykit.errors import (
     ValidationError,
 )
 from cayleykit.exterior import (
-    EXACT, FLOAT, ExactComplex, Vector, fold_table, four_form_values, hook_many,
-    inner)
+    EXACT, FLOAT, FOUR_FORM_INDEX, ExactComplex, Multivector, Vector,
+    coefficient_matrix, fold_table, four_form_values, hook_many, inner)
 from cayleykit.frames import (
     ORTHONORMAL_TOL, as_matrix, orthonormal_rows, orthonormality_residual,
     random_unitary)
@@ -42,7 +42,6 @@ from cayleykit.graphs import (
     random_graph_coefficients,
     random_plane,
     residual_quadratics,
-    seven_basis,
     solve_complex_graph_linear,
     solve_tau_system,
     tau_graph_components,
@@ -53,7 +52,7 @@ from cayleykit.kahler import (
     build_model,
     holo_vector,
 )
-from cayleykit.spin7 import is_cayley, phi0, tau_eval, tau_norm
+from cayleykit.spin7 import is_cayley, phi0, phi_from_kahler, tau_eval, tau_norm
 from test_ratlinalg import gauss_jordan
 
 rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -66,12 +65,27 @@ def _exact_tilt(flat):
         [flat[4 * j:4 * j + 4] for j in range(4)], backend=EXACT)
 
 
+def _seven_basis(Phi):
+    """The adapted orthonormal basis of the 7-piece, four mixed then three
+    diagonal two-forms, as pi7 of unit two-forms: the reference route for
+    CayleyForm.seven_basis."""
+    mixed = [
+        Phi.pi7_apply(Multivector.basis(8, (1, 4 + i), Phi.backend))
+        for i in range(1, 5)
+    ]
+    diagonal = [
+        Phi.pi7_apply(Multivector.basis(8, (1, 1 + a), Phi.backend))
+        for a in range(1, 4)
+    ]
+    return mixed, diagonal
+
+
 def _components_by_tau_eval(lam):
     """The seven components as inner products of tau_eval on the graph
     frame with the adapted basis: the reference route."""
     Phi = phi0(lam.backend)
     value = tau_eval(Phi, *graph_frame(lam))
-    mixed, diagonal = seven_basis(Phi)
+    mixed, diagonal = _seven_basis(Phi)
     return (tuple(inner(value, b) for b in mixed),
             tuple(inner(value, b) for b in diagonal))
 
@@ -120,11 +134,49 @@ def test_components_match_tau_eval_route_in_floats():
 def test_component_table_on_float_frames_is_the_float_fold_bit_for_bit():
     # the float fold of the exact component table, each entry its
     # numerator over the common denominator, correctly rounded
-    table = graphs._component_table()
+    table = phi0(EXACT).component_table()
     nums, den = _ratlinalg.scaled(table.table)
     frames = np.random.default_rng(5).standard_normal((5, 4, 8))
     fold = fold_table((nums / den).astype(float))
     assert np.array_equal(table(frames), four_form_values(frames, fold))
+
+
+# phi0 and the torus form at two phases; the torus form's tangent axes are
+# 1..4 and its normal ones 5..8
+_FORMS = [None, (1, 0), (Fraction(3, 5), Fraction(4, 5))]
+
+
+def _exact_form(phase):
+    if phase is None:
+        return phi0(EXACT)
+    return phi_from_kahler(build_model(4, backend=EXACT, phase_pair=phase))
+
+
+@pytest.mark.parametrize("phase", _FORMS)
+def test_seven_basis_is_the_pi7_route_and_orthonormal(phase):
+    Phi = _exact_form(phase)
+    nums, den = Phi.seven_basis()
+    mixed, diagonal = _seven_basis(Phi)
+    assert (_ratlinalg.unscaled(nums, den)
+            == _ratlinalg.unscaled(*coefficient_matrix(mixed + diagonal, 2)))
+    gram = _ratlinalg.unscaled(nums.T @ nums, den * den)
+    assert gram == tuple(tuple(int(a == b) for b in range(7)) for a in range(7))
+
+
+@pytest.mark.parametrize("phase", _FORMS)
+def test_component_table_is_graded_by_normal_degree(phase):
+    # McLean's splitting of the 7-piece over a complex surface: the mixed
+    # components live on the rows with 1 or 3 normal axes, the diagonal ones
+    # on the rows with 2, and the rows with 0 or 4 are zero
+    nonzero = np.asarray(_exact_form(phase).component_table().table) != 0
+    degree = np.array([sum(axis > 4 for axis in quad) for quad in FOUR_FORM_INDEX])
+    assert np.bincount(degree).tolist() == [1, 16, 36, 16, 1]
+    odd = (degree == 1) | (degree == 3)
+    mixed, diagonal = nonzero[:, :4], nonzero[:, 4:]
+    assert mixed[odd].any(axis=1).all() and not mixed[~odd].any()
+    assert not diagonal[degree != 2].any()
+    expected = 24 if phase in (None, (1, 0)) else 32
+    assert np.count_nonzero(diagonal[degree == 2].any(axis=1)) == expected
 
 
 def test_zero_tilt_is_a_solution():

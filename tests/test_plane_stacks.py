@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cayleykit.cli import PHI_TOL
 from cayleykit.errors import BackendMismatch, DimensionMismatch, PlaneError
 from cayleykit.exterior import EXACT
 from cayleykit.frames import (
@@ -25,7 +26,7 @@ from cayleykit.graphs import (
     random_complex_plane,
     random_plane,
 )
-from cayleykit.spin7 import PHI_TOL, is_cayley, phi0
+from cayleykit.spin7 import is_cayley, phi0
 
 # A frame's values may differ in the last bits between a stack and a call
 # of its own (exterior.four_form_values rounds one frame otherwise than a

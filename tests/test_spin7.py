@@ -32,9 +32,10 @@ from cayleykit.exterior import (
     volume_form,
     wedge,
 )
-from cayleykit.frames import ORTHONORMAL_TOL
+from cayleykit.frames import ORTHONORMAL_TOL, haar_unitary, orthonormal_rows
 from cayleykit.graphs import (
-    OrientedPlane, is_complex_plane, random_complex_plane, random_plane)
+    OrientedPlane, complex_frames, is_complex_plane, random_complex_plane,
+    random_plane)
 from cayleykit.kahler import build_model
 from cayleykit.spin7 import (
     TWO_FORM_INDEX,
@@ -517,6 +518,35 @@ def test_every_accepted_complex_plane_is_cayley(phi_cy_float, float_model):
         scaled = OrientedPlane.from_rows(plane.matrix() * (1 + eps))
         assert is_complex_plane(float_model, scaled).is_complex
         assert is_cayley(phi_cy_float, scaled).is_cayley
+
+
+def test_one_threshold_gives_the_two_threshold_verdicts(phi_cy_float):
+    # value^2 + |tau|^2 = det(f f^T), so on an OrientedPlane a defect within
+    # TAU_TOL puts the value within about 2e-10 of +-1: the value's sign
+    # decides what the old bound |value - 1| <= 1e-9 did.  The pool: Haar
+    # and complex planes, and e1..e4 tilted by eps A in both orientations,
+    # value and defect straddling their bounds
+    rng = np.random.default_rng(44)
+    a = rng.standard_normal((4, 8))
+    tilts = [orthonormal_rows(np.eye(8)[:4] + eps * a / np.linalg.norm(a))
+             for eps in np.logspace(-10, -3, 8)]
+    frames = np.concatenate([
+        orthonormal_rows(rng.standard_normal((400, 8, 4)).swapaxes(1, 2)),
+        complex_frames(haar_unitary(rng.standard_normal((100, 2, 4, 4))), 2),
+        tilts, [f[[1, 0, 2, 3]] for f in tilts]])
+    stacked = is_cayley(phi_cy_float, frames)
+    ones = [is_cayley(phi_cy_float, OrientedPlane.from_rows(f)) for f in frames]
+    for verdict, value, norm in (
+            (stacked.is_cayley, stacked.phi_value, stacked.tau_norm),
+            *((v.is_cayley, v.phi_value, v.tau_norm) for v in ones)):
+        assert np.array_equal(verdict, (np.abs(value - 1.0) <= 1e-9) & (norm <= 1e-7))
+    # the tilts probe both sides of the defect bound, and the band where the
+    # old value bound alone would have called a plane Cayley
+    value, norm = stacked.phi_value[-16:], stacked.tau_norm[-16:]
+    assert stacked.is_cayley[-16:].any() and not stacked.is_cayley[-16:].all()
+    assert ((np.abs(value - 1.0) <= 1e-9) & (norm > 1e-7)).any()
+    # the complex planes and the four tilts of defect at most TAU_TOL
+    assert np.count_nonzero(stacked.is_cayley) == 100 + 4
 
 
 def test_is_cayley_is_exact_on_exact_forms(phi_cy_exact):
