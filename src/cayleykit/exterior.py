@@ -66,14 +66,15 @@ the table's float fold, and exact frames on integers: scaled to Python-int
 numerators over one denominator (``_ratlinalg.scaled``), evaluated against
 the fold of the table's own numerators, and divided once.  Graph frames
 [I_4 | A], such as the flat-torus grids, have a second, float entry,
-``FourFormTable.graph_values``, which takes the normal blocks A: rows 1, 2
-of such a frame vanish off the axes 1, 2, 5..8 and rows 3, 4 off 3, 4,
-5..8, so 13 of the 28 pair minors of each row pair are exactly 0, and the
-same kernel runs on the 15 others against a (15, 15 r) slice of the fold.
-It copies each block of A once component-major, each entry of A one
-contiguous row over the block's frames, fills both row pairs' 15 minors
-with whole-row operations, and hands the kernel the row-major minors by
-one transposed copy: the products of a column-by-column fill, bit for bit.
+``FourFormTable.graph_values``, which takes the normal blocks A.  The minor
+of such a frame on the axes S is +-det A[R, C], C the normal axes of S and
+R the base rows S leaves out, so its 70 minors are A's minors of every size.
+The table is re-indexed onto them once, with the signs folded in and its
+all-zero rows dropped; each block of A, copied once component-major, fills
+only the minors the kept rows read (with the smaller ones their first-row
+Laplace expansions need) by whole-row products, and one matmul against the
+re-indexed table gives its values.  The (70, 4) torus table keeps 32 rows,
+which read A's 16 entries and its 16 3x3 minors.
 """
 
 from __future__ import annotations
@@ -1019,23 +1020,23 @@ _PAIR_I, _PAIR_J = np.array(TWO_FORM_INDEX).T - 1
 _PAIR_IJ, _PAIR_JI = _PAIR_I * 8 + _PAIR_J, _PAIR_J * 8 + _PAIR_I
 # frames per block of the kernel.  Against the complex torus fold (r = 4)
 # the (block, 28 * r) product of four_form_values is 0.9 MB at 512 frames,
-# inside a 2 MB L2 share, and the (block, 15 * r) one of the graph slice
-# 0.5 MB; the graph entry's component-major copy of a block of normal
-# blocks and its (2, 15, block) minors are 0.13 and 0.25 MB complex.  A
-# sweep on a 2-core Xeon ran 1296 to 10000 frames 2.2 to 2.7 times faster
-# than unblocked, flat from 256 to 1024 frames (CHANGES.md)
+# inside a 2 MB L2 share, and the graph entry's workspace for the torus
+# table, 51 minors and 36 scratch rows, 0.7 MB.  A sweep on a 2-core Xeon
+# ran 1296 to 10000 frames 2.2 to 2.7 times faster than unblocked, flat
+# from 256 to 1024 frames (CHANGES.md)
 _BLOCK = 512
 
-# On a graph frame [I_4 | A], rows 1, 2 are zero off the axes 1, 2, 5..8 and
-# rows 3, 4 off the axes 3, 4, 5..8, so a pair minor of either row pair is
-# exactly 0 unless the pair lies inside those six axes: 15 of the 28 pairs
-# each.  The pairs of a graph frame's rows 1, 2 (_GRAPH_LO) and of its rows
-# 3, 4 (_GRAPH_HI), as positions in TWO_FORM_INDEX
-_GRAPH_LO, _GRAPH_HI = (
-    np.array([p for p, pair in enumerate(TWO_FORM_INDEX) if set(pair) <= axes])
-    for axes in ({1, 2, 5, 6, 7, 8}, {3, 4, 5, 6, 7, 8}))
-# the pairs of normal axes, as positions 0..3 in a row of A
-_NORMAL_I, _NORMAL_J = np.array(list(itertools.combinations(range(4), 2))).T
+
+# The minor of a graph frame [I_4 | A] on the axes S is sign * det A[R, C],
+# C the normal axes of S as columns of A and R the base rows S leaves out,
+# 0-based, and sign that of moving the rows of S's base axes B to the front,
+# (-1)^(sum(b - 1) - |B|(|B| - 1)/2).  _GRAPH_MINORS[c] = (R, C, sign) for
+# the c-th 4-subset, whose base axes come first
+_GRAPH_MINORS = tuple(
+    (tuple(i for i in range(4) if i + 1 not in quad),
+     tuple(x - 5 for x in quad if x > 4),
+     (-1) ** sum(b - 1 - k for k, b in enumerate(quad) if b <= 4))
+    for quad in FOUR_FORM_INDEX)
 
 
 def fold_table(table):
@@ -1081,42 +1082,79 @@ def _frame_pair_minors(block):
     return minors[:, 0], minors[:, 1]
 
 
-def _graph_pair_minors(block):
-    """The 15 pair minors on _GRAPH_LO of rows 1, 2 and on _GRAPH_HI of rows
-    3, 4 of the graph frames [I_4 | A] of (n, 4, 4) normal blocks A, as two
-    C-contiguous (n, 15) arrays.  The rows e_a + x and e_b + y, a < b <= 4,
-    of a graph frame on the six axes a, b, 5..8 give, in the order of
-    TWO_FORM_INDEX: (a, b) 1, (a, 4 + m) y_m, (b, 4 + m) -x_m, and the pairs
-    of normal axes the 2x2 minors of x and y.  The block is copied once
-    component-major, each entry of A a contiguous length-n row, so both row
-    pairs are filled at once with whole-row operations into one (2, 15, n)
-    array, and one transposed copy hands the kernel its row-major operands."""
-    a = np.ascontiguousarray(block.transpose(1, 2, 0))
-    x, y = a[0::2], a[1::2]
-    out = np.empty((2, len(_GRAPH_LO), len(block)), a.dtype)
-    out[:, 0] = 1
-    out[:, 1:5] = y
-    np.negative(x, out=out[:, 5:9])
-    np.subtract(x[:, _NORMAL_I] * y[:, _NORMAL_J], x[:, _NORMAL_J] * y[:, _NORMAL_I],
-                out=out[:, 9:])
-    top, bottom = out.transpose(0, 2, 1).copy()
-    return top, bottom
+def _graph_plan(table):
+    """(size, count, levels, signed) for a float (70, r) table.  A block
+    fills ``size`` minors of A: the empty one (1), A's 16 entries row-major,
+    then by size those the table's nonzero rows read and the smaller ones
+    their first-row Laplace expansions need.  A level (lo, hi, factors,
+    subs) fills the rows lo..hi of size k, at most ``count`` of them:
+    det A[R, C] is the sum over t of (-1)^t A[R[0], C[t]] det A[R[1:], C
+    without C[t]], rows factors[t] and subs[t].  ``signed`` is the table
+    on these rows, signs folded in."""
+    kept = [c for c in range(len(table)) if table[c].any()]
+    need = {((), ())} | {((i,), (m,)) for i in range(4) for m in range(4)}
+    need |= {_GRAPH_MINORS[c][:2] for c in kept}
+    for k in (4, 3):
+        need |= {(R[1:], C[:t] + C[t + 1:]) for R, C in need if len(R) == k
+                 for t in range(k)}
+    order = sorted(need, key=lambda minor: (len(minor[0]), minor))
+    pos = {minor: p for p, minor in enumerate(order)}
+    levels = []
+    for k in (2, 3, 4):
+        run = [(R, C) for R, C in order if len(R) == k]
+        if run:
+            factors = [[pos[R[:1], C[t:t + 1]] for R, C in run] for t in range(k)]
+            subs = [[pos[R[1:], C[:t] + C[t + 1:]] for R, C in run] for t in range(k)]
+            levels.append((pos[run[0]], pos[run[-1]] + 1,
+                           np.array(factors), np.array(subs)))
+    signed = np.zeros((len(order), table.shape[1]),
+                      np.result_type(table.dtype, np.float64))
+    for c in kept:
+        R, C, sign = _GRAPH_MINORS[c]
+        signed[pos[R, C]] = sign * table[c]
+    signed.flags.writeable = False
+    count = max((hi - lo for lo, hi, _, _ in levels), default=0)
+    return len(order), count, tuple(levels), signed
 
 
-def _contract(frames, fold, minors):
+def _graph_minors(block, levels, minors, scratch):
+    """Fill the (size, n) ``minors`` of an (n, 4, 4) block of normal blocks
+    A (floats, complex numbers, or Fractions in object arrays) on the rows
+    of _graph_plan, each minor one contiguous row over the frames, and
+    return it.  A is copied once component-major; a level then adds up its
+    k terms one at a time, gathering factors and sub-minors into the two
+    halves of the (2, count, n) ``scratch`` (mode="clip" lets np.take write
+    there unbuffered; every index is in range)."""
+    minors[0] = 1
+    minors[1:17] = block.reshape(len(block), 16).T
+    for lo, hi, factors, subs in levels:
+        x, y = scratch[:, :hi - lo]
+        out = minors[lo:hi]
+        for t in range(len(factors)):
+            np.take(minors, factors[t], axis=0, out=x, mode="clip")
+            np.take(minors, subs[t], axis=0, out=y, mode="clip")
+            if t:
+                x *= y
+                (np.add, np.subtract)[t % 2](out, x, out=out)
+            else:
+                np.multiply(x, y, out=out)
+    return minors
+
+
+def _contract(frames, fold):
     """The kernel: a batch's pair minors against a fold, _BLOCK frames at a
     time.  ``fold`` has one row per pair of rows 3, 4 and r columns per
-    pair of rows 1, 2, the same pairs, and ``minors(block)`` gives a
-    block's (top, bottom) pair minors of rows 1, 2 and of rows 3, 4 on
-    them.  ``bottom @ fold`` sums every split of every subset at once, and
-    a batched matmul with ``top`` contracts the result into the block's
-    rows of the preallocated (P, r) output."""
+    pair of rows 1, 2, and _frame_pair_minors gives a block's (top, bottom)
+    pair minors of rows 1, 2 and of rows 3, 4.  ``bottom @ fold`` sums
+    every split of every subset at once, and a batched matmul with ``top``
+    contracts the result into the block's rows of the preallocated (P, r)
+    output."""
     P = frames.shape[0]
     pairs = fold.shape[0]
     r = fold.shape[1] // pairs
     out = np.empty((P, r), np.result_type(frames.dtype, fold.dtype))
     for start in range(0, P, _BLOCK):
-        top, bottom = minors(frames[start:start + _BLOCK])
+        top, bottom = _frame_pair_minors(frames[start:start + _BLOCK])
         folded = (bottom @ fold).reshape(len(top), pairs, r)
         np.matmul(top[:, None, :], folded, out=out[start:start + _BLOCK, None, :])
     return out
@@ -1142,7 +1180,7 @@ def four_form_values(frames, fold):
     if frames.ndim != 3 or frames.shape[1:] != (4, 8):
         raise DimensionMismatch(
             "need a (P, 4, 8) array of 4-frames, got shape %s" % (frames.shape,))
-    return _contract(frames, fold, _frame_pair_minors)
+    return _contract(frames, fold)
 
 
 class FourFormTable:
@@ -1181,14 +1219,14 @@ class FourFormTable:
     def graph_values(self, normal_blocks):
         """The (P, r) values of the graph frames [I_4 | A] of a (P, 4, 4)
         float or complex stack of normal blocks A, as this table called on
-        the (P, 4, 8) frames would give them up to rounding.  Only 15 of the
-        28 pair minors of each row pair can be nonzero on such a frame
-        (_GRAPH_LO, _GRAPH_HI), so the kernel runs on the (15, 15 * r) slice
-        of the float fold that meets them, 225 of its 784 (l, h) pairs,
-        built on first use; the minors it skips are exactly 0.  Each block
-        of A is copied once component-major, so the 15 minors of both row
-        pairs are filled by whole-row operations (_graph_pair_minors), the
-        same products as a column-by-column fill, bit for bit."""
+        the (P, 4, 8) frames would give them up to rounding.  A frame's
+        minor on the axes S is +-det A[R, C] (_GRAPH_MINORS), so its 70
+        minors are A's minors of every size, 1 + 16 + 36 + 16 + 1.  The
+        table is re-indexed onto them once, its zero rows dropped
+        (_graph_plan); each block of _BLOCK frames fills only the minors
+        the kept rows read and their Laplace expansions need
+        (_graph_minors), and one matmul against the re-indexed table gives
+        its values.  The (70, 4) torus table reads 16 + 18 + 16 minors."""
         blocks = np.asarray(normal_blocks)
         if blocks.ndim != 3 or blocks.shape[1:] != (4, 4):
             raise DimensionMismatch(
@@ -1196,25 +1234,36 @@ class FourFormTable:
                 % (blocks.shape,))
         if blocks.dtype.kind not in "fc":
             raise BackendMismatch("graph frames take float or complex normal blocks")
-        return _contract(blocks, self._graph_fold, _graph_pair_minors)
+        size, count, levels, signed = self._graph_plan
+        out = np.empty((len(blocks), signed.shape[1]),
+                       np.result_type(blocks.dtype, signed.dtype))
+        # one workspace per call, which every block reuses as C-contiguous
+        # minors and scratch of its own width
+        work = np.empty((size + 2 * count) * min(len(blocks), _BLOCK), blocks.dtype)
+        for start in range(0, len(blocks), _BLOCK):
+            block = blocks[start:start + _BLOCK]
+            n = len(block)
+            minors = work[:size * n].reshape(size, n)
+            scratch = work[size * n:(size + 2 * count) * n].reshape(2, count, n)
+            _graph_minors(block, levels, minors, scratch)
+            np.matmul(minors.T, signed, out=out[start:start + n])
+        return out
 
     @cached_property
-    def _graph_fold(self):
-        fold = self._float_fold
-        pairs = len(TWO_FORM_INDEX)
-        r = fold.shape[1] // pairs
-        graph = fold.reshape(pairs, pairs, r)[np.ix_(_GRAPH_HI, _GRAPH_LO)]
-        graph = graph.reshape(len(_GRAPH_HI), len(_GRAPH_LO) * r)
-        graph.flags.writeable = False
-        return graph
+    def _graph_plan(self):
+        return _graph_plan(self._float_table)
 
     @cached_property
     def _float_fold(self):
+        return fold_table(self._float_table)
+
+    @cached_property
+    def _float_table(self):
         table = self.table
         if table.dtype == object:
             real = _COMPLEX.isdisjoint(map(type, table.flat))
             table = table.astype(float if real else complex)
-        return fold_table(table)
+        return table
 
     @cached_property
     def _exact_fold(self):

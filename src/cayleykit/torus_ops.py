@@ -32,10 +32,10 @@ artifacts.  The module provides:
   psi does not depend on the phase and is built once per process from 2x2
   minors (``exterior.pair_minors``).
   Float grids are evaluated by one call of the graph entry of the table's
-  ``exterior.FourFormTable``, built once per phase, whose kernel never
-  forms the minors, skips the 13 of 28 pair minors of each row pair that
-  are 0 on a graph frame, and walks the grid's frames in cache-sized
-  blocks.  The frames are graphs [I_4 | t A],
+  ``exterior.FourFormTable``, built once per phase, whose kernel reads a
+  graph frame's minors off those of its normal block, fills only the 16
+  entries and 16 3x3 minors the table's nonzero rows read, and walks the
+  grid's frames in cache-sized blocks.  The frames are graphs [I_4 | t A],
   and the blocks A come from one grid synthesis per section (four small
   products with a cached DFT matrix, one per base axis), of the
   derivatives of the displacement's four normal components along the four
@@ -117,6 +117,16 @@ def _rank(bundle):
         raise ValidationError("unknown bundle tag %r" % (bundle,)) from None
 
 
+@lru_cache(maxsize=None)
+def _modes(K):
+    """TorusModel.modes at K, built once per K and read-only."""
+    g = np.arange(-K, K + 1)
+    k1, k2, k3, k4 = np.meshgrid(g, g, g, g, indexing="ij")
+    modes = np.stack([k1.ravel(), k2.ravel(), k3.ravel(), k4.ravel()], axis=1)
+    modes.flags.writeable = False
+    return modes
+
+
 @dataclass(frozen=True)
 class TorusModel:
     """Truncated Fourier model over the flat 4-torus inside the flat 8-torus.
@@ -141,9 +151,7 @@ class TorusModel:
 
     def modes(self):
         """Integer mode vectors, shape (mode_count, 4), C-order over axes."""
-        g = np.arange(-self.K, self.K + 1)
-        k1, k2, k3, k4 = np.meshgrid(g, g, g, g, indexing="ij")
-        return np.stack([k1.ravel(), k2.ravel(), k3.ravel(), k4.ravel()], axis=1)
+        return _modes(self.K)
 
     def zero_mode(self):
         """Flat index of the constant mode."""
@@ -678,11 +686,11 @@ def nonlinear_F(model, v, t=1.0):
     form's defect table followed by the normal-valued (0,1)-part,
     precombined exactly and held as one ``exterior.FourFormTable``, so one
     call of its graph entry on the frames' normal blocks gives every grid
-    point without forming the frames' 70 minors.  The result has shape
-    (G^4, 4) on the grid G = 2K + 2 of ``grid_values``, components ordered
-    (1,3), (1,4), (2,3), (2,4); the map extends the real geometric defect
-    complex-multilinearly in the frame vectors.  t must be a finite real
-    number."""
+    point from the minors of the blocks that the table reads.  The result
+    has shape (G^4, 4) on the grid G = 2K + 2 of ``grid_values``,
+    components ordered (1,3), (1,4), (2,3), (2,4); the map extends the real
+    geometric defect complex-multilinearly in the frame vectors.  t must be
+    a finite real number."""
     if not _finite_real(t):
         raise ValidationError("scale t must be a finite real number, not %r" % (t,))
     return _defect_on_grids(model, _derivative_grids(model, v), t)

@@ -541,23 +541,6 @@ def test_graph_entry_matches_the_generic_kernel(count, kind):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def _row_major_graph_pairs(x, y):
-    # the graph pair minors filled column by column into a row-major (n, 15)
-    # array, the oracle for the component-major fill of _graph_pair_minors
-    out = np.empty((len(x), 15), np.result_type(x.dtype, y.dtype))
-    out[:, 0] = 1
-    out[:, 1:5] = y
-    np.negative(x, out=out[:, 5:9])
-    i, j = exterior._NORMAL_I, exterior._NORMAL_J
-    np.subtract(x[:, i] * y[:, j], x[:, j] * y[:, i], out=out[:, 9:])
-    return out
-
-
-def _row_major_graph_pair_minors(block):
-    return (_row_major_graph_pairs(block[:, 0], block[:, 1]),
-            _row_major_graph_pairs(block[:, 2], block[:, 3]))
-
-
 def _graph_blocks(count, kind, layout):
     rng = np.random.default_rng(count)
     rows = 2 * count if layout == "strided" else count
@@ -569,34 +552,92 @@ def _graph_blocks(count, kind, layout):
     return np.asfortranarray(blocks) if layout == "fortran" else blocks
 
 
-@pytest.mark.parametrize("layout", ["C", "strided", "fortran"])
-@pytest.mark.parametrize("count", [1, _B - 1, _B, _B + 1, 3 * _B + 5],
-                         ids=["1", "B-1", "B", "B+1", "3B+5"])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_graph_pair_minors_match_the_row_major_fill(count, kind, layout):
-    # the same products in the same order, so bit for bit, and both halves
-    # C-contiguous as the kernel's matmuls take them
-    blocks = _graph_blocks(count, kind, layout)
-    got = exterior._graph_pair_minors(blocks)
-    want = _row_major_graph_pair_minors(blocks)
-    for g, w in zip(got, want):
-        assert g.flags.c_contiguous and w.flags.c_contiguous
-        assert g.dtype == w.dtype == blocks.dtype
-        assert np.array_equal(g, w)
-
-
-@pytest.mark.parametrize("layout", ["C", "strided", "fortran"])
+@pytest.mark.parametrize("layout", ["strided", "fortran"])
 @pytest.mark.parametrize("count", [1, _B + 1, 3 * _B + 5], ids=["1", "B+1", "3B+5"])
 @pytest.mark.parametrize("kind", ["real", "complex"])
-def test_graph_entry_is_the_kernel_on_the_row_major_fill(count, kind, layout):
+def test_graph_entry_does_not_depend_on_the_block_layout(count, kind, layout):
+    # each block is copied component-major first, so the same values in
+    # any memory layout give the same minors and the same bits
     rng = np.random.default_rng(count + 1)
     table = rng.standard_normal((70, 4))
     if kind == "complex":
         table = table + 1j * rng.standard_normal((70, 4))
     table = FourFormTable(table)
     blocks = _graph_blocks(count, kind, layout)
-    want = exterior._contract(blocks, table._graph_fold, _row_major_graph_pair_minors)
+    want = table.graph_values(np.ascontiguousarray(blocks))
     assert np.array_equal(table.graph_values(blocks), want)
+
+
+@pytest.mark.parametrize("P", [1, 6, 40])
+def test_graph_minors_are_the_exact_minors_of_the_graph_frame(P):
+    # the minor routine on Fractions, zeros included, re-indexed with the
+    # signs of the identity table's plan, gives [I_4 | A]'s 70 minors as
+    # the identity table gives them exactly
+    rng = random.Random(P)
+    blocks = np.empty((P, 4, 4), dtype=object)
+    blocks[...] = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                     if rng.random() < 0.7 else Fraction(0)
+                     for _ in range(4)] for _ in range(4)] for _ in range(P)]
+    size, count, levels, signed = _IDENTITY._graph_plan
+    assert size == 70 and count == 36 and len(levels) == 3
+    assert sorted(np.abs(signed).sum(axis=0)) == [1] * 70
+    minors = exterior._graph_minors(blocks, levels, np.empty((size, P), object),
+                                    np.empty((2, count, P), object))
+    got = minors.T @ signed.astype(int).astype(object)
+    frames = np.zeros((P, 4, 8), dtype=object)
+    frames[:, :, :4] = np.eye(4, dtype=int)
+    frames[:, :, 4:] = blocks
+    want = _IDENTITY(frames)
+    assert [tuple(row) for row in got] == list(want)
+
+
+def _degree(quad):
+    return sum(axis > 4 for axis in quad)
+
+
+@pytest.mark.parametrize("zeroed", ["even", "odd", "random"])
+def test_graph_entry_drops_zero_rows(zeroed):
+    # a table with zero rows fills only the minors its other rows read, and
+    # agrees with the full kernel: all 70 minors (the identity table, which
+    # has no zero row) times the table
+    rng = np.random.default_rng(len(zeroed))
+    table = rng.standard_normal((70, 4)) + 1j * rng.standard_normal((70, 4))
+    if zeroed == "random":
+        drop = rng.random(70) < 0.5
+    else:
+        drop = np.array([_degree(quad) % 2 == (zeroed == "odd")
+                         for quad in FOUR_FORM_INDEX])
+    table[drop] = 0
+    blocks = _graph_blocks(300, "complex", "C")
+    got = FourFormTable(table).graph_values(blocks)
+    want = FourFormTable(np.eye(70)).graph_values(blocks) @ table
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    size, _, _, signed = FourFormTable(table)._graph_plan
+    assert np.count_nonzero(np.abs(signed).sum(axis=1)) == 70 - drop.sum()
+    if zeroed == "even":
+        # the rows of degree 1 and 3 read A's 16 entries and 16 3x3 minors,
+        # which need the 18 2x2 minors on A's rows 2..4
+        assert size == 1 + 16 + 18 + 16
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["dense", "odd"])
+def test_graph_entry_keeps_a_non_finite_block(kind, bad):
+    # a NaN or an infinity in any entry of A reaches its frame's values,
+    # also when the table drops rows
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((70, 4)) + 1j * rng.standard_normal((70, 4))
+    if kind == "odd":
+        table[[_degree(quad) % 2 == 0 for quad in FOUR_FORM_INDEX]] = 0
+    table = FourFormTable(table)
+    blocks = _graph_blocks(16, "complex", "C").copy()
+    for p in range(16):
+        blocks[p].flat[p] = bad
+    blocks = np.concatenate([blocks, _graph_blocks(5, "complex", "C")])
+    with np.errstate(invalid="ignore"):  # inf * 0 in a complex product
+        values = table.graph_values(blocks)
+    assert not np.isfinite(values[:16]).all(axis=1).any()
+    assert np.isfinite(values[16:]).all()
 
 
 def test_graph_entry_rejects_bad_shapes():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleykit import exterior, spin7
+from cayleykit import _ratlinalg, exterior, spin7
 from cayleykit._ratlinalg import rank as exact_rank
 from cayleykit.errors import BackendMismatch, DimensionMismatch, PlaneError
 from cayleykit.exterior import (
@@ -429,6 +429,23 @@ def test_defect_table_is_cached():
     Phi = phi0(backend=FLOAT)
     assert Phi.defect_table() is Phi.defect_table()
     assert Phi.phi_row() is Phi.phi_row()
+
+
+@pytest.mark.parametrize("form", ["phi0", "kahler"])
+def test_cayley_identity_holds_exactly_on_rational_frames(form, phi_exact, phi_cy_exact):
+    # Harvey-Lawson (1982, IV.1): phi(f)^2 + |tau(f)|^2 = det(f f^T) on every
+    # 4-frame f, orthonormal or not, with tau as defect_table normalizes it.
+    # Both sides are polynomials of degree 8 in the entries of f, here
+    # compared exactly on 20 seeded rational frames, zeros included
+    Phi = phi_exact if form == "phi0" else phi_cy_exact
+    rng = np.random.default_rng(4)
+    frames = np.empty((20, 4, 8), dtype=object)
+    frames[...] = [[[Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+                     for _ in range(8)] for _ in range(4)] for _ in range(20)]
+    for frame, values in zip(frames, Phi.cayley_table()(frames)):
+        *tau, phi = values
+        gram = [[sum(x * y for x, y in zip(u, v)) for v in frame] for u in frame]
+        assert phi**2 + sum(t * t for t in tau) == _ratlinalg.det(gram)
 
 
 def _pi7_by_hook(Phi):

@@ -162,6 +162,22 @@ def test_adjoint_pairing_identity():
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("K", [0, 1, 3])
+def test_modes_are_one_read_only_array_per_K(K):
+    # the meshgrid construction, built once per K whatever the phase, and
+    # shared by every caller, so no caller may write into it
+    g = np.arange(-K, K + 1)
+    grids = np.meshgrid(g, g, g, g, indexing="ij")
+    want = np.stack([k.ravel() for k in grids], axis=1)
+    modes = TorusModel(K).modes()
+    assert modes.dtype == want.dtype and np.array_equal(modes, want)
+    assert modes.shape == (TorusModel(K).mode_count, 4)
+    assert not modes.flags.writeable
+    assert TorusModel(K, phase_pair=(Fraction(3, 5), Fraction(4, 5))).modes() is modes
+    with pytest.raises(ValueError):
+        modes[0, 0] = 0
+
+
 @pytest.mark.parametrize("phase", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
 def test_blocks_are_the_hand_written_multipliers(phase):
     # m_b is the Fourier multiplier of d/dzbar_b; the blocks from the exact
