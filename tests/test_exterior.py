@@ -568,6 +568,21 @@ def test_graph_entry_does_not_depend_on_the_block_layout(count, kind, layout):
     assert np.array_equal(table.graph_values(blocks), want)
 
 
+@pytest.mark.parametrize("layout", ["C", "strided", "fortran"])
+@pytest.mark.parametrize("count", [1, _B - 1, _B, _B + 1, 3 * _B + 5],
+                         ids=["1", "B-1", "B", "B+1", "3B+5"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_graph_minors_match_the_determinants(count, kind, layout):
+    # the identity table keeps all 70 rows, so its graph entry is the fill
+    # of every minor of A in every block, the last partial one included:
+    # each the determinant of its 4x4 submatrix of [I_4 | A]
+    blocks = _graph_blocks(count, kind, layout)
+    got = FourFormTable(np.eye(70)).graph_values(blocks)
+    want = _det_minors(_graph_frames(blocks))
+    assert got.shape == (count, 70) and got.dtype == blocks.dtype
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("P", [1, 6, 40])
 def test_graph_minors_are_the_exact_minors_of_the_graph_frame(P):
     # the minor routine on Fractions, zeros included, re-indexed with the
