@@ -31,7 +31,6 @@ from .exterior import (
 from .kahler import build_model, to_complex_frame
 from .spin7 import (
     CayleyForm,
-    find_equivalence,
     is_cayley,
     phi0,
     phi_from_kahler,
@@ -88,7 +87,6 @@ __all__ = [
     "build_model",
     "canonical_angles",
     "fd_linearization_check",
-    "find_equivalence",
     "graph_frame",
     "hodge_star",
     "hook",

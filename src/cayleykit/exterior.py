@@ -8,10 +8,10 @@ repeated indices are canonicalized on construction, e.g. {(2, 1): 5}
 becomes {(1, 2): -5}: ``sort_indices`` parses the tuple keys callers hand
 in, and nothing else.  Every other sign is read off masks by popcounts:
 that of a wedge of two blades, of a blade and its complement in the Hodge
-star, of dropping one axis in a hook and of relabeling the axes.
-Construction, ``+``, ``wedge``, ``hook`` and ``apply_signed_permutation``
-hand their (mask, coefficient) pairs, in order, to one accumulator
-(``_sum``), which adds them up per mask and drops a mask whose sum is 0.
+star and of dropping one axis in a hook.  Construction, ``+``, ``wedge``
+and ``hook`` hand their (mask, coefficient) pairs, in order, to one
+accumulator (``_sum``), which adds them up per mask and drops a mask whose
+sum is 0.
 
 Two backends:
 
@@ -48,9 +48,11 @@ and ``re``, ``im`` and ``conj()`` take them apart.  ``inner`` and
 The metric is Euclidean with orthonormal basis e_1..e_n and orientation
 e_1 ^ ... ^ e_n.  All operations return new objects; nothing mutates.
 Other modules read a form through the functions here (``numerators``,
-``coefficient_matrix``, ``from_numerators``, ``substitute``,
-``relabel_blade`` and the methods ``blades``, ``coefficients``, ``without``
-and ``restrict``), never through its masks or numerators.
+``coefficient_matrix``, ``from_numerators``, ``substitute`` and the methods
+``blades``, ``coefficients``, ``without`` and ``restrict``), never through
+its masks or numerators.  ``substitute`` is the one pullback: it moves a
+form along any linear change of the one-forms, a signed relabeling of the
+axes e^i -> s_i e^pi(i) included.
 
 Alternating 4-linear maps on R^8, such as the calibration value and the
 Cayley defect, are tables over FOUR_FORM_INDEX, evaluated on a 4-frame as
@@ -346,20 +348,6 @@ _DROPS = tuple(tuple((m ^ (1 << (i - 1)), pos & 1, i - 1) for pos, i in enumerat
 def _merge_sign(a, b):
     """The sign of sorting blade a followed by the disjoint blade b."""
     return -1 if (a & _ABOVE[b]).bit_count() & 1 else 1
-
-
-def relabel_blade(mask, perm):
-    """The image of a blade under the relabeling e_i -> e_perm[i-1]: the
-    image blade, and the sign of sorting the images of its axes taken in
-    increasing order.  Only the entries of ``perm`` on the blade's axes are
-    read, 1-based targets, distinct on them."""
-    image, swaps = 0, 0
-    for i in _KEY[mask]:
-        bit = 1 << (perm[i - 1] - 1)
-        # each image already placed above this one is a swap
-        swaps += (image & -(bit << 1)).bit_count()
-        image |= bit
-    return image, -1 if swaps & 1 else 1
 
 
 # -- exact numerators ---------------------------------------------------------
@@ -1272,28 +1260,3 @@ class FourFormTable:
             raise BackendMismatch("exact frames need a table of Fractions or ints")
         nums, den = _ratlinalg.scaled(self.table)
         return fold_table(nums), den
-
-
-def apply_signed_permutation(a, perm, signs):
-    """Push a multivector through the isometry e_i -> signs[i-1] * e_perm[i-1].
-
-    ``perm`` is a sequence of length n with 1-based targets forming a
-    permutation; ``signs`` is a sequence of +-1.  Each blade goes to its
-    relabel_blade image, times the sort's sign and the product of the signs
-    on its axes, -1 to the number of its axes with sign -1.
-    """
-    perm = tuple(check_integer(p, "perm entry", least=None) for p in perm)
-    signs = tuple(check_integer(s, "sign", least=None) for s in signs)
-    if sorted(perm) != list(range(1, a.n + 1)):
-        raise DimensionMismatch("perm %r is not a permutation of 1..%d" % (perm, a.n))
-    if len(signs) != a.n or any(s not in (-1, 1) for s in signs):
-        raise DimensionMismatch("signs must be +-1 of length %d" % (a.n,))
-    flipped = _mask(i for i, s in enumerate(signs, 1) if s < 0)
-    add, mul = _arith(a._blades.values())
-    images = []
-    for m, coeff in a._blades.items():
-        image, sign = relabel_blade(m, perm)
-        if (m & flipped).bit_count() & 1:
-            sign = -sign
-        images.append((image, mul(sign, coeff)))
-    return Multivector._of(a.n, a.backend, _sum(images, add, _ZERO[a.backend]), a._den)

@@ -50,7 +50,6 @@ from .exterior import (
     inner,
     musical_flat,
     numerators,
-    relabel_blade,
     sort_indices,
     wedge,
 )
@@ -442,85 +441,3 @@ def is_cayley(Phi, plane):
         val, tn = val.item(), tn.item()
     return CayleyVerdict(is_cayley=(val > 0) & (tn <= TAU_TOL),
                          phi_value=val, tau_norm=tn)
-
-
-def find_equivalence(a, b):
-    """Search for a signed axis relabeling carrying form a onto form b.
-
-    Returns (perm, signs) with perm a tuple of 1-based targets and signs a
-    tuple of +-1 such that pushing a through e_i -> signs[i]*e_perm[i]
-    gives b; or None when no such relabeling exists.  Tries the identity
-    relabeling first.  Forms on different backends never compare equal, so
-    they raise BackendMismatch before the search.  The relabelings are
-    walked in ``itertools.permutations`` order by backtracking, axis by
-    axis, past every branch where a placed term of a misses b's support:
-    for phi0 only its 1344 support-preserving relabelings of the 40320
-    reach the sign test.  Per relabeling, each term of a fixes the product
-    of the signs over its key (b's coefficient on the image over a's,
-    sorted, must be +-1): a linear system over GF(2), solved for the first
-    sign vector in ``itertools.product`` order.
-    """
-    n = a.n
-    if b.n != n:
-        raise DimensionMismatch("forms live in different dimensions")
-    _same_backend(a, b)
-    a_terms, b_terms = a.blades(), b.blades()
-    if len(a_terms) != len(b_terms):
-        return None
-
-    def try_perm(perm):
-        # every term lands on b's support with +-coeff (maps_into_b), and
-        # blades map one to one, so equal counts make the images b's
-        # support.  Sign vector = bits of x (-1 where set); each term asks
-        # an XOR of them over its blade, kept as a row by its highest bit
-        rows = {}
-        for mask, coeff in a_terms.items():
-            image, sign = relabel_blade(mask, perm)
-            flip = (sign < 0) == (b_terms[image] == coeff)
-            while mask and (top := mask.bit_length() - 1) in rows:
-                mask, flip = mask ^ rows[top][0], flip ^ rows[top][1]
-            if mask:
-                rows[top] = mask, flip
-            elif flip:
-                return None
-        # itertools.product's first solution leaves every free bit 0; each
-        # row then fixes its highest bit from the lower ones, set before it
-        x = 0
-        for top in sorted(rows):
-            mask, flip = rows[top]
-            x |= (flip ^ (mask & x).bit_count() & 1) << top
-        return tuple(-1 if x >> i & 1 else 1 for i in range(n))
-
-    # a term's image is known once its largest axis is placed: per axis (0
-    # for a scalar term) the blades it places, each with the blades of b
-    # that hold its coefficient up to sign
-    placed_by = [[] for _ in range(n + 1)]
-    for mask, coeff in a_terms.items():
-        allowed = {m for m, v in b_terms.items() if v == coeff or v == -coeff}
-        placed_by[mask.bit_length()].append((mask, allowed))
-    perm = [0] * n
-
-    def maps_into_b(axis):
-        # every term placed by axis lands on b's support, +-coeff
-        return all(relabel_blade(mask, perm)[0] in allowed
-                   for mask, allowed in placed_by[axis])
-
-    def extend(axis):
-        # the first hit among the relabelings extending perm[:axis], in
-        # lexicographic order, skipping a branch once a placed term misses
-        # b's support: no relabeling in it could carry a onto b
-        if axis == n:
-            hit = try_perm(perm)
-            return None if hit is None else (tuple(perm), hit)
-        for target in range(1, n + 1):
-            if target in perm[:axis]:
-                continue
-            perm[axis] = target
-            if maps_into_b(axis + 1):
-                hit = extend(axis + 1)
-                if hit is not None:
-                    return hit
-        return None
-
-    # lexicographic order, so the identity comes first
-    return extend(0) if maps_into_b(0) else None

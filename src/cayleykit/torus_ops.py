@@ -820,28 +820,27 @@ def pointwise_linearization_check(phase_pair=(Fraction(3, 5), Fraction(4, 5))):
     the base minor 1 and leaves 16 more nonzero minors, the degree-one ones:
     axis j+1 swapped for a normal axis n gives the minor (-1)^(3-j) d_n.  So
     the defect at the tilted frame is read straight off the exact defect
-    table, as the base row plus the sum over n of (-1)^(3-j) d_n times the
-    row of the swapped subset.  For each j and each basis vector of the
-    deformation pair, d is its row of the displacement matrix, and the
-    result must be the matching column of dirac's symbol along x_{j+1}:
-    both are the tables the float blocks and grids read.  Returns
-    (matches, total) over all 64 component comparisons."""
+    table, as the base row plus (-1)^(3-j) d times the four rows of the
+    swapped subsets.  Stacked over the deformation pair's basis vectors, d
+    is the displacement matrix, and the four matrix identities, one per j,
+
+        base + (-1)^(3-j) displacement @ swapped == dirac[j]^T
+
+    must hold, dirac's symbol along x_{j+1}: both sides are the tables the
+    float blocks and grids read.  Returns (matches, total) over the 64
+    entries of the four identities."""
     phase_pair = _phase_components(phase_pair, EXACT)
     symbols = _exact_symbols(phase_pair)
-    table = _defect_table_exact(phase_pair)
+    table = np.array(_defect_table_exact(phase_pair), dtype=object)
     base = table[FOUR_FORM_INDEX.index(_BASE_AXES)]
-    matches = 0
-    total = 0
+    matches = total = 0
     for j in range(4):
         kept = _BASE_AXES[:j] + _BASE_AXES[j + 1:]
-        swapped = [table[FOUR_FORM_INDEX.index(kept + (n,))] for n in (5, 6, 7, 8)]
-        sign = (-1) ** (3 - j)
-        for beta, d in enumerate(symbols["displacement"]):
-            for r, b0 in enumerate(base):
-                measured = b0 + sum((d_n * row[r] for d_n, row in zip(d, swapped)),
-                                    _NIL) * sign
-                total += 1
-                matches += measured == symbols["dirac"][j, r, beta]
+        swapped = table[[FOUR_FORM_INDEX.index(kept + (n,)) for n in (5, 6, 7, 8)]]
+        tilted = base + (-1) ** (3 - j) * (symbols["displacement"] @ swapped)
+        agree = tilted == symbols["dirac"][j].T
+        matches += int(agree.sum())
+        total += agree.size
     return matches, total
 
 

@@ -234,6 +234,22 @@ def test_disagreeing_pi7_routes_fail_a_check(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_a_wrong_relabeling_fails_only_the_kahler_equivalence(monkeypatch):
+    # e5's sign flipped as well: the pullback negates every term through e5,
+    # so it misses phi0, and no other structure check reads the relabeling
+    before = {c["name"]: c["status"]
+              for c in run_suite(_cfg(suite="structure"))["checks"]}
+    perm, signs = cli._KAHLER_RELABELING
+    monkeypatch.setattr(cli, "_KAHLER_RELABELING",
+                        (perm, signs[:4] + (-signs[4],) + signs[5:]))
+    rows = {c["name"]: c for c in run_suite(_cfg(suite="structure"))["checks"]}
+    check = rows.pop("cayley-form:kahler-equivalence")
+    assert before.pop("cayley-form:kahler-equivalence") == "pass"
+    assert (check["status"], check["residual"]) == ("fail", 1)
+    assert check["details"]["signs"] == [1, 1, 1, 1, -1, -1, -1, 1]
+    assert {name: c["status"] for name, c in rows.items()} == before
+
+
 def test_index_suite():
     report = run_suite(_cfg(suite="index"))
     assert report["summary"]["fail"] == 0

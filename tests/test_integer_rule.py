@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from cayleykit import cli, errors, torus_ops
 from cayleykit.errors import ValidationError
-from cayleykit.exterior import (
-    Multivector, Vector, apply_signed_permutation, volume_form)
+from cayleykit.exterior import Multivector, Vector, volume_form
 from cayleykit.graphs import random_complex_plane, random_plane
 from cayleykit.kahler import antiholo_vector, build_model, holo_vector
 from cayleykit.torus_ops import (
@@ -53,11 +52,6 @@ SITES = [
     ("Vector.basis-n", lambda x: Vector.basis(x, 1), _ONE_TO[8]),
     ("Vector.basis-i", lambda x: Vector.basis(8, x), _ONE_TO[8]),
     ("volume_form", volume_form, _ONE_TO[8]),
-    ("apply_signed_permutation-perm",
-     lambda x: apply_signed_permutation(_FORM, (2, x, 3), (1, 1, 1)), st.just(1)),
-    ("apply_signed_permutation-signs",
-     lambda x: apply_signed_permutation(_FORM, (2, 1, 3), (1, x, 1)),
-     st.sampled_from((1, -1))),
     ("build_model", build_model, _ONE_TO[4]),
     ("holo_vector", lambda x: holo_vector(_MODEL, x), _ONE_TO[4]),
     ("antiholo_vector", lambda x: antiholo_vector(_MODEL, x), _ONE_TO[4]),

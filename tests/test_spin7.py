@@ -1,8 +1,6 @@
 """The calibration four-form, the two-form splitting, and the defect tensor."""
 
 import functools
-import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleykit import _ratlinalg, exterior, spin7
+from cayleykit import _ratlinalg, cli, exterior, spin7
 from cayleykit._ratlinalg import rank as exact_rank
 from cayleykit.errors import BackendMismatch, DimensionMismatch, PlaneError
 from cayleykit.exterior import (
@@ -21,7 +19,6 @@ from cayleykit.exterior import (
     ExactComplex,
     Multivector,
     Vector,
-    apply_signed_permutation,
     coerce_scalar,
     fold_table,
     form_value,
@@ -29,6 +26,7 @@ from cayleykit.exterior import (
     hodge_star,
     hook,
     inner,
+    substitute,
     volume_form,
     wedge,
 )
@@ -39,7 +37,6 @@ from cayleykit.graphs import (
 from cayleykit.kahler import build_model
 from cayleykit.spin7 import (
     TWO_FORM_INDEX,
-    find_equivalence,
     is_cayley,
     lambda27_basis,
     phi0,
@@ -295,80 +292,24 @@ def test_standard_planes_are_calibrated(phi_cy_float):
         assert verdict.tau_norm < 1e-12
 
 
+def _relabeled(form, perm, signs):
+    """form pulled back along e^i -> signs[i-1] e^perm[i-1], by substitute."""
+    return substitute(form, {
+        i: Multivector.basis(form.n, (p,), form.backend).scale(s)
+        for i, p, s in zip(range(1, form.n + 1), perm, signs)})
+
+
 def test_kahler_form_equivalence(phi_exact, phi_cy_exact):
-    perm, signs = find_equivalence(phi_cy_exact.phi, phi_exact.phi)
-    assert perm == (1, 2, 3, 4, 5, 6, 7, 8)
-    assert signs == (1, 1, 1, 1, 1, -1, -1, 1)
-    pushed = apply_signed_permutation(phi_cy_exact.phi, perm, signs)
-    assert (pushed - phi_exact.phi).max_abs() == 0
-
-
-def test_equivalence_search_refuses_mixed_backends():
-    # the same form on two backends: the search would try all 8! relabelings
-    # and find none, since an exact form never equals a float one
-    start = time.perf_counter()
-    with pytest.raises(BackendMismatch, match="mixed backends: 'exact' vs 'float'"):
-        find_equivalence(phi0(EXACT).phi, phi0(FLOAT).phi)
-    assert time.perf_counter() - start < 0.5
-
-
-@pytest.mark.parametrize("backend", [EXACT, FLOAT])
-def test_equivalence_search_rejects_one_negated_coefficient(backend):
-    # same support, so every support-preserving relabeling is tried, but
-    # no sign vector flips the one term of phi0 and none of the others
-    phi = phi0(backend).phi
-    terms = dict(phi.terms)
-    terms[(1, 2, 3, 4)] = -terms[(1, 2, 3, 4)]
-    start = time.perf_counter()
-    assert find_equivalence(phi, Multivector(8, terms, backend)) is None
-    assert time.perf_counter() - start < 5.0
-
-
-def test_equivalence_search_recovers_a_signed_relabeling():
-    phi = phi0(EXACT).phi
-    target = apply_signed_permutation(
-        phi, (3, 1, 2, 4, 6, 5, 8, 7), (1, -1, 1, 1, -1, 1, 1, -1))
-    perm, signs = find_equivalence(phi, target)
-    # phi0 has a stabilizer, so the first hit in search order is another
-    # relabeling with the same image
-    assert (perm, signs) == ((1, 2, 3, 4, 5, 8, 6, 7),
-                             (1, 1, 1, -1, 1, -1, 1, -1))
-    assert apply_signed_permutation(phi, perm, signs) == target
-
-
-def _first_equivalence(a, b):
-    """The search walked in full: each relabeling in order, and under it
-    each sign vector in itertools.product order, until one carries a to b."""
-    for perm in itertools.permutations(range(1, a.n + 1)):
-        for signs in itertools.product((1, -1), repeat=a.n):
-            if apply_signed_permutation(a, perm, signs) == b:
-                return perm, signs
-    return None
-
-
-@st.composite
-def _form_pairs(draw):
-    """A small exact form a and a signed relabeling b of it, with one
-    coefficient of b negated half the time."""
-    n = draw(st.integers(3, 5))
-    keys = st.lists(st.integers(1, n), unique=True, max_size=n).map(
-        lambda key: tuple(sorted(key)))
-    a = Multivector(n, draw(st.dictionaries(
-        keys, st.sampled_from([1, -1, 2, Fraction(1, 2)]), min_size=1, max_size=6)))
-    b = apply_signed_permutation(
-        a, draw(st.permutations(range(1, n + 1))),
-        draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        key = draw(st.sampled_from(sorted(b.terms)))
-        b = Multivector(n, {**b.terms, key: -b.terms[key]})
-    return a, b
-
-
-@given(_form_pairs())
-@settings(max_examples=40, deadline=None)
-def test_equivalence_search_returns_the_first_hit_of_the_full_walk(pair):
-    a, b = pair
-    assert find_equivalence(a, b) == _first_equivalence(a, b)
+    perm, signs = cli._KAHLER_RELABELING
+    assert (perm, signs) == ((1, 2, 3, 4, 5, 6, 7, 8), (1, 1, 1, 1, 1, -1, -1, 1))
+    assert _relabeled(phi_cy_exact.phi, perm, signs) == phi_exact.phi
+    # every axis carries some term, so flipping one more sign misses phi0
+    for i in range(8):
+        flipped = signs[:i] + (-signs[i],) + signs[i + 1:]
+        assert _relabeled(phi_cy_exact.phi, perm, flipped) != phi_exact.phi
+    # -I fixes a four-form: each term picks up (-1)^4
+    negated = tuple(-s for s in signs)
+    assert _relabeled(phi_cy_exact.phi, perm, negated) == phi_exact.phi
 
 
 def test_phase_family_is_still_a_calibration():
