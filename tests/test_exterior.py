@@ -180,6 +180,43 @@ def test_backend_mixing_rejected():
         wedge(a, b)
 
 
+def test_substitute_refuses_mixed_backends():
+    # an exact form with float images of its axes: the sum of the pulled
+    # terms would mix the backends
+    a = Multivector(8, {(1, 2): Fraction(1)}, EXACT)
+    images = {i: Multivector.basis(8, (i,), FLOAT) for i in range(1, 9)}
+    with pytest.raises(BackendMismatch, match="mixed backends: 'exact' vs 'float'"):
+        substitute(a, images)
+
+
+@st.composite
+def _substitution_chain(draw, backend):
+    """A form of grade 0-3 on R^n, n <= 4, and two maps of its axes to
+    arbitrary 1-forms, all with small integer coefficients, so a float sum
+    is exact as well."""
+    n = draw(st.integers(1, 4))
+    coeff = st.integers(-3, 3).map(float if backend == FLOAT else Fraction)
+    keys = st.lists(st.integers(1, n), unique=True, max_size=min(3, n)).map(tuple)
+    a = Multivector(n, draw(st.dictionaries(keys, coeff, max_size=5)), backend)
+
+    def one_forms():
+        return {i: Multivector(n, {(j,): draw(coeff) for j in range(1, n + 1)},
+                               backend) for i in range(1, n + 1)}
+
+    return a, one_forms(), one_forms()
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_substitute_composes(backend, data):
+    # pulling back along G and then along H is pulling back along H o G:
+    # e^i goes to G[i] with its axes replaced by H's images
+    a, g, h = data.draw(_substitution_chain(backend))
+    composite = {i: substitute(g[i], h) for i in g}
+    assert substitute(substitute(a, g), h) == substitute(a, composite)
+
+
 def test_float_vector_entries_all_become_python_floats():
     floats = [0.5, -1.25, 3.0, 0.0]
     assert Vector(floats, FLOAT) == Vector([Fraction(1, 2), "-5/4", 3, 0], FLOAT)

@@ -312,6 +312,42 @@ def test_kahler_form_equivalence(phi_exact, phi_cy_exact):
     assert _relabeled(phi_cy_exact.phi, perm, negated) == phi_exact.phi
 
 
+def test_kahler_form_equivalence_on_the_float_backend(phi_float, phi_cy_float):
+    # every coefficient is +-1, so the float pullback lands on phi0 exactly
+    pulled = _relabeled(phi_cy_float.phi, *cli._KAHLER_RELABELING)
+    assert pulled.backend == FLOAT
+    assert pulled == phi_float.phi
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_pullback_misses_phi0_with_one_negated_coefficient(backend):
+    # same support as phi0 and all but one coefficient right: == tells them apart
+    phi = phi0(backend).phi
+    terms = dict(phi.terms)
+    terms[(1, 2, 3, 4)] = -terms[(1, 2, 3, 4)]
+    target = Multivector(8, terms, backend)
+    pulled = _relabeled(phi_from_kahler(build_model(4, backend=backend)).phi,
+                        *cli._KAHLER_RELABELING)
+    assert pulled == phi
+    assert pulled != target
+    assert (pulled - target).max_abs() == 2
+
+
+def test_pullback_along_a_signed_relabeling_and_back():
+    phi = phi0(EXACT).phi
+    perm, signs = (3, 1, 2, 4, 6, 5, 8, 7), (1, -1, 1, 1, -1, 1, 1, -1)
+    target = _relabeled(phi, perm, signs)
+    assert target != phi
+    # phi0 has a stabilizer, so another signed relabeling has the same image
+    assert _relabeled(phi, (1, 2, 3, 4, 5, 8, 6, 7),
+                      (1, 1, 1, -1, 1, -1, 1, -1)) == target
+    # e^j -> s_i e^i for j = perm(i) undoes it
+    inverse = {p: (i, s) for i, p, s in zip(range(1, 9), perm, signs)}
+    back = tuple(inverse[j][0] for j in range(1, 9))
+    back_signs = tuple(inverse[j][1] for j in range(1, 9))
+    assert _relabeled(target, back, back_signs) == phi
+
+
 def test_phase_family_is_still_a_calibration():
     from cayleykit.kahler import build_model
     from cayleykit.spin7 import phi_from_kahler
